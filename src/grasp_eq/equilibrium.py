@@ -145,89 +145,6 @@ def assemble_from_contact_state(obj: ObjectModel, state, mu: float = DEFAULT_MU,
     return sys, idx
 
 
-# A feasible x is accepted once the Frank-Wolfe duality gap certifies
-# f(x) - f* <= max_s grad . (x - s) < GAP_TOL, matching the contract that
-# the returned energy is the global minimum within 1e-8.
-GAP_TOL = 1e-8
-
-
-def _solve_projected(mat, const, project, x0, tol, max_iter, gap, polish):
-    """Minimize ||mat @ x + const||^2 over a convex set.
-
-    ADMM with an exact x-update (the 6 x 6 Gram matrix is eigendecomposed
-    once, so the regularized normal equations solve in closed form for any
-    penalty) and the exact Euclidean projection as the z-update.  The
-    penalty follows the standard residual-balancing rule.  Iterates stop
-    when the duality gap ``gap(grad, z)`` certifies optimality within
-    GAP_TOL or the projected-gradient norm falls below ``tol``.  The
-    ``polish(z)`` callback may propose an exact active-set
-    solution; it is accepted only if the gap certifies it (ill-conditioned
-    free subspaces otherwise stretch the tail by orders of magnitude).
-    Returns (x, converged, gap).
-    """
-    z = project(np.asarray(x0, dtype=float))
-    k = z.size
-    if k == 0:
-        return z, True, 0.0
-    gram = mat @ mat.T
-    lam, q = np.linalg.eigh(gram)
-    lam = np.maximum(lam, 0.0)
-    lam_max = lam[-1]
-    if lam_max <= 0.0:
-        return z, True, 0.0
-    pg_step = 1.0 / (2.0 * lam_max)
-    mtc = mat.T @ const
-
-    def value(pt):
-        r = mat @ pt + const
-        return float(r @ r)
-
-    rho = 1.0
-    s = np.zeros(k)
-    best_z, best_f, best_gap = z, value(z), np.inf
-    for it in range(max_iter):
-        b = rho * (z - s) - 2.0 * mtc
-        y = q @ ((q.T @ (mat @ b)) / (lam + 0.5 * rho))
-        x = (b - mat.T @ y) / rho
-        z_new = project(x + s)
-        s = s + x - z_new
-        prim = np.linalg.norm(x - z_new)
-        dual = rho * np.linalg.norm(z_new - z)
-        z = z_new
-        r = mat @ z + const
-        f = float(r @ r)
-        g = 2.0 * (mat.T @ r)
-        # f >= 0 everywhere, so f itself bounds the suboptimality as well
-        gap_val = min(gap(g, z), f)
-        if f < best_f:
-            best_z, best_f, best_gap = z, f, gap_val
-        if gap_val < GAP_TOL:
-            return z, True, gap_val
-        pg = (z - project(z - pg_step * g)) / pg_step
-        if float(np.linalg.norm(pg)) < tol:
-            return z, True, gap_val
-        if it % 50 == 49:
-            cand = polish(best_z)
-            if cand is not None:
-                cand = project(cand)
-                f_cand = value(cand)
-                g_cand = 2.0 * (mat.T @ (mat @ cand + const))
-                cand_gap = min(gap(g_cand, cand), f_cand)
-                if cand_gap < GAP_TOL and f_cand <= best_f + GAP_TOL:
-                    return cand, True, cand_gap
-        if it % 10 == 9:
-            # scale-aware residual balancing with a clamped penalty
-            prim_rel = prim / max(np.linalg.norm(x), np.linalg.norm(z), 1.0)
-            dual_rel = dual / max(rho * np.linalg.norm(s), 1.0)
-            if prim_rel > 10.0 * dual_rel and rho < 1e6:
-                rho *= 2.0
-                s /= 2.0
-            elif dual_rel > 10.0 * prim_rel and rho > 1e-4:
-                rho /= 2.0
-                s *= 2.0
-    return best_z, False, best_gap
-
-
 def _solve_box(mat, const, tol, max_iter):
     """Minimize ||mat @ x + const||^2 over the box [-1, 1]^k.
 
@@ -279,6 +196,89 @@ def _solve_box(mat, const, tol, max_iter):
     return best_x, False, best_gap
 
 
+# edge k of the linearized friction pyramid is the force direction
+# (1, s_b, s_t) in (normal, b, t) with s = _EDGE_SIGNS[k]
+_EDGE_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def _free_mean(values, free):
+    """Mean of ``values`` over each contact's free edges (the last axis)."""
+    count = np.maximum(free.sum(axis=1, keepdims=True), 1)
+    return (values * free).sum(axis=-1, keepdims=True) / count
+
+
+def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
+    """Minimize ||mat @ lam + const||^2 over lam >= 0, sum(lam[i]) <= cap.
+
+    ``lam`` is an (n, 4) feasible start, one row of edge weights per
+    contact.  Non-negative least squares by the primal active-set method of
+    Lawson & Hanson (1974), extended with one sum cap per contact.  The
+    inner loop takes the minimum-norm least-squares step on the free edges,
+    where a capped contact's free edges move with zero sum (their columns
+    are centred), and steps back into the feasible set, dropping the edges
+    that reach zero and capping the contacts that reach ``cap``.  At each
+    face minimum the edge or cap with the largest KKT violation is freed.
+    Only the duality gap certifies: returns (lam, True, gap) once it falls
+    below ``tol``, else (best lam, False, its gap) after ``max_iter`` outer
+    iterations.
+    """
+    n = lam.shape[0]
+    cols = mat.reshape(6, n, 4)
+    free = np.ones((n, 4), dtype=bool)
+    capped = np.zeros(n, dtype=bool)
+    best_lam, best_f, best_gap = lam, np.inf, np.inf
+    for _ in range(max_iter):
+        while free.any():
+            r = mat @ lam.ravel() + const
+            face = np.where(capped[:, None], cols - _free_mean(cols, free), cols)
+            step = np.zeros((n, 4))
+            step[free], *_ = np.linalg.lstsq(face[:, free], -r, rcond=None)
+            step -= np.where(capped[:, None] & free, _free_mean(step, free), 0.0)
+            rise = step.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                to_zero = np.where(free & (step < 0.0), lam / -step, np.inf)
+                to_cap = np.where(~capped & (rise > 0.0),
+                                  (cap - lam.sum(axis=1)) / rise, np.inf)
+            alpha = min(1.0, float(to_zero.min()), float(to_cap.min()))
+            lam = np.maximum(lam + alpha * step, 0.0)
+            if alpha == 1.0:
+                break
+            hit = to_zero <= alpha
+            lam[hit] = 0.0
+            free &= ~hit
+            capped |= to_cap <= alpha
+        r = mat @ lam.ravel() + const
+        f = float(r @ r)
+        g = 2.0 * (mat.T @ r).reshape(n, 4)
+        # linear minimization puts each contact's whole cap on its steepest
+        # edge when that edge descends; f >= 0 everywhere, so f itself
+        # bounds the suboptimality as well
+        gap = min(float((g * lam).sum() - cap * np.minimum(g.min(axis=1), 0.0).sum()), f)
+        if f < best_f:
+            best_lam, best_f, best_gap = lam.copy(), f, gap
+        if gap < tol:
+            return lam, True, gap
+        # a capped contact's free edges share one gradient `level` at a face
+        # minimum: a zero edge violates KKT when its gradient is below the
+        # level, a cap when the level is positive (shrinking the sum helps)
+        level = np.where(capped[:, None], _free_mean(g, free), 0.0)
+        violation = np.concatenate([np.where(free, -np.inf, level - g).ravel(),
+                                    np.where(capped, level[:, 0], -np.inf)])
+        worst = int(np.argmax(violation))
+        if violation[worst] > 0.0:
+            if worst < 4 * n:
+                free.flat[worst] = True
+            else:
+                capped[worst - 4 * n] = False
+    return best_lam, False, best_gap
+
+
+def _not_converged(what, gap, tol, max_iter, result):
+    return SolverError(
+        f"{what} QP not converged: gap {gap:.3e} not below tol {tol:.1e} "
+        f"after {max_iter} active-set iterations", result=result)
+
+
 def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
                      max_iter: int = QP_MAX_ITER) -> StabilityResult:
     """Minimize ||accel||^2 over gamma, delta in [-1, 1]^n.
@@ -302,10 +302,7 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     result = StabilityResult(energy=float(accel @ accel), gamma=_freeze(x[:n]),
                              delta=_freeze(x[n:]), accel=_freeze(accel))
     if not converged:
-        raise SolverError(
-            f"stability QP not converged: optimality gap {gap_val:.3e} not below "
-            f"{tol:.1e} after {max_iter} active-set iterations",
-            result=result)
+        raise _not_converged("stability", gap_val, tol, max_iter, result)
     return result
 
 
@@ -369,11 +366,16 @@ def solve_force_existence(obj: ObjectModel, points, normals,
                           max_iter: int = QP_MAX_ITER) -> ForceExistenceResult:
     """Minimize ||accel||^2 over forces and friction jointly.
 
-    Variables are reparameterized per contact as (u, v, w) = (F, gamma F,
-    delta F) with 0 <= u <= f_max and |v|, |w| <= u, which makes the problem
-    a convex quadratic over a product of convex sets; the projection is
-    computed exactly per contact.  Used to test whether admissible forces
-    exist that hold the object still.
+    Per contact, the admissible (F, gamma F, delta F) with 0 <= F <= f_max
+    and |gamma|, |delta| <= 1 form the cone over the four friction-pyramid
+    edges (1, +-1, +-1), so the problem is a non-negative least-squares fit
+    of edge weights with each contact's weights summing to at most f_max.
+    It is solved exactly by an active-set method started from the interior
+    point that shares the object's weight evenly over the contacts.  Like
+    stability_energy, ``tol`` bounds the duality gap and SolverError
+    (carrying the best iterate) is raised if it is not reached within
+    ``max_iter`` active-set iterations.  Used to test whether admissible
+    forces exist that hold the object still.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float)).reshape(-1, 3)
     n = points.shape[0]
@@ -383,104 +385,21 @@ def solve_force_existence(obj: ObjectModel, points, normals,
                                     forces=np.zeros(0), gamma=np.zeros(0),
                                     delta=np.zeros(0), accel=_freeze(gravity6))
     sys = assemble(obj, points, normals, np.zeros(n), mu=mu, gravity=gravity)
-    mat = np.hstack([sys.n_mat, mu * sys.b_mat, mu * sys.t_mat])
-
-    def project(z):
-        u, v, w = z[:n].copy(), z[n:2 * n], z[2 * n:]
-        sv, sw = np.sign(v), np.sign(w)
-        beta, gam = np.abs(v), np.abs(w)
-        lo = np.minimum(beta, gam)
-        hi = np.maximum(beta, gam)
-
-        def phi(u_val):
-            return ((u_val - u) ** 2
-                    + (np.minimum(beta, u_val) - beta) ** 2
-                    + (np.minimum(gam, u_val) - gam) ** 2)
-
-        # per-piece minimizers of the convex piecewise quadratic over [0, inf);
-        # the cap at f_max commutes with the 1-d argmin by convexity
-        c1 = np.maximum(u, hi)
-        c2 = np.clip(0.5 * (u + hi), lo, hi)
-        c3 = np.clip((u + lo + hi) / 3.0, 0.0, lo)
-        cands = np.stack([c1, c2, c3])
-        best = cands[np.argmin(np.stack([phi(c) for c in cands]), axis=0),
-                     np.arange(n)]
-        best = np.minimum(best, f_max)
-        return np.concatenate([best, sv * np.minimum(beta, best),
-                               sw * np.minimum(gam, best)])
-
-    def gap(g, z):
-        # linear minimization over each capped cone: v, w oppose their
-        # gradients at magnitude u, then u goes to f_max when profitable
-        coef = g[:n] - np.abs(g[n:2 * n]) - np.abs(g[2 * n:])
-        return float(g @ z - f_max * np.minimum(coef, 0.0).sum())
-
-    def polish(z):
-        # exact solve on the active-set pattern of the iterate: per contact
-        # the force may be off/capped/free and each friction component may
-        # be free or tied to the force at the cone boundary
-        u, v, w = z[:n], z[n:2 * n], z[2 * n:]
-        slack = 1e-7
-        cols, baseline = [], np.zeros(6)
-        plan = []
-        for i in range(n):
-            if u[i] <= 1e-9 * (1.0 + f_max):
-                plan.append(("off",))
-                continue
-            tied_v = abs(v[i]) >= u[i] * (1.0 - slack)
-            tied_w = abs(w[i]) >= u[i] * (1.0 - slack)
-            u_col = mat[:, i].copy()
-            if tied_v:
-                u_col += np.sign(v[i]) * mat[:, n + i]
-            if tied_w:
-                u_col += np.sign(w[i]) * mat[:, 2 * n + i]
-            capped = u[i] >= f_max * (1.0 - slack)
-            entry = ["cap" if capped else "var", tied_v and np.sign(v[i]),
-                     tied_w and np.sign(w[i])]
-            if capped:
-                baseline += f_max * u_col
-            else:
-                entry.append(len(cols))
-                cols.append(u_col)
-            if not tied_v:
-                entry.append(("v", len(cols)))
-                cols.append(mat[:, n + i])
-            if not tied_w:
-                entry.append(("w", len(cols)))
-                cols.append(mat[:, 2 * n + i])
-            plan.append(tuple(entry))
-        if not cols:
-            sol = np.zeros(0)
-        else:
-            sol, *_ = np.linalg.lstsq(np.column_stack(cols),
-                                      -(baseline + gravity6), rcond=None)
-        cand = np.zeros(3 * n)
-        for i, entry in enumerate(plan):
-            if entry[0] == "off":
-                continue
-            kind, sv, sw = entry[0], entry[1], entry[2]
-            rest = list(entry[3:])
-            ui = f_max if kind == "cap" else float(sol[rest.pop(0)])
-            cand[i] = ui
-            cand[n + i] = sv * ui if sv else 0.0
-            cand[2 * n + i] = sw * ui if sw else 0.0
-            for tag, pos in rest:
-                cand[(n if tag == "v" else 2 * n) + i] = float(sol[pos])
-        return cand
-
-    x, converged, gap_val = _solve_projected(mat, gravity6, project,
-                                             np.zeros(3 * n), tol, max_iter,
-                                             gap=gap, polish=polish)
-    u, v, w = x[:n], x[n:2 * n], x[2 * n:]
+    mat = (sys.n_mat[:, :, None]
+           + mu * sys.b_mat[:, :, None] * _EDGE_SIGNS[:, 0]
+           + mu * sys.t_mat[:, :, None] * _EDGE_SIGNS[:, 1]).reshape(6, 4 * n)
+    # the minimizer is not unique; from lam = 0 the solver lands on sparse
+    # vertices, from this interior point it keeps force on most contacts
+    share = min(obj.mass * float(np.linalg.norm(gravity6)) / n, f_max)
+    lam, converged, gap_val = _solve_pyramid(mat, gravity6, np.full((n, 4), share / 4.0),
+                                             f_max, tol, max_iter)
+    u = lam.sum(axis=1)
     safe = np.where(u > 0, u, 1.0)
-    gamma = np.clip(v / safe, -1.0, 1.0)
-    delta = np.clip(w / safe, -1.0, 1.0)
-    accel = mat @ x + gravity6
+    gamma, delta = np.clip((lam @ _EDGE_SIGNS) / safe[:, None], -1.0, 1.0).T
+    accel = mat @ lam.ravel() + gravity6
     result = ForceExistenceResult(energy=float(accel @ accel), forces=_freeze(u),
                                   gamma=_freeze(gamma), delta=_freeze(delta),
                                   accel=_freeze(accel))
     if not converged:
-        raise SolverError(
-            f"force-existence QP not converged: optimality gap {gap_val:.3e} > {GAP_TOL:.1e}",
-            result=result)
+        raise _not_converged("force-existence", gap_val, tol, max_iter, result)
     return result

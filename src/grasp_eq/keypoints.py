@@ -17,7 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .equilibrium import assemble, stability_energy
+from .equilibrium import QP_TOL, assemble, stability_energy
 from .errors import SolverError
 from .scene import GRAVITY, ContactState, ObjectModel
 
@@ -121,7 +121,9 @@ def select_clusters(clusters, obj: ObjectModel, mu: float = 1.0,
     Each part starts with its highest-force cluster; parts are then visited
     in ascending id, re-selecting the cluster that minimizes the stability
     energy of {candidate} united with the other parts' current
-    representatives.  One pass by default.
+    representatives.  One pass by default.  A candidate replaces the
+    incumbent only when its energy is lower by more than QP_TOL, the
+    solver's certified gap, so ties go to the earliest cluster.
     """
     if not clusters:
         raise ValueError("no part has any contact cluster")
@@ -136,7 +138,7 @@ def select_clusters(clusters, obj: ObjectModel, mu: float = 1.0,
             best, best_energy = None, np.inf
             for cand in clusters[p]:
                 energy = _cluster_energy([cand] + others, obj, mu, gravity)
-                if energy < best_energy:
+                if energy < best_energy - QP_TOL:
                     best, best_energy = cand, energy
             if best is not reps[p]:
                 reps[p] = best
@@ -151,9 +153,9 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = 1.0,
     """Exhaustive search for the part subset with least stability energy.
 
     Evaluates every C(|H|, n_kp) combination; with |H| <= n_kp all parts are
-    kept.  Ties break toward the lexicographically smallest part-id tuple
-    (combinations are enumerated in that order and only strict improvements
-    replace the incumbent).
+    kept.  Ties break toward the lexicographically smallest part-id tuple:
+    combinations are enumerated in that order and only improvements by more
+    than QP_TOL, the solver's certified gap, replace the incumbent.
     """
     if not representatives:
         raise ValueError("no representative clusters to select from")
@@ -167,7 +169,7 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = 1.0,
         for combo in itertools.combinations(parts, n_kp):
             energy = _cluster_energy([representatives[p] for p in combo],
                                      obj, mu, gravity)
-            if energy < best_energy:
+            if energy < best_energy - QP_TOL:
                 chosen, best_energy = combo, energy
     reps = [representatives[p] for p in chosen]
     centers = np.array([c.center for c in reps])

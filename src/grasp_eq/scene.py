@@ -166,36 +166,33 @@ class TangentBasis:
 
 
 def build_tangent_basis(n):
-    """Deterministic tangent frame for a unit normal.
-
-    Pivot rule: take the coordinate axis least aligned with n, project it
-    onto the tangent plane and normalize; the second tangent is n x b, which
-    makes (b, t, n) right-handed (b x t == n).
-    """
+    """Deterministic tangent frame for a unit normal (see tangent_bases)."""
     n = np.asarray(n, dtype=float)
     if n.shape != (3,) or not np.all(np.isfinite(n)):
         raise InvalidNormal("normal must be a finite 3-vector")
     if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
         raise InvalidNormal("normal must have unit length")
-    axis = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[axis] = 1.0
-    b = e - np.dot(e, n) * n
-    b /= np.linalg.norm(b)
-    t = np.cross(n, b)
-    return TangentBasis(b=_freeze(b), t=_freeze(t), n=_freeze(n.copy()))
+    b, t = tangent_bases(n[None])
+    return TangentBasis(b=_freeze(b[0]), t=_freeze(t[0]), n=_freeze(n.copy()))
 
 
 def tangent_bases(normals):
-    """Stacked (b, t) tangent frames for an (n, 3) array of unit normals."""
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    b = np.empty_like(normals)
-    t = np.empty_like(normals)
-    for i, n in enumerate(normals):
-        basis = build_tangent_basis(n)
-        b[i] = basis.b
-        t[i] = basis.t
-    return b, t
+    """Stacked (b, t) tangent frames for an (n, 3) array of unit normals.
+
+    Pivot rule: take the coordinate axis least aligned with n, project it
+    onto the tangent plane and normalize; the second tangent is n x b, which
+    makes (b, t, n) right-handed (b x t == n).
+    """
+    normals = check_unit_normals(normals)
+    rows = np.arange(normals.shape[0])
+    axis = np.argmin(np.abs(normals), axis=1)
+    # e - (e . n) n with e the pivot axis
+    b = -normals[rows, axis][:, None] * normals
+    b[rows, axis] += 1.0
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    # t = n x b, written out over the rolled components
+    i, j = [1, 2, 0], [2, 0, 1]
+    return b, normals[:, i] * b[:, j] - normals[:, j] * b[:, i]
 
 
 def signed_distance(obj: ObjectModel, query):

@@ -1,7 +1,7 @@
 """Shared test fixtures and independent oracles.
 
 The grid-search oracles here re-derive energies straight from the assembled
-matrices so they share no code path with the ADMM solver they check.
+matrices so they share no code path with the active-set solvers they check.
 """
 
 import numpy as np

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
 from grasp_eq.equilibrium import (assemble, assemble_from_contact_state,
@@ -303,6 +306,36 @@ class TestForceExistence:
         assert np.all(res.forces <= 20.0 + 1e-9)
         assert np.all(np.abs(res.gamma) <= 1.0 + 1e-12)
         assert np.all(np.abs(res.delta) <= 1.0 + 1e-12)
+
+    def test_solver_error_carries_best(self, small_sphere):
+        with pytest.raises(SolverError) as info:
+            solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N, f_max=5.0,
+                                  tol=0.0, max_iter=1)
+        forces = info.value.result.forces
+        assert np.all((forces >= 0.0) & (forces <= 5.0))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_nnls_oracle_when_cap_slack(self, n, seed):
+        # scipy's Lawson-Hanson NNLS over the same four friction-pyramid
+        # edges (1, +-1, +-1) per contact; without a binding cap the two
+        # problems share their minimum
+        obj = sphere_object()
+        pts, dirs, _ = random_contacts(np.random.default_rng(seed), obj, n)
+        sys = assemble(obj, pts, dirs, np.zeros(n))
+        edges = np.column_stack([
+            sys.n_mat[:, i] + sys.mu * (sign_b * sys.b_mat[:, i]
+                                        + sign_t * sys.t_mat[:, i])
+            for i in range(n)
+            for sign_b, sign_t in itertools.product((1.0, -1.0), repeat=2)])
+        weights, _ = nnls(edges, -sys.gravity6)
+        assume(weights.reshape(n, 4).sum(axis=1).max() < 20.0)
+        resid = edges @ weights + sys.gravity6
+        res = solve_force_existence(obj, pts, dirs)
+        assert res.energy == pytest.approx(float(resid @ resid), abs=1e-9)
+        held = assemble(obj, pts, dirs, res.forces)
+        assert_allclose(held.acceleration(res.gamma, res.delta), res.accel,
+                        atol=1e-9)
 
 
 class TestFromContactState:

@@ -191,23 +191,30 @@ class TestSelectKeypoints:
             assert kps.energy <= energy + 1e-6
 
     def test_lexicographic_tie_break(self):
-        # parts 2 and 9 carry the identical bottom-support contact, so the
-        # triples (2,5,7) and (5,7,9) are exact energy ties; enumeration
-        # order must make the smaller tuple win
-        pts = np.array([[0.0, 0.0, -0.05], [0.0, 0.0, -0.05],
-                        [0.05, 0.0, 0.0], [-0.05, 0.0, 0.0],
-                        [0.0, 0.05, 0.0], [0.0, -0.05, 0.0]])
-        normals = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        obj = ObjectModel(points=pts, normals=normals, com=np.zeros(3))
-        state = state_from_patches(obj, [
-            (2, np.array([0]), 9.81), (9, np.array([1]), 9.81),
-            (5, np.array([2]), 0.5), (7, np.array([3]), 0.5)])
-        clusters = cluster_contacts(obj, state, radius=1e-9)
-        reps = select_clusters(clusters, obj)
-        kps = select_keypoints(reps, obj, n_kp=3)
-        swapped = cluster_system_energy(obj, [reps[p] for p in (5, 7, 9)])
-        assert kps.energy == pytest.approx(swapped, abs=1e-9)
-        assert kps.parts == (2, 5, 7)
+        # parts 2 and 9 carry a bottom-support contact and 5, 7 a side pinch,
+        # so the triples (2,5,7) and (5,7,9) both hold the object exactly;
+        # enumeration order must make the smaller tuple win.  The first
+        # input makes the ties bit-identical; in the second the supports sit
+        # off-centre, so the two exact zeros differ by rounding noise
+        # (about 9e-27 against 4e-28), which must not decide the pick
+        for (off2, off9, pinch) in (((0.0, 0.0), (0.0, 0.0), 0.5),
+                                    ((-0.008, -0.008), (-0.004, -0.008), 1.5)):
+            pts = np.array([[off2[0], off2[1], -0.05], [off9[0], off9[1], -0.05],
+                            [0.05, 0.0, 0.0], [-0.05, 0.0, 0.0],
+                            [0.0, 0.05, 0.0], [0.0, -0.05, 0.0]])
+            normals = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0],
+                                [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+            obj = ObjectModel(points=pts, normals=normals, com=np.zeros(3))
+            state = state_from_patches(obj, [
+                (2, np.array([0]), 9.81), (9, np.array([1]), 9.81),
+                (5, np.array([2]), pinch), (7, np.array([3]), pinch)])
+            clusters = cluster_contacts(obj, state, radius=1e-9)
+            reps = select_clusters(clusters, obj)
+            kps = select_keypoints(reps, obj, n_kp=3)
+            swapped = cluster_system_energy(obj, [reps[p] for p in (5, 7, 9)])
+            assert kps.energy == pytest.approx(swapped, abs=1e-9)
+            assert kps.parts == (2, 5, 7)
 
     def test_keeps_all_when_few(self, small_sphere):
         state = state_from_patches(small_sphere, [(3, np.array([0, 1]), 1.0),

@@ -6,7 +6,8 @@ from scipy.spatial.transform import Rotation
 from grasp_eq.errors import EmptyHand, EmptyObject, InvalidNormal
 from grasp_eq.scene import (CONTACT_RADIUS, ContactState, ObjectModel,
                             build_tangent_basis, compute_inertia,
-                            contact_map_from_hand, signed_distance)
+                            contact_map_from_hand, signed_distance,
+                            tangent_bases)
 
 from conftest import sphere_object
 
@@ -55,6 +56,24 @@ class TestTangentBasis:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidNormal):
             build_tangent_basis(np.array([np.nan, 0.0, 1.0]))
+
+    def test_array_frames_match_per_normal_loop(self):
+        rng = np.random.default_rng(7)
+        normals = rng.normal(size=(300, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        normals = np.vstack([normals, np.eye(3), -np.eye(3)])
+        b, t = tangent_bases(normals)
+        for i, n in enumerate(normals):
+            e = np.zeros(3)
+            e[int(np.argmin(np.abs(n)))] = 1.0
+            ref_b = e - np.dot(e, n) * n
+            ref_b /= np.linalg.norm(ref_b)
+            assert_allclose(b[i], ref_b, rtol=0.0, atol=1e-15)
+            assert_allclose(t[i], np.cross(n, ref_b), rtol=0.0, atol=1e-15)
+
+    def test_array_frames_reject_non_unit(self):
+        with pytest.raises(InvalidNormal):
+            tangent_bases(np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]]))
 
 
 class TestInertia:
