@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SolverError
-from .scene import GRAVITY, ObjectModel, check_unit_normals, tangent_bases
+from .scene import GRAVITY, ObjectModel, _pivot_tangents, check_unit_normals
 
 DEFAULT_MU = 1.0
 QP_TOL = 1e-8
@@ -112,7 +112,7 @@ def assemble(obj: ObjectModel, points, normals, forces,
     if n:
         check_unit_normals(normals)
         if bases is None:
-            b_dirs, t_dirs = tangent_bases(normals)
+            b_dirs, t_dirs = _pivot_tangents(normals)
         else:
             b_dirs, t_dirs = (np.asarray(a, dtype=float).reshape(n, 3) for a in bases)
         arms = points - obj.com
@@ -377,6 +377,8 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     ``max_iter`` active-set iterations.  Used to test whether admissible
     forces exist that hold the object still.
     """
+    if not np.isfinite(f_max) or f_max < 0:
+        raise ValueError("f_max must be finite and non-negative")
     points = np.atleast_2d(np.asarray(points, dtype=float)).reshape(-1, 3)
     n = points.shape[0]
     gravity6 = np.concatenate([np.asarray(gravity, dtype=float), np.zeros(3)])

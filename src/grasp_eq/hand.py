@@ -232,6 +232,27 @@ def _skew(v):
                      [-v[1], v[0], 0.0]])
 
 
+def _cross(a, b):
+    """a x b over the last axis, written out; broadcasts like np.cross."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+# Per (finger, angle): rest rotation axis (abduction about _Z, then three
+# flexions about the finger's axis), its skew K and K @ K, so Rodrigues'
+# formula I + sin(q) K + (1 - cos(q)) K^2 turns all 20 joints at once.
+_ANGLE_AXES = np.array([[_Z, a, a, a] for a in _FLEX_AXES])
+_ANGLE_SKEW = np.array([[_skew(a) for a in row] for row in _ANGLE_AXES])
+_ANGLE_SKEW_SQ = _ANGLE_SKEW @ _ANGLE_SKEW
+_BONES = _DIRS[:, None, :] * _LENGTHS[:, :, None]  # (finger, segment, xyz) at scale 1
+# Jacobian angle entries over (finger f, angle k, finger joint i = 1..3): the
+# joint row, the pose column, and whether joint i lies downstream of angle k.
+_F, _K, _I = np.ogrid[:5, :4, 1:4]
+_ANGLE_ROWS = 1 + 4 * _F + _I
+_ANGLE_COLS = 6 + 4 * _F + _K
+_DOWNSTREAM = (_I >= _K)[..., None]
+
+
 def rotation_matrix(omega) -> np.ndarray:
     """Rodrigues rotation for an axis-angle vector."""
     omega = np.asarray(omega, dtype=float)
@@ -243,60 +264,53 @@ def rotation_matrix(omega) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
-def _axis_rotation(axis, angle):
-    c, s = np.cos(angle), np.sin(angle)
-    k = _skew(axis)
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
-
-
 def _local_joints(pose: HandPose):
-    """Hand-frame joints plus the per-joint rotation axes and pivots.
+    """Hand-frame finger joints plus the per-angle rotation axes and pivots.
 
-    Returns (joints, axes, pivots) where axes[f] rows are the current
-    abduction / flexion axes of finger f and pivots[f] the matching joint
-    positions, used for geometric jacobians.
+    Returns (joints, axes, pivots), each of shape (5, 4, 3): joints[f] are
+    the base and the three distal joints of finger f, axes[f, k] the current
+    axis of its angle k (abduction, then three flexions) and pivots[f, k]
+    the joint that angle turns about, used for geometric jacobians.
     """
     s = pose.scale
-    joints = np.zeros((N_JOINTS, 3))
-    axes = np.zeros((5, 4, 3))
-    pivots = np.zeros((5, 4, 3))
-    for f in range(5):
-        abd, fl1, fl2, fl3 = pose.angles[4 * f:4 * f + 4]
-        base = _BASES[f] * s
-        u = _DIRS[f]
-        a = _FLEX_AXES[f]
-        r_abd = _axis_rotation(_Z, abd)
-        r1 = r_abd @ _axis_rotation(a, fl1)
-        r2 = r1 @ _axis_rotation(a, fl2)
-        r3 = r2 @ _axis_rotation(a, fl3)
-        j0 = finger_base_joint(f)
-        joints[j0] = base
-        joints[j0 + 1] = joints[j0] + r1 @ (u * _LENGTHS[f, 0] * s)
-        joints[j0 + 2] = joints[j0 + 1] + r2 @ (u * _LENGTHS[f, 1] * s)
-        joints[j0 + 3] = joints[j0 + 2] + r3 @ (u * _LENGTHS[f, 2] * s)
-        axes[f, 0] = _Z
-        axes[f, 1] = r_abd @ a
-        axes[f, 2] = r1 @ a
-        axes[f, 3] = r2 @ a
-        pivots[f, 0] = base
-        pivots[f, 1] = base
-        pivots[f, 2] = joints[j0 + 1]
-        pivots[f, 3] = joints[j0 + 2]
+    q = pose.angles.reshape(5, 4, 1, 1)
+    frames = np.eye(3) + np.sin(q) * _ANGLE_SKEW + (1.0 - np.cos(q)) * _ANGLE_SKEW_SQ
+    # chained in place: frames[:, k] becomes the orientation after the
+    # abduction and k flexions
+    frames[:, 1] = frames[:, 0] @ frames[:, 1]
+    frames[:, 2] = frames[:, 1] @ frames[:, 2]
+    frames[:, 3] = frames[:, 2] @ frames[:, 3]
+    bones = (frames[:, 1:] @ (_BONES * s)[..., None])[..., 0]
+    joints = np.cumsum(np.concatenate([_BASES[:, None] * s, bones], axis=1), axis=1)
+    # a joint's own rotation leaves its axis fixed, so frame k carries axis k
+    axes = (frames @ _ANGLE_AXES[..., None])[..., 0]
+    pivots = joints[:, [0, 0, 1, 2]]
     return joints, axes, pivots
+
+
+def _posed(pose: HandPose, finger_joints, clamped):
+    """World geometry of hand-frame finger joints under the global transform.
+
+    Returns (geometry, rotated, r_glob): rotated holds the 21 joints turned
+    by r_glob but not yet translated, which the jacobian reuses.
+    """
+    r_glob = rotation_matrix(pose.rotation)
+    rotated = np.concatenate([np.zeros((1, 3)), finger_joints.reshape(N_ANGLES, 3)]) @ r_glob.T
+    world = rotated + pose.translation
+    geometry = HandGeometry(joints=world,
+                            part_centers=_CENTER_WEIGHTS @ world,
+                            samples=_SAMPLE_WEIGHTS @ world,
+                            sample_parts=SAMPLE_PARTS,
+                            sample_radii=SAMPLE_RADII,
+                            clamped=clamped)
+    return geometry, rotated, r_glob
 
 
 def forward_kinematics(pose: HandPose) -> HandGeometry:
     """Pose the skeleton; out-of-limit angles are clamped (flagged)."""
     pose, clamped = clamp_pose(pose)
-    local, _, _ = _local_joints(pose)
-    r_glob = rotation_matrix(pose.rotation)
-    joints = local @ r_glob.T + pose.translation
-    return HandGeometry(joints=joints,
-                        part_centers=_CENTER_WEIGHTS @ joints,
-                        samples=_SAMPLE_WEIGHTS @ joints,
-                        sample_parts=SAMPLE_PARTS,
-                        sample_radii=SAMPLE_RADII,
-                        clamped=clamped)
+    joints, _, _ = _local_joints(pose)
+    return _posed(pose, joints, clamped)[0]
 
 
 def part_center(geometry: HandGeometry, part: int) -> np.ndarray:
@@ -306,27 +320,22 @@ def part_center(geometry: HandGeometry, part: int) -> np.ndarray:
     return geometry.part_centers[int(part) - 1]
 
 
-def _rotation_point_jacobian(omega, rotated):
+def _rotation_point_jacobian(omega, r, rotated):
     """d(R(omega) v)/d omega for each row v of ``rotated`` = R v stacked.
 
-    Gallego-Yezzi closed form; at omega = 0 this reduces to -[Rv]_x.
+    Gallego-Yezzi closed form with ``r`` = R(omega): column j is w_j x (R v)
+    with w_j = (omega_j omega + omega x (I - R) e_j) / |omega|^2, which tends
+    to e_j as omega -> 0 (so d(R v)/d omega = -[R v]_x at omega = 0).
     Returns an array (m, 3, 3) with [i, :, j] = d(R v_i)/d omega_j.
     """
     omega = np.asarray(omega, dtype=float)
     theta_sq = float(omega @ omega)
-    m = rotated.shape[0]
-    out = np.empty((m, 3, 3))
     if theta_sq < 1e-16:
-        for i in range(m):
-            out[i] = -_skew(rotated[i])
-        return out
-    r = rotation_matrix(omega)
-    eye_minus = np.eye(3) - r
-    for j in range(3):
-        col_mat = (omega[j] * _skew(omega)
-                   + _skew(np.cross(omega, eye_minus[:, j]))) / theta_sq
-        out[:, :, j] = rotated @ col_mat.T
-    return out
+        w = np.eye(3)
+    else:
+        eye_minus_rt = np.eye(3) - r.T
+        w = (omega[:, None] * omega + _cross(omega, eye_minus_rt)) / theta_sq
+    return _cross(w, rotated[:, None]).transpose(0, 2, 1)
 
 
 def fk_with_jacobians(pose: HandPose):
@@ -337,27 +346,16 @@ def fk_with_jacobians(pose: HandPose):
     (clamping would flatten the gradient of the clamped coordinates).
     """
     pose, clamped = clamp_pose(pose)
-    local, axes, pivots = _local_joints(pose)
-    r_glob = rotation_matrix(pose.rotation)
-    world = local @ r_glob.T + pose.translation
+    joints, axes, pivots = _local_joints(pose)
+    geometry, rotated, r_glob = _posed(pose, joints, clamped)
     jac = np.zeros((N_JOINTS, 3, N_PARAMS))
-    jac[:, :, 0:3] = _rotation_point_jacobian(pose.rotation, local @ r_glob.T)
-    jac[:, :, 3:6] = np.broadcast_to(np.eye(3), (N_JOINTS, 3, 3))
-    # angles: revolute-joint rule, d p/d theta = w x (p - pivot), downstream only
-    for f in range(5):
-        j0 = finger_base_joint(f)
-        for k in range(4):
-            downstream = np.arange(max(j0 + k, j0 + 1), j0 + 4)
-            arm = local[downstream] - pivots[f, k]
-            d_local = np.cross(axes[f, k], arm)
-            jac[downstream, :, 6 + 4 * f + k] = d_local @ r_glob.T
-    jac[:, :, 26] = (local / pose.scale) @ r_glob.T
-    geometry = HandGeometry(joints=world,
-                            part_centers=_CENTER_WEIGHTS @ world,
-                            samples=_SAMPLE_WEIGHTS @ world,
-                            sample_parts=SAMPLE_PARTS,
-                            sample_radii=SAMPLE_RADII,
-                            clamped=clamped)
+    jac[:, :, 0:3] = _rotation_point_jacobian(pose.rotation, r_glob, rotated)
+    jac[:, :, 3:6] = np.eye(3)
+    # angles: revolute-joint rule, d p/d q = w x (p - pivot), downstream only
+    arms = joints[:, None, 1:] - pivots[:, :, None]
+    d_local = _cross(axes[:, :, None], arms) * _DOWNSTREAM
+    jac[_ANGLE_ROWS, :, _ANGLE_COLS] = d_local @ r_glob.T
+    jac[:, :, 26] = rotated / pose.scale
     return geometry, jac
 
 

@@ -21,7 +21,7 @@ from . import hand
 from .equilibrium import solve_force_existence
 from .keypoints import KeypointSet
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
-                    ObjectModel)
+                    ObjectModel, signed_distance)
 
 EVAL_FORCE_MAX = 20.0
 
@@ -140,19 +140,13 @@ def register_global(part_centers, targets) -> RegistrationResult:
         _, _, vt_src = np.linalg.svd(a)
         axis = vt_src[0]
         ca = float(np.trace(r) - axis @ r @ axis)
-        sb = float(np.trace(r @ _skew(axis)))
+        sb = float(np.trace(r @ hand._skew(axis)))
         phi = math.atan2(sb, ca)
         r = r @ Rotation.from_rotvec(phi * axis).as_matrix()
     t = c_dst - r @ c_src
     res = float(np.sum((dst - (src @ r.T + t)) ** 2))
     return RegistrationResult(rotation=r, translation=t, residual=res,
                               degenerate=degenerate)
-
-
-def _skew(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
 
 
 def registration_to_pose(reg: RegistrationResult,
@@ -245,9 +239,7 @@ def max_penetration_depth(geometry, obj: ObjectModel) -> float:
     distances to them directly), so depth is max(0, -signed_distance); the
     capsule radii only pad the penetration-loss hinge.
     """
-    _, idx = obj.kdtree.query(geometry.samples)
-    diff = geometry.samples - obj.points[idx]
-    sd = np.einsum("ij,ij->i", diff, obj.normals[idx])
+    sd = signed_distance(obj, geometry.samples)
     return float(np.maximum(-sd, 0.0).max(initial=0.0))
 
 

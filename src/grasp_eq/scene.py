@@ -183,7 +183,11 @@ def tangent_bases(normals):
     onto the tangent plane and normalize; the second tangent is n x b, which
     makes (b, t, n) right-handed (b x t == n).
     """
-    normals = check_unit_normals(normals)
+    return _pivot_tangents(check_unit_normals(normals))
+
+
+def _pivot_tangents(normals):
+    """tangent_bases without validation, for callers that checked the normals."""
     rows = np.arange(normals.shape[0])
     axis = np.argmin(np.abs(normals), axis=1)
     # e - (e . n) n with e the pivot axis

@@ -307,6 +307,11 @@ class TestForceExistence:
         assert np.all(np.abs(res.gamma) <= 1.0 + 1e-12)
         assert np.all(np.abs(res.delta) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("f_max", [-1.0, np.inf, np.nan])
+    def test_rejects_invalid_force_cap(self, small_sphere, f_max):
+        with pytest.raises(ValueError, match="f_max"):
+            solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N, f_max=f_max)
+
     def test_solver_error_carries_best(self, small_sphere):
         with pytest.raises(SolverError) as info:
             solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N, f_max=5.0,

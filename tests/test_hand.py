@@ -177,6 +177,79 @@ class TestJacobians:
         assert samples.shape == (hand.N_SAMPLES, 3, 27)
 
 
+def _ref_axis_rotation(axis, angle):
+    k = hand._skew(axis)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _ref_fk_with_jacobians(pose):
+    """Per-finger, per-joint loop formulation of fk_with_jacobians."""
+    s = pose.scale
+    local = np.zeros((hand.N_JOINTS, 3))
+    axes = np.zeros((5, 4, 3))
+    pivots = np.zeros((5, 4, 3))
+    for f in range(5):
+        abd, fl1, fl2, fl3 = pose.angles[4 * f:4 * f + 4]
+        base = hand._BASES[f] * s
+        u = hand._DIRS[f]
+        a = hand._FLEX_AXES[f]
+        r_abd = _ref_axis_rotation(hand._Z, abd)
+        r1 = r_abd @ _ref_axis_rotation(a, fl1)
+        r2 = r1 @ _ref_axis_rotation(a, fl2)
+        r3 = r2 @ _ref_axis_rotation(a, fl3)
+        j0 = hand.finger_base_joint(f)
+        local[j0] = base
+        local[j0 + 1] = local[j0] + r1 @ (u * hand._LENGTHS[f, 0] * s)
+        local[j0 + 2] = local[j0 + 1] + r2 @ (u * hand._LENGTHS[f, 1] * s)
+        local[j0 + 3] = local[j0 + 2] + r3 @ (u * hand._LENGTHS[f, 2] * s)
+        axes[f] = [hand._Z, r_abd @ a, r1 @ a, r2 @ a]
+        pivots[f] = [base, base, local[j0 + 1], local[j0 + 2]]
+    omega = pose.rotation
+    r_glob = rotation_matrix(omega)
+    rotated = local @ r_glob.T
+    jac = np.zeros((hand.N_JOINTS, 3, hand.N_PARAMS))
+    theta_sq = float(omega @ omega)
+    for i in range(hand.N_JOINTS):
+        if theta_sq < 1e-16:
+            jac[i, :, 0:3] = -hand._skew(rotated[i])
+            continue
+        for j in range(3):
+            col_mat = (omega[j] * hand._skew(omega)
+                       + hand._skew(np.cross(omega, (np.eye(3) - r_glob)[:, j]))) / theta_sq
+            jac[i, :, j] = col_mat @ rotated[i]
+    jac[:, :, 3:6] = np.eye(3)
+    for f in range(5):
+        j0 = hand.finger_base_joint(f)
+        for k in range(4):
+            downstream = np.arange(max(j0 + k, j0 + 1), j0 + 4)
+            d_local = np.cross(axes[f, k], local[downstream] - pivots[f, k])
+            jac[downstream, :, 6 + 4 * f + k] = d_local @ r_glob.T
+    jac[:, :, 26] = (local / s) @ r_glob.T
+    return rotated + pose.translation, jac
+
+
+class TestArrayKinematics:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(10)
+        for n in range(60):
+            pose = random_in_limit_pose(rng)
+            if n % 3 == 0:  # the zero-rotation branch of the rotation columns
+                pose = HandPose(translation=pose.translation, angles=pose.angles,
+                                scale=pose.scale)
+            assert pose.scale != 1.0
+            geometry, jac = fk_with_jacobians(pose)
+            joints, ref_jac = _ref_fk_with_jacobians(pose)
+            assert np.max(np.abs(geometry.joints - joints)) <= 1e-14
+            assert np.max(np.abs(jac - ref_jac)) <= 1e-14
+
+    def test_forward_kinematics_matches_jacobian_path(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            pose = random_in_limit_pose(rng)
+            assert np.array_equal(forward_kinematics(pose).joints,
+                                  fk_with_jacobians(pose)[0].joints)
+
+
 class TestPoseVector:
     def test_roundtrip(self):
         rng = np.random.default_rng(9)
