@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (InvalidBinCount, InvalidForce, InvalidSpread,
                      InvalidTemperature, ShapeError)
+from .scene import nearest_site
 
 DEFAULT_TEMPERATURE = 0.02
 
@@ -128,7 +128,7 @@ def spread_force(label_points, obj, contact_mask):
     warnings = len(label_points)
     if valid.size == 0:
         return forces, warnings
-    owner = np.argmin(cdist(obj.points[valid], centers), axis=1)
+    _, owner = nearest_site(obj.points[valid], centers)
     counts = np.bincount(owner, minlength=len(label_points))
     warnings = int(np.sum(counts == 0))
     share = np.zeros(len(label_points))

@@ -9,11 +9,13 @@ nearest-neighbor switches (where the losses are not differentiable).
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import hand
 from .equilibrium import _interval_bounds, assemble, loss_gradient, stability_loss_masked
 from .optimizer import contact_loss, kp_loss, penetration_loss, reg_loss
-from .scene import CONTACT_RADIUS, GRAVITY, ObjectModel
+from .scene import (CONTACT_RADIUS, GRAVITY, ObjectModel, contact_likelihood,
+                    nearest_site, nearest_surface)
 from .synth import SyntheticScene, generate_contacts, generate_scene
 
 
@@ -79,33 +81,26 @@ def pose_fd_safe(pose, obj, target_likelihood, c0=CONTACT_RADIUS, h=1e-6,
     penetration hinge, and the joint-limit box.
     """
     geometry = hand.forward_kinematics(pose)
-    from scipy.spatial.distance import cdist
-
     chain = float(np.linalg.norm(geometry.samples - geometry.joints[0],
                                  axis=1).max()) + 1.0
     move = safety * h * chain
-    d_mat = cdist(obj.points, geometry.samples)
-    part = np.partition(d_mat, 1, axis=1)
-    d = part[:, 0]
-    gap2 = part[:, 1] - part[:, 0]
+    d, _ = nearest_site(obj.points, geometry.samples)
     if np.any(np.abs(d - c0) <= move):
         return False
-    with np.errstate(divide="ignore"):
-        likelihood = np.where(d <= c0, 1.0, c0 / d)
-    resid = likelihood - target_likelihood
+    resid = contact_likelihood(d, c0) - target_likelihood
     slope = c0 / np.maximum(d, c0) ** 2
     if np.any(np.abs(resid) <= slope * move):
         return False
     # nearest-sample ties only matter where the slope is non-negligible
-    if np.any((gap2 <= 2 * move) & (slope * move > 1e-14)):
+    second = np.partition(cdist(obj.points, geometry.samples), 1, axis=1)[:, 1]
+    if np.any((second - d <= 2 * move) & (slope * move > 1e-14)):
         return False
-    sample_d, idx = obj.kdtree.query(geometry.samples, k=2)
-    diff = geometry.samples - obj.points[idx[:, 0]]
-    sd = np.einsum("ij,ij->i", diff, obj.normals[idx[:, 0]])
+    _, _, sd = nearest_surface(obj, geometry.samples)
     hinge = -sd - geometry.sample_radii
     if np.any(np.abs(hinge) <= move):
         return False
-    if np.any((sample_d[:, 1] - sample_d[:, 0] <= 2 * move) & (hinge > -5e-3)):
+    pair_d, _ = obj.kdtree.query(geometry.samples, k=2)
+    if np.any((pair_d[:, 1] - pair_d[:, 0] <= 2 * move) & (hinge > -5e-3)):
         return False
     lo, hi = hand.parameter_bounds()
     vec = pose.as_vector()

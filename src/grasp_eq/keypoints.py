@@ -115,13 +115,13 @@ def _cluster_energy(cluster_list, obj, mu, gravity):
 
 
 def select_clusters(clusters, obj: ObjectModel, mu: float = 1.0,
-                    gravity=GRAVITY, iterate_to_fixpoint: bool = False):
+                    gravity=GRAVITY):
     """Pick one representative cluster per part by conditional energy.
 
     Each part starts with its highest-force cluster; parts are then visited
     in ascending id, re-selecting the cluster that minimizes the stability
     energy of {candidate} united with the other parts' current
-    representatives.  One pass by default.  A candidate replaces the
+    representatives, in one pass.  A candidate replaces the
     incumbent only when its energy is lower by more than QP_TOL, the
     solver's certified gap, so ties go to the earliest cluster.
     """
@@ -129,22 +129,16 @@ def select_clusters(clusters, obj: ObjectModel, mu: float = 1.0,
         raise ValueError("no part has any contact cluster")
     parts = sorted(clusters)
     reps = {p: max(clusters[p], key=lambda c: c.force) for p in parts}
-    for _ in range(100 if iterate_to_fixpoint else 1):
-        changed = False
-        for p in parts:
-            if len(clusters[p]) == 1:
-                continue
-            others = [reps[q] for q in parts if q != p]
-            best, best_energy = None, np.inf
-            for cand in clusters[p]:
-                energy = _cluster_energy([cand] + others, obj, mu, gravity)
-                if energy < best_energy - QP_TOL:
-                    best, best_energy = cand, energy
-            if best is not reps[p]:
-                reps[p] = best
-                changed = True
-        if not changed:
-            break
+    for p in parts:
+        if len(clusters[p]) == 1:
+            continue
+        others = [reps[q] for q in parts if q != p]
+        best, best_energy = None, np.inf
+        for cand in clusters[p]:
+            energy = _cluster_energy([cand] + others, obj, mu, gravity)
+            if energy < best_energy - QP_TOL:
+                best, best_energy = cand, energy
+        reps[p] = best
     return reps
 
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.transform import Rotation
-from scipy.spatial.distance import cdist
 
 from . import hand
 from .equilibrium import solve_force_existence
 from .keypoints import KeypointSet
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
-                    ObjectModel, signed_distance)
+                    ObjectModel, contact_likelihood, nearest_site,
+                    nearest_surface)
 
 EVAL_FORCE_MAX = 20.0
 
@@ -74,13 +74,16 @@ class OptimizationTrace:
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
 
-    def append(self, stage, iteration, total, terms, pose=None):
+    def append(self, stage, iteration, total, terms, pose_vec=None):
+        """Record one accepted step; every ``snapshot_interval``-th iteration
+        also keeps the pose built from ``pose_vec``."""
         self.records.append(TraceRecord(stage=stage, iteration=iteration,
                                         total=total, kp=terms[0],
                                         contact=terms[1], penetration=terms[2],
                                         reg=terms[3]))
-        if pose is not None and iteration % self.snapshot_interval == 0:
-            self.snapshots.append((stage, iteration, pose))
+        if pose_vec is not None and iteration % self.snapshot_interval == 0:
+            self.snapshots.append((stage, iteration,
+                                   hand.HandPose.from_vector(pose_vec)))
 
     def stage_records(self, stage):
         return [r for r in self.records if r.stage == stage]
@@ -180,11 +183,8 @@ def contact_loss(geometry, joint_jac, obj: ObjectModel, target_likelihood,
                  c0=CONTACT_RADIUS):
     """Mean absolute difference between induced and target contact maps."""
     n = obj.n_points
-    d_mat = cdist(obj.points, geometry.samples)
-    nearest = np.argmin(d_mat, axis=1)
-    d = d_mat[np.arange(n), nearest]
-    with np.errstate(divide="ignore"):
-        likelihood = np.where(d <= c0, 1.0, c0 / d)
+    d, nearest = nearest_site(obj.points, geometry.samples)
+    likelihood = contact_likelihood(d, c0)
     resid = likelihood - target_likelihood
     value = float(np.mean(np.abs(resid)))
     if joint_jac is None:
@@ -204,9 +204,7 @@ def contact_loss(geometry, joint_jac, obj: ObjectModel, target_likelihood,
 
 def penetration_loss(geometry, joint_jac, obj: ObjectModel):
     """Hinge on bone samples sunk deeper than their capsule radius."""
-    _, idx = obj.kdtree.query(geometry.samples)
-    diff = geometry.samples - obj.points[idx]
-    sd = np.einsum("ij,ij->i", diff, obj.normals[idx])
+    _, idx, sd = nearest_surface(obj, geometry.samples)
     arg = -sd - geometry.sample_radii
     active = arg > 0
     value = float(arg[active].sum())
@@ -230,17 +228,6 @@ def reg_loss(pose_vec, joint_jac=None):
     grad[6:26] = 2.0 * angles
     grad[26] = 2.0 * ds
     return value, grad
-
-
-def max_penetration_depth(geometry, obj: ObjectModel) -> float:
-    """Deepest intrusion of the hand surface samples below the object surface.
-
-    Samples are the hand-surface proxies throughout (contact maps measure
-    distances to them directly), so depth is max(0, -signed_distance); the
-    capsule radii only pad the penetration-loss hinge.
-    """
-    sd = signed_distance(obj, geometry.samples)
-    return float(np.maximum(-sd, 0.0).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +284,7 @@ def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
 
     def on_accept(it, f, terms, vec):
         if trace is not None:
-            trace.append(2, it, f, terms, hand.HandPose.from_vector(vec))
+            trace.append(2, it, f, terms, vec)
 
     x, _ = _descend(fun, pose0.as_vector(), lo, hi, config.max_iters_stage2,
                     config.step_size, config.convergence_tol, on_accept)
@@ -339,7 +326,7 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
         return total, grad, (l_kp, l_c, l_p, l_r)
 
     def on_accept(it, f, terms, vec):
-        trace.append(3, it, f, terms, hand.HandPose.from_vector(vec))
+        trace.append(3, it, f, terms, vec)
 
     x, _ = _descend(fun, pose1.as_vector(), lo, hi, config.max_iters_stage3,
                     config.step_size, config.convergence_tol, on_accept)
@@ -356,10 +343,12 @@ def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel, mu: float = 1.0,
     nearest object point as a contact with the object's surface normal; the
     residual is the minimum of ||accel||^2 over admissible forces in
     [0, f_max] and friction in the linearized cone.  Penetration depth is
-    measured at the sample points.
+    max(0, -signed distance) over the hand surface samples, the proxies that
+    contact maps measure to; the capsule radii only pad the penetration-loss
+    hinge.
     """
     geometry = hand.forward_kinematics(pose)
-    d, idx = obj.kdtree.query(geometry.samples)
+    d, idx, sd = nearest_surface(obj, geometry.samples)
     touching = d <= c0 / threshold
     contact_idx = np.unique(idx[touching])
     result = solve_force_existence(obj, obj.points[contact_idx],
@@ -367,7 +356,7 @@ def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel, mu: float = 1.0,
                                    gravity=gravity, f_max=f_max)
     return GraspReport(residual=result.energy,
                        contact_count=int(contact_idx.size),
-                       max_penetration=max_penetration_depth(geometry, obj),
+                       max_penetration=float(np.maximum(-sd, 0.0).max(initial=0.0)),
                        contact_indices=contact_idx,
                        contact_forces=result.forces)
 

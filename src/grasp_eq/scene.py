@@ -4,6 +4,8 @@ An object is a sampled surface (points + outward unit normals) with a center
 of mass, a mass, and a ball-approximated moment of inertia.  Contact maps are
 three per-point channels on the object surface: contact likelihood in [0, 1],
 hand part label in 0..16 (0 = no contact), and normal force in Newtons.
+The proximity conventions (contact likelihood, signed distance, nearest hand
+sample, nearest surface sample) are each written once, here.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import EmptyHand, EmptyObject, InvalidNormal
 
@@ -113,10 +116,6 @@ class ObjectModel:
     def kdtree(self):
         return cKDTree(self.points)
 
-    def nearest(self, queries):
-        """Distances and indices of the nearest surface points."""
-        return self.kdtree.query(np.asarray(queries, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class ContactState:
@@ -199,6 +198,32 @@ def _pivot_tangents(normals):
     return b, normals[:, i] * b[:, j] - normals[:, j] * b[:, i]
 
 
+def contact_likelihood(d, c0=CONTACT_RADIUS):
+    """Contact likelihood min(c0 / d, 1) of distances d to the nearest hand sample."""
+    with np.errstate(divide="ignore"):
+        return np.where(d <= c0, 1.0, c0 / d)
+
+
+def nearest_site(points, sites):
+    """Distance from each point to its nearest site, and that site's index.
+
+    A dense cdist + argmin (ties go to the lowest site index): against the
+    80 hand samples or a few dozen patch points it is faster than building
+    a kd-tree over the sites on every call.
+    """
+    d_mat = cdist(points, sites)
+    idx = np.argmin(d_mat, axis=1)
+    return d_mat[np.arange(idx.size), idx], idx
+
+
+def nearest_surface(obj: ObjectModel, queries):
+    """Nearest surface sample p_k of each (m, 3) query q, through the cached
+    kd-tree: returns (distance, k, signed distance (q - p_k) . n_k)."""
+    d, idx = obj.kdtree.query(queries)
+    sd = np.einsum("ij,ij->i", queries - obj.points[idx], obj.normals[idx])
+    return d, idx, sd
+
+
 def signed_distance(obj: ObjectModel, query):
     """Signed distance to the sampled surface: (q - p_k) . n_k, negative inside.
 
@@ -206,12 +231,8 @@ def signed_distance(obj: ObjectModel, query):
     density.  Accepts a single query point or an (m, 3) batch.
     """
     query = np.asarray(query, dtype=float)
-    single = query.ndim == 1
-    pts = np.atleast_2d(query)
-    _, idx = obj.kdtree.query(pts)
-    diff = pts - obj.points[idx]
-    sd = np.einsum("ij,ij->i", diff, obj.normals[idx])
-    return float(sd[0]) if single else sd
+    _, _, sd = nearest_surface(obj, np.atleast_2d(query))
+    return float(sd[0]) if query.ndim == 1 else sd
 
 
 def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts,
@@ -229,9 +250,8 @@ def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts,
         raise EmptyHand("hand surface sample set is empty")
     if hand_points.shape[0] != hand_parts.shape[0]:
         raise ValueError("hand points and part labels must be parallel")
-    d, idx = cKDTree(hand_points).query(obj.points)
-    with np.errstate(divide="ignore"):
-        likelihood = np.where(d <= c0, 1.0, c0 / d)
+    d, idx = nearest_site(obj.points, hand_points)
+    likelihood = contact_likelihood(d, c0)
     labels = np.where(likelihood >= threshold, hand_parts[idx], 0)
     return ContactState(likelihood=likelihood, part_label=labels,
                         force=np.zeros(obj.n_points))

@@ -7,9 +7,10 @@ from grasp_eq import hand
 from grasp_eq.keypoints import KeypointSet
 from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
                                 contact_loss, evaluate_grasp, fit_keypoints,
-                                kp_loss, max_penetration_depth, optimize_grasp,
+                                kp_loss, optimize_grasp,
                                 penetration_loss, reg_loss, register_global,
                                 registration_to_pose, run_pipeline)
+from grasp_eq.scene import contact_map_from_hand, signed_distance
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import sphere_object
@@ -156,6 +157,16 @@ class TestGradients:
             fd = (reg_loss(vec + step)[0] - reg_loss(vec - step)[0]) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-6)
 
+    def test_contact_loss_matches_contact_map(self, sphere_scene):
+        obj, contacts = sphere_scene
+        pose = hand.HandPose(angles=hand.neutral_grasp_pose().angles)  # at origin
+        geometry = hand.forward_kinematics(pose)
+        value, _ = contact_loss(geometry, None, obj, contacts.likelihood)
+        state = contact_map_from_hand(obj, geometry.samples,
+                                      geometry.sample_parts)
+        assert 0.0 < state.likelihood.min() < state.likelihood.max() == 1.0
+        assert value == np.mean(np.abs(state.likelihood - contacts.likelihood))
+
     def test_flat_losses_have_zero_gradient(self, sphere_scene):
         obj, contacts = sphere_scene
         pose = hand.HandPose(translation=[1.0, 0.0, 0.0],
@@ -235,6 +246,14 @@ class TestEvaluateGrasp:
         report = evaluate_grasp(pose, obj)
         assert report.contact_count == 1
         assert report.residual == pytest.approx(0.0, abs=1e-6)
+
+    def test_depth_is_deepest_sample_signed_distance(self, sphere_scene):
+        obj, _ = sphere_scene
+        pose = hand.HandPose(angles=hand.neutral_grasp_pose().angles)  # at origin
+        report = evaluate_grasp(pose, obj)
+        sd = signed_distance(obj, hand.forward_kinematics(pose).samples)
+        assert report.max_penetration > 0.0
+        assert report.max_penetration == max(0.0, float(-sd.min()))
 
     def test_tripod_regression(self, sphere_scene):
         obj, contacts = sphere_scene

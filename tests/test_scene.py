@@ -6,8 +6,8 @@ from scipy.spatial.transform import Rotation
 from grasp_eq.errors import EmptyHand, EmptyObject, InvalidNormal
 from grasp_eq.scene import (CONTACT_RADIUS, ContactState, ObjectModel,
                             build_tangent_basis, compute_inertia,
-                            contact_map_from_hand, signed_distance,
-                            tangent_bases)
+                            contact_likelihood, contact_map_from_hand,
+                            nearest_surface, signed_distance, tangent_bases)
 
 from conftest import sphere_object
 
@@ -135,7 +135,7 @@ class TestSignedDistance:
     def test_bounded_by_euclidean(self, small_sphere):
         rng = np.random.default_rng(11)
         queries = rng.uniform(-0.1, 0.1, size=(64, 3))
-        d, _ = small_sphere.nearest(queries)
+        d, _, _ = nearest_surface(small_sphere, queries)
         sd = signed_distance(small_sphere, queries)
         assert np.all(np.abs(sd) <= d + 1e-12)
 
@@ -157,6 +157,13 @@ class TestContactState:
         state = ContactState(likelihood=[1.0, 0.2, 0.0], part_label=[2, 0, 0],
                              force=[1.5, 0.0, 0.0])
         assert state.contact_mask.tolist() == [True, False, False]
+
+
+class TestContactLikelihood:
+    def test_pinned_values(self):
+        c0 = CONTACT_RADIUS
+        lik = contact_likelihood(np.array([0.0, c0, 2 * c0, 4 * c0]), c0)
+        assert lik.tolist() == [1.0, 1.0, 0.5, 0.25]
 
 
 class TestContactMap:
