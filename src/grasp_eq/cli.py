@@ -21,8 +21,7 @@ from .equilibrium import (assemble_from_contact_state, stability_energy,
 from .errors import GraspEqError, SolverError
 from .force_codec import build_binning, decode, encode
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
-                        DEFAULT_N_KEYPOINTS, cluster_contacts, make_targets,
-                        select_clusters, select_keypoints)
+                        DEFAULT_N_KEYPOINTS, find_keypoints)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
 
@@ -53,11 +52,11 @@ def _load_config(path):
     return cfg
 
 
-def _opt_config(cfg, seed):
-    block = dict(cfg.get("optimizer", {}))
-    if seed is not None:
-        block["seed"] = seed
-    return OptimizationConfig(**block)
+def _opt_config(cfg):
+    try:
+        return OptimizationConfig(**cfg.get("optimizer", {}))
+    except TypeError as err:  # unknown or non-mapping settings
+        raise ValueError(f"optimizer config: {err}") from None
 
 
 def _resolve(args, cfg, key, default):
@@ -136,14 +135,14 @@ def _cmd_analyze(args, cfg):
     return 0
 
 
-def _keypoints_for(obj, contacts, args, cfg, mu, gravity):
-    radius = _resolve(args, cfg, "cluster_radius", DEFAULT_CLUSTER_RADIUS)
-    n_kp = _resolve(args, cfg, "n_kp", DEFAULT_N_KEYPOINTS)
-    offset = _resolve(args, cfg, "offset", DEFAULT_KEYPOINT_OFFSET)
-    clusters = cluster_contacts(obj, contacts, radius=radius)
-    reps = select_clusters(clusters, obj, mu=mu, gravity=gravity)
-    kps = select_keypoints(reps, obj, mu=mu, gravity=gravity, n_kp=int(n_kp))
-    return make_targets(kps, r=offset)
+def _keypoint_options(args, cfg):
+    """Keyword arguments of the keypoint chain from flags, config, defaults."""
+    return {
+        "cluster_radius": _resolve(args, cfg, "cluster_radius",
+                                   DEFAULT_CLUSTER_RADIUS),
+        "n_kp": int(_resolve(args, cfg, "n_kp", DEFAULT_N_KEYPOINTS)),
+        "target_offset": _resolve(args, cfg, "offset", DEFAULT_KEYPOINT_OFFSET),
+    }
 
 
 def _cmd_keypoints(args, cfg):
@@ -151,7 +150,8 @@ def _cmd_keypoints(args, cfg):
     contacts = io_mod.load_contacts(args.contacts)
     gravity = _gravity(args, cfg, file_gravity)
     mu = _resolve(args, cfg, "mu", 1.0)
-    kps = _keypoints_for(obj, contacts, args, cfg, mu, gravity)
+    kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
+                         **_keypoint_options(args, cfg))
     _emit(io_mod.keypoints_payload(kps), args.output)
     return 0
 
@@ -161,14 +161,8 @@ def _cmd_optimize(args, cfg):
     contacts = io_mod.load_contacts(args.contacts)
     gravity = _gravity(args, cfg, file_gravity)
     mu = _resolve(args, cfg, "mu", 1.0)
-    config = _opt_config(cfg, args.seed)
-    radius = _resolve(args, cfg, "cluster_radius", None)
-    n_kp = _resolve(args, cfg, "n_kp", None)
-    offset = _resolve(args, cfg, "offset", None)
-    result = run_pipeline(obj, contacts, config, mu=mu, gravity=gravity,
-                          cluster_radius=radius,
-                          n_kp=int(n_kp) if n_kp else None,
-                          target_offset=offset)
+    result = run_pipeline(obj, contacts, _opt_config(cfg), mu=mu,
+                          gravity=gravity, **_keypoint_options(args, cfg))
     os.makedirs(args.out_dir, exist_ok=True)
     io_mod.save_pose(os.path.join(args.out_dir, "pose.json"), result.pose_stage3)
     io_mod.save_keypoints(os.path.join(args.out_dir, "keypoints.json"),
@@ -231,7 +225,7 @@ def _cmd_gradcheck(args, cfg):
 def _cmd_batch(args, cfg):
     shapes = args.shapes.split(",")
     seed = args.seed if args.seed is not None else 0
-    config = _opt_config(cfg, args.seed)
+    config = _opt_config(cfg)
     gravity = _gravity(args, cfg)
     mu = _resolve(args, cfg, "mu", 1.0)
     scenes = batch_mod.build_batch(args.count, shapes, seed,

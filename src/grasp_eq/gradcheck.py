@@ -8,12 +8,14 @@ nearest-neighbor switches (where the losses are not differentiable).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import hand
 from .equilibrium import _interval_bounds, assemble, loss_gradient, stability_loss_masked
-from .optimizer import contact_loss, kp_loss, penetration_loss, reg_loss
+from .optimizer import pose_terms
 from .scene import (CONTACT_RADIUS, GRAVITY, ObjectModel, contact_likelihood,
                     nearest_site, nearest_surface)
 from .synth import SyntheticScene, generate_contacts, generate_scene
@@ -41,7 +43,7 @@ def _fd_gradient(fun, x, h):
     return grad
 
 
-def check_loss_gradient(rng, margin=1e-4, h=1e-7, rel_tol=1e-3):
+def check_loss_gradient(rng, margin=1e-4, h=1e-7):
     """One randomized check; returns (checked, max relative error)."""
     obj, points, normals, forces = random_contact_system(rng)
     sys = assemble(obj, points, normals, forces, mu=1.0, gravity=GRAVITY)
@@ -109,8 +111,7 @@ def pose_fd_safe(pose, obj, target_likelihood, c0=CONTACT_RADIUS, h=1e-6,
     return bool(np.all(slack > safety * h))
 
 
-def check_pose_gradients(rng, obj, contacts, h=1e-6, rel_tol=1e-3,
-                         directions=4):
+def check_pose_gradients(rng, obj, contacts, h=1e-6, directions=4):
     """Directional FD check of every stage-III loss term at a random pose.
 
     Returns (checked, max relative error over all terms and directions).
@@ -118,21 +119,13 @@ def check_pose_gradients(rng, obj, contacts, h=1e-6, rel_tol=1e-3,
     pose = _random_pose(rng, float(np.linalg.norm(obj.points, axis=1).max()))
     if not pose_fd_safe(pose, obj, contacts.likelihood, h=h):
         return False, 0.0
-    parts = (4, 7, 10)
-    targets = obj.points[:3] * 1.2
-    kps_like = _KpStub(parts=parts, targets=targets)
+    kps_like = SimpleNamespace(parts=(4, 7, 10), targets=obj.points[:3] * 1.2)
 
     def losses(vec):
-        p = hand.HandPose.from_vector(vec)
-        geometry, jac = hand.fk_with_jacobians(p)
-        values, grads = [], []
-        for val, grad in (kp_loss(geometry, jac, kps_like),
-                          contact_loss(geometry, jac, obj, contacts.likelihood),
-                          penetration_loss(geometry, jac, obj),
-                          reg_loss(vec)):
-            values.append(val)
-            grads.append(grad)
-        return np.array(values), np.array(grads)
+        terms = pose_terms(vec, kps_like, obj, contacts.likelihood,
+                           (1.0, 1.0, 1.0, 1.0))
+        return (np.array([value for value, _ in terms]),
+                np.array([grad for _, grad in terms]))
 
     vec = pose.as_vector()
     _, grads = losses(vec)
@@ -149,12 +142,6 @@ def check_pose_gradients(rng, obj, contacts, h=1e-6, rel_tol=1e-3,
                 continue
             worst = max(worst, abs(a - f) / max(abs(a), abs(f), 1e-8))
     return True, worst
-
-
-class _KpStub:
-    def __init__(self, parts, targets):
-        self.parts = parts
-        self.targets = np.asarray(targets, dtype=float)
 
 
 def run_gradcheck(count=20, seed=0, rel_tol=1e-3):

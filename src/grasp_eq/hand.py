@@ -182,32 +182,33 @@ def neutral_grasp_pose() -> HandPose:
     return HandPose(angles=angles)
 
 
+# The joint limits as one box over the pose vector, built once: rotation and
+# translation free, then per finger abduction and three flexions, then scale.
+_LOWER, _UPPER = (
+    np.concatenate([np.full(6, free), np.tile([abd, flex, flex, flex], 5),
+                    [scale]])
+    for free, abd, flex, scale in zip((-np.inf, np.inf), ABDUCTION_LIMITS,
+                                      FLEXION_LIMITS, SCALE_LIMITS))
+_LOWER.flags.writeable = False
+_UPPER.flags.writeable = False
+
+
 def parameter_bounds(lock_scale: float | None = None):
     """(lower, upper) box for the pose parameter vector.
 
     Global rotation and translation are unbounded; angles and scale follow
     the configured limits.  ``lock_scale`` pins the scale to a constant.
     """
-    lo = np.full(N_PARAMS, -np.inf)
-    hi = np.full(N_PARAMS, np.inf)
-    for f in range(5):
-        base = 6 + 4 * f
-        lo[base], hi[base] = ABDUCTION_LIMITS
-        lo[base + 1:base + 4], hi[base + 1:base + 4] = FLEXION_LIMITS
-    if lock_scale is None:
-        lo[26], hi[26] = SCALE_LIMITS
-    else:
+    lo, hi = _LOWER.copy(), _UPPER.copy()
+    if lock_scale is not None:
         lo[26] = hi[26] = lock_scale
     return lo, hi
 
 
 def clamp_pose(pose: HandPose):
     """Clamp angles and scale into their limits; returns (pose, changed)."""
-    angles = pose.angles.reshape(5, 4).copy()
-    abd = np.clip(angles[:, 0], *ABDUCTION_LIMITS)
-    flex = np.clip(angles[:, 1:], *FLEXION_LIMITS)
-    clamped = np.column_stack([abd, flex]).reshape(N_ANGLES)
-    scale = float(np.clip(pose.scale, *SCALE_LIMITS))
+    clamped = np.clip(pose.angles, _LOWER[6:26], _UPPER[6:26])
+    scale = float(np.clip(pose.scale, _LOWER[26], _UPPER[26]))
     changed = bool(scale != pose.scale or np.any(clamped != pose.angles))
     if not changed:
         return pose, False

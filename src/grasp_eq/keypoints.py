@@ -84,14 +84,11 @@ def cluster_contacts(obj: ObjectModel, contacts: ContactState,
     mask = contacts.contact_mask
     for part in np.unique(contacts.part_label[mask]):
         idx = np.flatnonzero(mask & (contacts.part_label == part))
-        pts = obj.points[idx]
-        if len(idx) == 1:
-            labels = np.zeros(1, dtype=int)
-        else:
-            pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-            graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                               shape=(len(idx), len(idx)))
-            _, labels = connected_components(graph, directed=False)
+        pairs = cKDTree(obj.points[idx]).query_pairs(radius,
+                                                     output_type="ndarray")
+        graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                           shape=(len(idx), len(idx)))
+        _, labels = connected_components(graph, directed=False)
         clusters = []
         for lab in np.unique(labels):
             clusters.append(_make_cluster(part, idx[labels == lab], obj,
@@ -146,25 +143,23 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = 1.0,
                      gravity=GRAVITY, n_kp: int = DEFAULT_N_KEYPOINTS) -> KeypointSet:
     """Exhaustive search for the part subset with least stability energy.
 
-    Evaluates every C(|H|, n_kp) combination; with |H| <= n_kp all parts are
-    kept.  Ties break toward the lexicographically smallest part-id tuple:
-    combinations are enumerated in that order and only improvements by more
-    than QP_TOL, the solver's certified gap, replace the incumbent.
+    Evaluates every C(|H|, min(n_kp, |H|)) combination, so with |H| <= n_kp
+    all parts are kept.  Ties break toward the lexicographically smallest
+    part-id tuple: combinations are enumerated in that order and only
+    improvements by more than QP_TOL, the solver's certified gap, replace
+    the incumbent.
     """
+    if n_kp < 1:
+        raise ValueError(f"n_kp must be at least 1, got {n_kp}")
     if not representatives:
         raise ValueError("no representative clusters to select from")
     parts = sorted(representatives)
-    if len(parts) <= n_kp:
-        chosen = tuple(parts)
-        best_energy = _cluster_energy([representatives[p] for p in chosen],
-                                      obj, mu, gravity)
-    else:
-        chosen, best_energy = None, np.inf
-        for combo in itertools.combinations(parts, n_kp):
-            energy = _cluster_energy([representatives[p] for p in combo],
-                                     obj, mu, gravity)
-            if energy < best_energy - QP_TOL:
-                chosen, best_energy = combo, energy
+    chosen, best_energy = None, np.inf
+    for combo in itertools.combinations(parts, min(n_kp, len(parts))):
+        energy = _cluster_energy([representatives[p] for p in combo],
+                                 obj, mu, gravity)
+        if energy < best_energy - QP_TOL:
+            chosen, best_energy = combo, energy
     reps = [representatives[p] for p in chosen]
     centers = np.array([c.center for c in reps])
     normals = np.array([c.normal for c in reps])
@@ -178,3 +173,16 @@ def make_targets(keypoints: KeypointSet,
                  r: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:
     """Offset targets along the cluster normals: q_i = p_i + r n_i."""
     return replace(keypoints, targets=keypoints.centers + r * keypoints.normals)
+
+
+def find_keypoints(obj: ObjectModel, contacts: ContactState, mu: float = 1.0,
+                   gravity=GRAVITY,
+                   cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
+                   n_kp: int = DEFAULT_N_KEYPOINTS,
+                   target_offset: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:
+    """Keypoints of a contact state with their offset targets: clustering,
+    per-part representatives, exhaustive subset search, target offset."""
+    clusters = cluster_contacts(obj, contacts, radius=cluster_radius)
+    reps = select_clusters(clusters, obj, mu=mu, gravity=gravity)
+    kps = select_keypoints(reps, obj, mu=mu, gravity=gravity, n_kp=n_kp)
+    return make_targets(kps, r=target_offset)

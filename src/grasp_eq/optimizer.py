@@ -18,7 +18,8 @@ from scipy.spatial.transform import Rotation
 
 from . import hand
 from .equilibrium import solve_force_existence
-from .keypoints import KeypointSet
+from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
+                        DEFAULT_N_KEYPOINTS, KeypointSet, find_keypoints)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
                     ObjectModel, contact_likelihood, nearest_site,
                     nearest_surface)
@@ -43,7 +44,6 @@ class OptimizationConfig:
     max_iters_stage2: int = 200
     max_iters_stage3: int = 300
     convergence_tol: float = 1e-12
-    seed: int = 0
     snapshot_interval: int = 50
 
     def __post_init__(self):
@@ -219,7 +219,7 @@ def penetration_loss(geometry, joint_jac, obj: ObjectModel):
     return value, grad
 
 
-def reg_loss(pose_vec, joint_jac=None):
+def reg_loss(pose_vec):
     """Pose regularizer: ||angles||^2 + (scale - 1)^2."""
     angles = pose_vec[6:26]
     ds = pose_vec[26] - 1.0
@@ -228,6 +228,26 @@ def reg_loss(pose_vec, joint_jac=None):
     grad[6:26] = 2.0 * angles
     grad[26] = 2.0 * ds
     return value, grad
+
+
+def pose_terms(vec, keypoints, obj, target_likelihood, weights,
+               c0=CONTACT_RADIUS):
+    """The four pose-objective terms at ``vec`` from one kinematics pass.
+
+    Returns ((value, grad), ...) for the keypoint, contact, penetration and
+    regularization terms, in that order.  A term whose weight in ``weights``
+    is zero, or the keypoint term without keypoints, is not evaluated and
+    reads (0, 0).
+    """
+    geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+    w_kp, w_c, w_pene, w_reg = weights
+    off = (0.0, np.zeros(hand.N_PARAMS))
+    return (kp_loss(geometry, jac, keypoints)
+            if keypoints is not None and w_kp > 0 else off,
+            contact_loss(geometry, jac, obj, target_likelihood, c0)
+            if w_c > 0 else off,
+            penetration_loss(geometry, jac, obj) if w_pene > 0 else off,
+            reg_loss(vec) if w_reg > 0 else off)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +287,28 @@ def _descend(fun, x0, lo, hi, max_iters, step_size, tol, on_accept):
     return x, f
 
 
+def _run_stage(stage, pose0, weights, bounds, max_iters, config, trace,
+               keypoints, obj=None, target_likelihood=None, c0=CONTACT_RADIUS):
+    """Descend the weighted pose objective from ``pose0`` within ``bounds``;
+    each accepted step is recorded in ``trace`` (if any) under ``stage``."""
+    w_kp, w_c, w_pene, w_reg = weights
+
+    def fun(vec):
+        (l_kp, g_kp), (l_c, g_c), (l_p, g_p), (l_r, g_r) = pose_terms(
+            vec, keypoints, obj, target_likelihood, weights, c0)
+        total = w_kp * l_kp + w_c * l_c + w_pene * l_p + w_reg * l_r
+        grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
+        return total, grad, (l_kp, l_c, l_p, l_r)
+
+    def on_accept(it, f, terms, vec):
+        if trace is not None:
+            trace.append(stage, it, f, terms, vec)
+
+    x, _ = _descend(fun, pose0.as_vector(), *bounds, max_iters,
+                    config.step_size, config.convergence_tol, on_accept)
+    return hand.HandPose.from_vector(x)
+
+
 def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
                   config: OptimizationConfig,
                   trace: OptimizationTrace | None = None) -> hand.HandPose:
@@ -275,20 +317,9 @@ def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
     The shape scale stays fixed.  Returns the best pose found; the loss
     never exceeds its value at ``pose0``.
     """
-    lo, hi = hand.parameter_bounds(lock_scale=pose0.scale)
-
-    def fun(vec):
-        geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
-        value, grad = kp_loss(geometry, jac, keypoints)
-        return value, grad, (value, 0.0, 0.0, 0.0)
-
-    def on_accept(it, f, terms, vec):
-        if trace is not None:
-            trace.append(2, it, f, terms, vec)
-
-    x, _ = _descend(fun, pose0.as_vector(), lo, hi, config.max_iters_stage2,
-                    config.step_size, config.convergence_tol, on_accept)
-    return hand.HandPose.from_vector(x)
+    return _run_stage(2, pose0, (1.0, 0.0, 0.0, 0.0),
+                      hand.parameter_bounds(lock_scale=pose0.scale),
+                      config.max_iters_stage2, config, trace, keypoints)
 
 
 def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
@@ -303,34 +334,11 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
     Returns (pose, trace)."""
     if trace is None:
         trace = OptimizationTrace(snapshot_interval=config.snapshot_interval)
-    lo, hi = hand.parameter_bounds()
-    target_likelihood = contact_target.likelihood
-
-    def fun(vec):
-        pose = hand.HandPose.from_vector(vec)
-        geometry, jac = hand.fk_with_jacobians(pose)
-        l_kp, g_kp = (0.0, np.zeros(hand.N_PARAMS))
-        if keypoints is not None and config.w_kp > 0:
-            l_kp, g_kp = kp_loss(geometry, jac, keypoints)
-        l_c, g_c = (0.0, np.zeros(hand.N_PARAMS))
-        if config.w_c > 0:
-            l_c, g_c = contact_loss(geometry, jac, obj, target_likelihood, c0)
-        l_p, g_p = (0.0, np.zeros(hand.N_PARAMS))
-        if config.w_pene > 0:
-            l_p, g_p = penetration_loss(geometry, jac, obj)
-        l_r, g_r = reg_loss(vec)
-        total = (config.w_kp * l_kp + config.w_c * l_c
-                 + config.w_pene * l_p + config.w_reg * l_r)
-        grad = (config.w_kp * g_kp + config.w_c * g_c
-                + config.w_pene * g_p + config.w_reg * g_r)
-        return total, grad, (l_kp, l_c, l_p, l_r)
-
-    def on_accept(it, f, terms, vec):
-        trace.append(3, it, f, terms, vec)
-
-    x, _ = _descend(fun, pose1.as_vector(), lo, hi, config.max_iters_stage3,
-                    config.step_size, config.convergence_tol, on_accept)
-    return hand.HandPose.from_vector(x), trace
+    weights = (config.w_kp, config.w_c, config.w_pene, config.w_reg)
+    pose = _run_stage(3, pose1, weights, hand.parameter_bounds(),
+                      config.max_iters_stage3, config, trace, keypoints, obj,
+                      contact_target.likelihood, c0)
+    return pose, trace
 
 
 def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel, mu: float = 1.0,
@@ -379,28 +387,20 @@ class PipelineResult:
 
 def run_pipeline(obj: ObjectModel, contacts: ContactState,
                  config: OptimizationConfig, mu: float = 1.0, gravity=GRAVITY,
-                 cluster_radius: float = None, n_kp: int = None,
-                 target_offset: float = None,
+                 cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
+                 n_kp: int = DEFAULT_N_KEYPOINTS,
+                 target_offset: float = DEFAULT_KEYPOINT_OFFSET,
                  use_keypoints: bool = True) -> PipelineResult:
     """Full synthesis pass: keypoints, two-stage init, stage-III refinement.
 
     With ``use_keypoints`` off, stages I and II are skipped and stage III
     runs from the rest pose with w_kp = 0 (ablation baseline).
     """
-    from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
-                            DEFAULT_N_KEYPOINTS, cluster_contacts,
-                            make_targets, select_clusters, select_keypoints)
-
-    cluster_radius = DEFAULT_CLUSTER_RADIUS if cluster_radius is None else cluster_radius
-    n_kp = DEFAULT_N_KEYPOINTS if n_kp is None else n_kp
-    target_offset = DEFAULT_KEYPOINT_OFFSET if target_offset is None else target_offset
-
     trace = OptimizationTrace(snapshot_interval=config.snapshot_interval)
     if use_keypoints:
-        clusters = cluster_contacts(obj, contacts, radius=cluster_radius)
-        reps = select_clusters(clusters, obj, mu=mu, gravity=gravity)
-        kps = select_keypoints(reps, obj, mu=mu, gravity=gravity, n_kp=n_kp)
-        kps = make_targets(kps, r=target_offset)
+        kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
+                             cluster_radius=cluster_radius, n_kp=n_kp,
+                             target_offset=target_offset)
         reference = hand.neutral_grasp_pose()
         ref_geometry = hand.forward_kinematics(reference)
         ref_centers = ref_geometry.part_centers[np.asarray(kps.parts) - 1]

@@ -59,6 +59,28 @@ class TestCliBasics:
         assert data["parts"] == [4, 7, 10]
         assert np.asarray(data["targets"]).shape == (3, 3)
 
+    @pytest.mark.parametrize("n_kp", ["0", "-2"])
+    def test_keypoints_rejects_nonpositive_n_kp(self, scene_files, tmp_path,
+                                                capsys, n_kp):
+        scene, contacts = scene_files
+        assert main(["keypoints", "--scene", str(scene), "--contacts",
+                     str(contacts), "--n-kp", n_kp,
+                     "-o", str(tmp_path / "kp.json")]) == 2
+        assert "n_kp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [{"n_kp": 0},
+                                       {"optimizer": {"seed": 0}}])
+    def test_optimize_rejects_bad_config(self, scene_files, tmp_path, capsys,
+                                         block):
+        scene, contacts = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(block))
+        out_dir = tmp_path / "opt"
+        assert main(["optimize", "--config", str(cfg), "--scene", str(scene),
+                     "--contacts", str(contacts),
+                     "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
     def test_encode_decode(self, capsys):
         assert main(["encode-force", "--value", "1.0"]) == 0
         encoded = json.loads(capsys.readouterr().out)

@@ -124,6 +124,17 @@ class TestClamping:
         lo2, hi2 = parameter_bounds(lock_scale=1.05)
         assert lo2[26] == hi2[26] == 1.05
 
+    def test_clamp_matches_bounds(self):
+        lo, hi = parameter_bounds()
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            vec = rng.uniform(-3.0, 3.0, hand.N_PARAMS)
+            vec[26] = rng.uniform(0.2, 2.0)
+            clamped, _ = clamp_pose(HandPose.from_vector(vec))
+            expected = np.clip(vec, lo, hi)
+            assert np.array_equal(clamped.angles, expected[6:26])
+            assert clamped.scale == expected[26]
+
 
 class TestBoundingSphere:
     def test_samples_within_quarter_meter(self):

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grasp_eq.equilibrium import assemble, stability_energy
-from grasp_eq.keypoints import (KeypointSet, cluster_contacts, make_targets,
-                                select_clusters, select_keypoints)
+from grasp_eq.keypoints import (KeypointSet, cluster_contacts, find_keypoints,
+                                make_targets, select_clusters, select_keypoints)
 from grasp_eq.scene import ContactState, ObjectModel
 
 from conftest import sphere_object
@@ -52,6 +52,13 @@ class TestClustering:
         assert list(clusters) == [3]
         assert len(clusters[3]) == 1
         assert set(clusters[3][0].indices) == set(idx)
+
+    def test_single_point_part(self, small_sphere):
+        state = state_from_patches(small_sphere, [(3, np.array([7]), 2.0)])
+        clusters = cluster_contacts(small_sphere, state, radius=0.01)
+        assert len(clusters[3]) == 1
+        assert clusters[3][0].indices.tolist() == [7]
+        assert clusters[3][0].force == 2.0
 
     def test_two_separated_groups(self):
         pts = np.array([[0.05, 0, 0], [0.052, 0.001, 0], [-0.05, 0, 0], [-0.052, -0.001, 0]])
@@ -224,6 +231,13 @@ class TestSelectKeypoints:
         kps = select_keypoints(reps, small_sphere, n_kp=3)
         assert kps.parts == (3, 6)
 
+    @pytest.mark.parametrize("n_kp", [0, -2])
+    def test_rejects_fewer_than_one(self, small_sphere, n_kp):
+        state = state_from_patches(small_sphere, [(3, np.array([0, 1]), 1.0)])
+        reps = select_clusters(cluster_contacts(small_sphere, state), small_sphere)
+        with pytest.raises(ValueError, match="n_kp"):
+            select_keypoints(reps, small_sphere, n_kp=n_kp)
+
     def test_deterministic(self, small_sphere):
         rng = np.random.default_rng(3)
         state = state_from_patches(small_sphere, [
@@ -237,6 +251,21 @@ class TestSelectKeypoints:
         assert a.parts == b.parts
         assert_allclose(a.centers, b.centers)
         assert a.energy == b.energy
+
+
+class TestFindKeypoints:
+    def test_matches_chain(self, small_sphere):
+        state = state_from_patches(small_sphere, [
+            (p, np.arange(5 * p, 5 * p + 3), 1.0 + 0.5 * p) for p in (2, 5, 7, 10)])
+        kps = find_keypoints(small_sphere, state, cluster_radius=0.02, n_kp=2,
+                             target_offset=0.004)
+        reps = select_clusters(cluster_contacts(small_sphere, state, radius=0.02),
+                               small_sphere)
+        manual = make_targets(select_keypoints(reps, small_sphere, n_kp=2),
+                              r=0.004)
+        assert kps.parts == manual.parts
+        assert kps.energy == manual.energy
+        assert np.array_equal(kps.targets, manual.targets)
 
 
 class TestMakeTargets:

@@ -8,7 +8,8 @@ from grasp_eq.keypoints import KeypointSet
 from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
                                 contact_loss, evaluate_grasp, fit_keypoints,
                                 kp_loss, optimize_grasp,
-                                penetration_loss, reg_loss, register_global,
+                                penetration_loss, pose_terms, reg_loss,
+                                register_global,
                                 registration_to_pose, run_pipeline)
 from grasp_eq.scene import contact_map_from_hand, signed_distance
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
@@ -175,6 +176,62 @@ class TestGradients:
         value, grad = penetration_loss(geometry, jac, obj)
         assert value == 0.0
         assert_allclose(grad, 0.0)
+
+
+class TestPoseTerms:
+    @staticmethod
+    def touching(obj):
+        vec = hand.HandPose(angles=hand.neutral_grasp_pose().angles).as_vector()
+        vec[26] = 1.1
+        return vec, keypoints_for((4, 7, 10), obj.points[:3] * 1.2)
+
+    def test_terms_equal_standalone_losses(self, sphere_scene):
+        obj, contacts = sphere_scene
+        vec, kps = self.touching(obj)
+        terms = pose_terms(vec, kps, obj, contacts.likelihood,
+                           (1.0, 1.0, 1.0, 1.0))
+        geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+        standalone = (kp_loss(geometry, jac, kps),
+                      contact_loss(geometry, jac, obj, contacts.likelihood),
+                      penetration_loss(geometry, jac, obj),
+                      reg_loss(vec))
+        for (value, grad), (ref_value, ref_grad) in zip(terms, standalone):
+            assert value == ref_value and value > 0.0
+            assert np.array_equal(grad, ref_grad)
+
+    def test_zero_weight_terms_read_zero(self, sphere_scene):
+        obj, contacts = sphere_scene
+        vec, kps = self.touching(obj)
+        terms = pose_terms(vec, kps, obj, contacts.likelihood,
+                           (0.0, 1.0, 0.0, 0.0))
+        assert terms[1][0] > 0.0
+        for k in (0, 2, 3):
+            assert terms[k][0] == 0.0
+            assert np.array_equal(terms[k][1], np.zeros(hand.N_PARAMS))
+        # stage II's weights need neither an object nor a contact target
+        kp_only = pose_terms(vec, kps, None, None, (1.0, 0.0, 0.0, 0.0))
+        assert kp_only[0][0] > 0.0
+        assert all(value == 0.0 for value, _ in kp_only[1:])
+        no_kp = pose_terms(vec, None, obj, contacts.likelihood,
+                           (1.0, 1.0, 1.0, 1.0))
+        assert no_kp[0][0] == 0.0
+        assert np.array_equal(no_kp[0][1], np.zeros(hand.N_PARAMS))
+
+    def test_stage3_first_record_is_weighted_sum(self, sphere_scene):
+        obj, contacts = sphere_scene
+        vec, kps = self.touching(obj)
+        config = OptimizationConfig(w_kp=3.0, w_c=0.7, w_pene=5.0, w_reg=0.02,
+                                    max_iters_stage3=2)
+        _, trace = optimize_grasp(hand.HandPose.from_vector(vec), obj,
+                                  contacts, kps, config)
+        (l_kp, _), (l_c, _), (l_p, _), (l_r, _) = pose_terms(
+            vec, kps, obj, contacts.likelihood,
+            (config.w_kp, config.w_c, config.w_pene, config.w_reg))
+        first = trace.stage_records(3)[0]
+        assert (first.kp, first.contact, first.penetration, first.reg) == (
+            l_kp, l_c, l_p, l_r)
+        assert first.total == (config.w_kp * l_kp + config.w_c * l_c
+                               + config.w_pene * l_p + config.w_reg * l_r)
 
 
 class TestOptimizeGrasp:
