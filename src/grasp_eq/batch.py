@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import DEFAULT_MU
 from .io import write_csv
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
@@ -115,20 +116,23 @@ def penetration_curve(rows):
     return curve
 
 
-def batch_report(scenes, config: OptimizationConfig, mu: float = 1.0,
+def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
                  gravity=GRAVITY, out_dir=None, threads: int = None,
                  use_keypoints: bool = True):
     """Run every scene, aggregate, and optionally write the report CSVs.
 
     Returns the list of SceneRow results.  Output files: summary.csv
     (per-scene rows + aggregate means), penetration_curve.csv, and
-    timings.csv (wall clock, non-deterministic by nature).
+    timings.csv (wall clock, non-deterministic by nature).  ``threads``
+    caps the pool and must be at least 1; None means ``max_threads()``.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("batch needs at least one scene")
-    threads = threads or max_threads()
-    threads = max(1, min(threads, len(scenes)))
+    threads = max_threads() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = min(threads, len(scenes))
     if threads == 1:
         rows = [run_scene(s, config, mu, gravity, use_keypoints) for s in scenes]
     else:

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import batch as batch_mod
 from . import io as io_mod
-from .equilibrium import (assemble_from_contact_state, stability_energy,
-                          stability_loss, stability_loss_masked)
+from .equilibrium import (DEFAULT_MU, assemble_from_contact_state,
+                          stability_energy, stability_loss,
+                          stability_loss_masked)
 from .errors import GraspEqError, SolverError
 from .force_codec import build_binning, decode, encode
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
@@ -78,7 +79,7 @@ def _gravity(args, cfg, file_gravity=None):
 
 def _binning(args, cfg):
     block = dict(cfg.get("binning", {}))
-    s = getattr(args, "bins", None) or block.get("s", 10)
+    s = args.bins if args.bins is not None else block.get("s", 10)
     mu_log = block.get("mu_log", 0.0)
     sigma_log = block.get("sigma_log", 1.0)
     temperature = block.get("temperature", 0.02)
@@ -97,15 +98,14 @@ def _cmd_synth(args, cfg):
     from .synth import SyntheticScene, generate_contacts, generate_scene
 
     dims = tuple(float(d) for d in args.dims.split(","))
-    seed = args.seed if args.seed is not None else 0
     spec = SyntheticScene(shape=args.shape, dimensions=dims,
-                          sample_count=args.samples, seed=seed)
+                          sample_count=args.samples, seed=args.seed)
     obj = generate_scene(spec)
     gravity = _gravity(args, cfg)
-    mu = _resolve(args, cfg, "mu", 1.0)
+    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
     io_mod.save_scene(args.scene_out, obj, gravity=gravity)
     if args.contacts_out:
-        contacts = generate_contacts(obj, args.style, seed=seed, mu=mu,
+        contacts = generate_contacts(obj, args.style, seed=args.seed, mu=mu,
                                      gravity=gravity)
         io_mod.save_contacts(args.contacts_out, contacts)
     return 0
@@ -117,7 +117,7 @@ def _cmd_analyze(args, cfg):
     if contacts.n_points != obj.n_points:
         raise ValueError("contact state length does not match the scene")
     gravity = _gravity(args, cfg, file_gravity)
-    mu = _resolve(args, cfg, "mu", 1.0)
+    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
     sys_sub, idx = assemble_from_contact_state(obj, contacts, mu=mu,
                                                gravity=gravity)
     result = stability_energy(sys_sub)
@@ -149,7 +149,7 @@ def _cmd_keypoints(args, cfg):
     obj, file_gravity = io_mod.load_scene(args.scene)
     contacts = io_mod.load_contacts(args.contacts)
     gravity = _gravity(args, cfg, file_gravity)
-    mu = _resolve(args, cfg, "mu", 1.0)
+    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
     kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
                          **_keypoint_options(args, cfg))
     _emit(io_mod.keypoints_payload(kps), args.output)
@@ -160,7 +160,7 @@ def _cmd_optimize(args, cfg):
     obj, file_gravity = io_mod.load_scene(args.scene)
     contacts = io_mod.load_contacts(args.contacts)
     gravity = _gravity(args, cfg, file_gravity)
-    mu = _resolve(args, cfg, "mu", 1.0)
+    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
     result = run_pipeline(obj, contacts, _opt_config(cfg), mu=mu,
                           gravity=gravity, **_keypoint_options(args, cfg))
     os.makedirs(args.out_dir, exist_ok=True)
@@ -216,19 +216,17 @@ def _cmd_decode_force(args, cfg):
 def _cmd_gradcheck(args, cfg):
     from .gradcheck import run_gradcheck
 
-    seed = args.seed if args.seed is not None else 0
-    report = run_gradcheck(count=args.count, seed=seed)
+    report = run_gradcheck(count=args.count, seed=args.seed)
     _emit(report, args.output)
     return 0 if report["passed"] else SOLVER_EXIT
 
 
 def _cmd_batch(args, cfg):
     shapes = args.shapes.split(",")
-    seed = args.seed if args.seed is not None else 0
     config = _opt_config(cfg)
     gravity = _gravity(args, cfg)
-    mu = _resolve(args, cfg, "mu", 1.0)
-    scenes = batch_mod.build_batch(args.count, shapes, seed,
+    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
+    scenes = batch_mod.build_batch(args.count, shapes, args.seed,
                                    sample_count=args.samples)
     rows = batch_mod.batch_report(scenes, config, mu=mu, gravity=gravity,
                                   out_dir=args.out_dir, threads=args.threads)
@@ -241,14 +239,17 @@ def _cmd_batch(args, cfg):
 def build_parser() -> _Parser:
     parser = _Parser(prog="grasp-eq",
                      description="Force-aware grasp stability toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, help="random seed")
-    common.add_argument("--gravity", help="gravity as x,y,z")
-    common.add_argument("--mu", type=float, help="friction coefficient")
+    # each verb takes only the shared flags it reads
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="random seed")
+    physics = argparse.ArgumentParser(add_help=False)
+    physics.add_argument("--gravity", help="gravity as x,y,z")
+    physics.add_argument("--mu", type=float, help="friction coefficient")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[config, seed, physics],
                        help="generate a synthetic scene and contact state")
     p.add_argument("--shape", required=True,
                    choices=("sphere", "box", "cylinder", "plate"))
@@ -260,14 +261,14 @@ def build_parser() -> _Parser:
     p.add_argument("--contacts-out")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[config, physics],
                        help="stability energy and loss of a contact state")
     p.add_argument("--scene", required=True)
     p.add_argument("--contacts", required=True)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("keypoints", parents=[common],
+    p = sub.add_parser("keypoints", parents=[config, physics],
                        help="select stability-optimal contact keypoints")
     p.add_argument("--scene", required=True)
     p.add_argument("--contacts", required=True)
@@ -277,7 +278,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_keypoints)
 
-    p = sub.add_parser("optimize", parents=[common],
+    p = sub.add_parser("optimize", parents=[config, physics],
                        help="run the three-stage pose optimization")
     p.add_argument("--scene", required=True)
     p.add_argument("--contacts", required=True)
@@ -287,7 +288,7 @@ def build_parser() -> _Parser:
     p.add_argument("--offset", type=float)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("encode-force", parents=[common],
+    p = sub.add_parser("encode-force", parents=[config],
                        help="one-hot encode force values")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--value", type=float)
@@ -296,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_encode_force)
 
-    p = sub.add_parser("decode-force", parents=[common],
+    p = sub.add_parser("decode-force", parents=[config],
                        help="soft-argmax decode force score vectors")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--scores", help="JSON array of bin scores")
@@ -306,13 +307,13 @@ def build_parser() -> _Parser:
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_decode_force)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[seed],
                        help="verify analytic gradients against finite differences")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("batch", parents=[common],
+    p = sub.add_parser("batch", parents=[config, seed, physics],
                        help="run the pipeline over a batch of synthetic scenes")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--shapes", default="sphere,box,cylinder,plate")
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(getattr(args, "config", None))
         return args.func(args, cfg)
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)

@@ -319,10 +319,10 @@ def stability_loss(sys: EquilibriumSystem) -> float:
 
     With F_fric = mu |B| + mu |T| (elementwise), returns
     1' max{(N - F_fric) F + g6, 0} - 1' min{(N + F_fric) F + g6, 0}.
-    Always >= 0; zero stability energy implies zero loss.
+    Always >= 0; zero stability energy implies zero loss.  It is the masked
+    loss at force map F and likelihood 1.
     """
-    lower, upper, _ = _interval_bounds(sys, sys.forces)
-    return float(np.maximum(lower, 0.0).sum() - np.minimum(upper, 0.0).sum())
+    return stability_loss_masked(sys, sys.forces, np.ones(sys.n_contacts))
 
 
 def _check_masked_args(sys, force_map, likelihood):

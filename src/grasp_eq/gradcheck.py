@@ -71,25 +71,25 @@ def _random_pose(rng, obj_radius):
         scale=float(rng.uniform(0.8, 1.2)))
 
 
-def pose_fd_safe(pose, obj, target_likelihood, c0=CONTACT_RADIUS, h=1e-6,
-                 safety=4.0):
+def pose_fd_safe(pose, obj, target_likelihood, h=1e-6, safety=4.0):
     """True when no stage-III loss kink can be crossed by a central FD probe.
 
     A probe of size ``h`` in pose space moves any hand sample by at most
     ``h`` times the kinematic chain radius.  Each non-smooth boundary is
-    checked against that motion bound: the likelihood clamp at d = c0, the
-    sign of the contact residual (scaled by the local slope c0/d^2), ties
-    in the nearest-sample and nearest-surface-point assignments, the
-    penetration hinge, and the joint-limit box.
+    checked against that motion bound: the likelihood clamp at d = c0 (the
+    CONTACT_RADIUS), the sign of the contact residual (scaled by the local
+    slope c0/d^2), ties in the nearest-sample and nearest-surface-point
+    assignments, the penetration hinge, and the joint-limit box.
     """
     geometry = hand.forward_kinematics(pose)
     chain = float(np.linalg.norm(geometry.samples - geometry.joints[0],
                                  axis=1).max()) + 1.0
     move = safety * h * chain
+    c0 = CONTACT_RADIUS
     d, _ = nearest_site(obj.points, geometry.samples)
     if np.any(np.abs(d - c0) <= move):
         return False
-    resid = contact_likelihood(d, c0) - target_likelihood
+    resid = contact_likelihood(d) - target_likelihood
     slope = c0 / np.maximum(d, c0) ** 2
     if np.any(np.abs(resid) <= slope * move):
         return False

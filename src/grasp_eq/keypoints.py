@@ -17,12 +17,13 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .equilibrium import QP_TOL, assemble, stability_energy
+from .equilibrium import DEFAULT_MU, QP_TOL, assemble, stability_energy
 from .errors import SolverError
+from .hand import FINGER_SAMPLE_RADIUS
 from .scene import GRAVITY, ContactState, ObjectModel
 
 DEFAULT_CLUSTER_RADIUS = 0.01
-DEFAULT_KEYPOINT_OFFSET = 0.005
+DEFAULT_KEYPOINT_OFFSET = FINGER_SAMPLE_RADIUS
 DEFAULT_N_KEYPOINTS = 3
 
 
@@ -111,7 +112,7 @@ def _cluster_energy(cluster_list, obj, mu, gravity):
         return err.result.energy
 
 
-def select_clusters(clusters, obj: ObjectModel, mu: float = 1.0,
+def select_clusters(clusters, obj: ObjectModel, mu: float = DEFAULT_MU,
                     gravity=GRAVITY):
     """Pick one representative cluster per part by conditional energy.
 
@@ -139,7 +140,7 @@ def select_clusters(clusters, obj: ObjectModel, mu: float = 1.0,
     return reps
 
 
-def select_keypoints(representatives, obj: ObjectModel, mu: float = 1.0,
+def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
                      gravity=GRAVITY, n_kp: int = DEFAULT_N_KEYPOINTS) -> KeypointSet:
     """Exhaustive search for the part subset with least stability energy.
 
@@ -175,8 +176,8 @@ def make_targets(keypoints: KeypointSet,
     return replace(keypoints, targets=keypoints.centers + r * keypoints.normals)
 
 
-def find_keypoints(obj: ObjectModel, contacts: ContactState, mu: float = 1.0,
-                   gravity=GRAVITY,
+def find_keypoints(obj: ObjectModel, contacts: ContactState,
+                   mu: float = DEFAULT_MU, gravity=GRAVITY,
                    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
                    n_kp: int = DEFAULT_N_KEYPOINTS,
                    target_offset: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:

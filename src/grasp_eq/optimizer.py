@@ -17,14 +17,12 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from . import hand
-from .equilibrium import solve_force_existence
+from .equilibrium import DEFAULT_MU, solve_force_existence
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, KeypointSet, find_keypoints)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
                     ObjectModel, contact_likelihood, nearest_site,
                     nearest_surface)
-
-EVAL_FORCE_MAX = 20.0
 
 
 @dataclass(frozen=True)
@@ -179,21 +177,20 @@ def kp_loss(geometry, joint_jac, keypoints: KeypointSet):
     return value, grad
 
 
-def contact_loss(geometry, joint_jac, obj: ObjectModel, target_likelihood,
-                 c0=CONTACT_RADIUS):
+def contact_loss(geometry, joint_jac, obj: ObjectModel, target_likelihood):
     """Mean absolute difference between induced and target contact maps."""
     n = obj.n_points
     d, nearest = nearest_site(obj.points, geometry.samples)
-    likelihood = contact_likelihood(d, c0)
+    likelihood = contact_likelihood(d)
     resid = likelihood - target_likelihood
     value = float(np.mean(np.abs(resid)))
     if joint_jac is None:
         return value, None
-    active = (d > c0) & (resid != 0)
+    active = (d > CONTACT_RADIUS) & (resid != 0)
     grad = np.zeros(hand.N_PARAMS)
     if np.any(active):
         idx = np.flatnonzero(active)
-        coef = np.sign(resid[idx]) * (-c0 / d[idx] ** 2) / n
+        coef = np.sign(resid[idx]) * (-CONTACT_RADIUS / d[idx] ** 2) / n
         unit = (geometry.samples[nearest[idx]] - obj.points[idx]) / d[idx, None]
         pull = np.zeros((hand.N_SAMPLES, 3))
         np.add.at(pull, nearest[idx], coef[:, None] * unit)
@@ -230,8 +227,7 @@ def reg_loss(pose_vec):
     return value, grad
 
 
-def pose_terms(vec, keypoints, obj, target_likelihood, weights,
-               c0=CONTACT_RADIUS):
+def pose_terms(vec, keypoints, obj, target_likelihood, weights):
     """The four pose-objective terms at ``vec`` from one kinematics pass.
 
     Returns ((value, grad), ...) for the keypoint, contact, penetration and
@@ -244,7 +240,7 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
     off = (0.0, np.zeros(hand.N_PARAMS))
     return (kp_loss(geometry, jac, keypoints)
             if keypoints is not None and w_kp > 0 else off,
-            contact_loss(geometry, jac, obj, target_likelihood, c0)
+            contact_loss(geometry, jac, obj, target_likelihood)
             if w_c > 0 else off,
             penetration_loss(geometry, jac, obj) if w_pene > 0 else off,
             reg_loss(vec) if w_reg > 0 else off)
@@ -288,14 +284,14 @@ def _descend(fun, x0, lo, hi, max_iters, step_size, tol, on_accept):
 
 
 def _run_stage(stage, pose0, weights, bounds, max_iters, config, trace,
-               keypoints, obj=None, target_likelihood=None, c0=CONTACT_RADIUS):
+               keypoints, obj=None, target_likelihood=None):
     """Descend the weighted pose objective from ``pose0`` within ``bounds``;
     each accepted step is recorded in ``trace`` (if any) under ``stage``."""
     w_kp, w_c, w_pene, w_reg = weights
 
     def fun(vec):
         (l_kp, g_kp), (l_c, g_c), (l_p, g_p), (l_r, g_r) = pose_terms(
-            vec, keypoints, obj, target_likelihood, weights, c0)
+            vec, keypoints, obj, target_likelihood, weights)
         total = w_kp * l_kp + w_c * l_c + w_pene * l_p + w_reg * l_r
         grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
         return total, grad, (l_kp, l_c, l_p, l_r)
@@ -326,8 +322,7 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
                    contact_target: ContactState,
                    keypoints: KeypointSet | None,
                    config: OptimizationConfig,
-                   trace: OptimizationTrace | None = None,
-                   c0: float = CONTACT_RADIUS):
+                   trace: OptimizationTrace | None = None):
     """Stage III: weighted sum of keypoint, contact, penetration, and
     regularization terms over all pose parameters including the shape scale.
 
@@ -337,31 +332,29 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
     weights = (config.w_kp, config.w_c, config.w_pene, config.w_reg)
     pose = _run_stage(3, pose1, weights, hand.parameter_bounds(),
                       config.max_iters_stage3, config, trace, keypoints, obj,
-                      contact_target.likelihood, c0)
+                      contact_target.likelihood)
     return pose, trace
 
 
-def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel, mu: float = 1.0,
-                   gravity=GRAVITY, f_max: float = EVAL_FORCE_MAX,
-                   c0: float = CONTACT_RADIUS,
-                   threshold: float = CONTACT_THRESHOLD) -> GraspReport:
+def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel,
+                   mu: float = DEFAULT_MU, gravity=GRAVITY) -> GraspReport:
     """Force-existence check of the posed hand.
 
-    Hand samples within the contact distance (c0 / threshold) claim their
-    nearest object point as a contact with the object's surface normal; the
-    residual is the minimum of ||accel||^2 over admissible forces in
-    [0, f_max] and friction in the linearized cone.  Penetration depth is
-    max(0, -signed distance) over the hand surface samples, the proxies that
-    contact maps measure to; the capsule radii only pad the penetration-loss
-    hinge.
+    Hand samples within the contact distance (CONTACT_RADIUS /
+    CONTACT_THRESHOLD) claim their nearest object point as a contact with
+    the object's surface normal; the residual is the minimum of ||accel||^2
+    over admissible forces up to solve_force_existence's cap and friction
+    in the linearized cone.  Penetration depth is max(0, -signed distance)
+    over the hand surface samples, the proxies that contact maps measure
+    to; the capsule radii only pad the penetration-loss hinge.
     """
     geometry = hand.forward_kinematics(pose)
     d, idx, sd = nearest_surface(obj, geometry.samples)
-    touching = d <= c0 / threshold
+    touching = d <= CONTACT_RADIUS / CONTACT_THRESHOLD
     contact_idx = np.unique(idx[touching])
     result = solve_force_existence(obj, obj.points[contact_idx],
                                    obj.normals[contact_idx], mu=mu,
-                                   gravity=gravity, f_max=f_max)
+                                   gravity=gravity)
     return GraspReport(residual=result.energy,
                        contact_count=int(contact_idx.size),
                        max_penetration=float(np.maximum(-sd, 0.0).max(initial=0.0)),
@@ -386,8 +379,8 @@ class PipelineResult:
 
 
 def run_pipeline(obj: ObjectModel, contacts: ContactState,
-                 config: OptimizationConfig, mu: float = 1.0, gravity=GRAVITY,
-                 cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
+                 config: OptimizationConfig, mu: float = DEFAULT_MU,
+                 gravity=GRAVITY, cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
                  n_kp: int = DEFAULT_N_KEYPOINTS,
                  target_offset: float = DEFAULT_KEYPOINT_OFFSET,
                  use_keypoints: bool = True) -> PipelineResult:

@@ -21,9 +21,9 @@ from .errors import EmptyHand, EmptyObject, InvalidNormal
 
 GRAVITY = (0.0, 0.0, -9.81)
 
-# Contact likelihood is min(c0 / d, 1) with d the distance to the nearest
-# hand sample.  A point counts as "in contact" when likelihood >= threshold,
-# i.e. d <= c0 / threshold = 4 mm.
+# The contact convention, written only here: likelihood min(c0 / d, 1) with
+# c0 = CONTACT_RADIUS and d the distance to the nearest hand sample; a point
+# is "in contact" when likelihood >= CONTACT_THRESHOLD, i.e. d <= 4 mm.
 CONTACT_RADIUS = 0.002
 CONTACT_THRESHOLD = 0.5
 
@@ -50,15 +50,15 @@ def _freeze(arr):
     return arr
 
 
-def check_unit_normals(normals, tol=_UNIT_TOL):
+def check_unit_normals(normals):
     """Raise InvalidNormal unless every row is a finite unit vector."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     if not np.all(np.isfinite(normals)):
         raise InvalidNormal("normals contain non-finite values")
     norms = np.linalg.norm(normals, axis=-1)
-    bad = np.abs(norms - 1.0) > tol
+    bad = np.abs(norms - 1.0) > _UNIT_TOL
     if np.any(bad):
-        raise InvalidNormal(f"{int(bad.sum())} normals deviate from unit length by more than {tol}")
+        raise InvalidNormal(f"{int(bad.sum())} normals deviate from unit length by more than {_UNIT_TOL}")
     return normals
 
 
@@ -198,10 +198,10 @@ def _pivot_tangents(normals):
     return b, normals[:, i] * b[:, j] - normals[:, j] * b[:, i]
 
 
-def contact_likelihood(d, c0=CONTACT_RADIUS):
-    """Contact likelihood min(c0 / d, 1) of distances d to the nearest hand sample."""
+def contact_likelihood(d):
+    """Contact likelihood min(CONTACT_RADIUS / d, 1) at hand distances d."""
     with np.errstate(divide="ignore"):
-        return np.where(d <= c0, 1.0, c0 / d)
+        return np.where(d <= CONTACT_RADIUS, 1.0, CONTACT_RADIUS / d)
 
 
 def nearest_site(points, sites):
@@ -235,8 +235,7 @@ def signed_distance(obj: ObjectModel, query):
     return float(sd[0]) if query.ndim == 1 else sd
 
 
-def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts,
-                          c0=CONTACT_RADIUS, threshold=CONTACT_THRESHOLD):
+def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts):
     """Contact likelihood and part labels induced by a posed hand surface.
 
     likelihood[i] = min(c0 / d_i, 1) with d_i the distance from object point
@@ -251,7 +250,7 @@ def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts,
     if hand_points.shape[0] != hand_parts.shape[0]:
         raise ValueError("hand points and part labels must be parallel")
     d, idx = nearest_site(obj.points, hand_points)
-    likelihood = contact_likelihood(d, c0)
-    labels = np.where(likelihood >= threshold, hand_parts[idx], 0)
+    likelihood = contact_likelihood(d)
+    labels = np.where(likelihood >= CONTACT_THRESHOLD, hand_parts[idx], 0)
     return ContactState(likelihood=likelihood, part_label=labels,
                         force=np.zeros(obj.n_points))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import solve_force_existence
+from .equilibrium import DEFAULT_MU, solve_force_existence
 from .errors import InvalidShape, StyleInfeasible
 from .force_codec import spread_force
 from .scene import GRAVITY, ContactState, ObjectModel, contact_map_from_hand
@@ -151,9 +151,9 @@ def _style_directions(obj, style, rng, n_patches):
 
 
 def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
-                      mu: float = 1.0, gravity=GRAVITY,
+                      mu: float = DEFAULT_MU, gravity=GRAVITY,
                       patch_radius: float = DEFAULT_PATCH_RADIUS,
-                      f_max: float = 20.0, n_patches: int = None) -> ContactState:
+                      n_patches: int = None) -> ContactState:
     """Patch-based contact state with physically consistent forces.
 
     Each patch grows around the support point of a style direction,
@@ -211,7 +211,7 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
         avg = obj.normals[m].mean(axis=0)
         normals.append(avg / np.linalg.norm(avg))
     solved = solve_force_existence(obj, np.array(centroids), np.array(normals),
-                                   mu=mu, gravity=gravity, f_max=f_max)
+                                   mu=mu, gravity=gravity)
     label_points = [(c, f) for c, f in zip(centroids, solved.forces)]
     force, _ = spread_force(label_points, obj, mask)
     # the likelihood channel carries the same reciprocal-distance halo a real

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grasp_eq.batch import build_batch, batch_report, penetration_curve
-from grasp_eq.cli import main
+from grasp_eq.cli import build_parser, main
 from grasp_eq.optimizer import OptimizationConfig
 
 
@@ -116,6 +116,46 @@ class TestCliBasics:
         evaluation = json.loads((out_dir / "evaluation.json").read_text())
         assert "residual" in evaluation["after"]
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--scene", "{scene}", "--contacts", "{contacts}",
+         "--seed", "1"],
+        ["keypoints", "--scene", "{scene}", "--contacts", "{contacts}",
+         "--seed", "1"],
+        ["optimize", "--scene", "{scene}", "--contacts", "{contacts}",
+         "--out-dir", "{out}", "--seed", "1"],
+        ["encode-force", "--value", "1", "--mu", "2"],
+        ["decode-force", "--scores", "[0,1,0]", "--bins", "3",
+         "--gravity", "0,0,-1"],
+        ["gradcheck", "--count", "1", "--config", "{scene}"],
+    ], ids=lambda argv: argv[0])
+    def test_verb_rejects_flag_it_ignores(self, scene_files, tmp_path, capsys,
+                                          argv):
+        scene, contacts = scene_files
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([a.format(scene=scene, contacts=contacts, out=out)
+                  for a in argv])
+        assert info.value.code == 1
+        assert not out.exists()
+
+    def test_help_lists_only_flags_read(self):
+        shared = {"synth": "config seed gravity mu",
+                  "analyze": "config gravity mu",
+                  "keypoints": "config gravity mu",
+                  "optimize": "config gravity mu",
+                  "encode-force": "config", "decode-force": "config",
+                  "gradcheck": "seed", "batch": "config seed gravity mu"}
+        verbs = build_parser()._subparsers._group_actions[0].choices
+        assert sorted(verbs) == sorted(shared)
+        for verb, names in shared.items():
+            text = verbs[verb].format_help()
+            listed = {n for n in ("config", "seed", "gravity", "mu")
+                      if f"--{n} " in text}
+            assert listed == set(names.split()), verb
+
+    def test_encode_rejects_zero_bins(self, capsys):
+        assert main(["encode-force", "--value", "1", "--bins", "0"]) == 2
+
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck", "--count", "3", "--seed", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -159,6 +199,12 @@ class TestBatch:
         assert curve[0][2] == 1 and curve[0][3] == 0.0
         assert curve[1][2] == 1 and curve[1][3] == 1.0
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        scenes = build_batch(1, ["sphere"], seed=0, sample_count=512)
+        with pytest.raises(ValueError, match="threads"):
+            batch_report(scenes, OptimizationConfig(), threads=threads)
+
     def test_thread_env_cap(self, monkeypatch):
         from grasp_eq import batch as batch_mod
         monkeypatch.setenv(batch_mod.THREADS_ENV, "2")
@@ -173,3 +219,13 @@ class TestBatch:
                      "--shapes", "sphere", "--samples", "512",
                      "--seed", "3", "--out-dir", str(out)]) == 0
         assert (out / "summary.csv").exists()
+
+    def test_cli_batch_rejects_zero_threads(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"max_iters_stage2": 10,
+                                                 "max_iters_stage3": 10}}))
+        out = tmp_path / "batch"
+        assert main(["batch", "--config", str(cfg), "--count", "1",
+                     "--samples", "512", "--threads", "0",
+                     "--out-dir", str(out)]) == 2
+        assert "threads" in capsys.readouterr().err

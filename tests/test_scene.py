@@ -162,7 +162,7 @@ class TestContactState:
 class TestContactLikelihood:
     def test_pinned_values(self):
         c0 = CONTACT_RADIUS
-        lik = contact_likelihood(np.array([0.0, c0, 2 * c0, 4 * c0]), c0)
+        lik = contact_likelihood(np.array([0.0, c0, 2 * c0, 4 * c0]))
         assert lik.tolist() == [1.0, 1.0, 0.5, 0.25]
 
 
