@@ -54,6 +54,7 @@ class SceneRow:
     residual_after: float = float("nan")
     max_penetration: float = float("nan")
     wall_time: float = 0.0
+    error: type | None = None  # exception class of a failed scene
 
 
 def build_batch(count: int, shapes, seed: int,
@@ -76,10 +77,15 @@ def build_batch(count: int, shapes, seed: int,
 
 
 def max_threads():
+    """The pool cap: GRASP_EQ_THREADS if set (at least 1), else the CPU
+    count."""
     cap = os.environ.get(THREADS_ENV)
-    if cap:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
+    if not cap:
+        return os.cpu_count() or 1
+    threads = int(cap)
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV} must be at least 1, got {threads}")
+    return threads
 
 
 def run_scene(scene: BatchScene, config: OptimizationConfig, mu: float,
@@ -99,6 +105,7 @@ def run_scene(scene: BatchScene, config: OptimizationConfig, mu: float,
         row.max_penetration = result.report_after.max_penetration
     except Exception as err:  # record, do not abort the batch
         row.status = f"error: {type(err).__name__}: {err}"
+        row.error = type(err)
     row.wall_time = time.perf_counter() - start
     return row
 

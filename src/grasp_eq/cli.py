@@ -2,7 +2,8 @@
 
 Verbs: analyze, keypoints, optimize, synth, encode-force, decode-force,
 gradcheck, batch.  Exit codes: 0 success, 1 usage error, 2 input validation
-failure, 3 solver non-convergence.
+failure, 3 solver non-convergence.  A batch writes its reports even when
+scenes fail, then exits 3 if every failure is a solver error, else 2.
 """
 
 from __future__ import annotations
@@ -233,7 +234,13 @@ def _cmd_batch(args, cfg):
     failures = [r for r in rows if r.status != "ok"]
     print(f"batch: {len(rows) - len(failures)}/{len(rows)} scenes ok, "
           f"reports in {args.out_dir}")
-    return 0
+    for row in failures:
+        print(f"scene {row.index}: {row.status}", file=sys.stderr)
+    if not failures:
+        return 0
+    if all(issubclass(r.error, SolverError) for r in failures):
+        return SOLVER_EXIT
+    return INPUT_EXIT
 
 
 def build_parser() -> _Parser:

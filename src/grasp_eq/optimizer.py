@@ -1,11 +1,15 @@
 """Keypoint-guided hand pose optimization.
 
 Three stages: (I) closed-form rigid registration of rest-pose part centers
-onto the keypoint targets, (II) first-order fitting of joint angles plus the
-global transform to the targets, (III) full optimization adding contact-map,
+onto the keypoint targets, (II) Levenberg-Marquardt fitting of joint angles
+plus the global transform to the targets, on the keypoint residuals and
+their exact jacobian, (III) full optimization adding contact-map,
 penetration, and regularization terms.  All gradients flow analytically
-through the kinematic chain; descent is projected, per-parameter adaptive,
-and backtracking, so the objective never increases over accepted steps.
+through the kinematic chain.  Stage III's descent is projected,
+per-parameter adaptive, and backtracking, and carries its step length from
+one line search to the next; ``step_size`` caps it.  Both stages accept
+only steps that do not raise their objective, and each records why it
+stopped in ``OptimizationTrace.stops``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Weights and iteration budget for stages II and III.
+    """Weights and iteration budget for stages II and III; ``step_size``
+    caps stage III's line search (stage II takes Gauss-Newton steps).
 
     The keypoint weight outranks the contact term by design: keypoints carry
     the stability analysis, and with synthetic contact targets a weaker
@@ -66,11 +71,13 @@ class TraceRecord:
 
 @dataclass
 class OptimizationTrace:
-    """Per-iteration loss records plus periodic pose snapshots."""
+    """Per-iteration loss records, periodic pose snapshots, and each stage's
+    StopReport keyed by stage number."""
 
     snapshot_interval: int = 50
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
+    stops: dict = field(default_factory=dict)
 
     def append(self, stage, iteration, total, terms, pose_vec=None):
         """Record one accepted step; every ``snapshot_interval``-th iteration
@@ -164,17 +171,23 @@ def registration_to_pose(reg: RegistrationResult,
 # loss terms (value + gradient w.r.t. the 27-dim pose vector)
 
 
+def kp_residuals(geometry, joint_jac, keypoints: KeypointSet):
+    """Selected part centers minus their targets, shape (k, 3), and their
+    jacobian (k, 3, 27) w.r.t. the pose vector (None without joint_jac)."""
+    parts = np.asarray(keypoints.parts, dtype=int)
+    resid = geometry.part_centers[parts - 1] - keypoints.targets
+    if joint_jac is None:
+        return resid, None
+    return resid, hand.center_jacobians(joint_jac, parts)
+
+
 def kp_loss(geometry, joint_jac, keypoints: KeypointSet):
     """Sum of squared distances from selected part centers to targets."""
-    parts = np.asarray(keypoints.parts, dtype=int)
-    centers = geometry.part_centers[parts - 1]
-    diff = centers - keypoints.targets
+    diff, jac = kp_residuals(geometry, joint_jac, keypoints)
     value = float(np.sum(diff * diff))
-    if joint_jac is None:
+    if jac is None:
         return value, None
-    jac = hand.center_jacobians(joint_jac, parts)
-    grad = 2.0 * np.einsum("kd,kdp->p", diff, jac)
-    return value, grad
+    return value, 2.0 * np.einsum("kd,kdp->p", diff, jac)
 
 
 def contact_loss(geometry, joint_jac, obj: ObjectModel, target_likelihood):
@@ -192,8 +205,10 @@ def contact_loss(geometry, joint_jac, obj: ObjectModel, target_likelihood):
         idx = np.flatnonzero(active)
         coef = np.sign(resid[idx]) * (-CONTACT_RADIUS / d[idx] ** 2) / n
         unit = (geometry.samples[nearest[idx]] - obj.points[idx]) / d[idx, None]
-        pull = np.zeros((hand.N_SAMPLES, 3))
-        np.add.at(pull, nearest[idx], coef[:, None] * unit)
+        weights = coef[:, None] * unit
+        pull = np.stack([np.bincount(nearest[idx], weights[:, k],
+                                     hand.N_SAMPLES) for k in range(3)],
+                        axis=1)
         sample_jac = hand.sample_jacobians(joint_jac)
         grad = np.einsum("sd,sdp->p", pull, sample_jac)
     return value, grad
@@ -250,72 +265,132 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights):
 # descent core
 
 
+@dataclass(frozen=True)
+class StopReport:
+    """How one stage's descent ended.
+
+    ``reason`` is 'tol' (the last drop fell below ``convergence_tol``, or
+    the loss reached 0), 'backtrack' (no trial step kept the loss from
+    rising) or 'cap' (the iteration budget ran out).  ``iterations`` counts
+    accepted steps, ``evaluations`` objective evaluations including the
+    start, and ``last_drop`` is the last accepted decrease (nan if none).
+    """
+
+    reason: str
+    iterations: int
+    evaluations: int
+    last_drop: float
+
+
 def _descend(fun, x0, lo, hi, max_iters, step_size, tol, on_accept):
     """Projected descent with per-parameter adaptive steps and backtracking.
 
     ``fun(x) -> (value, grad, terms)``.  A step is accepted only if it does
     not increase the objective, so the recorded sequence is non-increasing.
-    Non-finite trial values are treated as rejections.
+    Non-finite trial values are treated as rejections.  Each line search
+    starts at twice the last accepted step, at most ``step_size``, and
+    halves on rejection.  Returns (x, StopReport).
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f, g, terms = fun(x)
+    evals, done, drop, reason = 1, 0, math.nan, "cap"
     accum = np.zeros_like(x)
+    step = step_size
     on_accept(0, f, terms, x)
     for it in range(1, max_iters + 1):
         accum += g * g
         direction = g / np.sqrt(accum + 1e-12)
-        step = step_size
-        accepted = False
+        step = min(2.0 * step, step_size)
         for _ in range(40):
             x_new = np.clip(x - step * direction, lo, hi)
             f_new, g_new, terms_new = fun(x_new)
+            evals += 1
             if np.isfinite(f_new) and f_new <= f:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
+            reason = "backtrack"
             break
-        drop = f - f_new
+        done, drop = it, f - f_new
         x, f, g, terms = x_new, f_new, g_new, terms_new
         on_accept(it, f, terms, x)
         if drop < tol:
+            reason = "tol"
             break
-    return x, f
+    return x, StopReport(reason, done, evals, drop)
 
 
-def _run_stage(stage, pose0, weights, bounds, max_iters, config, trace,
-               keypoints, obj=None, target_likelihood=None):
-    """Descend the weighted pose objective from ``pose0`` within ``bounds``;
-    each accepted step is recorded in ``trace`` (if any) under ``stage``."""
-    w_kp, w_c, w_pene, w_reg = weights
-
-    def fun(vec):
-        (l_kp, g_kp), (l_c, g_c), (l_p, g_p), (l_r, g_r) = pose_terms(
-            vec, keypoints, obj, target_likelihood, weights)
-        total = w_kp * l_kp + w_c * l_c + w_pene * l_p + w_reg * l_r
-        grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
-        return total, grad, (l_kp, l_c, l_p, l_r)
-
-    def on_accept(it, f, terms, vec):
-        if trace is not None:
-            trace.append(stage, it, f, terms, vec)
-
-    x, _ = _descend(fun, pose0.as_vector(), *bounds, max_iters,
-                    config.step_size, config.convergence_tol, on_accept)
-    return hand.HandPose.from_vector(x)
+# Levenberg-Marquardt damping, as a multiple of the largest diagonal entry
+# of J^T J: the first trial step uses _LM_DAMPING_START, each accepted step
+# divides it by _LM_DAMPING_FACTOR and each rejected one multiplies it by
+# that, and past _LM_DAMPING_MAX the steps are too short to matter.
+_LM_DAMPING_START = 1e-3
+_LM_DAMPING_FACTOR = 10.0
+_LM_DAMPING_MAX = 1e12
 
 
 def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
                   config: OptimizationConfig,
                   trace: OptimizationTrace | None = None) -> hand.HandPose:
-    """Stage II: descend the keypoint loss over joint angles + global pose.
+    """Stage II: Levenberg-Marquardt on the keypoint residuals over joint
+    angles + global pose; the shape scale stays fixed.
 
-    The shape scale stays fixed.  Returns the best pose found; the loss
-    never exceeds its value at ``pose0``.
+    Each trial solves (J^T J + lam I) dx = -J^T r over the free parameters,
+    r being part centers minus targets and J its exact jacobian, and clips
+    the step to the joint limits.  Of the many poses that fit three
+    keypoints, unscaled damping (not Moré's column scaling) favours moving
+    the global transform over articulation, which leaves stage III less to
+    push into the object.  Only steps that do not raise the loss are
+    accepted; lam falls after an accepted step and rises after a rejected
+    one, and runaway damping stops the stage as 'backtrack' (see
+    StopReport).  Returns the best pose found.
     """
-    return _run_stage(2, pose0, (1.0, 0.0, 0.0, 0.0),
-                      hand.parameter_bounds(lock_scale=pose0.scale),
-                      config.max_iters_stage2, config, trace, keypoints)
+    lo, hi = hand.parameter_bounds(lock_scale=pose0.scale)
+    free = lo < hi
+
+    def residuals(vec):
+        geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+        resid, resid_jac = kp_residuals(geometry, jac, keypoints)
+        r = resid.ravel()
+        return r, float(r @ r), resid_jac.reshape(r.size, -1)[:, free]
+
+    def on_accept(it, f, vec):
+        if trace is not None:
+            trace.append(2, it, f, (f, 0.0, 0.0, 0.0), vec)
+
+    x = np.clip(pose0.as_vector(), lo, hi)
+    r, f, jac = residuals(x)
+    evals, done, drop, reason = 1, 0, math.nan, "cap"
+    damping = _LM_DAMPING_START
+    on_accept(0, f, x)
+    while done < config.max_iters_stage2:
+        if f == 0.0:
+            reason = "tol"
+            break
+        normal = jac.T @ jac
+        lam = damping * normal.diagonal().max()
+        step = np.linalg.solve(normal + lam * np.eye(free.sum()), -(jac.T @ r))
+        x_new = x.copy()
+        x_new[free] += step
+        x_new = np.clip(x_new, lo, hi)
+        r_new, f_new, jac_new = residuals(x_new)
+        evals += 1
+        if np.isfinite(f_new) and f_new <= f:
+            done, drop = done + 1, f - f_new
+            x, r, f, jac = x_new, r_new, f_new, jac_new
+            on_accept(done, f, x)
+            if drop < config.convergence_tol:
+                reason = "tol"
+                break
+            damping /= _LM_DAMPING_FACTOR
+        else:
+            damping *= _LM_DAMPING_FACTOR
+            if damping > _LM_DAMPING_MAX:
+                reason = "backtrack"
+                break
+    if trace is not None:
+        trace.stops[2] = StopReport(reason, done, evals, drop)
+    return hand.HandPose.from_vector(x)
 
 
 def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
@@ -326,14 +401,27 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
     """Stage III: weighted sum of keypoint, contact, penetration, and
     regularization terms over all pose parameters including the shape scale.
 
-    Returns (pose, trace)."""
+    Returns (pose, trace); the stage's stop report is ``trace.stops[3]``."""
     if trace is None:
         trace = OptimizationTrace(snapshot_interval=config.snapshot_interval)
     weights = (config.w_kp, config.w_c, config.w_pene, config.w_reg)
-    pose = _run_stage(3, pose1, weights, hand.parameter_bounds(),
-                      config.max_iters_stage3, config, trace, keypoints, obj,
-                      contact_target.likelihood)
-    return pose, trace
+    w_kp, w_c, w_pene, w_reg = weights
+
+    def fun(vec):
+        (l_kp, g_kp), (l_c, g_c), (l_p, g_p), (l_r, g_r) = pose_terms(
+            vec, keypoints, obj, contact_target.likelihood, weights)
+        total = w_kp * l_kp + w_c * l_c + w_pene * l_p + w_reg * l_r
+        grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
+        return total, grad, (l_kp, l_c, l_p, l_r)
+
+    def on_accept(it, f, terms, vec):
+        trace.append(3, it, f, terms, vec)
+
+    x, trace.stops[3] = _descend(
+        fun, pose1.as_vector(), *hand.parameter_bounds(),
+        config.max_iters_stage3, config.step_size, config.convergence_tol,
+        on_accept)
+    return hand.HandPose.from_vector(x), trace
 
 
 def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel,

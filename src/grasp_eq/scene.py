@@ -209,11 +209,15 @@ def nearest_site(points, sites):
 
     A dense cdist + argmin (ties go to the lowest site index): against the
     80 hand samples or a few dozen patch points it is faster than building
-    a kd-tree over the sites on every call.
+    a kd-tree over the sites on every call.  The argmin runs over squared
+    distances and only the winners take a square root, so the distances
+    equal cdist's euclidean ones bit for bit; two sites whose squared
+    distances differ only below the rounding of the square root are not a
+    tie, and the strictly nearer one wins.
     """
-    d_mat = cdist(points, sites)
-    idx = np.argmin(d_mat, axis=1)
-    return d_mat[np.arange(idx.size), idx], idx
+    d_sq = cdist(points, sites, "sqeuclidean")
+    idx = np.argmin(d_sq, axis=1)
+    return np.sqrt(d_sq[np.arange(idx.size), idx]), idx
 
 
 def nearest_surface(obj: ObjectModel, queries):

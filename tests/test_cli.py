@@ -210,6 +210,42 @@ class TestBatch:
         monkeypatch.setenv(batch_mod.THREADS_ENV, "2")
         assert batch_mod.max_threads() == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_thread_env_below_one_raises(self, monkeypatch, cap):
+        from grasp_eq import batch as batch_mod
+        monkeypatch.setenv(batch_mod.THREADS_ENV, cap)
+        with pytest.raises(ValueError, match=batch_mod.THREADS_ENV):
+            batch_mod.max_threads()
+
+    def test_cli_batch_rejects_zero_thread_env(self, tmp_path, monkeypatch,
+                                               capsys):
+        from grasp_eq import batch as batch_mod
+        monkeypatch.setenv(batch_mod.THREADS_ENV, "0")
+        assert main(["batch", "--count", "1", "--samples", "512",
+                     "--out-dir", str(tmp_path / "batch")]) == 2
+        assert batch_mod.THREADS_ENV in capsys.readouterr().err
+
+    def test_cli_batch_exit_code_names_failed_scenes(self, tmp_path, capsys):
+        out = tmp_path / "batch"
+        assert main(["batch", "--count", "1", "--shapes", "sphere",
+                     "--samples", "15", "--out-dir", str(out)]) == 2
+        summary = (out / "summary.csv").read_text()
+        assert "InvalidShape" in summary
+        assert "scene 0: error: InvalidShape" in capsys.readouterr().err
+
+    def test_cli_batch_solver_failures_exit_3(self, tmp_path, monkeypatch,
+                                              capsys):
+        from grasp_eq import batch as batch_mod
+        from grasp_eq.errors import SolverError
+
+        def failing_pipeline(*args, **kwargs):
+            raise SolverError("no convergence")
+        monkeypatch.setattr(batch_mod, "run_pipeline", failing_pipeline)
+        out = tmp_path / "batch"
+        assert main(["batch", "--count", "2", "--shapes", "sphere",
+                     "--samples", "512", "--out-dir", str(out)]) == 3
+        assert (out / "summary.csv").exists()
+
     def test_cli_batch(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimizer": {"max_iters_stage2": 10,

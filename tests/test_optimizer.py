@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
 from grasp_eq import hand
-from grasp_eq.keypoints import KeypointSet
+from grasp_eq.batch import build_batch
+from grasp_eq.keypoints import KeypointSet, find_keypoints
 from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
                                 contact_loss, evaluate_grasp, fit_keypoints,
                                 kp_loss, optimize_grasp,
                                 penetration_loss, pose_terms, reg_loss,
                                 register_global,
                                 registration_to_pose, run_pipeline)
-from grasp_eq.scene import contact_map_from_hand, signed_distance
+from grasp_eq.scene import (CONTACT_RADIUS, contact_likelihood,
+                            contact_map_from_hand, signed_distance)
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import sphere_object
@@ -128,6 +131,23 @@ class TestFitKeypoints:
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
         assert totals[-1] > 0.1
 
+    def test_stops_on_tol_in_few_evaluations(self):
+        for scene in build_batch(4, ("sphere", "box", "cylinder", "plate"),
+                                 seed=3):
+            obj = generate_scene(scene.spec)
+            contacts = generate_contacts(obj, scene.style, seed=scene.spec.seed)
+            kps = find_keypoints(obj, contacts)
+            ref = hand.forward_kinematics(hand.neutral_grasp_pose())
+            pose1 = registration_to_pose(register_global(
+                ref.part_centers[np.asarray(kps.parts) - 1], kps.targets))
+            trace = OptimizationTrace()
+            pose = fit_keypoints(pose1, kps, OptimizationConfig(), trace=trace)
+            stop = trace.stops[2]
+            assert stop.reason == "tol"
+            assert stop.evaluations <= 20
+            assert stop.iterations == len(trace.stage_records(2)) - 1
+            assert kp_loss(hand.forward_kinematics(pose), None, kps)[0] < 1e-12
+
 
 class TestGradients:
     def test_stage3_terms_match_finite_differences(self, sphere_scene):
@@ -167,6 +187,27 @@ class TestGradients:
                                       geometry.sample_parts)
         assert 0.0 < state.likelihood.min() < state.likelihood.max() == 1.0
         assert value == np.mean(np.abs(state.likelihood - contacts.likelihood))
+
+    def test_contact_loss_matches_add_at_reference(self, sphere_scene):
+        obj, contacts = sphere_scene
+        vec, _ = TestPoseTerms.touching(obj)
+        geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+        # the loss written with a full euclidean cdist and np.add.at
+        d_mat = cdist(obj.points, geometry.samples)
+        nearest = np.argmin(d_mat, axis=1)
+        d = d_mat[np.arange(obj.n_points), nearest]
+        resid = contact_likelihood(d) - contacts.likelihood
+        idx = np.flatnonzero((d > CONTACT_RADIUS) & (resid != 0))
+        coef = (np.sign(resid[idx]) * (-CONTACT_RADIUS / d[idx] ** 2)
+                / obj.n_points)
+        unit = (geometry.samples[nearest[idx]] - obj.points[idx]) / d[idx, None]
+        pull = np.zeros((hand.N_SAMPLES, 3))
+        np.add.at(pull, nearest[idx], coef[:, None] * unit)
+        ref_grad = np.einsum("sd,sdp->p", pull, hand.sample_jacobians(jac))
+        value, grad = contact_loss(geometry, jac, obj, contacts.likelihood)
+        assert np.any(d <= 2 * CONTACT_RADIUS) and np.any(ref_grad != 0.0)
+        assert value == float(np.mean(np.abs(resid)))
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_flat_losses_have_zero_gradient(self, sphere_scene):
         obj, contacts = sphere_scene
@@ -208,7 +249,7 @@ class TestPoseTerms:
         for k in (0, 2, 3):
             assert terms[k][0] == 0.0
             assert np.array_equal(terms[k][1], np.zeros(hand.N_PARAMS))
-        # stage II's weights need neither an object nor a contact target
+        # the keypoint term alone needs neither an object nor a contact target
         kp_only = pose_terms(vec, kps, None, None, (1.0, 0.0, 0.0, 0.0))
         assert kp_only[0][0] > 0.0
         assert all(value == 0.0 for value, _ in kp_only[1:])
@@ -235,6 +276,16 @@ class TestPoseTerms:
 
 
 class TestOptimizeGrasp:
+    def test_budget_of_one_reports_cap(self, sphere_scene):
+        obj, contacts = sphere_scene
+        vec, kps = TestPoseTerms.touching(obj)
+        _, trace = optimize_grasp(hand.HandPose.from_vector(vec), obj,
+                                  contacts, kps,
+                                  OptimizationConfig(max_iters_stage3=1))
+        stop = trace.stops[3]
+        assert (stop.reason, stop.iterations) == ("cap", 1)
+        assert stop.evaluations >= 2 and stop.last_drop > 0.0
+
     def test_regularizer_only_pull(self, sphere_scene):
         obj, contacts = sphere_scene
         pose0 = hand.neutral_grasp_pose()

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
 from grasp_eq.errors import EmptyHand, EmptyObject, InvalidNormal
 from grasp_eq.scene import (CONTACT_RADIUS, ContactState, ObjectModel,
                             build_tangent_basis, compute_inertia,
                             contact_likelihood, contact_map_from_hand,
-                            nearest_surface, signed_distance, tangent_bases)
+                            nearest_site, nearest_surface, signed_distance,
+                            tangent_bases)
 
 from conftest import sphere_object
 
@@ -164,6 +168,46 @@ class TestContactLikelihood:
         c0 = CONTACT_RADIUS
         lik = contact_likelihood(np.array([0.0, c0, 2 * c0, 4 * c0]))
         assert lik.tolist() == [1.0, 1.0, 0.5, 0.25]
+
+
+def _euclidean_nearest(points, sites):
+    """Reference: full euclidean cdist, then argmin over the distances."""
+    d_mat = cdist(points, sites)
+    idx = np.argmin(d_mat, axis=1)
+    return d_mat[np.arange(idx.size), idx], idx, d_mat
+
+
+def _cloud(coord, max_size):
+    return st.lists(st.tuples(coord, coord, coord), min_size=1,
+                    max_size=max_size).map(lambda rows: np.array(rows, float))
+
+
+class TestNearestSite:
+    # On a grid of eighths every squared distance is exact and distinct ones
+    # differ far above rounding, so the reference's ties are true ties:
+    # duplicated sites and sites at equal distances.
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(points=_cloud(st.integers(-16, 16).map(lambda k: k / 8), 12),
+           sites=_cloud(st.integers(-16, 16).map(lambda k: k / 8), 8),
+           dups=st.lists(st.integers(0, 7), max_size=6))
+    def test_matches_euclidean_argmin_on_grid(self, points, sites, dups):
+        sites = np.vstack([sites, sites[np.asarray(dups, int) % len(sites)]])
+        d, idx = nearest_site(points, sites)
+        ref_d, ref_idx, _ = _euclidean_nearest(points, sites)
+        assert d.tobytes() == ref_d.tobytes()
+        assert np.array_equal(idx, ref_idx)
+
+    # Off the grid, two squared distances one ulp apart can round to one
+    # euclidean distance; the reference then takes the lower index and the
+    # squared argmin the strictly nearer site, at the same distance.
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(points=_cloud(st.floats(-1.0, 1.0), 12),
+           sites=_cloud(st.floats(-1.0, 1.0), 8))
+    def test_distances_bit_identical_off_grid(self, points, sites):
+        d, idx = nearest_site(points, sites)
+        ref_d, _, d_mat = _euclidean_nearest(points, sites)
+        assert d.tobytes() == ref_d.tobytes()
+        assert d_mat[np.arange(idx.size), idx].tobytes() == ref_d.tobytes()
 
 
 class TestContactMap:
