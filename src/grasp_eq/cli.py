@@ -88,11 +88,10 @@ def _binning(args, cfg):
 
 
 def _emit(payload, path=None):
-    text = json.dumps(io_mod.to_jsonable(payload), indent=2)
     if path:
-        io_mod.atomic_write_text(path, text + "\n")
+        io_mod.dump_json(path, payload)
     else:
-        print(text)
+        print(json.dumps(io_mod.to_jsonable(payload), indent=2))
 
 
 def _cmd_synth(args, cfg):

@@ -115,15 +115,14 @@ def assemble(obj: ObjectModel, points, normals, forces,
             b_dirs, t_dirs = _pivot_tangents(normals)
         else:
             b_dirs, t_dirs = (np.asarray(a, dtype=float).reshape(n, 3) for a in bases)
-        arms = points - obj.com
+        dirs = np.stack([normals, b_dirs, t_dirs])
         inv_inertia = 1.0 / obj.inertia if obj.inertia > 0 else 0.0
-        def blocks(dirs, sign):
-            top = sign * dirs.T / obj.mass
-            bottom = sign * np.cross(arms, dirs).T * inv_inertia
-            return np.vstack([top, bottom])
-        n_mat = blocks(normals, -1.0)
-        b_mat = blocks(b_dirs, 1.0)
-        t_mat = blocks(t_dirs, 1.0)
+        n_mat, b_mat, t_mat = np.concatenate(
+            [dirs / obj.mass, np.cross(points - obj.com, dirs) * inv_inertia],
+            axis=2).transpose(0, 2, 1)
+        # negated after the fact: crossing with -normals would flip the
+        # sign of exactly-cancelling zeros
+        n_mat = -n_mat
     else:
         n_mat = b_mat = t_mat = np.zeros((6, 0))
     gravity6 = np.concatenate([gravity, np.zeros(3)])

@@ -17,7 +17,7 @@ from . import hand
 from .equilibrium import _interval_bounds, assemble, loss_gradient, stability_loss_masked
 from .optimizer import pose_terms
 from .scene import (CONTACT_RADIUS, GRAVITY, ObjectModel, contact_likelihood,
-                    nearest_site, nearest_surface)
+                    nearest_surface)
 from .synth import SyntheticScene, generate_contacts, generate_scene
 
 
@@ -86,7 +86,9 @@ def pose_fd_safe(pose, obj, target_likelihood, h=1e-6, safety=4.0):
                                  axis=1).max()) + 1.0
     move = safety * h * chain
     c0 = CONTACT_RADIUS
-    d, _ = nearest_site(obj.points, geometry.samples)
+    # nearest and second-nearest sample distance per object point
+    near = np.partition(cdist(obj.points, geometry.samples), 1, axis=1)
+    d, second = near[:, 0], near[:, 1]
     if np.any(np.abs(d - c0) <= move):
         return False
     resid = contact_likelihood(d) - target_likelihood
@@ -94,7 +96,6 @@ def pose_fd_safe(pose, obj, target_likelihood, h=1e-6, safety=4.0):
     if np.any(np.abs(resid) <= slope * move):
         return False
     # nearest-sample ties only matter where the slope is non-negligible
-    second = np.partition(cdist(obj.points, geometry.samples), 1, axis=1)[:, 1]
     if np.any((second - d <= 2 * move) & (slope * move > 1e-14)):
         return False
     _, _, sd = nearest_surface(obj, geometry.samples)

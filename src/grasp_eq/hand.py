@@ -265,16 +265,17 @@ def rotation_matrix(omega) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
-def _local_joints(pose: HandPose):
-    """Hand-frame finger joints plus the per-angle rotation axes and pivots.
+def _local_joints(vec):
+    """Hand-frame finger joints of pose vector ``vec`` plus the per-angle
+    rotation axes and pivots.
 
     Returns (joints, axes, pivots), each of shape (5, 4, 3): joints[f] are
     the base and the three distal joints of finger f, axes[f, k] the current
     axis of its angle k (abduction, then three flexions) and pivots[f, k]
     the joint that angle turns about, used for geometric jacobians.
     """
-    s = pose.scale
-    q = pose.angles.reshape(5, 4, 1, 1)
+    s = vec[26]
+    q = vec[6:26].reshape(5, 4, 1, 1)
     frames = np.eye(3) + np.sin(q) * _ANGLE_SKEW + (1.0 - np.cos(q)) * _ANGLE_SKEW_SQ
     # chained in place: frames[:, k] becomes the orientation after the
     # abduction and k flexions
@@ -289,15 +290,16 @@ def _local_joints(pose: HandPose):
     return joints, axes, pivots
 
 
-def _posed(pose: HandPose, finger_joints, clamped):
-    """World geometry of hand-frame finger joints under the global transform.
+def _posed(vec, finger_joints, clamped):
+    """World geometry of hand-frame finger joints under the global transform
+    of pose vector ``vec``.
 
     Returns (geometry, rotated, r_glob): rotated holds the 21 joints turned
     by r_glob but not yet translated, which the jacobian reuses.
     """
-    r_glob = rotation_matrix(pose.rotation)
+    r_glob = rotation_matrix(vec[:3])
     rotated = np.concatenate([np.zeros((1, 3)), finger_joints.reshape(N_ANGLES, 3)]) @ r_glob.T
-    world = rotated + pose.translation
+    world = rotated + vec[3:6]
     geometry = HandGeometry(joints=world,
                             part_centers=_CENTER_WEIGHTS @ world,
                             samples=_SAMPLE_WEIGHTS @ world,
@@ -310,8 +312,8 @@ def _posed(pose: HandPose, finger_joints, clamped):
 def forward_kinematics(pose: HandPose) -> HandGeometry:
     """Pose the skeleton; out-of-limit angles are clamped (flagged)."""
     pose, clamped = clamp_pose(pose)
-    joints, _, _ = _local_joints(pose)
-    return _posed(pose, joints, clamped)[0]
+    vec = pose.as_vector()
+    return _posed(vec, _local_joints(vec)[0], clamped)[0]
 
 
 def part_center(geometry: HandGeometry, part: int) -> np.ndarray:
@@ -339,24 +341,26 @@ def _rotation_point_jacobian(omega, r, rotated):
     return _cross(w, rotated[:, None]).transpose(0, 2, 1)
 
 
-def fk_with_jacobians(pose: HandPose):
-    """Forward kinematics plus d(world joint)/d(pose vector).
+def fk_with_jacobians(vec):
+    """Forward kinematics plus d(world joint)/d(pose vector) at ``vec``.
 
-    Returns (geometry, jac) with jac of shape (21, 3, 27) ordered as
-    [rotation, translation, angles, scale].  Valid for in-limit poses
-    (clamping would flatten the gradient of the clamped coordinates).
+    ``vec`` is the pose vector [rotation, translation, angles, scale] and
+    must lie in ``parameter_bounds()``: it is neither validated nor clamped,
+    so the geometry's ``clamped`` reads False and the jacobian is over
+    ``vec`` itself.  Returns (geometry, jac) with jac of shape (21, 3, 27)
+    in the same order.
     """
-    pose, clamped = clamp_pose(pose)
-    joints, axes, pivots = _local_joints(pose)
-    geometry, rotated, r_glob = _posed(pose, joints, clamped)
+    vec = np.asarray(vec, dtype=float)
+    joints, axes, pivots = _local_joints(vec)
+    geometry, rotated, r_glob = _posed(vec, joints, False)
     jac = np.zeros((N_JOINTS, 3, N_PARAMS))
-    jac[:, :, 0:3] = _rotation_point_jacobian(pose.rotation, r_glob, rotated)
+    jac[:, :, 0:3] = _rotation_point_jacobian(vec[:3], r_glob, rotated)
     jac[:, :, 3:6] = np.eye(3)
     # angles: revolute-joint rule, d p/d q = w x (p - pivot), downstream only
     arms = joints[:, None, 1:] - pivots[:, :, None]
     d_local = _cross(axes[:, :, None], arms) * _DOWNSTREAM
     jac[_ANGLE_ROWS, :, _ANGLE_COLS] = d_local @ r_glob.T
-    jac[:, :, 26] = rotated / pose.scale
+    jac[:, :, 26] = rotated / vec[26]
     return geometry, jac
 
 

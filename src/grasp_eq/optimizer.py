@@ -5,17 +5,20 @@ onto the keypoint targets, (II) Levenberg-Marquardt fitting of joint angles
 plus the global transform to the targets, on the keypoint residuals and
 their exact jacobian, (III) full optimization adding contact-map,
 penetration, and regularization terms.  All gradients flow analytically
-through the kinematic chain.  Stage III's descent is projected,
-per-parameter adaptive, and backtracking, and carries its step length from
-one line search to the next; ``step_size`` caps it.  Both stages accept
-only steps that do not raise their objective, and each records why it
-stopped in ``OptimizationTrace.stops``.
+through the kinematic chain.  Stages II and III run one accept/stop loop,
+``_descend``, over the 27-dim pose vector kept inside
+``hand.parameter_bounds()``; each stage only supplies its trial points.
+Stage II's are damped Gauss-Newton steps; stage III's are projected,
+per-parameter adaptive, and backtracking, carrying the step length from one
+line search to the next, capped by ``step_size``.  A step is accepted only
+if it does not raise the objective, and each stage records why it stopped
+in ``OptimizationTrace.stops``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -47,7 +50,6 @@ class OptimizationConfig:
     max_iters_stage2: int = 200
     max_iters_stage3: int = 300
     convergence_tol: float = 1e-12
-    snapshot_interval: int = 50
 
     def __post_init__(self):
         if min(self.w_kp, self.w_c, self.w_pene, self.w_reg) < 0:
@@ -71,24 +73,18 @@ class TraceRecord:
 
 @dataclass
 class OptimizationTrace:
-    """Per-iteration loss records, periodic pose snapshots, and each stage's
-    StopReport keyed by stage number."""
+    """Per-iteration loss records and each stage's StopReport keyed by
+    stage number."""
 
-    snapshot_interval: int = 50
     records: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
     stops: dict = field(default_factory=dict)
 
-    def append(self, stage, iteration, total, terms, pose_vec=None):
-        """Record one accepted step; every ``snapshot_interval``-th iteration
-        also keeps the pose built from ``pose_vec``."""
+    def append(self, stage, iteration, total, terms):
+        """Record one accepted step."""
         self.records.append(TraceRecord(stage=stage, iteration=iteration,
                                         total=total, kp=terms[0],
                                         contact=terms[1], penetration=terms[2],
                                         reg=terms[3]))
-        if pose_vec is not None and iteration % self.snapshot_interval == 0:
-            self.snapshots.append((stage, iteration,
-                                   hand.HandPose.from_vector(pose_vec)))
 
     def stage_records(self, stage):
         return [r for r in self.records if r.stage == stage]
@@ -250,7 +246,7 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights):
     is zero, or the keypoint term without keypoints, is not evaluated and
     reads (0, 0).
     """
-    geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+    geometry, jac = hand.fk_with_jacobians(vec)
     w_kp, w_c, w_pene, w_reg = weights
     off = (0.0, np.zeros(hand.N_PARAMS))
     return (kp_loss(geometry, jac, keypoints)
@@ -282,38 +278,36 @@ class StopReport:
     last_drop: float
 
 
-def _descend(fun, x0, lo, hi, max_iters, step_size, tol, on_accept):
-    """Projected descent with per-parameter adaptive steps and backtracking.
+def _descend(fun, x0, lo, hi, max_iters, tol, trials, on_accept):
+    """The accept/stop loop that stages II and III share.
 
-    ``fun(x) -> (value, grad, terms)``.  A step is accepted only if it does
-    not increase the objective, so the recorded sequence is non-increasing.
-    Non-finite trial values are treated as rejections.  Each line search
-    starts at twice the last accepted step, at most ``step_size``, and
-    halves on rejection.  Returns (x, StopReport).
+    ``fun(x) -> (value, state)``; ``trials(x, state)`` yields one
+    iteration's trial points, and the first finite one that does not raise
+    the value is accepted, so the recorded sequence is non-increasing.
+    ``on_accept(iteration, value, state)`` sees the start and every accepted
+    step.  Stops on 'tol' (value 0, or a drop below ``tol``), 'backtrack'
+    (the trials ran out) or 'cap' (``max_iters`` accepted steps).  Returns
+    (x, StopReport).
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g, terms = fun(x)
+    f, state = fun(x)
     evals, done, drop, reason = 1, 0, math.nan, "cap"
-    accum = np.zeros_like(x)
-    step = step_size
-    on_accept(0, f, terms, x)
-    for it in range(1, max_iters + 1):
-        accum += g * g
-        direction = g / np.sqrt(accum + 1e-12)
-        step = min(2.0 * step, step_size)
-        for _ in range(40):
-            x_new = np.clip(x - step * direction, lo, hi)
-            f_new, g_new, terms_new = fun(x_new)
+    on_accept(0, f, state)
+    while done < max_iters:
+        if f == 0.0:
+            reason = "tol"
+            break
+        for x_new in trials(x, state):
+            f_new, state_new = fun(x_new)
             evals += 1
             if np.isfinite(f_new) and f_new <= f:
                 break
-            step *= 0.5
         else:
             reason = "backtrack"
             break
-        done, drop = it, f - f_new
-        x, f, g, terms = x_new, f_new, g_new, terms_new
-        on_accept(it, f, terms, x)
+        done, drop = done + 1, f - f_new
+        x, f, state = x_new, f_new, state_new
+        on_accept(done, f, state)
         if drop < tol:
             reason = "tol"
             break
@@ -340,56 +334,45 @@ def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
     the step to the joint limits.  Of the many poses that fit three
     keypoints, unscaled damping (not Moré's column scaling) favours moving
     the global transform over articulation, which leaves stage III less to
-    push into the object.  Only steps that do not raise the loss are
-    accepted; lam falls after an accepted step and rises after a rejected
-    one, and runaway damping stops the stage as 'backtrack' (see
+    push into the object.  lam falls after an accepted step and rises after
+    a rejected one, and runaway damping stops the stage as 'backtrack' (see
     StopReport).  Returns the best pose found.
     """
     lo, hi = hand.parameter_bounds(lock_scale=pose0.scale)
     free = lo < hi
+    eye = np.eye(free.sum())
+    damping = None
 
     def residuals(vec):
-        geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+        geometry, jac = hand.fk_with_jacobians(vec)
         resid, resid_jac = kp_residuals(geometry, jac, keypoints)
         r = resid.ravel()
-        return r, float(r @ r), resid_jac.reshape(r.size, -1)[:, free]
+        return float(r @ r), (r, resid_jac.reshape(r.size, -1)[:, free])
 
-    def on_accept(it, f, vec):
-        if trace is not None:
-            trace.append(2, it, f, (f, 0.0, 0.0, 0.0), vec)
-
-    x = np.clip(pose0.as_vector(), lo, hi)
-    r, f, jac = residuals(x)
-    evals, done, drop, reason = 1, 0, math.nan, "cap"
-    damping = _LM_DAMPING_START
-    on_accept(0, f, x)
-    while done < config.max_iters_stage2:
-        if f == 0.0:
-            reason = "tol"
-            break
+    def trials(x, state):
+        # every call but the first follows an accepted step
+        nonlocal damping
+        damping = (_LM_DAMPING_START if damping is None
+                   else damping / _LM_DAMPING_FACTOR)
+        r, jac = state
         normal = jac.T @ jac
-        lam = damping * normal.diagonal().max()
-        step = np.linalg.solve(normal + lam * np.eye(free.sum()), -(jac.T @ r))
-        x_new = x.copy()
-        x_new[free] += step
-        x_new = np.clip(x_new, lo, hi)
-        r_new, f_new, jac_new = residuals(x_new)
-        evals += 1
-        if np.isfinite(f_new) and f_new <= f:
-            done, drop = done + 1, f - f_new
-            x, r, f, jac = x_new, r_new, f_new, jac_new
-            on_accept(done, f, x)
-            if drop < config.convergence_tol:
-                reason = "tol"
-                break
-            damping /= _LM_DAMPING_FACTOR
-        else:
+        diag_max, rhs = normal.diagonal().max(), -(jac.T @ r)
+        while damping <= _LM_DAMPING_MAX:
+            lam = damping * diag_max
+            x_new = x.copy()
+            x_new[free] += np.linalg.solve(normal + lam * eye, rhs)
+            yield np.clip(x_new, lo, hi)
             damping *= _LM_DAMPING_FACTOR
-            if damping > _LM_DAMPING_MAX:
-                reason = "backtrack"
-                break
+
+    def on_accept(it, f, state):
+        if trace is not None:
+            trace.append(2, it, f, (f, 0.0, 0.0, 0.0))
+
+    x, stop = _descend(residuals, pose0.as_vector(), lo, hi,
+                       config.max_iters_stage2, config.convergence_tol,
+                       trials, on_accept)
     if trace is not None:
-        trace.stops[2] = StopReport(reason, done, evals, drop)
+        trace.stops[2] = stop
     return hand.HandPose.from_vector(x)
 
 
@@ -401,26 +384,41 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
     """Stage III: weighted sum of keypoint, contact, penetration, and
     regularization terms over all pose parameters including the shape scale.
 
-    Returns (pose, trace); the stage's stop report is ``trace.stops[3]``."""
+    Each iteration scales the gradient per parameter by its accumulated
+    magnitude, then backtracks from twice the last accepted step, at most
+    ``step_size``, halving up to 40 times.  Returns (pose, trace); the
+    stage's stop report is ``trace.stops[3]``."""
     if trace is None:
-        trace = OptimizationTrace(snapshot_interval=config.snapshot_interval)
+        trace = OptimizationTrace()
     weights = (config.w_kp, config.w_c, config.w_pene, config.w_reg)
     w_kp, w_c, w_pene, w_reg = weights
+    lo, hi = hand.parameter_bounds()
+    accum = np.zeros(hand.N_PARAMS)
+    step = config.step_size
 
     def fun(vec):
         (l_kp, g_kp), (l_c, g_c), (l_p, g_p), (l_r, g_r) = pose_terms(
             vec, keypoints, obj, contact_target.likelihood, weights)
         total = w_kp * l_kp + w_c * l_c + w_pene * l_p + w_reg * l_r
         grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
-        return total, grad, (l_kp, l_c, l_p, l_r)
+        return total, (grad, (l_kp, l_c, l_p, l_r))
 
-    def on_accept(it, f, terms, vec):
-        trace.append(3, it, f, terms, vec)
+    def trials(x, state):
+        nonlocal accum, step
+        grad = state[0]
+        accum += grad * grad
+        direction = grad / np.sqrt(accum + 1e-12)
+        step = min(2.0 * step, config.step_size)
+        for _ in range(40):
+            yield np.clip(x - step * direction, lo, hi)
+            step *= 0.5
+
+    def on_accept(it, f, state):
+        trace.append(3, it, f, state[1])
 
     x, trace.stops[3] = _descend(
-        fun, pose1.as_vector(), *hand.parameter_bounds(),
-        config.max_iters_stage3, config.step_size, config.convergence_tol,
-        on_accept)
+        fun, pose1.as_vector(), lo, hi, config.max_iters_stage3,
+        config.convergence_tol, trials, on_accept)
     return hand.HandPose.from_vector(x), trace
 
 
@@ -475,9 +473,10 @@ def run_pipeline(obj: ObjectModel, contacts: ContactState,
     """Full synthesis pass: keypoints, two-stage init, stage-III refinement.
 
     With ``use_keypoints`` off, stages I and II are skipped and stage III
-    runs from the rest pose with w_kp = 0 (ablation baseline).
+    runs from the neutral grasp pose without keypoints, so its keypoint
+    term reads 0 (ablation baseline).
     """
-    trace = OptimizationTrace(snapshot_interval=config.snapshot_interval)
+    trace = OptimizationTrace()
     if use_keypoints:
         kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
                              cluster_radius=cluster_radius, n_kp=n_kp,
@@ -493,8 +492,7 @@ def run_pipeline(obj: ObjectModel, contacts: ContactState,
     else:
         kps, reg = None, None
         pose1 = pose2 = hand.neutral_grasp_pose()
-        cfg = replace(config, w_kp=0.0)
-        pose3, trace = optimize_grasp(pose1, obj, contacts, None, cfg,
+        pose3, trace = optimize_grasp(pose1, obj, contacts, None, config,
                                       trace=trace)
     return PipelineResult(
         keypoints=kps, registration=reg, pose_stage1=pose1, pose_stage2=pose2,

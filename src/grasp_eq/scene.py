@@ -155,26 +155,6 @@ class ContactState:
         return self.force > 0
 
 
-@dataclass(frozen=True, eq=False)
-class TangentBasis:
-    """Right-handed orthonormal frame (b, t, n) with n the surface normal."""
-
-    b: np.ndarray
-    t: np.ndarray
-    n: np.ndarray
-
-
-def build_tangent_basis(n):
-    """Deterministic tangent frame for a unit normal (see tangent_bases)."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or not np.all(np.isfinite(n)):
-        raise InvalidNormal("normal must be a finite 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
-        raise InvalidNormal("normal must have unit length")
-    b, t = tangent_bases(n[None])
-    return TangentBasis(b=_freeze(b[0]), t=_freeze(t[0]), n=_freeze(n.copy()))
-
-
 def tangent_bases(normals):
     """Stacked (b, t) tangent frames for an (n, 3) array of unit normals.
 

@@ -69,7 +69,8 @@ class TestCliBasics:
         assert "n_kp" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block", [{"n_kp": 0},
-                                       {"optimizer": {"seed": 0}}])
+                                       {"optimizer": {"seed": 0}},
+                                       {"optimizer": {"snapshot_interval": 10}}])
     def test_optimize_rejects_bad_config(self, scene_files, tmp_path, capsys,
                                          block):
         scene, contacts = scene_files

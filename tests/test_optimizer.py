@@ -130,6 +130,8 @@ class TestFitKeypoints:
         totals = [r.total for r in trace.stage_records(2)]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
         assert totals[-1] > 0.1
+        stop = trace.stops[2]
+        assert (stop.reason, stop.iterations, stop.evaluations) == ("cap", 200, 402)
 
     def test_stops_on_tol_in_few_evaluations(self):
         for scene in build_batch(4, ("sphere", "box", "cylinder", "plate"),
@@ -191,7 +193,7 @@ class TestGradients:
     def test_contact_loss_matches_add_at_reference(self, sphere_scene):
         obj, contacts = sphere_scene
         vec, _ = TestPoseTerms.touching(obj)
-        geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+        geometry, jac = hand.fk_with_jacobians(vec)
         # the loss written with a full euclidean cdist and np.add.at
         d_mat = cdist(obj.points, geometry.samples)
         nearest = np.argmin(d_mat, axis=1)
@@ -213,7 +215,7 @@ class TestGradients:
         obj, contacts = sphere_scene
         pose = hand.HandPose(translation=[1.0, 0.0, 0.0],
                              angles=hand.neutral_grasp_pose().angles)
-        geometry, jac = hand.fk_with_jacobians(pose)
+        geometry, jac = hand.fk_with_jacobians(pose.as_vector())
         value, grad = penetration_loss(geometry, jac, obj)
         assert value == 0.0
         assert_allclose(grad, 0.0)
@@ -231,7 +233,7 @@ class TestPoseTerms:
         vec, kps = self.touching(obj)
         terms = pose_terms(vec, kps, obj, contacts.likelihood,
                            (1.0, 1.0, 1.0, 1.0))
-        geometry, jac = hand.fk_with_jacobians(hand.HandPose.from_vector(vec))
+        geometry, jac = hand.fk_with_jacobians(vec)
         standalone = (kp_loss(geometry, jac, kps),
                       contact_loss(geometry, jac, obj, contacts.likelihood),
                       penetration_loss(geometry, jac, obj),
@@ -400,11 +402,49 @@ class TestPipeline:
             residual = float(np.sum((kps.targets - (src @ rot.T + t)) ** 2))
             assert best <= residual + 1e-12
 
-    def test_trace_snapshots(self, sphere_scene):
+
+class TestSharedDescent:
+    def test_no_pose_built_or_clamped_per_evaluation(self, sphere_scene,
+                                                     monkeypatch):
         obj, contacts = sphere_scene
-        config = OptimizationConfig(max_iters_stage2=30, max_iters_stage3=30,
-                                    snapshot_interval=10)
-        result = run_pipeline(obj, contacts, config)
-        assert len(result.trace.snapshots) >= 2
-        stage, iteration, pose = result.trace.snapshots[0]
-        assert isinstance(pose, hand.HandPose)
+        kps = find_keypoints(obj, contacts)
+        ref = hand.forward_kinematics(hand.neutral_grasp_pose())
+        pose1 = registration_to_pose(register_global(
+            ref.part_centers[np.asarray(kps.parts) - 1], kps.targets))
+        calls = {"clamp_pose": 0, "from_vector": 0}
+        clamp_pose = hand.clamp_pose
+        from_vector = hand.HandPose.__dict__["from_vector"].__func__
+
+        def counted_clamp(pose):
+            calls["clamp_pose"] += 1
+            return clamp_pose(pose)
+
+        def counted_from_vector(cls, vec):
+            calls["from_vector"] += 1
+            return from_vector(cls, vec)
+
+        monkeypatch.setattr(hand, "clamp_pose", counted_clamp)
+        monkeypatch.setattr(hand.HandPose, "from_vector",
+                            classmethod(counted_from_vector))
+        config = OptimizationConfig()
+        trace = OptimizationTrace()
+        pose2 = fit_keypoints(pose1, kps, config, trace=trace)
+        assert calls == {"clamp_pose": 0, "from_vector": 1}
+        optimize_grasp(pose2, obj, contacts, kps, config, trace=trace)
+        assert calls == {"clamp_pose": 0, "from_vector": 2}
+        assert trace.stops[2].evaluations + trace.stops[3].evaluations > 2
+
+    def test_stop_reports_match_traces(self):
+        config = OptimizationConfig()
+        caps = {2: config.max_iters_stage2, 3: config.max_iters_stage3}
+        for scene in build_batch(4, ("sphere", "box", "cylinder", "plate"),
+                                 seed=3):
+            obj = generate_scene(scene.spec)
+            contacts = generate_contacts(obj, scene.style, seed=scene.spec.seed)
+            for use_keypoints in (True, False):
+                trace = run_pipeline(obj, contacts, config,
+                                     use_keypoints=use_keypoints).trace
+                assert sorted(trace.stops) == ([2, 3] if use_keypoints else [3])
+                for stage, stop in trace.stops.items():
+                    assert stop.iterations == len(trace.stage_records(stage)) - 1
+                    assert (stop.reason == "cap") == (stop.iterations == caps[stage])

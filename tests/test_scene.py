@@ -8,58 +8,63 @@ from scipy.spatial.transform import Rotation
 
 from grasp_eq.errors import EmptyHand, EmptyObject, InvalidNormal
 from grasp_eq.scene import (CONTACT_RADIUS, ContactState, ObjectModel,
-                            build_tangent_basis, compute_inertia,
-                            contact_likelihood, contact_map_from_hand,
-                            nearest_site, nearest_surface, signed_distance,
-                            tangent_bases)
+                            compute_inertia, contact_likelihood,
+                            contact_map_from_hand, nearest_site,
+                            nearest_surface, signed_distance, tangent_bases)
 
 from conftest import sphere_object
 
 
+def tangent_frame(n):
+    """(b, t, n) of one unit normal through the stacked tangent_bases."""
+    b, t = tangent_bases(n[None])
+    return b[0], t[0], n
+
+
 class TestTangentBasis:
     def test_canonical_z_axis(self):
-        basis = build_tangent_basis(np.array([0.0, 0.0, 1.0]))
-        assert_allclose(basis.b, [1.0, 0.0, 0.0])
-        assert_allclose(basis.t, [0.0, 1.0, 0.0])
-        assert_allclose(basis.n, [0.0, 0.0, 1.0])
+        b, t, n = tangent_frame(np.array([0.0, 0.0, 1.0]))
+        assert_allclose(b, [1.0, 0.0, 0.0])
+        assert_allclose(t, [0.0, 1.0, 0.0])
+        assert_allclose(n, [0.0, 0.0, 1.0])
 
     def test_negative_z(self):
-        basis = build_tangent_basis(np.array([0.0, 0.0, -1.0]))
-        assert_allclose(np.cross(basis.b, basis.t), [0.0, 0.0, -1.0], atol=1e-12)
-        assert abs(basis.b @ basis.t) < 1e-12
-        assert abs(basis.b @ basis.n) < 1e-12
+        b, t, n = tangent_frame(np.array([0.0, 0.0, -1.0]))
+        assert_allclose(np.cross(b, t), [0.0, 0.0, -1.0], atol=1e-12)
+        assert abs(b @ t) < 1e-12
+        assert abs(b @ n) < 1e-12
 
     def test_diagonal_normal(self):
         n = np.ones(3) / np.sqrt(3.0)
-        basis = build_tangent_basis(n)
-        frame = np.stack([basis.b, basis.t, basis.n])
+        b, t, _ = tangent_frame(n)
+        frame = np.stack([b, t, n])
         assert_allclose(frame @ frame.T, np.eye(3), atol=1e-9)
-        assert_allclose(np.cross(basis.b, basis.t), n, atol=1e-9)
+        assert_allclose(np.cross(b, t), n, atol=1e-9)
 
     def test_orthonormal_right_handed_random(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            basis = build_tangent_basis(n)
-            frame = np.stack([basis.b, basis.t, basis.n])
+            b, t, _ = tangent_frame(n)
+            frame = np.stack([b, t, n])
             assert_allclose(frame @ frame.T, np.eye(3), atol=1e-9)
-            assert_allclose(np.cross(basis.b, basis.t), basis.n, atol=1e-9)
+            assert_allclose(np.cross(b, t), n, atol=1e-9)
 
     def test_deterministic(self):
         n = np.array([0.6, 0.8, 0.0])
-        a = build_tangent_basis(n)
-        b = build_tangent_basis(n)
-        assert_allclose(a.b, b.b)
-        assert_allclose(a.t, b.t)
+        a = tangent_frame(n)
+        b = tangent_frame(n)
+        assert_allclose(a[0], b[0])
+        assert_allclose(a[1], b[1])
 
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidNormal):
-            build_tangent_basis(np.array([0.0, 0.0, 2.0]))
+            tangent_frame(np.array([0.0, 0.0, 2.0]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidNormal):
-            build_tangent_basis(np.array([np.nan, 0.0, 1.0]))
+            tangent_frame(np.array([np.nan, 0.0, 1.0]))
 
     def test_array_frames_match_per_normal_loop(self):
         rng = np.random.default_rng(7)
