@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -177,6 +178,14 @@ def _cmd_optimize(args, cfg):
                   "max_penetration": result.report_after.max_penetration},
         "keypoint_energy": result.keypoints.energy,
         "registration_residual": result.registration.residual,
+        # last_drop is nan for a stage that accepted no step; null keeps
+        # the file strict JSON
+        "stops": {str(stage): {"reason": stop.reason,
+                               "iterations": stop.iterations,
+                               "evaluations": stop.evaluations,
+                               "last_drop": None if math.isnan(stop.last_drop)
+                               else stop.last_drop}
+                  for stage, stop in sorted(result.trace.stops.items())},
     }
     io_mod.dump_json(os.path.join(args.out_dir, "evaluation.json"), evaluation)
     return 0

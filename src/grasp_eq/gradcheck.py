@@ -122,20 +122,18 @@ def check_pose_gradients(rng, obj, contacts, h=1e-6, directions=4):
         return False, 0.0
     kps_like = SimpleNamespace(parts=(4, 7, 10), targets=obj.points[:3] * 1.2)
 
-    def losses(vec):
-        terms = pose_terms(vec, kps_like, obj, contacts.likelihood,
-                           (1.0, 1.0, 1.0, 1.0))
-        return (np.array([value for value, _ in terms]),
-                np.array([grad for _, grad in terms]))
+    def terms(vec):
+        return pose_terms(vec, kps_like, obj, contacts.likelihood,
+                          (1.0, 1.0, 1.0, 1.0))
 
     vec = pose.as_vector()
-    _, grads = losses(vec)
+    grads = np.array(terms(vec)[1]())
     worst = 0.0
     for _ in range(directions):
         direction = rng.normal(size=hand.N_PARAMS)
         direction /= np.linalg.norm(direction)
-        up, _ = losses(vec + h * direction)
-        dn, _ = losses(vec - h * direction)
+        up = np.array(terms(vec + h * direction)[0])
+        dn = np.array(terms(vec - h * direction)[0])
         fd = (up - dn) / (2 * h)
         analytic = grads @ direction
         for a, f in zip(analytic, fd):

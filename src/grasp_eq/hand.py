@@ -12,6 +12,10 @@ extend along +y, the thumb leaves the palm diagonally toward +x, and the
 palm normal is +z.  Positive flexion curls a finger toward -z; positive
 abduction swings it about the palm normal.  Joint rotation axes are fixed
 in their parent frames.  World point = R(global_rotation) @ local + trans.
+
+``forward_kinematics`` poses a ``HandPose``; ``fk_with_jacobians`` poses a
+pose vector and returns, next to the geometry, a builder for the exact
+joint jacobian, so an evaluation that needs only values never builds it.
 """
 
 from __future__ import annotations
@@ -266,13 +270,13 @@ def rotation_matrix(omega) -> np.ndarray:
 
 
 def _local_joints(vec):
-    """Hand-frame finger joints of pose vector ``vec`` plus the per-angle
-    rotation axes and pivots.
+    """Hand-frame finger joints of pose vector ``vec`` and the frames that
+    turn them.
 
-    Returns (joints, axes, pivots), each of shape (5, 4, 3): joints[f] are
-    the base and the three distal joints of finger f, axes[f, k] the current
-    axis of its angle k (abduction, then three flexions) and pivots[f, k]
-    the joint that angle turns about, used for geometric jacobians.
+    Returns (joints, frames): joints[f], shape (5, 4, 3), are the base and
+    the three distal joints of finger f, and frames[f, k], shape
+    (5, 4, 3, 3), the orientation after its abduction and k flexions, which
+    carries the current axis of angle k for the geometric jacobian.
     """
     s = vec[26]
     q = vec[6:26].reshape(5, 4, 1, 1)
@@ -284,10 +288,7 @@ def _local_joints(vec):
     frames[:, 3] = frames[:, 2] @ frames[:, 3]
     bones = (frames[:, 1:] @ (_BONES * s)[..., None])[..., 0]
     joints = np.cumsum(np.concatenate([_BASES[:, None] * s, bones], axis=1), axis=1)
-    # a joint's own rotation leaves its axis fixed, so frame k carries axis k
-    axes = (frames @ _ANGLE_AXES[..., None])[..., 0]
-    pivots = joints[:, [0, 0, 1, 2]]
-    return joints, axes, pivots
+    return joints, frames
 
 
 def _posed(vec, finger_joints, clamped):
@@ -342,26 +343,36 @@ def _rotation_point_jacobian(omega, r, rotated):
 
 
 def fk_with_jacobians(vec):
-    """Forward kinematics plus d(world joint)/d(pose vector) at ``vec``.
+    """Forward kinematics at ``vec`` and a builder for d(world joint)/d(pose
+    vector) there.
 
     ``vec`` is the pose vector [rotation, translation, angles, scale] and
     must lie in ``parameter_bounds()``: it is neither validated nor clamped,
     so the geometry's ``clamped`` reads False and the jacobian is over
-    ``vec`` itself.  Returns (geometry, jac) with jac of shape (21, 3, 27)
-    in the same order.
+    ``vec`` itself.  Returns (geometry, jacobian): each ``jacobian()`` call
+    builds the (21, 3, 27) array, in the same order, from this pass's
+    kinematics, so a caller that only needs values never pays for it.
     """
     vec = np.asarray(vec, dtype=float)
-    joints, axes, pivots = _local_joints(vec)
+    joints, frames = _local_joints(vec)
     geometry, rotated, r_glob = _posed(vec, joints, False)
-    jac = np.zeros((N_JOINTS, 3, N_PARAMS))
-    jac[:, :, 0:3] = _rotation_point_jacobian(vec[:3], r_glob, rotated)
-    jac[:, :, 3:6] = np.eye(3)
-    # angles: revolute-joint rule, d p/d q = w x (p - pivot), downstream only
-    arms = joints[:, None, 1:] - pivots[:, :, None]
-    d_local = _cross(axes[:, :, None], arms) * _DOWNSTREAM
-    jac[_ANGLE_ROWS, :, _ANGLE_COLS] = d_local @ r_glob.T
-    jac[:, :, 26] = rotated / vec[26]
-    return geometry, jac
+
+    def jacobian():
+        jac = np.zeros((N_JOINTS, 3, N_PARAMS))
+        jac[:, :, 0:3] = _rotation_point_jacobian(vec[:3], r_glob, rotated)
+        jac[:, :, 3:6] = np.eye(3)
+        # angles: revolute-joint rule, d p/d q = w x (p - pivot), downstream
+        # only; a joint's own rotation leaves its axis fixed, so frame k
+        # carries axis k, and angle k turns about joint max(k - 1, 0)
+        axes = (frames @ _ANGLE_AXES[..., None])[..., 0]
+        pivots = joints[:, [0, 0, 1, 2]]
+        arms = joints[:, None, 1:] - pivots[:, :, None]
+        d_local = _cross(axes[:, :, None], arms) * _DOWNSTREAM
+        jac[_ANGLE_ROWS, :, _ANGLE_COLS] = d_local @ r_glob.T
+        jac[:, :, 26] = rotated / vec[26]
+        return jac
+
+    return geometry, jacobian
 
 
 def center_jacobians(joint_jac, parts=None):

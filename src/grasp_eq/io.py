@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -31,10 +30,16 @@ def to_jsonable(value):
 
 
 def atomic_write_text(path, text):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The temp file is created with mode 0o666 less the umask, as ``open()``
+    creates files (``mkstemp`` would fix it at 0o600, which the rename
+    keeps), without reading the process-wide umask, which means setting it.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -12,7 +12,10 @@ Stage II's are damped Gauss-Newton steps; stage III's are projected,
 per-parameter adaptive, and backtracking, carrying the step length from one
 line search to the next, capped by ``step_size``.  A step is accepted only
 if it does not raise the objective, and each stage records why it stopped
-in ``OptimizationTrace.stops``.
+in ``OptimizationTrace.stops``.  Each trial point is evaluated by value
+only: the joint jacobian and the gradients are built from that evaluation's
+kinematics and nearest-neighbour results, and only at an accepted point,
+where a stage draws its next trials.
 """
 
 from __future__ import annotations
@@ -164,67 +167,72 @@ def registration_to_pose(reg: RegistrationResult,
 
 
 # ---------------------------------------------------------------------------
-# loss terms (value + gradient w.r.t. the 27-dim pose vector)
+# loss terms: each returns its value and grad(joint_jac), which differentiates
+# it w.r.t. the 27-dim pose vector from the value pass's intermediates
 
 
-def kp_residuals(geometry, joint_jac, keypoints: KeypointSet):
-    """Selected part centers minus their targets, shape (k, 3), and their
-    jacobian (k, 3, 27) w.r.t. the pose vector (None without joint_jac)."""
+def kp_residuals(geometry, keypoints: KeypointSet):
+    """Selected part centers minus their targets, shape (k, 3)."""
     parts = np.asarray(keypoints.parts, dtype=int)
-    resid = geometry.part_centers[parts - 1] - keypoints.targets
-    if joint_jac is None:
-        return resid, None
-    return resid, hand.center_jacobians(joint_jac, parts)
+    return geometry.part_centers[parts - 1] - keypoints.targets
 
 
-def kp_loss(geometry, joint_jac, keypoints: KeypointSet):
+def kp_loss(geometry, keypoints: KeypointSet):
     """Sum of squared distances from selected part centers to targets."""
-    diff, jac = kp_residuals(geometry, joint_jac, keypoints)
-    value = float(np.sum(diff * diff))
-    if jac is None:
-        return value, None
-    return value, 2.0 * np.einsum("kd,kdp->p", diff, jac)
+    diff = kp_residuals(geometry, keypoints)
+
+    def grad(joint_jac):
+        jac = hand.center_jacobians(joint_jac, keypoints.parts)
+        return 2.0 * np.einsum("kd,kdp->p", diff, jac)
+
+    return float(np.sum(diff * diff)), grad
 
 
-def contact_loss(geometry, joint_jac, obj: ObjectModel, target_likelihood):
-    """Mean absolute difference between induced and target contact maps."""
-    n = obj.n_points
+def contact_loss(geometry, obj: ObjectModel, target_likelihood):
+    """Mean absolute difference between induced and target contact maps.
+
+    ``grad`` takes ``sample_jac``, ``hand.sample_jacobians(joint_jac)``,
+    when the caller already holds it."""
     d, nearest = nearest_site(obj.points, geometry.samples)
-    likelihood = contact_likelihood(d)
-    resid = likelihood - target_likelihood
-    value = float(np.mean(np.abs(resid)))
-    if joint_jac is None:
-        return value, None
-    active = (d > CONTACT_RADIUS) & (resid != 0)
-    grad = np.zeros(hand.N_PARAMS)
-    if np.any(active):
+    resid = contact_likelihood(d) - target_likelihood
+
+    def grad(joint_jac, sample_jac=None):
+        active = (d > CONTACT_RADIUS) & (resid != 0)
+        if not np.any(active):
+            return np.zeros(hand.N_PARAMS)
         idx = np.flatnonzero(active)
-        coef = np.sign(resid[idx]) * (-CONTACT_RADIUS / d[idx] ** 2) / n
+        coef = (np.sign(resid[idx]) * (-CONTACT_RADIUS / d[idx] ** 2)
+                / obj.n_points)
         unit = (geometry.samples[nearest[idx]] - obj.points[idx]) / d[idx, None]
         weights = coef[:, None] * unit
         pull = np.stack([np.bincount(nearest[idx], weights[:, k],
                                      hand.N_SAMPLES) for k in range(3)],
                         axis=1)
-        sample_jac = hand.sample_jacobians(joint_jac)
-        grad = np.einsum("sd,sdp->p", pull, sample_jac)
-    return value, grad
+        if sample_jac is None:
+            sample_jac = hand.sample_jacobians(joint_jac)
+        return np.einsum("sd,sdp->p", pull, sample_jac)
+
+    return float(np.mean(np.abs(resid))), grad
 
 
-def penetration_loss(geometry, joint_jac, obj: ObjectModel):
-    """Hinge on bone samples sunk deeper than their capsule radius."""
+def penetration_loss(geometry, obj: ObjectModel):
+    """Hinge on bone samples sunk deeper than their capsule radius.
+
+    ``grad`` takes ``sample_jac`` as ``contact_loss``'s does."""
     _, idx, sd = nearest_surface(obj, geometry.samples)
     arg = -sd - geometry.sample_radii
     active = arg > 0
-    value = float(arg[active].sum())
-    if joint_jac is None:
-        return value, None
-    grad = np.zeros(hand.N_PARAMS)
-    if np.any(active):
+
+    def grad(joint_jac, sample_jac=None):
+        if not np.any(active):
+            return np.zeros(hand.N_PARAMS)
         pull = np.zeros((hand.N_SAMPLES, 3))
         pull[active] = -obj.normals[idx[active]]
-        sample_jac = hand.sample_jacobians(joint_jac)
-        grad = np.einsum("sd,sdp->p", pull, sample_jac)
-    return value, grad
+        if sample_jac is None:
+            sample_jac = hand.sample_jacobians(joint_jac)
+        return np.einsum("sd,sdp->p", pull, sample_jac)
+
+    return float(arg[active].sum()), grad
 
 
 def reg_loss(pose_vec):
@@ -241,20 +249,34 @@ def reg_loss(pose_vec):
 def pose_terms(vec, keypoints, obj, target_likelihood, weights):
     """The four pose-objective terms at ``vec`` from one kinematics pass.
 
-    Returns ((value, grad), ...) for the keypoint, contact, penetration and
-    regularization terms, in that order.  A term whose weight in ``weights``
-    is zero, or the keypoint term without keypoints, is not evaluated and
-    reads (0, 0).
+    Returns (values, gradients): the keypoint, contact, penetration and
+    regularization values, in that order, and a function that builds the
+    joint jacobian once and returns the four (27,) gradients in the same
+    order.  A term whose weight in ``weights`` is zero, or the keypoint term
+    without keypoints, is not evaluated and reads 0 with a zero gradient.
     """
-    geometry, jac = hand.fk_with_jacobians(vec)
+    geometry, jacobian = hand.fk_with_jacobians(vec)
     w_kp, w_c, w_pene, w_reg = weights
-    off = (0.0, np.zeros(hand.N_PARAMS))
-    return (kp_loss(geometry, jac, keypoints)
-            if keypoints is not None and w_kp > 0 else off,
-            contact_loss(geometry, jac, obj, target_likelihood)
-            if w_c > 0 else off,
-            penetration_loss(geometry, jac, obj) if w_pene > 0 else off,
-            reg_loss(vec) if w_reg > 0 else off)
+    kp = (kp_loss(geometry, keypoints)
+          if keypoints is not None and w_kp > 0 else None)
+    contact = (contact_loss(geometry, obj, target_likelihood)
+               if w_c > 0 else None)
+    pene = penetration_loss(geometry, obj) if w_pene > 0 else None
+    reg = reg_loss(vec) if w_reg > 0 else None
+
+    def gradients():
+        jac = jacobian()
+        sample_jac = (None if contact is None and pene is None
+                      else hand.sample_jacobians(jac))
+        zero = np.zeros(hand.N_PARAMS)
+        return (zero if kp is None else kp[1](jac),
+                zero if contact is None else contact[1](jac, sample_jac),
+                zero if pene is None else pene[1](jac, sample_jac),
+                zero if reg is None else reg[1])
+
+    values = tuple(0.0 if term is None else term[0]
+                   for term in (kp, contact, pene, reg))
+    return values, gradients
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +366,22 @@ def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
     damping = None
 
     def residuals(vec):
-        geometry, jac = hand.fk_with_jacobians(vec)
-        resid, resid_jac = kp_residuals(geometry, jac, keypoints)
-        r = resid.ravel()
-        return float(r @ r), (r, resid_jac.reshape(r.size, -1)[:, free])
+        geometry, jacobian = hand.fk_with_jacobians(vec)
+        r = kp_residuals(geometry, keypoints).ravel()
+
+        def residual_jacobian():
+            jac = hand.center_jacobians(jacobian(), keypoints.parts)
+            return jac.reshape(r.size, -1)[:, free]
+
+        return float(r @ r), (r, residual_jacobian)
 
     def trials(x, state):
         # every call but the first follows an accepted step
         nonlocal damping
         damping = (_LM_DAMPING_START if damping is None
                    else damping / _LM_DAMPING_FACTOR)
-        r, jac = state
+        r, residual_jacobian = state
+        jac = residual_jacobian()
         normal = jac.T @ jac
         diag_max, rhs = normal.diagonal().max(), -(jac.T @ r)
         while damping <= _LM_DAMPING_MAX:
@@ -397,15 +424,16 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
     step = config.step_size
 
     def fun(vec):
-        (l_kp, g_kp), (l_c, g_c), (l_p, g_p), (l_r, g_r) = pose_terms(
-            vec, keypoints, obj, contact_target.likelihood, weights)
+        terms, gradients = pose_terms(vec, keypoints, obj,
+                                      contact_target.likelihood, weights)
+        l_kp, l_c, l_p, l_r = terms
         total = w_kp * l_kp + w_c * l_c + w_pene * l_p + w_reg * l_r
-        grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
-        return total, (grad, (l_kp, l_c, l_p, l_r))
+        return total, (gradients, terms)
 
     def trials(x, state):
         nonlocal accum, step
-        grad = state[0]
+        g_kp, g_c, g_p, g_r = state[0]()
+        grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
         accum += grad * grad
         direction = grad / np.sqrt(accum + 1e-12)
         step = min(2.0 * step, config.step_size)

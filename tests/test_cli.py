@@ -114,8 +114,28 @@ class TestCliBasics:
                      "--contacts", str(contacts), "--out-dir", str(out_dir)]) == 0
         for name in ("pose.json", "keypoints.json", "trace.csv", "evaluation.json"):
             assert (out_dir / name).exists()
-        evaluation = json.loads((out_dir / "evaluation.json").read_text())
+        evaluation = json.loads((out_dir / "evaluation.json").read_text(),
+                                parse_constant=pytest.fail)
         assert "residual" in evaluation["after"]
+        stages = [line.split(",")[0] for line in
+                  (out_dir / "trace.csv").read_text().splitlines()[1:]]
+        stops = evaluation["stops"]
+        assert sorted(stops) == ["2", "3"]
+        for stage, stop in stops.items():
+            assert stop["reason"] in ("tol", "backtrack", "cap")
+            assert stop["iterations"] == stages.count(stage) - 1 <= 30
+            assert stop["evaluations"] > stop["iterations"]
+            assert stop["last_drop"] is None or stop["last_drop"] >= 0.0
+        # with every weight at zero stage III starts at 0 and takes no step,
+        # so its last drop is nan, written as null
+        cfg.write_text(json.dumps({"optimizer": {
+            "w_kp": 0.0, "w_c": 0.0, "w_pene": 0.0, "w_reg": 0.0}}))
+        assert main(["optimize", "--config", str(cfg), "--scene", str(scene),
+                     "--contacts", str(contacts), "--out-dir", str(out_dir)]) == 0
+        evaluation = json.loads((out_dir / "evaluation.json").read_text(),
+                                parse_constant=pytest.fail)
+        assert evaluation["stops"]["3"] == {"reason": "tol", "iterations": 0,
+                                            "evaluations": 1, "last_drop": None}
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--scene", "{scene}", "--contacts", "{contacts}",

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
-from grasp_eq import hand
+from grasp_eq import hand, optimizer
 from grasp_eq.batch import build_batch
 from grasp_eq.keypoints import KeypointSet, find_keypoints
 from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
@@ -118,7 +118,7 @@ class TestFitKeypoints:
         trace = OptimizationTrace()
         pose = fit_keypoints(pose1, kps, OptimizationConfig(max_iters_stage2=800),
                              trace=trace)
-        final = kp_loss(hand.forward_kinematics(pose), None, kps)[0]
+        final = kp_loss(hand.forward_kinematics(pose), kps)[0]
         assert final < 1e-6
 
     def test_unreachable_targets_monotone(self):
@@ -148,7 +148,7 @@ class TestFitKeypoints:
             assert stop.reason == "tol"
             assert stop.evaluations <= 20
             assert stop.iterations == len(trace.stage_records(2)) - 1
-            assert kp_loss(hand.forward_kinematics(pose), None, kps)[0] < 1e-12
+            assert kp_loss(hand.forward_kinematics(pose), kps)[0] < 1e-12
 
 
 class TestGradients:
@@ -184,7 +184,7 @@ class TestGradients:
         obj, contacts = sphere_scene
         pose = hand.HandPose(angles=hand.neutral_grasp_pose().angles)  # at origin
         geometry = hand.forward_kinematics(pose)
-        value, _ = contact_loss(geometry, None, obj, contacts.likelihood)
+        value, _ = contact_loss(geometry, obj, contacts.likelihood)
         state = contact_map_from_hand(obj, geometry.samples,
                                       geometry.sample_parts)
         assert 0.0 < state.likelihood.min() < state.likelihood.max() == 1.0
@@ -193,7 +193,8 @@ class TestGradients:
     def test_contact_loss_matches_add_at_reference(self, sphere_scene):
         obj, contacts = sphere_scene
         vec, _ = TestPoseTerms.touching(obj)
-        geometry, jac = hand.fk_with_jacobians(vec)
+        geometry, jacobian = hand.fk_with_jacobians(vec)
+        jac = jacobian()
         # the loss written with a full euclidean cdist and np.add.at
         d_mat = cdist(obj.points, geometry.samples)
         nearest = np.argmin(d_mat, axis=1)
@@ -206,7 +207,8 @@ class TestGradients:
         pull = np.zeros((hand.N_SAMPLES, 3))
         np.add.at(pull, nearest[idx], coef[:, None] * unit)
         ref_grad = np.einsum("sd,sdp->p", pull, hand.sample_jacobians(jac))
-        value, grad = contact_loss(geometry, jac, obj, contacts.likelihood)
+        value, contact_grad = contact_loss(geometry, obj, contacts.likelihood)
+        grad = contact_grad(jac)
         assert np.any(d <= 2 * CONTACT_RADIUS) and np.any(ref_grad != 0.0)
         assert value == float(np.mean(np.abs(resid)))
         assert grad.tobytes() == ref_grad.tobytes()
@@ -215,8 +217,9 @@ class TestGradients:
         obj, contacts = sphere_scene
         pose = hand.HandPose(translation=[1.0, 0.0, 0.0],
                              angles=hand.neutral_grasp_pose().angles)
-        geometry, jac = hand.fk_with_jacobians(pose.as_vector())
-        value, grad = penetration_loss(geometry, jac, obj)
+        geometry, jacobian = hand.fk_with_jacobians(pose.as_vector())
+        value, pene_grad = penetration_loss(geometry, obj)
+        grad = pene_grad(jacobian())
         assert value == 0.0
         assert_allclose(grad, 0.0)
 
@@ -231,13 +234,15 @@ class TestPoseTerms:
     def test_terms_equal_standalone_losses(self, sphere_scene):
         obj, contacts = sphere_scene
         vec, kps = self.touching(obj)
-        terms = pose_terms(vec, kps, obj, contacts.likelihood,
-                           (1.0, 1.0, 1.0, 1.0))
-        geometry, jac = hand.fk_with_jacobians(vec)
-        standalone = (kp_loss(geometry, jac, kps),
-                      contact_loss(geometry, jac, obj, contacts.likelihood),
-                      penetration_loss(geometry, jac, obj),
-                      reg_loss(vec))
+        values, gradients = pose_terms(vec, kps, obj, contacts.likelihood,
+                                       (1.0, 1.0, 1.0, 1.0))
+        terms = zip(values, gradients())
+        geometry, jacobian = hand.fk_with_jacobians(vec)
+        jac = jacobian()
+        standalone = [(value, grad(jac)) for value, grad in (
+            kp_loss(geometry, kps),
+            contact_loss(geometry, obj, contacts.likelihood),
+            penetration_loss(geometry, obj))] + [reg_loss(vec)]
         for (value, grad), (ref_value, ref_grad) in zip(terms, standalone):
             assert value == ref_value and value > 0.0
             assert np.array_equal(grad, ref_grad)
@@ -245,18 +250,22 @@ class TestPoseTerms:
     def test_zero_weight_terms_read_zero(self, sphere_scene):
         obj, contacts = sphere_scene
         vec, kps = self.touching(obj)
-        terms = pose_terms(vec, kps, obj, contacts.likelihood,
-                           (0.0, 1.0, 0.0, 0.0))
+        values, gradients = pose_terms(vec, kps, obj, contacts.likelihood,
+                                       (0.0, 1.0, 0.0, 0.0))
+        terms = tuple(zip(values, gradients()))
         assert terms[1][0] > 0.0
         for k in (0, 2, 3):
             assert terms[k][0] == 0.0
             assert np.array_equal(terms[k][1], np.zeros(hand.N_PARAMS))
         # the keypoint term alone needs neither an object nor a contact target
-        kp_only = pose_terms(vec, kps, None, None, (1.0, 0.0, 0.0, 0.0))
+        values, gradients = pose_terms(vec, kps, None, None,
+                                       (1.0, 0.0, 0.0, 0.0))
+        kp_only = tuple(zip(values, gradients()))
         assert kp_only[0][0] > 0.0
         assert all(value == 0.0 for value, _ in kp_only[1:])
-        no_kp = pose_terms(vec, None, obj, contacts.likelihood,
-                           (1.0, 1.0, 1.0, 1.0))
+        values, gradients = pose_terms(vec, None, obj, contacts.likelihood,
+                                       (1.0, 1.0, 1.0, 1.0))
+        no_kp = tuple(zip(values, gradients()))
         assert no_kp[0][0] == 0.0
         assert np.array_equal(no_kp[0][1], np.zeros(hand.N_PARAMS))
 
@@ -267,7 +276,7 @@ class TestPoseTerms:
                                     max_iters_stage3=2)
         _, trace = optimize_grasp(hand.HandPose.from_vector(vec), obj,
                                   contacts, kps, config)
-        (l_kp, _), (l_c, _), (l_p, _), (l_r, _) = pose_terms(
+        (l_kp, l_c, l_p, l_r), _ = pose_terms(
             vec, kps, obj, contacts.likelihood,
             (config.w_kp, config.w_c, config.w_pene, config.w_reg))
         first = trace.stage_records(3)[0]
@@ -299,7 +308,7 @@ class TestOptimizeGrasp:
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
         # regularizer pulls angles slightly toward zero, keypoints hold
         assert np.linalg.norm(pose.angles) <= np.linalg.norm(pose0.angles)
-        assert kp_loss(hand.forward_kinematics(pose), None, kps)[0] < 1e-4
+        assert kp_loss(hand.forward_kinematics(pose), kps)[0] < 1e-4
 
     def test_monotone_trace(self, sphere_scene):
         obj, contacts = sphere_scene
@@ -312,7 +321,7 @@ class TestOptimizeGrasp:
         obj, contacts = sphere_scene
         pose0 = hand.HandPose(angles=hand.neutral_grasp_pose().angles)  # at origin
         geometry = hand.forward_kinematics(pose0)
-        start_pene, _ = penetration_loss(geometry, None, obj)
+        start_pene, _ = penetration_loss(geometry, obj)
         assert start_pene > 0.01
         config = OptimizationConfig(w_kp=0.0)
         pose, trace = optimize_grasp(pose0, obj, contacts, None, config)
@@ -403,6 +412,25 @@ class TestPipeline:
             assert best <= residual + 1e-12
 
 
+def _count_jacobian_builds(monkeypatch):
+    """Make every fk_with_jacobians call count its jacobian() builds under
+    the key held in counts["stage"] (3 unless a test changes it)."""
+    counts = {"stage": 3, 2: 0, 3: 0}
+    fk_with_jacobians = hand.fk_with_jacobians
+
+    def counted_fk(vec):
+        geometry, jacobian = fk_with_jacobians(vec)
+
+        def counted_jacobian():
+            counts[counts["stage"]] += 1
+            return jacobian()
+
+        return geometry, counted_jacobian
+
+    monkeypatch.setattr(hand, "fk_with_jacobians", counted_fk)
+    return counts
+
+
 class TestSharedDescent:
     def test_no_pose_built_or_clamped_per_evaluation(self, sphere_scene,
                                                      monkeypatch):
@@ -434,17 +462,44 @@ class TestSharedDescent:
         assert calls == {"clamp_pose": 0, "from_vector": 2}
         assert trace.stops[2].evaluations + trace.stops[3].evaluations > 2
 
-    def test_stop_reports_match_traces(self):
+    def test_stop_reports_match_traces(self, monkeypatch):
         config = OptimizationConfig()
         caps = {2: config.max_iters_stage2, 3: config.max_iters_stage3}
+        builds = _count_jacobian_builds(monkeypatch)
+        fit = optimizer.fit_keypoints
+
+        def fit_then_mark_stage3(*args, **kwargs):
+            pose = fit(*args, **kwargs)
+            builds["stage"] = 3
+            return pose
+
+        monkeypatch.setattr(optimizer, "fit_keypoints", fit_then_mark_stage3)
         for scene in build_batch(4, ("sphere", "box", "cylinder", "plate"),
                                  seed=3):
             obj = generate_scene(scene.spec)
             contacts = generate_contacts(obj, scene.style, seed=scene.spec.seed)
             for use_keypoints in (True, False):
+                builds.update({"stage": 2 if use_keypoints else 3, 2: 0, 3: 0})
                 trace = run_pipeline(obj, contacts, config,
                                      use_keypoints=use_keypoints).trace
                 assert sorted(trace.stops) == ([2, 3] if use_keypoints else [3])
                 for stage, stop in trace.stops.items():
                     assert stop.iterations == len(trace.stage_records(stage)) - 1
                     assert (stop.reason == "cap") == (stop.iterations == caps[stage])
+                    # one jacobian per point that trials are drawn from
+                    assert builds[stage] == (stop.iterations
+                                             + (stop.reason == "backtrack"))
+
+    def test_rejected_trial_builds_no_jacobian(self, sphere_scene, monkeypatch):
+        obj, contacts = sphere_scene
+        vec, kps = TestPoseTerms.touching(obj)
+        builds = _count_jacobian_builds(monkeypatch)
+        # from the default step the first trial is accepted; this one
+        # overshoots, so the only line search rejects trials before it ends
+        _, trace = optimize_grasp(hand.HandPose.from_vector(vec), obj,
+                                  contacts, kps,
+                                  OptimizationConfig(step_size=0.3,
+                                                     max_iters_stage3=1))
+        assert trace.stops[3].evaluations > 2
+        assert builds[3] == 1
+

@@ -166,6 +166,17 @@ class TestRoundTrips:
         io_mod.dump_json(path, {"a": 1.0})
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    def test_atomic_write_mode_follows_umask(self, tmp_path):
+        old_umask = os.umask(0o022)
+        try:
+            io_mod.dump_json(tmp_path / "out.json", {"a": 1.0})
+            with open(tmp_path / "plain.json", "w") as handle:
+                handle.write("{}")
+        finally:
+            os.umask(old_umask)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"out.json": 0o644, "plain.json": 0o644}
+
     def test_trace_csv(self, tmp_path):
         trace = OptimizationTrace()
         trace.append(2, 0, 1.5, (1.5, 0.0, 0.0, 0.0))
