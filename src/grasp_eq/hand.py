@@ -4,8 +4,8 @@ A fixed 21-joint right-hand skeleton (wrist + 4 joints per finger) at
 average adult proportions, posed by 20 joint angles (per finger: abduction
 at the proximal joint plus three flexions), a uniform shape scale, and a
 global rigid transform.  The hand splits into 16 parts: the palm and three
-segments per finger.  Capsule-style surface samples along the bones support
-contact and penetration queries.
+segments per finger.  80 surface samples, points on the bones and the palm,
+are where contact and penetration are measured.
 
 Conventions (rest pose, hand frame): the wrist sits at the origin, fingers
 extend along +y, the thumb leaves the palm diagonally toward +x, and the
@@ -40,8 +40,6 @@ SCALE_LIMITS = (0.7, 1.3)
 
 PALM_PART = 1
 
-FINGER_SAMPLE_RADIUS = 0.005
-PALM_SAMPLE_RADIUS = 0.010
 _SEGMENT_SAMPLE_T = (0.1, 0.3, 0.5, 0.7, 0.9)
 _PALM_SAMPLE_T = 0.55
 
@@ -95,14 +93,13 @@ def _affine_tables():
             row = segment_part_id(f, s) - 1
             centers[row, j] = 0.5
             centers[row, j + 1] = 0.5
-    rows, parts, radii = [], [], []
+    rows, parts = [], []
     for f in range(5):  # palm pads, one toward each finger base
         w = np.zeros(N_JOINTS)
         w[0] = 1.0 - _PALM_SAMPLE_T
         w[finger_base_joint(f)] = _PALM_SAMPLE_T
         rows.append(w)
         parts.append(PALM_PART)
-        radii.append(PALM_SAMPLE_RADIUS)
     for f in range(5):
         for s in range(3):
             j = finger_base_joint(f) + s
@@ -112,14 +109,12 @@ def _affine_tables():
                 w[j + 1] = t
                 rows.append(w)
                 parts.append(segment_part_id(f, s))
-                radii.append(FINGER_SAMPLE_RADIUS)
-    return centers, np.array(rows), np.array(parts, dtype=int), np.array(radii)
+    return centers, np.array(rows), np.array(parts, dtype=int)
 
 
-_CENTER_WEIGHTS, _SAMPLE_WEIGHTS, SAMPLE_PARTS, SAMPLE_RADII = _affine_tables()
+_CENTER_WEIGHTS, _SAMPLE_WEIGHTS, SAMPLE_PARTS = _affine_tables()
 N_SAMPLES = _SAMPLE_WEIGHTS.shape[0]
 SAMPLE_PARTS.flags.writeable = False
-SAMPLE_RADII.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,13 +216,12 @@ def clamp_pose(pose: HandPose):
 
 @dataclass(frozen=True, eq=False)
 class HandGeometry:
-    """Posed joints, part centers, and capsule surface samples (world frame)."""
+    """Posed joints, part centers, and surface samples (world frame)."""
 
     joints: np.ndarray
     part_centers: np.ndarray
     samples: np.ndarray
     sample_parts: np.ndarray
-    sample_radii: np.ndarray
     clamped: bool
 
 
@@ -305,7 +299,6 @@ def _posed(vec, finger_joints, clamped):
                             part_centers=_CENTER_WEIGHTS @ world,
                             samples=_SAMPLE_WEIGHTS @ world,
                             sample_parts=SAMPLE_PARTS,
-                            sample_radii=SAMPLE_RADII,
                             clamped=clamped)
     return geometry, rotated, r_glob
 

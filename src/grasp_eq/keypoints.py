@@ -19,11 +19,13 @@ from scipy.spatial import cKDTree
 
 from .equilibrium import DEFAULT_MU, QP_TOL, assemble, stability_energy
 from .errors import SolverError
-from .hand import FINGER_SAMPLE_RADIUS
 from .scene import GRAVITY, ContactState, ObjectModel
 
 DEFAULT_CLUSTER_RADIUS = 0.01
-DEFAULT_KEYPOINT_OFFSET = FINGER_SAMPLE_RADIUS
+# Targets sit this far outside the contact centers along the normal: a part
+# center lies on its bone, one finger radius behind the skin that touches.
+# The package's only radius (see README "Conventions").
+DEFAULT_KEYPOINT_OFFSET = 0.005
 DEFAULT_N_KEYPOINTS = 3
 
 

@@ -1,27 +1,25 @@
 """Keypoint-guided hand pose optimization.
 
 Three stages: (I) closed-form rigid registration of rest-pose part centers
-onto the keypoint targets, (II) Levenberg-Marquardt fitting of joint angles
-plus the global transform to the targets, on the keypoint residuals and
-their exact jacobian, (III) full optimization adding contact-map,
+onto the keypoint targets, (II) fitting of joint angles plus the global
+transform to the targets, (III) full optimization adding contact-map,
 penetration, and regularization terms.  All gradients flow analytically
-through the kinematic chain.  Stages II and III run one accept/stop loop,
-``_descend``, over the 27-dim pose vector kept inside
-``hand.parameter_bounds()``; each stage only supplies its trial points.
-Stage II's are damped Gauss-Newton steps; stage III's are projected,
-per-parameter adaptive, and backtracking, carrying the step length from one
-line search to the next, capped by ``step_size``.  A step is accepted only
-if it does not raise the objective, and each stage records why it stopped
-in ``OptimizationTrace.stops``.  Each trial point is evaluated by value
-only: the joint jacobian and the gradients are built from that evaluation's
-kinematics and nearest-neighbour results, and only at an accepted point,
-where a stage draws its next trials.
+through the kinematic chain.  Stages II and III are two calls of one
+Levenberg-Marquardt driver, ``_lm_stage``, over the terms of ``pose_terms``
+(stage II weighs the keypoint term alone and locks the scale), whose trial
+points feed one accept/stop loop, ``_descend``.  A step is accepted only if
+it does not raise the objective, and each stage records why it stopped in
+``OptimizationTrace.stops``.  Trial points are evaluated by value only; the
+joint jacobian, the gradients and the curvatures are built from that
+evaluation's kinematics and nearest-neighbour results, and only at an
+accepted point, where the driver draws its next trials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -37,8 +35,7 @@ from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Weights and iteration budget for stages II and III; ``step_size``
-    caps stage III's line search (stage II takes Gauss-Newton steps).
+    """Weights, iteration budgets and the drop tolerance of stages II and III.
 
     The keypoint weight outranks the contact term by design: keypoints carry
     the stability analysis, and with synthetic contact targets a weaker
@@ -49,18 +46,21 @@ class OptimizationConfig:
     w_c: float = 0.5
     w_pene: float = 10.0
     w_reg: float = 0.01
-    step_size: float = 0.01
     max_iters_stage2: int = 200
     max_iters_stage3: int = 300
-    convergence_tol: float = 1e-12
+    convergence_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.w_kp, self.w_c, self.w_pene, self.w_reg) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
-        if self.max_iters_stage2 < 1 or self.max_iters_stage3 < 1:
-            raise ValueError("iteration budgets must be at least 1")
+        # weights and the tolerance: finite numbers >= 0; budgets: ints >= 1
+        for f in fields(self):
+            value = getattr(self, f.name)
+            budget = f.name.startswith("max_iters")
+            kind, what = ((numbers.Integral, "an integer") if budget
+                          else (numbers.Real, "a finite number"))
+            if not (isinstance(value, kind) and math.isfinite(value)
+                    and value >= budget):
+                raise ValueError(f"{f.name} must be {what} >= {int(budget)}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -167,72 +167,97 @@ def registration_to_pose(reg: RegistrationResult,
 
 
 # ---------------------------------------------------------------------------
-# loss terms: each returns its value and grad(joint_jac), which differentiates
-# it w.r.t. the 27-dim pose vector from the value pass's intermediates
+# loss terms: each returns its value and derivatives(joint_jac), which builds
+# from the value pass's intermediates the term's gradient w.r.t. the 27-dim
+# pose vector and its Gauss-Newton curvature, a (27, 27) matrix
 
-
-def kp_residuals(geometry, keypoints: KeypointSet):
-    """Selected part centers minus their targets, shape (k, 3)."""
-    parts = np.asarray(keypoints.parts, dtype=int)
-    return geometry.part_centers[parts - 1] - keypoints.targets
+# IRLS floors: at the current value a_k, an L1 or hinge row a is modelled by
+# its majorizer a^2 / (2 max(|a_k|, floor)), so a row at its kink keeps a
+# finite curvature.  Contact rows are likelihood differences, penetration
+# rows depths in meters.
+CONTACT_IRLS_FLOOR = 1e-4
+PENETRATION_IRLS_FLOOR = 1e-5
 
 
 def kp_loss(geometry, keypoints: KeypointSet):
-    """Sum of squared distances from selected part centers to targets."""
-    diff = kp_residuals(geometry, keypoints)
+    """Sum of squared distances from selected part centers to targets; its
+    curvature is 2 J^T J over the center rows."""
+    parts = np.asarray(keypoints.parts, dtype=int)
+    diff = geometry.part_centers[parts - 1] - keypoints.targets
 
-    def grad(joint_jac):
+    def derivatives(joint_jac):
         jac = hand.center_jacobians(joint_jac, keypoints.parts)
-        return 2.0 * np.einsum("kd,kdp->p", diff, jac)
+        rows = jac.reshape(-1, hand.N_PARAMS)
+        return 2.0 * np.einsum("kd,kdp->p", diff, jac), 2.0 * rows.T @ rows
 
-    return float(np.sum(diff * diff)), grad
+    return float(np.sum(diff * diff)), derivatives
+
+
+def _flat():
+    """Zero gradient and curvature, for a term that is flat or skipped."""
+    return np.zeros(hand.N_PARAMS), np.zeros((hand.N_PARAMS, hand.N_PARAMS))
 
 
 def contact_loss(geometry, obj: ObjectModel, target_likelihood):
     """Mean absolute difference between induced and target contact maps.
 
-    ``grad`` takes ``sample_jac``, ``hand.sample_jacobians(joint_jac)``,
-    when the caller already holds it."""
+    ``derivatives`` takes ``sample_jac``, ``hand.sample_jacobians(joint_jac)``,
+    when the caller already holds it.  Each object point's row weighs
+    1 / max(|residual|, CONTACT_IRLS_FLOOR) in the curvature; the rows are
+    summed per nearest hand sample before the sample jacobians apply."""
     d, nearest = nearest_site(obj.points, geometry.samples)
     resid = contact_likelihood(d) - target_likelihood
 
-    def grad(joint_jac, sample_jac=None):
+    def derivatives(joint_jac, sample_jac=None):
         active = (d > CONTACT_RADIUS) & (resid != 0)
         if not np.any(active):
-            return np.zeros(hand.N_PARAMS)
+            return _flat()
         idx = np.flatnonzero(active)
-        coef = (np.sign(resid[idx]) * (-CONTACT_RADIUS / d[idx] ** 2)
-                / obj.n_points)
-        unit = (geometry.samples[nearest[idx]] - obj.points[idx]) / d[idx, None]
-        weights = coef[:, None] * unit
-        pull = np.stack([np.bincount(nearest[idx], weights[:, k],
-                                     hand.N_SAMPLES) for k in range(3)],
-                        axis=1)
+        owner = nearest[idx]
+        slope = -CONTACT_RADIUS / d[idx] ** 2  # d likelihood / d distance
+        coef = np.sign(resid[idx]) * slope / obj.n_points
+        # (3, n): unit vectors from each point to its nearest sample
+        unit = ((geometry.samples[owner] - obj.points[idx]) / d[idx, None]).T
+        irls = slope ** 2 / (np.maximum(np.abs(resid[idx]), CONTACT_IRLS_FLOOR)
+                             * obj.n_points)
+        # summed per sample: the gradient pull (3 columns) and the curvature
+        # block irls * unit unit^T (9 columns)
+        cols = np.concatenate([coef * unit,
+                               ((irls * unit)[:, None] * unit).reshape(9, -1)])
+        per_sample = np.stack([np.bincount(owner, col, hand.N_SAMPLES)
+                               for col in cols], axis=1)
+        blocks = per_sample[:, 3:].reshape(-1, 3, 3)
         if sample_jac is None:
             sample_jac = hand.sample_jacobians(joint_jac)
-        return np.einsum("sd,sdp->p", pull, sample_jac)
+        flat_jac = sample_jac.reshape(-1, hand.N_PARAMS)
+        return (np.einsum("sd,sdp->p", per_sample[:, :3], sample_jac),
+                flat_jac.T @ (blocks @ sample_jac).reshape(-1, hand.N_PARAMS))
 
-    return float(np.mean(np.abs(resid))), grad
+    return float(np.mean(np.abs(resid))), derivatives
 
 
 def penetration_loss(geometry, obj: ObjectModel):
-    """Hinge on bone samples sunk deeper than their capsule radius.
+    """Hinge on hand samples inside the object: the sum of max(0, -sd).
 
-    ``grad`` takes ``sample_jac`` as ``contact_loss``'s does."""
+    ``derivatives`` takes ``sample_jac`` as ``contact_loss``'s does.  Each
+    sunk sample's row weighs 1 / max(depth, PENETRATION_IRLS_FLOOR) in the
+    curvature."""
     _, idx, sd = nearest_surface(obj, geometry.samples)
-    arg = -sd - geometry.sample_radii
-    active = arg > 0
+    active = sd < 0
+    depth = -sd[active]
 
-    def grad(joint_jac, sample_jac=None):
-        if not np.any(active):
-            return np.zeros(hand.N_PARAMS)
-        pull = np.zeros((hand.N_SAMPLES, 3))
-        pull[active] = -obj.normals[idx[active]]
+    def derivatives(joint_jac, sample_jac=None):
+        if depth.size == 0:
+            return _flat()
         if sample_jac is None:
             sample_jac = hand.sample_jacobians(joint_jac)
-        return np.einsum("sd,sdp->p", pull, sample_jac)
+        # d(sd)/d(pose) of each sunk sample
+        rows = np.einsum("sd,sdp->sp", obj.normals[idx[active]],
+                         sample_jac[active])
+        irls = 1.0 / np.maximum(depth, PENETRATION_IRLS_FLOOR)
+        return -rows.sum(axis=0), rows.T @ (irls[:, None] * rows)
 
-    return float(arg[active].sum()), grad
+    return float(depth.sum()), derivatives
 
 
 def reg_loss(pose_vec):
@@ -246,14 +271,20 @@ def reg_loss(pose_vec):
     return value, grad
 
 
+# reg_loss's Hessian, constant
+_REG_CURVATURE = np.diag(np.r_[np.zeros(6), np.full(21, 2.0)])
+_REG_CURVATURE.flags.writeable = False
+
+
 def pose_terms(vec, keypoints, obj, target_likelihood, weights):
     """The four pose-objective terms at ``vec`` from one kinematics pass.
 
-    Returns (values, gradients): the keypoint, contact, penetration and
+    Returns (values, derivatives): the keypoint, contact, penetration and
     regularization values, in that order, and a function that builds the
-    joint jacobian once and returns the four (27,) gradients in the same
-    order.  A term whose weight in ``weights`` is zero, or the keypoint term
-    without keypoints, is not evaluated and reads 0 with a zero gradient.
+    joint jacobian once and returns (gradients, curvatures), the four (27,)
+    gradients and (27, 27) Gauss-Newton curvatures in the same order.  A
+    term whose weight in ``weights`` is zero, or the keypoint term without
+    keypoints, is not evaluated and reads 0 with zero derivatives.
     """
     geometry, jacobian = hand.fk_with_jacobians(vec)
     w_kp, w_c, w_pene, w_reg = weights
@@ -264,19 +295,19 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights):
     pene = penetration_loss(geometry, obj) if w_pene > 0 else None
     reg = reg_loss(vec) if w_reg > 0 else None
 
-    def gradients():
+    def derivatives():
         jac = jacobian()
         sample_jac = (None if contact is None and pene is None
                       else hand.sample_jacobians(jac))
-        zero = np.zeros(hand.N_PARAMS)
-        return (zero if kp is None else kp[1](jac),
-                zero if contact is None else contact[1](jac, sample_jac),
-                zero if pene is None else pene[1](jac, sample_jac),
-                zero if reg is None else reg[1])
+        pairs = (_flat() if kp is None else kp[1](jac),
+                 _flat() if contact is None else contact[1](jac, sample_jac),
+                 _flat() if pene is None else pene[1](jac, sample_jac),
+                 _flat() if reg is None else (reg[1], _REG_CURVATURE))
+        return tuple(zip(*pairs))
 
     values = tuple(0.0 if term is None else term[0]
                    for term in (kp, contact, pene, reg))
-    return values, gradients
+    return values, derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -300,107 +331,92 @@ class StopReport:
     last_drop: float
 
 
-def _descend(fun, x0, lo, hi, max_iters, tol, trials, on_accept):
-    """The accept/stop loop that stages II and III share.
-
-    ``fun(x) -> (value, state)``; ``trials(x, state)`` yields one
-    iteration's trial points, and the first finite one that does not raise
-    the value is accepted, so the recorded sequence is non-increasing.
-    ``on_accept(iteration, value, state)`` sees the start and every accepted
-    step.  Stops on 'tol' (value 0, or a drop below ``tol``), 'backtrack'
-    (the trials ran out) or 'cap' (``max_iters`` accepted steps).  Returns
-    (x, StopReport).
-    """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, state = fun(x)
-    evals, done, drop, reason = 1, 0, math.nan, "cap"
-    on_accept(0, f, state)
-    while done < max_iters:
-        if f == 0.0:
-            reason = "tol"
-            break
-        for x_new in trials(x, state):
-            f_new, state_new = fun(x_new)
-            evals += 1
-            if np.isfinite(f_new) and f_new <= f:
-                break
-        else:
-            reason = "backtrack"
-            break
-        done, drop = done + 1, f - f_new
-        x, f, state = x_new, f_new, state_new
-        on_accept(done, f, state)
-        if drop < tol:
-            reason = "tol"
-            break
-    return x, StopReport(reason, done, evals, drop)
-
-
 # Levenberg-Marquardt damping, as a multiple of the largest diagonal entry
-# of J^T J: the first trial step uses _LM_DAMPING_START, each accepted step
-# divides it by _LM_DAMPING_FACTOR and each rejected one multiplies it by
-# that, and past _LM_DAMPING_MAX the steps are too short to matter.
+# of the curvature: the first trial step uses _LM_DAMPING_START, each
+# accepted step divides it by _LM_DAMPING_FACTOR and each rejected one
+# multiplies it by that, and past _LM_DAMPING_MAX the steps are too short to
+# matter.
 _LM_DAMPING_START = 1e-3
 _LM_DAMPING_FACTOR = 10.0
 _LM_DAMPING_MAX = 1e12
 
 
+def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
+              weights, config, trace):
+    """Levenberg-Marquardt descent of sum(weights * pose_terms values) from
+    ``vec0`` inside ``hand.parameter_bounds(lock_scale)``: the stage driver
+    behind stages II and III, on ``config``'s budget for ``stage``.
+
+    Each trial solves (H + lam I) dx = -g over the free parameters (lo <
+    hi), g and H being the weighted gradient and Gauss-Newton curvature at
+    the accepted point, and clips the step to the bounds.  The first finite
+    trial that does not raise the objective is accepted, so the recorded
+    sequence is non-increasing.  Unscaled damping (not Moré's column
+    scaling) favours moving the global transform over articulation, which
+    leaves less to push into the object.  Stops on 'tol' (objective 0, or a
+    drop below ``convergence_tol``), 'backtrack' (damping past
+    _LM_DAMPING_MAX) or 'cap' (the budget of accepted steps).  Records the
+    start and every accepted step, and the StopReport, to ``trace`` under
+    ``stage``; returns the last accepted pose vector.
+    """
+    lo, hi = hand.parameter_bounds(lock_scale)
+    max_iters = (config.max_iters_stage2 if stage == 2
+                 else config.max_iters_stage3)
+    free = lo < hi
+    eye = np.eye(free.sum())
+
+    def evaluate(vec):
+        terms, derivatives = pose_terms(vec, keypoints, obj,
+                                        target_likelihood, weights)
+        return sum(w * t for w, t in zip(weights, terms)), terms, derivatives
+
+    x = np.clip(np.asarray(vec0, dtype=float), lo, hi)
+    f, terms, derivatives = evaluate(x)
+    evals, done, drop, reason, damping = 1, 0, math.nan, "cap", None
+    trace.append(stage, 0, f, terms)
+    while done < max_iters:
+        if f == 0.0:
+            reason = "tol"
+            break
+        damping = (_LM_DAMPING_START if damping is None
+                   else damping / _LM_DAMPING_FACTOR)
+        grads, curvatures = derivatives()
+        rhs = -sum(w * g for w, g in zip(weights, grads))[free]
+        normal = sum(w * c for w, c in zip(weights, curvatures))[free][:, free]
+        # a flat objective (H = 0) has g = 0: a zero step, then 'tol'
+        diag_max = normal.diagonal().max() or 1.0
+        while damping <= _LM_DAMPING_MAX:
+            x_new = x.copy()
+            x_new[free] += np.linalg.solve(normal + damping * diag_max * eye,
+                                           rhs)
+            x_new = np.clip(x_new, lo, hi)
+            f_new, terms, derivatives = evaluate(x_new)
+            evals += 1
+            if np.isfinite(f_new) and f_new <= f:
+                break
+            damping *= _LM_DAMPING_FACTOR
+        else:
+            reason = "backtrack"
+            break
+        done, drop, x, f = done + 1, f - f_new, x_new, f_new
+        trace.append(stage, done, f, terms)
+        if drop < config.convergence_tol:
+            reason = "tol"
+            break
+    trace.stops[stage] = StopReport(reason, done, evals, drop)
+    return x
+
+
 def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
                   config: OptimizationConfig,
                   trace: OptimizationTrace | None = None) -> hand.HandPose:
-    """Stage II: Levenberg-Marquardt on the keypoint residuals over joint
-    angles + global pose; the shape scale stays fixed.
-
-    Each trial solves (J^T J + lam I) dx = -J^T r over the free parameters,
-    r being part centers minus targets and J its exact jacobian, and clips
-    the step to the joint limits.  Of the many poses that fit three
-    keypoints, unscaled damping (not Moré's column scaling) favours moving
-    the global transform over articulation, which leaves stage III less to
-    push into the object.  lam falls after an accepted step and rises after
-    a rejected one, and runaway damping stops the stage as 'backtrack' (see
-    StopReport).  Returns the best pose found.
-    """
-    lo, hi = hand.parameter_bounds(lock_scale=pose0.scale)
-    free = lo < hi
-    eye = np.eye(free.sum())
-    damping = None
-
-    def residuals(vec):
-        geometry, jacobian = hand.fk_with_jacobians(vec)
-        r = kp_residuals(geometry, keypoints).ravel()
-
-        def residual_jacobian():
-            jac = hand.center_jacobians(jacobian(), keypoints.parts)
-            return jac.reshape(r.size, -1)[:, free]
-
-        return float(r @ r), (r, residual_jacobian)
-
-    def trials(x, state):
-        # every call but the first follows an accepted step
-        nonlocal damping
-        damping = (_LM_DAMPING_START if damping is None
-                   else damping / _LM_DAMPING_FACTOR)
-        r, residual_jacobian = state
-        jac = residual_jacobian()
-        normal = jac.T @ jac
-        diag_max, rhs = normal.diagonal().max(), -(jac.T @ r)
-        while damping <= _LM_DAMPING_MAX:
-            lam = damping * diag_max
-            x_new = x.copy()
-            x_new[free] += np.linalg.solve(normal + lam * eye, rhs)
-            yield np.clip(x_new, lo, hi)
-            damping *= _LM_DAMPING_FACTOR
-
-    def on_accept(it, f, state):
-        if trace is not None:
-            trace.append(2, it, f, (f, 0.0, 0.0, 0.0))
-
-    x, stop = _descend(residuals, pose0.as_vector(), lo, hi,
-                       config.max_iters_stage2, config.convergence_tol,
-                       trials, on_accept)
-    if trace is not None:
-        trace.stops[2] = stop
-    return hand.HandPose.from_vector(x)
+    """Stage II: the LM stage on the keypoint term alone, over joint angles
+    and the global transform; the shape scale stays fixed.  Returns the
+    best pose found."""
+    return hand.HandPose.from_vector(_lm_stage(
+        2, pose0.as_vector(), pose0.scale, keypoints, None, None,
+        (1.0, 0.0, 0.0, 0.0), config,
+        OptimizationTrace() if trace is None else trace))
 
 
 def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
@@ -408,45 +424,16 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
                    keypoints: KeypointSet | None,
                    config: OptimizationConfig,
                    trace: OptimizationTrace | None = None):
-    """Stage III: weighted sum of keypoint, contact, penetration, and
-    regularization terms over all pose parameters including the shape scale.
-
-    Each iteration scales the gradient per parameter by its accumulated
-    magnitude, then backtracks from twice the last accepted step, at most
-    ``step_size``, halving up to 40 times.  Returns (pose, trace); the
-    stage's stop report is ``trace.stops[3]``."""
+    """Stage III: the LM stage on the weighted sum of keypoint, contact,
+    penetration, and regularization terms over all pose parameters
+    including the shape scale.  Returns (pose, trace); the stage's stop
+    report is ``trace.stops[3]``."""
     if trace is None:
         trace = OptimizationTrace()
-    weights = (config.w_kp, config.w_c, config.w_pene, config.w_reg)
-    w_kp, w_c, w_pene, w_reg = weights
-    lo, hi = hand.parameter_bounds()
-    accum = np.zeros(hand.N_PARAMS)
-    step = config.step_size
-
-    def fun(vec):
-        terms, gradients = pose_terms(vec, keypoints, obj,
-                                      contact_target.likelihood, weights)
-        l_kp, l_c, l_p, l_r = terms
-        total = w_kp * l_kp + w_c * l_c + w_pene * l_p + w_reg * l_r
-        return total, (gradients, terms)
-
-    def trials(x, state):
-        nonlocal accum, step
-        g_kp, g_c, g_p, g_r = state[0]()
-        grad = w_kp * g_kp + w_c * g_c + w_pene * g_p + w_reg * g_r
-        accum += grad * grad
-        direction = grad / np.sqrt(accum + 1e-12)
-        step = min(2.0 * step, config.step_size)
-        for _ in range(40):
-            yield np.clip(x - step * direction, lo, hi)
-            step *= 0.5
-
-    def on_accept(it, f, state):
-        trace.append(3, it, f, state[1])
-
-    x, trace.stops[3] = _descend(
-        fun, pose1.as_vector(), lo, hi, config.max_iters_stage3,
-        config.convergence_tol, trials, on_accept)
+    x = _lm_stage(3, pose1.as_vector(), None, keypoints, obj,
+                  contact_target.likelihood,
+                  (config.w_kp, config.w_c, config.w_pene, config.w_reg),
+                  config, trace)
     return hand.HandPose.from_vector(x), trace
 
 
@@ -459,8 +446,8 @@ def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel,
     the object's surface normal; the residual is the minimum of ||accel||^2
     over admissible forces up to solve_force_existence's cap and friction
     in the linearized cone.  Penetration depth is max(0, -signed distance)
-    over the hand surface samples, the proxies that contact maps measure
-    to; the capsule radii only pad the penetration-loss hinge.
+    over the hand samples, the points that contact maps measure to and the
+    penetration loss hinges at.
     """
     geometry = hand.forward_kinematics(pose)
     d, idx, sd = nearest_surface(obj, geometry.samples)

@@ -70,7 +70,8 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("block", [{"n_kp": 0},
                                        {"optimizer": {"seed": 0}},
-                                       {"optimizer": {"snapshot_interval": 10}}])
+                                       {"optimizer": {"snapshot_interval": 10}},
+                                       {"optimizer": {"step_size": 0.01}}])
     def test_optimize_rejects_bad_config(self, scene_files, tmp_path, capsys,
                                          block):
         scene, contacts = scene_files
@@ -80,6 +81,23 @@ class TestCliBasics:
         assert main(["optimize", "--config", str(cfg), "--scene", str(scene),
                      "--contacts", str(contacts),
                      "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("w_c", float("nan")), ("w_pene", float("inf")),
+        ("convergence_tol", -1e-9), ("convergence_tol", float("nan")),
+        ("max_iters_stage3", 2.5)])
+    def test_optimize_names_invalid_optimizer_value(self, scene_files,
+                                                    tmp_path, capsys, name,
+                                                    value):
+        scene, contacts = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {name: value}}))
+        out_dir = tmp_path / "opt"
+        assert main(["optimize", "--config", str(cfg), "--scene", str(scene),
+                     "--contacts", str(contacts),
+                     "--out-dir", str(out_dir)]) == 2
+        assert name in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_encode_decode(self, capsys):

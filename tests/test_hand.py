@@ -42,8 +42,6 @@ class TestRestPose:
         assert geometry.samples.shape == (hand.N_SAMPLES, 3)
         palm = geometry.sample_parts == hand.PALM_PART
         assert palm.sum() == 5
-        assert_allclose(geometry.sample_radii[palm], 0.010)
-        assert_allclose(geometry.sample_radii[~palm], 0.005)
 
 
 class TestRigidMotion:

@@ -13,8 +13,9 @@ from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
                                 penetration_loss, pose_terms, reg_loss,
                                 register_global,
                                 registration_to_pose, run_pipeline)
-from grasp_eq.scene import (CONTACT_RADIUS, contact_likelihood,
-                            contact_map_from_hand, signed_distance)
+from grasp_eq.scene import (CONTACT_RADIUS, ContactState, ObjectModel,
+                            contact_likelihood, contact_map_from_hand,
+                            nearest_surface, signed_distance)
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import sphere_object
@@ -207,8 +208,9 @@ class TestGradients:
         pull = np.zeros((hand.N_SAMPLES, 3))
         np.add.at(pull, nearest[idx], coef[:, None] * unit)
         ref_grad = np.einsum("sd,sdp->p", pull, hand.sample_jacobians(jac))
-        value, contact_grad = contact_loss(geometry, obj, contacts.likelihood)
-        grad = contact_grad(jac)
+        value, contact_derivatives = contact_loss(geometry, obj,
+                                                  contacts.likelihood)
+        grad, _ = contact_derivatives(jac)
         assert np.any(d <= 2 * CONTACT_RADIUS) and np.any(ref_grad != 0.0)
         assert value == float(np.mean(np.abs(resid)))
         assert grad.tobytes() == ref_grad.tobytes()
@@ -218,8 +220,8 @@ class TestGradients:
         pose = hand.HandPose(translation=[1.0, 0.0, 0.0],
                              angles=hand.neutral_grasp_pose().angles)
         geometry, jacobian = hand.fk_with_jacobians(pose.as_vector())
-        value, pene_grad = penetration_loss(geometry, obj)
-        grad = pene_grad(jacobian())
+        value, pene_derivatives = penetration_loss(geometry, obj)
+        grad, _ = pene_derivatives(jacobian())
         assert value == 0.0
         assert_allclose(grad, 0.0)
 
@@ -234,12 +236,12 @@ class TestPoseTerms:
     def test_terms_equal_standalone_losses(self, sphere_scene):
         obj, contacts = sphere_scene
         vec, kps = self.touching(obj)
-        values, gradients = pose_terms(vec, kps, obj, contacts.likelihood,
-                                       (1.0, 1.0, 1.0, 1.0))
-        terms = zip(values, gradients())
+        values, derivatives = pose_terms(vec, kps, obj, contacts.likelihood,
+                                         (1.0, 1.0, 1.0, 1.0))
+        terms = zip(values, derivatives()[0])
         geometry, jacobian = hand.fk_with_jacobians(vec)
         jac = jacobian()
-        standalone = [(value, grad(jac)) for value, grad in (
+        standalone = [(value, term(jac)[0]) for value, term in (
             kp_loss(geometry, kps),
             contact_loss(geometry, obj, contacts.likelihood),
             penetration_loss(geometry, obj))] + [reg_loss(vec)]
@@ -250,22 +252,22 @@ class TestPoseTerms:
     def test_zero_weight_terms_read_zero(self, sphere_scene):
         obj, contacts = sphere_scene
         vec, kps = self.touching(obj)
-        values, gradients = pose_terms(vec, kps, obj, contacts.likelihood,
-                                       (0.0, 1.0, 0.0, 0.0))
-        terms = tuple(zip(values, gradients()))
+        values, derivatives = pose_terms(vec, kps, obj, contacts.likelihood,
+                                         (0.0, 1.0, 0.0, 0.0))
+        terms = tuple(zip(values, derivatives()[0]))
         assert terms[1][0] > 0.0
         for k in (0, 2, 3):
             assert terms[k][0] == 0.0
             assert np.array_equal(terms[k][1], np.zeros(hand.N_PARAMS))
         # the keypoint term alone needs neither an object nor a contact target
-        values, gradients = pose_terms(vec, kps, None, None,
-                                       (1.0, 0.0, 0.0, 0.0))
-        kp_only = tuple(zip(values, gradients()))
+        values, derivatives = pose_terms(vec, kps, None, None,
+                                         (1.0, 0.0, 0.0, 0.0))
+        kp_only = tuple(zip(values, derivatives()[0]))
         assert kp_only[0][0] > 0.0
         assert all(value == 0.0 for value, _ in kp_only[1:])
-        values, gradients = pose_terms(vec, None, obj, contacts.likelihood,
-                                       (1.0, 1.0, 1.0, 1.0))
-        no_kp = tuple(zip(values, gradients()))
+        values, derivatives = pose_terms(vec, None, obj, contacts.likelihood,
+                                         (1.0, 1.0, 1.0, 1.0))
+        no_kp = tuple(zip(values, derivatives()[0]))
         assert no_kp[0][0] == 0.0
         assert np.array_equal(no_kp[0][1], np.zeros(hand.N_PARAMS))
 
@@ -286,6 +288,80 @@ class TestPoseTerms:
                                + config.w_pene * l_p + config.w_reg * l_r)
 
 
+class TestCurvatures:
+    @staticmethod
+    def hessian_fd(gradient, vec, h=1e-6):
+        """Central differences of an analytic gradient, column by column."""
+        columns = []
+        for k in range(hand.N_PARAMS):
+            step = np.zeros(hand.N_PARAMS)
+            step[k] = h
+            columns.append((gradient(vec + step) - gradient(vec - step))
+                           / (2 * h))
+        return np.array(columns).T
+
+    def test_keypoint_curvature_is_hessian_at_its_targets(self):
+        vec = hand.neutral_grasp_pose().as_vector()
+        vec[:3] = (0.2, -0.1, 0.3)
+        centers = hand.fk_with_jacobians(vec)[0].part_centers
+        # at zero residual the Gauss-Newton curvature is the exact Hessian
+        kps = keypoints_for((4, 7, 10), centers[[3, 6, 9]])
+
+        def gradient(v):
+            geometry, jacobian = hand.fk_with_jacobians(v)
+            return kp_loss(geometry, kps)[1](jacobian())[0]
+
+        geometry, jacobian = hand.fk_with_jacobians(vec)
+        _, curvature = kp_loss(geometry, kps)[1](jacobian())
+        assert_allclose(curvature, self.hessian_fd(gradient, vec),
+                        rtol=0.0, atol=1e-6 * np.abs(curvature).max())
+
+    def test_regularizer_curvature_is_hessian(self, sphere_scene):
+        obj, contacts = sphere_scene
+        vec, kps = TestPoseTerms.touching(obj)
+        curvature = pose_terms(vec, kps, obj, contacts.likelihood,
+                               (1.0, 1.0, 1.0, 1.0))[1]()[1][3]
+        hessian = self.hessian_fd(lambda v: reg_loss(v)[1], vec)
+        assert_allclose(curvature, hessian, rtol=0.0, atol=1e-8)
+        assert np.array_equal(np.diag(curvature),
+                              np.r_[np.zeros(6), np.full(21, 2.0)])
+
+    def test_irls_curvatures_equal_dense_rows(self, sphere_scene):
+        obj, contacts = sphere_scene
+        vec, kps = TestPoseTerms.touching(obj)
+        geometry, jacobian = hand.fk_with_jacobians(vec)
+        jac = jacobian()
+        sample_jac = hand.sample_jacobians(jac)
+        # contact: one row per object point off its kinks, each with its own
+        # 3 x 27 jacobian gathered from its nearest sample
+        d_mat = cdist(obj.points, geometry.samples)
+        nearest = np.argmin(d_mat, axis=1)
+        d = d_mat[np.arange(obj.n_points), nearest]
+        resid = contact_likelihood(d) - contacts.likelihood
+        idx = np.flatnonzero((d > CONTACT_RADIUS) & (resid != 0))
+        unit = (geometry.samples[nearest[idx]] - obj.points[idx]) / d[idx, None]
+        rows = (-CONTACT_RADIUS / d[idx, None] ** 2) * np.einsum(
+            "nd,ndp->np", unit, sample_jac[nearest[idx]])
+        weight = 1.0 / (np.maximum(np.abs(resid[idx]),
+                                   optimizer.CONTACT_IRLS_FLOOR)
+                        * obj.n_points)
+        contact_ref = rows.T @ (weight[:, None] * rows)
+        # penetration: one row per sunk sample
+        _, near, sd = nearest_surface(obj, geometry.samples)
+        sunk = sd < 0
+        rows = np.einsum("sd,sdp->sp", obj.normals[near[sunk]],
+                         sample_jac[sunk])
+        weight = 1.0 / np.maximum(-sd[sunk], optimizer.PENETRATION_IRLS_FLOOR)
+        pene_ref = rows.T @ (weight[:, None] * rows)
+        assert idx.size > 0 and sunk.any()
+        _, contact = contact_loss(geometry, obj, contacts.likelihood)
+        _, pene = penetration_loss(geometry, obj)
+        for (_, curvature), ref in ((contact(jac), contact_ref),
+                                    (pene(jac), pene_ref)):
+            assert (np.linalg.norm(curvature - ref)
+                    <= 1e-12 * np.linalg.norm(ref))
+
+
 class TestOptimizeGrasp:
     def test_budget_of_one_reports_cap(self, sphere_scene):
         obj, contacts = sphere_scene
@@ -296,6 +372,20 @@ class TestOptimizeGrasp:
         stop = trace.stops[3]
         assert (stop.reason, stop.iterations) == ("cap", 1)
         assert stop.evaluations >= 2 and stop.last_drop > 0.0
+
+    def test_flat_objective_stops_on_tol(self):
+        # every object point within CONTACT_RADIUS of a hand sample: the
+        # contact term is flat (zero gradient and curvature) at a value > 0
+        pose = hand.neutral_grasp_pose()
+        tip = hand.forward_kinematics(pose).samples[-1]
+        obj = ObjectModel(points=tip + 0.001 * np.eye(3), normals=np.eye(3))
+        contacts = ContactState(np.full(3, 0.5), np.zeros(3, dtype=int),
+                                np.zeros(3))
+        config = OptimizationConfig(w_kp=0.0, w_c=1.0, w_pene=0.0, w_reg=0.0)
+        _, trace = optimize_grasp(pose, obj, contacts, None, config)
+        assert trace.stage_records(3)[0].contact == 0.5
+        stop = trace.stops[3]
+        assert (stop.reason, stop.iterations, stop.evaluations) == ("tol", 1, 2)
 
     def test_regularizer_only_pull(self, sphere_scene):
         obj, contacts = sphere_scene
@@ -396,6 +486,19 @@ class TestPipeline:
             if before > 1e-3:
                 assert after < before
 
+    def test_probe_set_converges(self):
+        for scene in build_batch(8, ("sphere", "box", "cylinder", "plate"),
+                                 seed=3):
+            obj = generate_scene(scene.spec)
+            contacts = generate_contacts(obj, scene.style, seed=scene.spec.seed)
+            for use_keypoints in (True, False):
+                result = run_pipeline(obj, contacts, OptimizationConfig(),
+                                      use_keypoints=use_keypoints)
+                assert result.trace.stops[3].reason == "tol"
+                if use_keypoints:
+                    assert result.report_after.residual < 1.0
+                assert result.report_after.max_penetration < 1e-4
+
     def test_registration_beats_random_transforms(self, sphere_scene):
         obj, contacts = sphere_scene
         result = run_pipeline(obj, contacts, OptimizationConfig(
@@ -494,12 +597,11 @@ class TestSharedDescent:
         obj, contacts = sphere_scene
         vec, kps = TestPoseTerms.touching(obj)
         builds = _count_jacobian_builds(monkeypatch)
-        # from the default step the first trial is accepted; this one
-        # overshoots, so the only line search rejects trials before it ends
+        # from this deep start the first, least damped trials overshoot, so
+        # the only iteration rejects trials before it accepts one
         _, trace = optimize_grasp(hand.HandPose.from_vector(vec), obj,
                                   contacts, kps,
-                                  OptimizationConfig(step_size=0.3,
-                                                     max_iters_stage3=1))
+                                  OptimizationConfig(max_iters_stage3=1))
         assert trace.stops[3].evaluations > 2
         assert builds[3] == 1
 
