@@ -6,11 +6,11 @@ from .equilibrium import (EquilibriumSystem, ForceExistenceResult,
                           solve_force_existence, stability_energy,
                           stability_loss, stability_loss_masked)
 from .errors import (EmptyHand, EmptyObject, GraspEqError, InvalidBinCount,
-                     InvalidForce, InvalidNormal, InvalidPart, InvalidShape,
+                     InvalidForce, InvalidNormal, InvalidShape,
                      InvalidSpread, InvalidTemperature, ShapeError,
                      SolverError, StyleInfeasible)
 from .force_codec import ForceBinning, build_binning, decode, encode, spread_force
-from .hand import HandGeometry, HandPose, forward_kinematics, part_center
+from .hand import HandGeometry, HandPose, forward_kinematics
 from .keypoints import (KeypointSet, PartCluster, cluster_contacts,
                         make_targets, select_clusters, select_keypoints)
 from .optimizer import (GraspReport, OptimizationConfig, OptimizationTrace,

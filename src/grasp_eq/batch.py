@@ -1,10 +1,9 @@
 """Batch pipeline runs over synthetic scenes with aggregate reports.
 
-Scenes run independently (optionally in parallel, capped by the
-GRASP_EQ_THREADS environment variable) with per-scene seeds derived as
-seed + scene index, so results do not depend on scheduling.  Wall-clock
-timings go to a separate sidecar file to keep the result CSVs byte-stable
-across repeated runs.
+Scenes run independently (optionally in parallel threads) with per-scene
+seeds derived as seed + scene index, so results do not depend on
+scheduling.  Wall-clock timings go to a separate sidecar file to keep the
+result CSVs byte-stable across repeated runs.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from .io import write_csv
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
 from .synth import SyntheticScene, generate_contacts, generate_scene
-
-THREADS_ENV = "GRASP_EQ_THREADS"
 
 # default grasp style and dimensions per shape for batch scenes
 _BATCH_SHAPES = {
@@ -76,18 +73,6 @@ def build_batch(count: int, shapes, seed: int,
     return scenes
 
 
-def max_threads():
-    """The pool cap: GRASP_EQ_THREADS if set (at least 1), else the CPU
-    count."""
-    cap = os.environ.get(THREADS_ENV)
-    if not cap:
-        return os.cpu_count() or 1
-    threads = int(cap)
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be at least 1, got {threads}")
-    return threads
-
-
 def run_scene(scene: BatchScene, config: OptimizationConfig, mu: float,
               gravity, use_keypoints: bool = True) -> SceneRow:
     row = SceneRow(index=scene.index, shape=scene.spec.shape, style=scene.style,
@@ -131,12 +116,12 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
     Returns the list of SceneRow results.  Output files: summary.csv
     (per-scene rows + aggregate means), penetration_curve.csv, and
     timings.csv (wall clock, non-deterministic by nature).  ``threads``
-    caps the pool and must be at least 1; None means ``max_threads()``.
+    caps the pool and must be at least 1; None means the CPU count.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("batch needs at least one scene")
-    threads = max_threads() if threads is None else threads
+    threads = (os.cpu_count() or 1) if threads is None else threads
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     threads = min(threads, len(scenes))

@@ -85,7 +85,7 @@ def _binning(args, cfg):
     mu_log = block.get("mu_log", 0.0)
     sigma_log = block.get("sigma_log", 1.0)
     temperature = block.get("temperature", 0.02)
-    return build_binning(int(s), float(mu_log), float(sigma_log)), float(temperature)
+    return build_binning(s, float(mu_log), float(sigma_log)), float(temperature)
 
 
 def _emit(payload, path=None):
@@ -141,7 +141,7 @@ def _keypoint_options(args, cfg):
     return {
         "cluster_radius": _resolve(args, cfg, "cluster_radius",
                                    DEFAULT_CLUSTER_RADIUS),
-        "n_kp": int(_resolve(args, cfg, "n_kp", DEFAULT_N_KEYPOINTS)),
+        "n_kp": _resolve(args, cfg, "n_kp", DEFAULT_N_KEYPOINTS),
         "target_offset": _resolve(args, cfg, "offset", DEFAULT_KEYPOINT_OFFSET),
     }
 

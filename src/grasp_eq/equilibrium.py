@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SolverError
-from .scene import GRAVITY, ObjectModel, _pivot_tangents, check_unit_normals
+from .scene import (GRAVITY, ObjectModel, _freeze, _pivot_tangents,
+                    check_unit_normals)
 
 DEFAULT_MU = 1.0
 QP_TOL = 1e-8
@@ -82,12 +83,6 @@ class ForceExistenceResult:
     accel: np.ndarray
 
 
-def _freeze(arr):
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=float))
-    arr.flags.writeable = False
-    return arr
-
-
 def assemble(obj: ObjectModel, points, normals, forces,
              mu: float = DEFAULT_MU, gravity=GRAVITY, bases=None) -> EquilibriumSystem:
     """Build the 6 x n acceleration matrices for a contact set.
@@ -104,8 +99,8 @@ def assemble(obj: ObjectModel, points, normals, forces,
         raise ShapeError(f"expected {n} forces, got shape {forces.shape}")
     if np.any(forces < 0) or not np.all(np.isfinite(forces)):
         raise ValueError("contact forces must be finite and non-negative")
-    if mu < 0:
-        raise ValueError("friction coefficient must be non-negative")
+    if not (np.isfinite(mu) and mu >= 0):
+        raise ValueError(f"friction coefficient must be finite and >= 0, got {mu}")
     gravity = np.asarray(gravity, dtype=float)
     if gravity.shape != (3,) or not np.all(np.isfinite(gravity)):
         raise ValueError("gravity must be a finite 3-vector")

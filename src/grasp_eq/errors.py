@@ -37,10 +37,6 @@ class ShapeError(GraspEqError):
     """Array arguments have mismatched shapes."""
 
 
-class InvalidPart(GraspEqError):
-    """Hand part id outside 1..16."""
-
-
 class InvalidShape(GraspEqError):
     """Synthetic shape parameters are invalid."""
 

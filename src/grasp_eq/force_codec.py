@@ -46,7 +46,7 @@ class ForceBinning:
 def build_binning(s: int, mu_log: float = 0.0, sigma_log: float = 1.0) -> ForceBinning:
     """Construct the binning; s >= 3 and sigma_log > 0."""
     if int(s) != s or s < 3:
-        raise InvalidBinCount(f"need at least 3 bins, got {s}")
+        raise InvalidBinCount(f"need an integer count of at least 3 bins, got {s!r}")
     s = int(s)
     if not sigma_log > 0:
         raise InvalidSpread(f"sigma_log must be positive, got {sigma_log}")

@@ -21,18 +21,24 @@ from .scene import (CONTACT_RADIUS, GRAVITY, ObjectModel, contact_likelihood,
 from .synth import SyntheticScene, generate_contacts, generate_scene
 
 REL_TOL = 1e-3  # run_gradcheck's bound on analytic vs. FD relative error
+FORCE_SCALE = 4.0  # random contact forces and force maps lie in [0, FORCE_SCALE]
+LOSS_FD_STEP = 1e-7  # central-difference step on the force map
+LOSS_KINK_MARGIN = 1e-4  # skip systems with an interval bound this close to 0
+POSE_FD_STEP = 1e-6  # central-difference step along a pose direction
+POSE_FD_SAFETY = 4.0  # factor on a probe's motion bound in pose_fd_safe
+POSE_FD_DIRECTIONS = 4  # random directions per pose check
 
 
-def random_contact_system(rng, n_contacts=None, radius=None, force_scale=4.0):
-    """Desk-scale random contact set on a random sphere."""
-    radius = radius if radius is not None else float(rng.uniform(0.03, 0.08))
-    n = int(n_contacts) if n_contacts is not None else int(rng.integers(1, 4))
+def random_contact_system(rng):
+    """Desk-scale random contact set, 1 to 3 contacts, on a random sphere."""
+    radius = float(rng.uniform(0.03, 0.08))
+    n = int(rng.integers(1, 4))
     shell = rng.normal(size=(max(n, 8), 3))
     shell /= np.linalg.norm(shell, axis=1, keepdims=True)
     obj = ObjectModel(points=radius * shell, normals=shell, com=np.zeros(3))
     normals = shell[:n]
     points = radius * normals
-    forces = rng.uniform(0.0, force_scale, size=n)
+    forces = rng.uniform(0.0, FORCE_SCALE, size=n)
     return obj, points, normals, forces
 
 
@@ -45,18 +51,18 @@ def _fd_gradient(fun, x, h):
     return grad
 
 
-def check_loss_gradient(rng, margin=1e-4, h=1e-7):
+def check_loss_gradient(rng):
     """One randomized check; returns (checked, max relative error)."""
     obj, points, normals, forces = random_contact_system(rng)
     sys = assemble(obj, points, normals, forces, mu=1.0, gravity=GRAVITY)
-    force_map = rng.uniform(0.0, 4.0, size=len(forces))
+    force_map = rng.uniform(0.0, FORCE_SCALE, size=len(forces))
     likelihood = rng.uniform(0.1, 1.0, size=len(forces))
     lower, upper, _ = _interval_bounds(sys, force_map * likelihood)
-    if min(np.abs(lower).min(), np.abs(upper).min()) < margin:
+    if min(np.abs(lower).min(), np.abs(upper).min()) < LOSS_KINK_MARGIN:
         return False, 0.0
     analytic = loss_gradient(sys, force_map, likelihood)
     fd = _fd_gradient(lambda f: stability_loss_masked(sys, f, likelihood),
-                      force_map, h)
+                      force_map, LOSS_FD_STEP)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     return True, float(np.max(np.abs(analytic - fd) / scale))
 
@@ -73,20 +79,21 @@ def _random_pose(rng, obj_radius):
         scale=float(rng.uniform(0.8, 1.2)))
 
 
-def pose_fd_safe(pose, obj, target_likelihood, h=1e-6, safety=4.0):
+def pose_fd_safe(pose, obj, target_likelihood):
     """True when no stage-III loss kink can be crossed by a central FD probe.
 
-    A probe of size ``h`` in pose space moves any hand sample by at most
-    ``h`` times the kinematic chain radius.  Each non-smooth boundary is
-    checked against that motion bound: the likelihood clamp at d = c0 (the
-    CONTACT_RADIUS), the sign of the contact residual (scaled by the local
-    slope c0/d^2), ties in the nearest-sample and nearest-surface-point
-    assignments, the penetration hinge, and the joint-limit box.
+    A probe of size POSE_FD_STEP in pose space moves any hand sample by at
+    most that step times the kinematic chain radius, and POSE_FD_SAFETY
+    widens that bound.  Each non-smooth boundary is checked against it: the
+    likelihood clamp at d = c0 (the CONTACT_RADIUS), the sign of the contact
+    residual (scaled by the local slope c0/d^2), ties in the nearest-sample
+    and nearest-surface-point assignments, the penetration hinge, and the
+    joint-limit box.
     """
     geometry = hand.forward_kinematics(pose)
     chain = float(np.linalg.norm(geometry.samples - geometry.joints[0],
                                  axis=1).max()) + 1.0
-    move = safety * h * chain
+    move = POSE_FD_SAFETY * POSE_FD_STEP * chain
     c0 = CONTACT_RADIUS
     # nearest and second-nearest sample distance per object point
     near = np.partition(cdist(obj.points, geometry.samples), 1, axis=1)
@@ -110,16 +117,16 @@ def pose_fd_safe(pose, obj, target_likelihood, h=1e-6, safety=4.0):
     vec = pose.as_vector()
     finite = np.isfinite(lo)
     slack = np.minimum(vec[finite] - lo[finite], hi[finite] - vec[finite])
-    return bool(np.all(slack > safety * h))
+    return bool(np.all(slack > POSE_FD_SAFETY * POSE_FD_STEP))
 
 
-def check_pose_gradients(rng, obj, contacts, h=1e-6, directions=4):
+def check_pose_gradients(rng, obj, contacts):
     """Directional FD check of every stage-III loss term at a random pose.
 
     Returns (checked, max relative error over all terms and directions).
     """
     pose = _random_pose(rng, float(np.linalg.norm(obj.points, axis=1).max()))
-    if not pose_fd_safe(pose, obj, contacts.likelihood, h=h):
+    if not pose_fd_safe(pose, obj, contacts.likelihood):
         return False, 0.0
     kps_like = SimpleNamespace(parts=(4, 7, 10), targets=obj.points[:3] * 1.2)
 
@@ -130,7 +137,8 @@ def check_pose_gradients(rng, obj, contacts, h=1e-6, directions=4):
     vec = pose.as_vector()
     grads = np.array(terms(vec)[1]()[0])
     worst = 0.0
-    for _ in range(directions):
+    h = POSE_FD_STEP
+    for _ in range(POSE_FD_DIRECTIONS):
         direction = rng.normal(size=hand.N_PARAMS)
         direction /= np.linalg.norm(direction)
         up = np.array(terms(vec + h * direction)[0])

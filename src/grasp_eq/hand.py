@@ -13,22 +13,19 @@ palm normal is +z.  Positive flexion curls a finger toward -z; positive
 abduction swings it about the palm normal.  Joint rotation axes are fixed
 in their parent frames.  World point = R(global_rotation) @ local + trans.
 
-``forward_kinematics`` poses a ``HandPose``; ``fk_with_jacobians`` poses a
-pose vector and returns, next to the geometry, a builder for the exact
-joint jacobian, so an evaluation that needs only values never builds it.
+``fk_with_jacobians`` poses a pose vector and returns, next to the
+geometry, a builder for the exact joint jacobian, so an evaluation that
+needs only values never builds it.  ``forward_kinematics`` poses a
+``HandPose`` by clipping its vector into the joint limits and taking the
+value pass of ``fk_with_jacobians``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPart
-
-SKELETON_VERSION = "avg-adult-v1"
-
-FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 N_JOINTS = 21
 N_ANGLES = 20
 N_PARTS = 16
@@ -204,16 +201,6 @@ def parameter_bounds(lock_scale: float | None = None):
     return lo, hi
 
 
-def clamp_pose(pose: HandPose):
-    """Clamp angles and scale into their limits; returns (pose, changed)."""
-    clamped = np.clip(pose.angles, _LOWER[6:26], _UPPER[6:26])
-    scale = float(np.clip(pose.scale, _LOWER[26], _UPPER[26]))
-    changed = bool(scale != pose.scale or np.any(clamped != pose.angles))
-    if not changed:
-        return pose, False
-    return replace(pose, angles=clamped, scale=scale), True
-
-
 @dataclass(frozen=True, eq=False)
 class HandGeometry:
     """Posed joints, part centers, and surface samples (world frame)."""
@@ -221,8 +208,6 @@ class HandGeometry:
     joints: np.ndarray
     part_centers: np.ndarray
     samples: np.ndarray
-    sample_parts: np.ndarray
-    clamped: bool
 
 
 def _skew(v):
@@ -285,38 +270,6 @@ def _local_joints(vec):
     return joints, frames
 
 
-def _posed(vec, finger_joints, clamped):
-    """World geometry of hand-frame finger joints under the global transform
-    of pose vector ``vec``.
-
-    Returns (geometry, rotated, r_glob): rotated holds the 21 joints turned
-    by r_glob but not yet translated, which the jacobian reuses.
-    """
-    r_glob = rotation_matrix(vec[:3])
-    rotated = np.concatenate([np.zeros((1, 3)), finger_joints.reshape(N_ANGLES, 3)]) @ r_glob.T
-    world = rotated + vec[3:6]
-    geometry = HandGeometry(joints=world,
-                            part_centers=_CENTER_WEIGHTS @ world,
-                            samples=_SAMPLE_WEIGHTS @ world,
-                            sample_parts=SAMPLE_PARTS,
-                            clamped=clamped)
-    return geometry, rotated, r_glob
-
-
-def forward_kinematics(pose: HandPose) -> HandGeometry:
-    """Pose the skeleton; out-of-limit angles are clamped (flagged)."""
-    pose, clamped = clamp_pose(pose)
-    vec = pose.as_vector()
-    return _posed(vec, _local_joints(vec)[0], clamped)[0]
-
-
-def part_center(geometry: HandGeometry, part: int) -> np.ndarray:
-    """Center of a hand part: mean of its bounding joints."""
-    if int(part) != part or not 1 <= part <= N_PARTS:
-        raise InvalidPart(f"part id must lie in 1..{N_PARTS}, got {part}")
-    return geometry.part_centers[int(part) - 1]
-
-
 def _rotation_point_jacobian(omega, r, rotated):
     """d(R(omega) v)/d omega for each row v of ``rotated`` = R v stacked.
 
@@ -340,15 +293,21 @@ def fk_with_jacobians(vec):
     vector) there.
 
     ``vec`` is the pose vector [rotation, translation, angles, scale] and
-    must lie in ``parameter_bounds()``: it is neither validated nor clamped,
-    so the geometry's ``clamped`` reads False and the jacobian is over
-    ``vec`` itself.  Returns (geometry, jacobian): each ``jacobian()`` call
-    builds the (21, 3, 27) array, in the same order, from this pass's
-    kinematics, so a caller that only needs values never pays for it.
+    must lie in ``parameter_bounds()``: it is neither validated nor clipped,
+    so the jacobian is over ``vec`` itself.  Returns (geometry, jacobian):
+    each ``jacobian()`` call builds the (21, 3, 27) array, in the same
+    order, from this pass's kinematics, so a caller that only needs values
+    never pays for it.
     """
     vec = np.asarray(vec, dtype=float)
     joints, frames = _local_joints(vec)
-    geometry, rotated, r_glob = _posed(vec, joints, False)
+    r_glob = rotation_matrix(vec[:3])
+    # the 21 joints turned by r_glob but not yet translated, which the
+    # jacobian reuses
+    rotated = np.concatenate([np.zeros((1, 3)), joints.reshape(N_ANGLES, 3)]) @ r_glob.T
+    world = rotated + vec[3:6]
+    geometry = HandGeometry(joints=world, part_centers=_CENTER_WEIGHTS @ world,
+                            samples=_SAMPLE_WEIGHTS @ world)
 
     def jacobian():
         jac = np.zeros((N_JOINTS, 3, N_PARAMS))
@@ -366,6 +325,11 @@ def fk_with_jacobians(vec):
         return jac
 
     return geometry, jacobian
+
+
+def forward_kinematics(pose: HandPose) -> HandGeometry:
+    """Pose the skeleton with its vector clipped into ``parameter_bounds()``."""
+    return fk_with_jacobians(np.clip(pose.as_vector(), *parameter_bounds()))[0]
 
 
 def center_jacobians(joint_jac, parts=None):

@@ -152,8 +152,9 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
     improvements by more than QP_TOL, the solver's certified gap, replace
     the incumbent.
     """
-    if n_kp < 1:
-        raise ValueError(f"n_kp must be at least 1, got {n_kp}")
+    if int(n_kp) != n_kp or n_kp < 1:
+        raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp}")
+    n_kp = int(n_kp)
     if not representatives:
         raise ValueError("no representative clusters to select from")
     parts = sorted(representatives)

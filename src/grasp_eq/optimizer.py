@@ -6,10 +6,10 @@ transform to the targets, (III) full optimization adding contact-map,
 penetration, and regularization terms.  All gradients flow analytically
 through the kinematic chain.  Stages II and III are two calls of one
 Levenberg-Marquardt driver, ``_lm_stage``, over the terms of ``pose_terms``
-(stage II weighs the keypoint term alone and locks the scale), whose trial
-points feed one accept/stop loop, ``_descend``.  A step is accepted only if
-it does not raise the objective, and each stage records why it stopped in
-``OptimizationTrace.stops``.  Trial points are evaluated by value only; the
+(stage II weighs the keypoint term alone and locks the scale); its loop is
+the one place trial points are accepted and stages stop.  A step is
+accepted only if it does not raise the objective, and each stage records
+why it stopped in ``OptimizationTrace.stops``.  Trial points are evaluated by value only; the
 joint jacobian, the gradients and the curvatures are built from that
 evaluation's kinematics and nearest-neighbour results, and only at an
 accepted point, where the driver draws its next trials.
@@ -156,11 +156,10 @@ def register_global(part_centers, targets) -> RegistrationResult:
                               degenerate=degenerate)
 
 
-def registration_to_pose(reg: RegistrationResult,
-                         reference: hand.HandPose | None = None) -> hand.HandPose:
-    """Hand pose applying a rigid registration to a reference articulation."""
-    if reference is None:
-        reference = hand.neutral_grasp_pose()
+def registration_to_pose(reg: RegistrationResult) -> hand.HandPose:
+    """Hand pose applying a rigid registration to the neutral grasp
+    articulation."""
+    reference = hand.neutral_grasp_pose()
     rotvec = Rotation.from_matrix(reg.rotation).as_rotvec()
     return hand.HandPose(rotation=rotvec, translation=reg.translation,
                          angles=reference.angles, scale=reference.scale)
@@ -496,11 +495,10 @@ def run_pipeline(obj: ObjectModel, contacts: ContactState,
         kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
                              cluster_radius=cluster_radius, n_kp=n_kp,
                              target_offset=target_offset)
-        reference = hand.neutral_grasp_pose()
-        ref_geometry = hand.forward_kinematics(reference)
+        ref_geometry = hand.forward_kinematics(hand.neutral_grasp_pose())
         ref_centers = ref_geometry.part_centers[np.asarray(kps.parts) - 1]
         reg = register_global(ref_centers, kps.targets)
-        pose1 = registration_to_pose(reg, reference)
+        pose1 = registration_to_pose(reg)
         pose2 = fit_keypoints(pose1, kps, config, trace=trace)
         pose3, trace = optimize_grasp(pose2, obj, contacts, kps, config,
                                       trace=trace)

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import EmptyHand, EmptyObject, InvalidNormal
+from .hand import N_PARTS, _cross
 
 GRAVITY = (0.0, 0.0, -9.81)
 
@@ -26,8 +27,6 @@ GRAVITY = (0.0, 0.0, -9.81)
 # is "in contact" when likelihood >= CONTACT_THRESHOLD, i.e. d <= 4 mm.
 CONTACT_RADIUS = 0.002
 CONTACT_THRESHOLD = 0.5
-
-N_HAND_PARTS = 16
 
 _UNIT_TOL = 1e-6
 
@@ -133,8 +132,8 @@ class ContactState:
             raise ValueError("contact channels must be parallel 1-d arrays")
         if not np.all(np.isfinite(likelihood)) or likelihood.min(initial=0.0) < 0 or likelihood.max(initial=0.0) > 1:
             raise ValueError("likelihood must lie in [0, 1]")
-        if part_label.min(initial=0) < 0 or part_label.max(initial=0) > N_HAND_PARTS:
-            raise ValueError(f"part labels must lie in 0..{N_HAND_PARTS}")
+        if part_label.min(initial=0) < 0 or part_label.max(initial=0) > N_PARTS:
+            raise ValueError(f"part labels must lie in 0..{N_PARTS}")
         if not np.all(np.isfinite(force)) or force.min(initial=0.0) < 0:
             raise ValueError("forces must be finite and non-negative")
         if np.any((force > 0) & (likelihood == 0)):
@@ -173,9 +172,7 @@ def _pivot_tangents(normals):
     b = -normals[rows, axis][:, None] * normals
     b[rows, axis] += 1.0
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    # t = n x b, written out over the rolled components
-    i, j = [1, 2, 0], [2, 0, 1]
-    return b, normals[:, i] * b[:, j] - normals[:, j] * b[:, i]
+    return b, _cross(normals, b)
 
 
 def contact_likelihood(d):

@@ -15,6 +15,7 @@ import numpy as np
 from .equilibrium import DEFAULT_MU, solve_force_existence
 from .errors import InvalidShape, StyleInfeasible
 from .force_codec import spread_force
+from .hand import N_PARTS, PALM_PART, segment_part_id
 from .scene import GRAVITY, ContactState, ObjectModel, contact_map_from_hand
 
 SHAPES = ("sphere", "box", "cylinder", "plate")
@@ -23,9 +24,10 @@ STYLES = ("tripod", "pinch", "wrap", "random")
 DEFAULT_SAMPLE_COUNT = 2048
 DEFAULT_PATCH_RADIUS = 0.012
 
-# hand part ids used for generated patches (palm and distal segments)
-_PALM = 1
-_THUMB_TIP, _INDEX_TIP, _MIDDLE_TIP, _RING_TIP, _PINKY_TIP = 4, 7, 10, 13, 16
+# hand part ids of the distal segments, thumb to pinky; generated patches
+# sit on these and the palm
+_TIPS = tuple(segment_part_id(f, 2) for f in range(5))
+_THUMB_TIP, _INDEX_TIP, _MIDDLE_TIP = _TIPS[:3]
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,14 @@ def _style_directions(obj, style, rng, n_patches):
         axis[int(np.argmin(extents))] = 1.0
         return [(axis, _THUMB_TIP), (-axis, _INDEX_TIP)]
     if style == "wrap":
-        dirs = [(_direction(0.0, 80.0), _PALM)]
-        parts = (_THUMB_TIP, _INDEX_TIP, _MIDDLE_TIP, _RING_TIP, _PINKY_TIP)
-        for az, part in zip((180.0, 75.0, 25.0, -25.0, -75.0), parts):
+        dirs = [(_direction(0.0, 80.0), PALM_PART)]
+        for az, part in zip((180.0, 75.0, 25.0, -25.0, -75.0), _TIPS):
             dirs.append((_direction(az, -25.0), part))
         return dirs
     if style == "random":
         count = int(n_patches) if n_patches else int(rng.integers(3, 7))
-        parts = rng.choice(np.arange(2, 17), size=count, replace=False)
+        parts = rng.choice(np.arange(PALM_PART + 1, N_PARTS + 1), size=count,
+                           replace=False)
         dirs = []
         for part in parts:
             v = rng.normal(size=3)

@@ -68,6 +68,44 @@ class TestCliBasics:
                      "-o", str(tmp_path / "kp.json")]) == 2
         assert "n_kp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, block", [
+        ("encode-force", {"binning": {"s": 10.5}}),
+        ("keypoints", {"n_kp": 2.5}),
+    ])
+    def test_rejects_non_integer_config_counts(self, scene_files, tmp_path,
+                                               capsys, verb, block):
+        scene, contacts = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(block))
+        inputs = (["--value", "1"] if verb == "encode-force"
+                  else ["--scene", str(scene), "--contacts", str(contacts)])
+        assert main([verb, "--config", str(cfg), *inputs,
+                     "-o", str(tmp_path / "out.json")]) == 2
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv, block", [
+        (["analyze", "--mu", "nan"], {}),
+        (["analyze", "--mu", "inf"], {}),
+        (["analyze"], {"mu": float("nan")}),
+        (["synth", "--mu", "nan"], {}),
+    ], ids=["analyze-nan", "analyze-inf", "config-nan", "synth-nan"])
+    def test_rejects_non_finite_friction(self, scene_files, tmp_path, capfd,
+                                         argv, block):
+        scene, contacts = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(block))
+        if argv[0] == "synth":
+            files = ["--shape", "sphere", "--dims", "0.05",
+                     "--scene-out", str(tmp_path / "s.json"),
+                     "--contacts-out", str(tmp_path / "c.json")]
+        else:
+            files = ["--scene", str(scene), "--contacts", str(contacts)]
+        assert main([*argv, "--config", str(cfg), *files]) == 2
+        out, err = capfd.readouterr()
+        assert "friction" in err
+        assert "DLASCL" not in out + err
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("block", [{"n_kp": 0},
                                        {"optimizer": {"seed": 0}},
                                        {"optimizer": {"snapshot_interval": 10}},
@@ -243,26 +281,6 @@ class TestBatch:
         scenes = build_batch(1, ["sphere"], seed=0, sample_count=512)
         with pytest.raises(ValueError, match="threads"):
             batch_report(scenes, OptimizationConfig(), threads=threads)
-
-    def test_thread_env_cap(self, monkeypatch):
-        from grasp_eq import batch as batch_mod
-        monkeypatch.setenv(batch_mod.THREADS_ENV, "2")
-        assert batch_mod.max_threads() == 2
-
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_thread_env_below_one_raises(self, monkeypatch, cap):
-        from grasp_eq import batch as batch_mod
-        monkeypatch.setenv(batch_mod.THREADS_ENV, cap)
-        with pytest.raises(ValueError, match=batch_mod.THREADS_ENV):
-            batch_mod.max_threads()
-
-    def test_cli_batch_rejects_zero_thread_env(self, tmp_path, monkeypatch,
-                                               capsys):
-        from grasp_eq import batch as batch_mod
-        monkeypatch.setenv(batch_mod.THREADS_ENV, "0")
-        assert main(["batch", "--count", "1", "--samples", "512",
-                     "--out-dir", str(tmp_path / "batch")]) == 2
-        assert batch_mod.THREADS_ENV in capsys.readouterr().err
 
     def test_cli_batch_exit_code_names_failed_scenes(self, tmp_path, capsys):
         out = tmp_path / "batch"

@@ -48,6 +48,11 @@ class TestAssemble:
         with pytest.raises(InvalidNormal):
             assemble(small_sphere, BOTTOM_P, [[0.0, 0.0, -0.9]], [1.0])
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_friction_coefficient(self, small_sphere, mu):
+        with pytest.raises(ValueError, match="friction"):
+            assemble(small_sphere, BOTTOM_P, BOTTOM_N, [9.81], mu=mu)
+
     def test_force_linearity(self, small_sphere):
         sys1 = assemble(small_sphere, PINCH_P, PINCH_N, [2.0, 3.0])
         sys2 = assemble(small_sphere, PINCH_P, PINCH_N, [4.0, 6.0])

@@ -3,10 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grasp_eq import hand
-from grasp_eq.errors import InvalidPart
-from grasp_eq.hand import (HandPose, clamp_pose, fk_with_jacobians,
-                           forward_kinematics, neutral_grasp_pose,
-                           parameter_bounds, part_center, rest_pose,
+from grasp_eq.hand import (HandPose, fk_with_jacobians, forward_kinematics,
+                           neutral_grasp_pose, parameter_bounds, rest_pose,
                            rotation_matrix)
 
 
@@ -40,7 +38,7 @@ class TestRestPose:
     def test_sample_count_and_radii(self):
         geometry = forward_kinematics(rest_pose())
         assert geometry.samples.shape == (hand.N_SAMPLES, 3)
-        palm = geometry.sample_parts == hand.PALM_PART
+        palm = hand.SAMPLE_PARTS == hand.PALM_PART
         assert palm.sum() == 5
 
 
@@ -76,20 +74,13 @@ class TestPartCenters:
         geometry = forward_kinematics(rest_pose())
         j0 = hand.finger_base_joint(1)
         expected = 0.5 * (geometry.joints[j0] + geometry.joints[j0 + 1])
-        assert_allclose(part_center(geometry, 5), expected, atol=1e-12)
+        assert_allclose(geometry.part_centers[5 - 1], expected, atol=1e-12)
 
     def test_palm_mean_of_six(self):
         geometry = forward_kinematics(rest_pose())
         members = [0] + [hand.finger_base_joint(f) for f in range(5)]
-        assert_allclose(part_center(geometry, 1),
+        assert_allclose(geometry.part_centers[1 - 1],
                         geometry.joints[members].mean(axis=0), atol=1e-12)
-
-    def test_invalid_part(self):
-        geometry = forward_kinematics(rest_pose())
-        with pytest.raises(InvalidPart):
-            part_center(geometry, 0)
-        with pytest.raises(InvalidPart):
-            part_center(geometry, 17)
 
     def test_continuity(self):
         rng = np.random.default_rng(5)
@@ -102,16 +93,14 @@ class TestPartCenters:
 
 
 class TestClamping:
-    def test_out_of_limit_flagged(self):
+    def test_out_of_limit_poses_as_clipped(self):
         angles = np.zeros(hand.N_ANGLES)
         angles[0] = 2.0  # abduction limit is 0.5
         geometry = forward_kinematics(HandPose(angles=angles))
-        assert geometry.clamped
-        clamped, changed = clamp_pose(HandPose(angles=angles))
-        assert changed and clamped.angles[0] == 0.5
-
-    def test_in_limit_not_flagged(self):
-        assert not forward_kinematics(neutral_grasp_pose()).clamped
+        angles[0] = 0.5
+        clipped = forward_kinematics(HandPose(angles=angles))
+        for name in ("joints", "part_centers", "samples"):
+            assert np.array_equal(getattr(geometry, name), getattr(clipped, name))
 
     def test_bounds_vector(self):
         lo, hi = parameter_bounds()
@@ -128,10 +117,9 @@ class TestClamping:
         for _ in range(20):
             vec = rng.uniform(-3.0, 3.0, hand.N_PARAMS)
             vec[26] = rng.uniform(0.2, 2.0)
-            clamped, _ = clamp_pose(HandPose.from_vector(vec))
-            expected = np.clip(vec, lo, hi)
-            assert np.array_equal(clamped.angles, expected[6:26])
-            assert clamped.scale == expected[26]
+            geometry = forward_kinematics(HandPose.from_vector(vec))
+            expected, _ = fk_with_jacobians(np.clip(vec, lo, hi))
+            assert np.array_equal(geometry.joints, expected.joints)
 
 
 class TestBoundingSphere:
