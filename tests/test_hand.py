@@ -93,7 +93,8 @@ class TestPartCenters:
 
 
 class TestClamping:
-    def test_out_of_limit_poses_as_clipped(self):
+    def test_out_of_limit_flagged(self):
+        # An out-of-limit pose poses exactly as its clipped vector does.
         angles = np.zeros(hand.N_ANGLES)
         angles[0] = 2.0  # abduction limit is 0.5
         geometry = forward_kinematics(HandPose(angles=angles))
@@ -101,6 +102,16 @@ class TestClamping:
         clipped = forward_kinematics(HandPose(angles=angles))
         for name in ("joints", "part_centers", "samples"):
             assert np.array_equal(getattr(geometry, name), getattr(clipped, name))
+
+    def test_in_limit_not_flagged(self):
+        # An in-limit pose is left as it is: no joint moves under the clip.
+        lo, hi = parameter_bounds()
+        vec = neutral_grasp_pose().as_vector()
+        assert np.all((vec >= lo) & (vec <= hi))
+        geometry = forward_kinematics(neutral_grasp_pose())
+        unclipped, _ = fk_with_jacobians(vec)
+        for name in ("joints", "part_centers", "samples"):
+            assert np.array_equal(getattr(geometry, name), getattr(unclipped, name))
 
     def test_bounds_vector(self):
         lo, hi = parameter_bounds()
