@@ -20,7 +20,8 @@ attainable interval excludes zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +62,18 @@ class EquilibriumSystem:
                 + self.mu * (self.t_mat @ (np.asarray(delta) * f))
                 + self.gravity6)
 
+    def take(self, cols):
+        """The system of the contacts ``cols`` alone.
+
+        The columns are C-ordered copies: a plain ``a[:, cols]`` comes out
+        Fortran-ordered, and the QP's products would then round differently
+        from a system assembled over those contacts directly.
+        """
+        return replace(self, n_mat=_freeze(self.n_mat.take(cols, axis=1)),
+                       b_mat=_freeze(self.b_mat.take(cols, axis=1)),
+                       t_mat=_freeze(self.t_mat.take(cols, axis=1)),
+                       forces=_freeze(self.forces.take(cols)))
+
 
 @dataclass(frozen=True, eq=False)
 class StabilityResult:
@@ -99,8 +112,9 @@ def assemble(obj: ObjectModel, points, normals, forces,
         raise ShapeError(f"expected {n} forces, got shape {forces.shape}")
     if np.any(forces < 0) or not np.all(np.isfinite(forces)):
         raise ValueError("contact forces must be finite and non-negative")
-    if not (np.isfinite(mu) and mu >= 0):
-        raise ValueError(f"friction coefficient must be finite and >= 0, got {mu}")
+    if not (isinstance(mu, numbers.Real) and np.isfinite(mu) and mu >= 0):
+        raise ValueError(f"friction coefficient mu must be a finite number "
+                         f">= 0, got {mu!r}")
     gravity = np.asarray(gravity, dtype=float)
     if gravity.shape != (3,) or not np.all(np.isfinite(gravity)):
         raise ValueError("gravity must be a finite 3-vector")
@@ -301,11 +315,28 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
 
 
 def _interval_bounds(sys: EquilibriumSystem, forces):
-    """Per-row lower/upper bounds of the attainable acceleration."""
+    """Per-row lower/upper bounds of the attainable acceleration.
+
+    ``forces`` is (n,) or (n, K); the bounds have one column per force
+    column.
+    """
     fric = sys.mu * (np.abs(sys.b_mat) + np.abs(sys.t_mat))
-    lower = (sys.n_mat - fric) @ forces + sys.gravity6
-    upper = (sys.n_mat + fric) @ forces + sys.gravity6
+    g6 = sys.gravity6 if np.ndim(forces) == 1 else sys.gravity6[:, None]
+    lower = (sys.n_mat - fric) @ forces + g6
+    upper = (sys.n_mat + fric) @ forces + g6
     return lower, upper, fric
+
+
+def energy_lower_bounds(sys: EquilibriumSystem, forces):
+    """Lower bound on the stability energy at each force column.
+
+    Every friction choice keeps acceleration row r within the attainable
+    interval [lower_r, upper_r] of ``_interval_bounds``, so the minimum of
+    ||accel||^2 is at least sum_r dist(0, [lower_r, upper_r])^2.
+    ``forces`` is (n,) or (n, K); returns a scalar or K bounds.
+    """
+    lower, upper, _ = _interval_bounds(sys, forces)
+    return (np.maximum(lower, 0.0) ** 2 + np.minimum(upper, 0.0) ** 2).sum(axis=0)
 
 
 def stability_loss(sys: EquilibriumSystem) -> float:

@@ -83,6 +83,25 @@ class TestCliBasics:
                      "-o", str(tmp_path / "out.json")]) == 2
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("block, field", [
+        ({"mu": "1.0"}, "mu"),
+        ({"n_kp": None}, "n_kp"),
+        ({"cluster_radius": "x"}, "cluster_radius"),
+        ({"cluster_radius": float("nan")}, "cluster_radius"),
+        ({"cluster_radius": float("inf")}, "cluster_radius"),
+    ], ids=["mu-string", "n_kp-null", "radius-string", "radius-nan",
+            "radius-inf"])
+    def test_keypoints_rejects_bad_config_value(self, scene_files, tmp_path,
+                                                capsys, block, field):
+        scene, contacts = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(block))
+        assert main(["keypoints", "--config", str(cfg), "--scene", str(scene),
+                     "--contacts", str(contacts),
+                     "-o", str(tmp_path / "kp.json")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "kp.json").exists()
+
     @pytest.mark.parametrize("argv, block", [
         (["analyze", "--mu", "nan"], {}),
         (["analyze", "--mu", "inf"], {}),

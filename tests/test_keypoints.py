@@ -1,15 +1,24 @@
 import itertools
+import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from grasp_eq.equilibrium import assemble, stability_energy
-from grasp_eq.keypoints import (KeypointSet, cluster_contacts, find_keypoints,
-                                make_targets, select_clusters, select_keypoints)
+from grasp_eq import keypoints
+from grasp_eq.equilibrium import (QP_TOL, assemble, energy_lower_bounds,
+                                  stability_energy)
+from grasp_eq.errors import SolverError
+from grasp_eq.keypoints import (KeypointSet, PartCluster, cluster_contacts,
+                                find_keypoints, make_targets, select_clusters,
+                                select_keypoints)
 from grasp_eq.scene import ContactState, ObjectModel
 
-from conftest import sphere_object
+from conftest import random_contacts, sphere_object
+from test_acceptance import _random_representatives
 
 
 def state_from_patches(obj, patches):
@@ -251,6 +260,190 @@ class TestSelectKeypoints:
         assert a.parts == b.parts
         assert_allclose(a.centers, b.centers)
         assert a.energy == b.energy
+
+
+def exhaustive_keypoints(reps, obj, n_kp):
+    """Reference: solve every combination, as the search did before it
+    pruned by bounds.  Looks up ``keypoints.stability_energy`` at call time,
+    so a patched solver serves both."""
+    chosen, best = None, np.inf
+    for combo in itertools.combinations(sorted(reps), min(n_kp, len(reps))):
+        group = [reps[p] for p in combo]
+        sys = assemble(obj, np.array([c.center for c in group]),
+                       np.array([c.normal for c in group]),
+                       np.array([c.force for c in group]))
+        try:
+            energy = keypoints.stability_energy(sys).energy
+        except SolverError as err:
+            energy = err.result.energy
+        if energy < best - QP_TOL:
+            chosen, best = combo, energy
+    return chosen, best
+
+
+def exhaustive_clusters(clusters, obj):
+    """Reference for select_clusters: every candidate solved."""
+    parts = sorted(clusters)
+    reps = {p: max(clusters[p], key=lambda c: c.force) for p in parts}
+    for p in parts:
+        if len(clusters[p]) == 1:
+            continue
+        others = [reps[q] for q in parts if q != p]
+        best, best_energy = None, np.inf
+        for cand in clusters[p]:
+            energy = cluster_system_energy(obj, [cand] + others)
+            if energy < best_energy - QP_TOL:
+                best, best_energy = cand, energy
+        reps[p] = best
+    return reps
+
+
+def random_cluster(rng, part, radius=0.05):
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return PartCluster(part=part, indices=np.array([0]),
+                       center=radius * direction,
+                       force=float(rng.uniform(0.5, 8.0)), normal=direction)
+
+
+def held_reps():
+    """Parts 2 and 9 each hold the sphere from below, and 5, 7 pinch it
+    hard enough for friction alone to hold it; 11, 13 are a light pinch.
+    So for every n_kp from 1 to 4 some subsets have zero energy."""
+    def point(part, p, n, f):
+        return PartCluster(part=part, indices=np.array([0]),
+                           center=np.array(p, dtype=float),
+                           force=f, normal=np.array(n, dtype=float))
+    return {2: point(2, (0, 0, -0.05), (0, 0, -1), 9.81),
+            5: point(5, (0.05, 0, 0), (1, 0, 0), 5.0),
+            7: point(7, (-0.05, 0, 0), (-1, 0, 0), 5.0),
+            9: point(9, (0, 0, -0.05), (0, 0, -1), 9.81),
+            11: point(11, (0, 0.05, 0), (0, 1, 0), 1.0),
+            13: point(13, (0, -0.05, 0), (0, -1, 0), 1.0)}
+
+
+class TestPrunedSearch:
+    """The bound-pruned searches return what solving every candidate does."""
+
+    @pytest.mark.parametrize("n_kp", [1, 2, 3, 4])
+    def test_matches_exhaustive_on_random_sets(self, small_sphere, n_kp):
+        rng = np.random.default_rng(1300 + n_kp)
+        for _ in range(25):
+            reps = _random_representatives(rng, small_sphere,
+                                           int(rng.integers(1, 10)))
+            kps = select_keypoints(reps, small_sphere, n_kp=n_kp)
+            parts, energy = exhaustive_keypoints(reps, small_sphere, n_kp)
+            assert kps.parts == parts
+            assert kps.energy == energy
+
+    @pytest.mark.parametrize("n_kp", [1, 2, 3, 4])
+    def test_ties_between_duplicated_clusters(self, small_sphere, n_kp):
+        # parts 17 and 18 copy the first and third parts, so subsets tie
+        # bit for bit and the earlier must win
+        rng = np.random.default_rng(1400 + n_kp)
+        for _ in range(10):
+            reps = _random_representatives(rng, small_sphere, 6)
+            parts = sorted(reps)
+            for src, dst in ((parts[0], 17), (parts[2], 18)):
+                reps[dst] = replace(reps[src], part=dst)
+            kps = select_keypoints(reps, small_sphere, n_kp=n_kp)
+            assert (kps.parts, kps.energy) == exhaustive_keypoints(
+                reps, small_sphere, n_kp)
+
+    @pytest.mark.parametrize("n_kp", [1, 2, 3, 4])
+    def test_zero_energy_set(self, small_sphere, n_kp):
+        reps = held_reps()
+        kps = select_keypoints(reps, small_sphere, n_kp=n_kp)
+        assert kps.energy < 1e-20  # held exactly, up to rounding
+        assert (kps.parts, kps.energy) == exhaustive_keypoints(
+            reps, small_sphere, n_kp)
+
+    @pytest.mark.parametrize("n_kp", [1, 2, 3, 4])
+    def test_solver_error_energy_takes_part(self, small_sphere, monkeypatch,
+                                            n_kp):
+        # every solve raises; the best iterate's energy, raised by the
+        # first contact's force so that the winner changes, must decide
+        def failing(sys):
+            res = stability_energy(sys)
+            raise SolverError("not converged", result=replace(
+                res, energy=res.energy + float(sys.forces[0])))
+
+        monkeypatch.setattr(keypoints, "stability_energy", failing)
+        rng = np.random.default_rng(1500 + n_kp)
+        sets = [held_reps()] + [_random_representatives(rng, small_sphere, 7)
+                                for _ in range(10)]
+        for reps in sets:
+            kps = select_keypoints(reps, small_sphere, n_kp=n_kp)
+            assert (kps.parts, kps.energy) == exhaustive_keypoints(
+                reps, small_sphere, n_kp)
+
+    def test_select_clusters_matches_exhaustive(self, small_sphere):
+        rng = np.random.default_rng(1600)
+        for _ in range(20):
+            parts = rng.choice(np.arange(1, 17), size=int(rng.integers(1, 6)),
+                               replace=False)
+            clusters = {int(p): [random_cluster(rng, int(p)) for _ in
+                                 range(int(rng.integers(1, 4)))]
+                        for p in parts}
+            first = sorted(clusters)[0]
+            # a copy of the first cluster ties it exactly; the first must win
+            clusters[first].append(replace(clusters[first][0]))
+            reps = select_clusters(clusters, small_sphere)
+            expected = exhaustive_clusters(clusters, small_sphere)
+            assert {p: id(c) for p, c in reps.items()} == {
+                p: id(c) for p, c in expected.items()}
+
+    def test_full_hand_solves_few(self, monkeypatch):
+        # acceptance 7's |H| = 16 set: 560 combinations, one system
+        obj = sphere_object()
+        reps16 = _random_representatives(np.random.default_rng(708), obj, 16)
+        calls = {"assemble": 0, "stability_energy": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(keypoints, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(keypoints, name, counted)
+        select_keypoints(reps16, obj, n_kp=3)
+        assert calls["assemble"] == 1
+        assert calls["stability_energy"] <= 15
+
+    def test_logs_one_line_per_search(self, caplog):
+        obj = sphere_object()
+        reps16 = _random_representatives(np.random.default_rng(708), obj, 16)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        kps = select_keypoints(reps16, obj, n_kp=3)
+        records = [r for r in caplog.records if r.name == "grasp_eq"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert "560 candidates" in message
+        solved = int(message.split(" solved")[0].rsplit(" ", 1)[1])
+        assert f"{560 - solved} skipped" in message
+        assert f"best energy {kps.energy:.3e}" in message
+
+
+class TestEnergyBound:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(n=st.integers(1, 6), collinear=st.booleans(),
+           mu=st.floats(0.0, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bound_is_sound_and_vectorized_exactly(self, n, collinear, mu,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        obj = sphere_object(seed=seed % 1000)
+        points, normals, forces = random_contacts(rng, obj, n)
+        if collinear:
+            direction = normals[0]
+            points = np.outer(rng.uniform(-0.05, 0.05, n), direction)
+        sys = assemble(obj, points, normals, forces, mu=mu)
+        assert (energy_lower_bounds(sys, sys.forces)
+                <= stability_energy(sys).energy + 1e-12)
+        k = int(rng.integers(1, n + 1))
+        candidates = np.array(list(itertools.combinations(range(n), k)))
+        vectorized = keypoints._candidate_bounds(sys, candidates)
+        for bound, cols in zip(vectorized, candidates):
+            sub = sys.take(cols)
+            assert_allclose(bound, energy_lower_bounds(sub, sub.forces),
+                            rtol=1e-12, atol=0.0)
 
 
 class TestFindKeypoints:
