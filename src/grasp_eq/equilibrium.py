@@ -20,12 +20,11 @@ attainable interval excludes zero.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError, SolverError
+from .errors import ShapeError, SolverError, is_number
 from .scene import (GRAVITY, ObjectModel, _freeze, _pivot_tangents,
                     check_unit_normals)
 
@@ -112,7 +111,7 @@ def assemble(obj: ObjectModel, points, normals, forces,
         raise ShapeError(f"expected {n} forces, got shape {forces.shape}")
     if np.any(forces < 0) or not np.all(np.isfinite(forces)):
         raise ValueError("contact forces must be finite and non-negative")
-    if not (isinstance(mu, numbers.Real) and np.isfinite(mu) and mu >= 0):
+    if not (is_number(mu) and np.isfinite(mu) and mu >= 0):
         raise ValueError(f"friction coefficient mu must be a finite number "
                          f">= 0, got {mu!r}")
     gravity = np.asarray(gravity, dtype=float)
@@ -179,7 +178,11 @@ def _solve_box(mat, const, tol, max_iter):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(step != 0.0, room / step, np.inf)
             alpha = min(1.0, float(ratio.min()))
-            x[free] = np.clip(xf + alpha * step, -1.0, 1.0)
+            # a step that overflows (columns near the underflow limit) has
+            # ratio 0, and 0 * inf is nan; at alpha = 0 only the blocked
+            # coordinates move, to their bounds below
+            if alpha > 0.0:
+                x[free] = np.clip(xf + alpha * step, -1.0, 1.0)
             if alpha == 1.0:
                 break
             blocked = ratio <= alpha

@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the number test shared by all modules."""
+
+import numbers
+
+
+def is_number(value, kind=numbers.Real):
+    """Whether ``value`` is a ``kind`` number other than a bool.
+
+    JSON ``true`` and ``false`` load as Python bools, which count as
+    integers; a setting given either is not a number.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class GraspEqError(Exception):

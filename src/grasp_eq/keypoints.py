@@ -1,20 +1,20 @@
 """Stability-optimal contact keypoint selection.
 
-Contact points are clustered per hand part (single linkage), one cluster per
-part is chosen by conditional stability energy, and the final keypoint
-combination is the part subset with the least stability energy over all
-C(|H|, n_kp) candidates.  Both choices are exact searches that assemble one
-system per search and solve the stability QP only for candidates whose
-per-row interval bound can still beat the incumbent; they return what
-solving every candidate would.  Keypoint targets sit one finger radius
-outside the contact centers along the cluster normals.
+Contact points are clustered per hand part (single linkage) in one
+neighbour pass over all force-carrying points, dropping the pairs across
+parts; one cluster per part is chosen by conditional stability energy, and
+the final keypoint combination is the part subset with the least stability
+energy over all C(|H|, n_kp) candidates.  Both choices are exact searches
+that assemble one system per search and solve the stability QP only for
+candidates whose per-row interval bound can still beat the incumbent; they
+return what solving every candidate would.  Keypoint targets sit one finger
+radius outside the contact centers along the cluster normals.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .equilibrium import (DEFAULT_MU, QP_TOL, assemble, energy_lower_bounds,
                           stability_energy)
-from .errors import SolverError
+from .errors import SolverError, is_number
 from .scene import GRAVITY, ContactState, ObjectModel
 
 DEFAULT_CLUSTER_RADIUS = 0.01
@@ -85,29 +85,31 @@ def cluster_contacts(obj: ObjectModel, contacts: ContactState,
                      radius: float = DEFAULT_CLUSTER_RADIUS):
     """Single-linkage clustering of force-carrying points within each part.
 
-    Two points join the same cluster when a chain of steps of length
-    <= radius connects them.  Returns {part id: [PartCluster, ...]} with
-    clusters ordered by their smallest point index.
+    Two points of one part join the same cluster when a chain of that
+    part's points, with steps of length <= radius, connects them.  One
+    neighbour pass over all force-carrying points finds the close pairs,
+    and pairs across parts are dropped.  Returns {part id: [PartCluster,
+    ...]} with parts ascending and clusters ordered by their smallest
+    point index.
     """
-    if not (isinstance(radius, numbers.Real) and np.isfinite(radius)
-            and radius > 0):
+    if not (is_number(radius) and np.isfinite(radius) and radius > 0):
         raise ValueError(f"cluster_radius must be a finite number > 0, "
                          f"got {radius!r}")
-    out = {}
-    mask = contacts.contact_mask
-    for part in np.unique(contacts.part_label[mask]):
-        idx = np.flatnonzero(mask & (contacts.part_label == part))
-        pairs = cKDTree(obj.points[idx]).query_pairs(radius,
-                                                     output_type="ndarray")
-        graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                           shape=(len(idx), len(idx)))
-        _, labels = connected_components(graph, directed=False)
-        clusters = []
-        for lab in np.unique(labels):
-            clusters.append(_make_cluster(part, idx[labels == lab], obj,
-                                          contacts.force))
-        clusters.sort(key=lambda c: int(c.indices[0]))
-        out[int(part)] = clusters
+    idx = np.flatnonzero(contacts.contact_mask)
+    labels = contacts.part_label[idx]
+    pairs = cKDTree(obj.points[idx]).query_pairs(radius, output_type="ndarray")
+    pairs = pairs[labels[pairs[:, 0]] == labels[pairs[:, 1]]]
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(len(idx), len(idx)))
+    # components are numbered in the order a scan of the ascending idx
+    # first reaches them, so by their smallest point index
+    count, component = connected_components(graph, directed=False)
+    out = {int(part): [] for part in np.unique(labels)}
+    for lab in range(count):
+        members = idx[component == lab]
+        part = contacts.part_label[members[0]]
+        out[int(part)].append(_make_cluster(part, members, obj,
+                                            contacts.force))
     return out
 
 
@@ -209,7 +211,7 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
     improvements by more than QP_TOL, the solver's certified gap, replace
     the incumbent.
     """
-    if not (isinstance(n_kp, numbers.Real) and n_kp % 1 == 0 and n_kp >= 1):
+    if not (is_number(n_kp) and n_kp % 1 == 0 and n_kp >= 1):
         raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp!r}")
     n_kp = int(n_kp)
     if not representatives:
@@ -233,6 +235,9 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
 def make_targets(keypoints: KeypointSet,
                  r: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:
     """Offset targets along the cluster normals: q_i = p_i + r n_i."""
+    if not (is_number(r) and np.isfinite(r) and r >= 0):
+        raise ValueError(f"keypoint offset must be a finite number >= 0, "
+                         f"got {r!r}")
     return replace(keypoints, targets=keypoints.centers + r * keypoints.normals)
 
 

@@ -26,6 +26,7 @@ from scipy.spatial.transform import Rotation
 
 from . import hand
 from .equilibrium import DEFAULT_MU, solve_force_existence
+from .errors import is_number
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, KeypointSet, find_keypoints)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
@@ -57,7 +58,7 @@ class OptimizationConfig:
             budget = f.name.startswith("max_iters")
             kind, what = ((numbers.Integral, "an integer") if budget
                           else (numbers.Real, "a finite number"))
-            if not (isinstance(value, kind) and math.isfinite(value)
+            if not (is_number(value, kind) and math.isfinite(value)
                     and value >= budget):
                 raise ValueError(f"{f.name} must be {what} >= {int(budget)}, "
                                  f"got {value!r}")

@@ -89,8 +89,17 @@ class TestCliBasics:
         ({"cluster_radius": "x"}, "cluster_radius"),
         ({"cluster_radius": float("nan")}, "cluster_radius"),
         ({"cluster_radius": float("inf")}, "cluster_radius"),
+        # JSON true and false load as bools, which Python counts as numbers
+        ({"n_kp": True}, "n_kp"),
+        ({"mu": True}, "mu"),
+        ({"cluster_radius": True}, "cluster_radius"),
+        ({"offset": float("nan")}, "offset"),
+        ({"offset": "x"}, "offset"),
+        ({"offset": True}, "offset"),
+        ({"offset": -0.001}, "offset"),
     ], ids=["mu-string", "n_kp-null", "radius-string", "radius-nan",
-            "radius-inf"])
+            "radius-inf", "n_kp-bool", "mu-bool", "radius-bool", "offset-nan",
+            "offset-string", "offset-bool", "offset-negative"])
     def test_keypoints_rejects_bad_config_value(self, scene_files, tmp_path,
                                                 capsys, block, field):
         scene, contacts = scene_files
@@ -101,6 +110,17 @@ class TestCliBasics:
                      "-o", str(tmp_path / "kp.json")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "kp.json").exists()
+
+    @pytest.mark.parametrize("verb", ["keypoints", "optimize"])
+    def test_rejects_non_finite_offset_flag(self, scene_files, tmp_path,
+                                            capsys, verb):
+        scene, contacts = scene_files
+        out = (["-o", str(tmp_path / "out.json")] if verb == "keypoints"
+               else ["--out-dir", str(tmp_path / "out.json")])
+        assert main([verb, "--scene", str(scene), "--contacts", str(contacts),
+                     "--offset", "nan", *out]) == 2
+        assert "offset" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("argv, block", [
         (["analyze", "--mu", "nan"], {}),
@@ -143,7 +163,8 @@ class TestCliBasics:
     @pytest.mark.parametrize("name, value", [
         ("w_c", float("nan")), ("w_pene", float("inf")),
         ("convergence_tol", -1e-9), ("convergence_tol", float("nan")),
-        ("max_iters_stage3", 2.5)])
+        ("max_iters_stage3", 2.5), ("max_iters_stage3", True),
+        ("w_kp", False)])
     def test_optimize_names_invalid_optimizer_value(self, scene_files,
                                                     tmp_path, capsys, name,
                                                     value):

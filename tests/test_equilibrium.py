@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from numpy.testing import assert_allclose
 from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
-from grasp_eq.equilibrium import (assemble, assemble_from_contact_state,
-                                  loss_gradient, solve_force_existence,
-                                  stability_energy, stability_loss,
-                                  stability_loss_masked)
+from grasp_eq.equilibrium import (QP_TOL, assemble,
+                                  assemble_from_contact_state, loss_gradient,
+                                  solve_force_existence, stability_energy,
+                                  stability_loss, stability_loss_masked)
 from grasp_eq.errors import InvalidNormal, ShapeError, SolverError
 from grasp_eq.keypoints import cluster_contacts, select_clusters
 from grasp_eq.scene import ContactState, tangent_bases
@@ -48,7 +49,8 @@ class TestAssemble:
         with pytest.raises(InvalidNormal):
             assemble(small_sphere, BOTTOM_P, [[0.0, 0.0, -0.9]], [1.0])
 
-    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0,
+                                    True, False])
     def test_rejects_bad_friction_coefficient(self, small_sphere, mu):
         with pytest.raises(ValueError, match="friction"):
             assemble(small_sphere, BOTTOM_P, BOTTOM_N, [9.81], mu=mu)
@@ -131,6 +133,19 @@ class TestStabilityEnergy:
     def test_zero_forces(self, small_sphere):
         sys = assemble(small_sphere, PINCH_P, PINCH_N, [0.0, 0.0])
         assert stability_energy(sys).energy == pytest.approx(96.2361, abs=1e-9)
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-310])
+    def test_subnormal_friction_acts_as_none(self, small_sphere, mu):
+        # friction columns this small make the least-squares step overflow
+        pts, dirs, forces = random_contacts(np.random.default_rng(0),
+                                            small_sphere, 3)
+        frictionless = stability_energy(
+            assemble(small_sphere, pts, dirs, forces, mu=0.0)).energy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy = stability_energy(
+                assemble(small_sphere, pts, dirs, forces, mu=mu)).energy
+        assert energy == pytest.approx(frictionless, abs=QP_TOL)
 
     def test_solver_error_carries_best(self, small_sphere):
         sys = assemble(small_sphere, PINCH_P, PINCH_N, [4.905, 4.905])

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from grasp_eq import keypoints
 from grasp_eq.equilibrium import (QP_TOL, assemble, energy_lower_bounds,
@@ -16,6 +19,7 @@ from grasp_eq.keypoints import (KeypointSet, PartCluster, cluster_contacts,
                                 find_keypoints, make_targets, select_clusters,
                                 select_keypoints)
 from grasp_eq.scene import ContactState, ObjectModel
+from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import random_contacts, sphere_object
 from test_acceptance import _random_representatives
@@ -111,6 +115,123 @@ class TestClustering:
         assert cluster.force == pytest.approx(6.0)
         assert_allclose(cluster.center, weights @ small_sphere.points[idx], atol=1e-9)
         assert np.linalg.norm(cluster.normal) == pytest.approx(1.0)
+
+
+def per_part_clusters(obj, contacts, radius):
+    """Reference: one neighbour pass per part, as clustering ran before it
+    took all parts at once."""
+    out = {}
+    mask = contacts.contact_mask
+    for part in np.unique(contacts.part_label[mask]):
+        idx = np.flatnonzero(mask & (contacts.part_label == part))
+        pairs = cKDTree(obj.points[idx]).query_pairs(radius,
+                                                     output_type="ndarray")
+        graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                           shape=(len(idx), len(idx)))
+        _, labels = connected_components(graph, directed=False)
+        clusters = [keypoints._make_cluster(part, idx[labels == lab], obj,
+                                            contacts.force)
+                    for lab in np.unique(labels)]
+        clusters.sort(key=lambda c: int(c.indices[0]))
+        out[int(part)] = clusters
+    return out
+
+
+def assert_same_clusters(got, expected):
+    assert list(got) == list(expected)
+    for part in expected:
+        assert len(got[part]) == len(expected[part])
+        for a, b in zip(got[part], expected[part]):
+            assert a.part == b.part == part
+            assert np.array_equal(a.indices, b.indices)
+            assert a.force == b.force
+            assert np.array_equal(a.center, b.center)
+            assert np.array_equal(a.normal, b.normal)
+
+
+def acceptance7_scenes():
+    """Acceptance 7's 50 scenes: shape, scene seed and patch count."""
+    rng = np.random.default_rng(707)
+    for trial in range(50):
+        shape = ("sphere", "box", "cylinder")[trial % 3]
+        dims = {"sphere": (0.05,), "box": (0.09, 0.09, 0.09),
+                "cylinder": (0.04, 0.11)}[shape]
+        obj = generate_scene(SyntheticScene(shape, dims, 1024, seed=trial))
+        yield obj, generate_contacts(obj, "random", seed=trial,
+                                     n_patches=int(rng.integers(4, 9)))
+
+
+class TestOnePassClustering:
+    """Clustering every part in one pass gives the per-part result."""
+
+    def test_matches_per_part_on_acceptance_scenes(self):
+        radius = keypoints.DEFAULT_CLUSTER_RADIUS
+        for obj, contacts in acceptance7_scenes():
+            assert_same_clusters(cluster_contacts(obj, contacts, radius),
+                                 per_part_clusters(obj, contacts, radius))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(1, 60),
+           n_parts=st.integers(1, 5), spread=st.floats(0.002, 0.05),
+           radius=st.floats(0.001, 0.02), zero_share=st.floats(0.0, 0.5))
+    def test_matches_per_part_on_random_states(self, seed, n_points, n_parts,
+                                               spread, radius, zero_share):
+        # points of all parts mixed in one box, often closer than the radius
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-spread, spread, (n_points, 3))
+        normals = rng.normal(size=(n_points, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        obj = ObjectModel(points=points, normals=normals, com=np.zeros(3))
+        labels = rng.integers(1, n_parts + 1, n_points)
+        force = rng.uniform(0.1, 3.0, n_points) * (
+            rng.uniform(size=n_points) >= zero_share)
+        state = ContactState(likelihood=np.ones(n_points), part_label=labels,
+                             force=force)
+        assert_same_clusters(cluster_contacts(obj, state, radius=radius),
+                             per_part_clusters(obj, state, radius))
+
+    def test_interleaved_parts_do_not_merge(self):
+        # a row at 0.6 radius spacing alternating parts 2 and 5: neighbours
+        # of one part are 1.2 radius apart, so every point stands alone
+        count = 8
+        points = np.zeros((count, 3))
+        points[:, 0] = 0.006 * np.arange(count)
+        normals = np.tile([0.0, 0.0, 1.0], (count, 1))
+        obj = ObjectModel(points=points, normals=normals, com=np.zeros(3))
+        labels = np.where(np.arange(count) % 2 == 0, 2, 5)
+        state = ContactState(likelihood=np.ones(count), part_label=labels,
+                             force=np.ones(count))
+        clusters = cluster_contacts(obj, state, radius=0.01)
+        assert list(clusters) == [2, 5]
+        assert [c.indices.tolist() for c in clusters[2]] == [[0], [2], [4],
+                                                             [6]]
+        assert [c.indices.tolist() for c in clusters[5]] == [[1], [3], [5],
+                                                             [7]]
+        assert_same_clusters(clusters, per_part_clusters(obj, state, 0.01))
+
+    def test_empty_state(self, small_sphere):
+        state = state_from_patches(small_sphere, [])
+        assert cluster_contacts(small_sphere, state) == {}
+
+    def test_one_tree_and_one_component_pass(self, monkeypatch):
+        obj, contacts = next(acceptance7_scenes())
+        parts = np.unique(contacts.part_label[contacts.contact_mask])
+        assert len(parts) >= 4
+        calls = {"cKDTree": 0, "connected_components": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(keypoints, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(keypoints, name, counted)
+        cluster_contacts(obj, contacts)
+        assert calls == {"cKDTree": 1, "connected_components": 1}
+
+    @pytest.mark.parametrize("radius", [True, 0.0, -0.01])
+    def test_rejects_bad_radius(self, small_sphere, radius):
+        state = state_from_patches(small_sphere, [(3, np.arange(3), 1.0)])
+        with pytest.raises(ValueError, match="cluster_radius"):
+            cluster_contacts(small_sphere, state, radius=radius)
 
 
 class TestSelectClusters:
@@ -473,6 +594,16 @@ class TestMakeTargets:
                           forces=np.array([1.0]), normals=np.array([[0.0, 0.0, 1.0]]),
                           targets=np.zeros((1, 3)), energy=0.0)
         assert_allclose(make_targets(kps, r=0.005).targets, [[0.0, 0.0, 0.005]])
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), -0.001,
+                                   "0.005", True])
+    def test_rejects_bad_offset(self, r):
+        kps = KeypointSet(parts=(2,), centers=np.zeros((1, 3)),
+                          forces=np.array([1.0]),
+                          normals=np.array([[0.0, 0.0, 1.0]]),
+                          targets=np.zeros((1, 3)), energy=0.0)
+        with pytest.raises(ValueError, match="offset"):
+            make_targets(kps, r=r)
 
     def test_sphere_targets_radial(self, small_sphere):
         state = state_from_patches(small_sphere, [(4, np.array([0, 1, 2]), 1.0)])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -36,6 +38,15 @@ def sphere_scene():
     obj = generate_scene(spec)
     contacts = generate_contacts(obj, "tripod", seed=7)
     return obj, contacts
+
+
+class TestOptimizationConfig:
+    @pytest.mark.parametrize("name", [f.name for f in
+                                      dataclasses.fields(OptimizationConfig)])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_booleans(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OptimizationConfig(**{name: value})
 
 
 class TestRegisterGlobal:
