@@ -21,8 +21,8 @@ from . import io as io_mod
 from .equilibrium import (DEFAULT_MU, assemble_from_contact_state,
                           stability_energy, stability_loss,
                           stability_loss_masked)
-from .errors import GraspEqError, SolverError
-from .force_codec import build_binning, decode, encode
+from .errors import GraspEqError, SolverError, is_number
+from .force_codec import DEFAULT_TEMPERATURE, build_binning, decode, encode
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, find_keypoints)
 from .optimizer import OptimizationConfig, run_pipeline
@@ -69,11 +69,23 @@ def _resolve(args, cfg, key, default):
     return cfg.get(key, default)
 
 
+def _number(value, field):
+    """``value`` as a float, if it is a number; JSON ``true``, ``false``,
+    strings and ``null`` are not."""
+    if not is_number(value):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _gravity(args, cfg, file_gravity=None):
     if args.gravity is not None:
         return np.array(_parse_floats(args.gravity, 3, "--gravity"))
     if "gravity" in cfg:
-        return np.array(cfg["gravity"], dtype=float)
+        gravity = cfg["gravity"]
+        if not isinstance(gravity, list) or len(gravity) != 3:
+            raise ValueError(f"gravity must be a list of 3 numbers, "
+                             f"got {gravity!r}")
+        return np.array([_number(g, "gravity") for g in gravity])
     if file_gravity is not None:
         return np.asarray(file_gravity, dtype=float)
     return np.array(GRAVITY)
@@ -82,10 +94,11 @@ def _gravity(args, cfg, file_gravity=None):
 def _binning(args, cfg):
     block = dict(cfg.get("binning", {}))
     s = args.bins if args.bins is not None else block.get("s", 10)
-    mu_log = block.get("mu_log", 0.0)
-    sigma_log = block.get("sigma_log", 1.0)
-    temperature = block.get("temperature", 0.02)
-    return build_binning(s, float(mu_log), float(sigma_log)), float(temperature)
+    mu_log = _number(block.get("mu_log", 0.0), "mu_log")
+    sigma_log = _number(block.get("sigma_log", 1.0), "sigma_log")
+    temperature = _number(block.get("temperature", DEFAULT_TEMPERATURE),
+                          "temperature")
+    return build_binning(s, mu_log, sigma_log), temperature
 
 
 def _emit(payload, path=None):
@@ -195,9 +208,8 @@ def _load_values(args):
     if args.value is not None:
         return [float(args.value)]
     data = io_mod.load_json(args.input)
-    if isinstance(data, list):
-        return [float(v) for v in data]
-    return [float(data)]
+    return [_number(v, "force value")
+            for v in (data if isinstance(data, list) else [data])]
 
 
 def _cmd_encode_force(args, cfg):

@@ -12,11 +12,16 @@ accepted only if it does not raise the objective, and each stage records
 why it stopped in ``OptimizationTrace.stops``.  Trial points are evaluated by value only; the
 joint jacobian, the gradients and the curvatures are built from that
 evaluation's kinematics and nearest-neighbour results, and only at an
-accepted point, where the driver draws its next trials.
+accepted point, where the driver draws its next trials.  The contact
+term's object-point-to-hand-sample query at a trial reuses the accepted
+point's answer (``scene.CertifiedNearestSite``): a point keeps its
+nearest sample when no sample has moved far enough to overtake it, and
+only the other points are scanned, with the same result as a full scan.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -30,8 +35,10 @@ from .errors import is_number
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, KeypointSet, find_keypoints)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
-                    ObjectModel, contact_likelihood, nearest_site,
-                    nearest_surface)
+                    CertifiedNearestSite, ObjectModel, contact_likelihood,
+                    nearest_site, nearest_surface)
+
+_log = logging.getLogger("grasp_eq")
 
 
 @dataclass(frozen=True)
@@ -198,14 +205,19 @@ def _flat():
     return np.zeros(hand.N_PARAMS), np.zeros((hand.N_PARAMS, hand.N_PARAMS))
 
 
-def contact_loss(geometry, obj: ObjectModel, target_likelihood):
+def contact_loss(geometry, obj: ObjectModel, target_likelihood,
+                 nearest: CertifiedNearestSite | None = None):
     """Mean absolute difference between induced and target contact maps.
 
-    ``derivatives`` takes ``sample_jac``, ``hand.sample_jacobians(joint_jac)``,
-    when the caller already holds it.  Each object point's row weighs
+    ``nearest``, a CertifiedNearestSite over ``obj.points``, answers the
+    nearest-sample query in place of a full nearest_site pass, with the
+    same result.  ``derivatives`` takes ``sample_jac``,
+    ``hand.sample_jacobians(joint_jac)``, when the caller already holds
+    it.  Each object point's row weighs
     1 / max(|residual|, CONTACT_IRLS_FLOOR) in the curvature; the rows are
     summed per nearest hand sample before the sample jacobians apply."""
-    d, nearest = nearest_site(obj.points, geometry.samples)
+    d, owners = (nearest_site(obj.points, geometry.samples) if nearest is None
+                 else nearest(geometry.samples))
     resid = contact_likelihood(d) - target_likelihood
 
     def derivatives(joint_jac, sample_jac=None):
@@ -213,7 +225,7 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood):
         if not np.any(active):
             return _flat()
         idx = np.flatnonzero(active)
-        owner = nearest[idx]
+        owner = owners[idx]
         slope = -CONTACT_RADIUS / d[idx] ** 2  # d likelihood / d distance
         coef = np.sign(resid[idx]) * slope / obj.n_points
         # (3, n): unit vectors from each point to its nearest sample
@@ -276,7 +288,8 @@ _REG_CURVATURE = np.diag(np.r_[np.zeros(6), np.full(21, 2.0)])
 _REG_CURVATURE.flags.writeable = False
 
 
-def pose_terms(vec, keypoints, obj, target_likelihood, weights):
+def pose_terms(vec, keypoints, obj, target_likelihood, weights,
+               nearest=None):
     """The four pose-objective terms at ``vec`` from one kinematics pass.
 
     Returns (values, derivatives): the keypoint, contact, penetration and
@@ -285,12 +298,13 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights):
     gradients and (27, 27) Gauss-Newton curvatures in the same order.  A
     term whose weight in ``weights`` is zero, or the keypoint term without
     keypoints, is not evaluated and reads 0 with zero derivatives.
+    ``nearest`` is passed on to ``contact_loss``.
     """
     geometry, jacobian = hand.fk_with_jacobians(vec)
     w_kp, w_c, w_pene, w_reg = weights
     kp = (kp_loss(geometry, keypoints)
           if keypoints is not None and w_kp > 0 else None)
-    contact = (contact_loss(geometry, obj, target_likelihood)
+    contact = (contact_loss(geometry, obj, target_likelihood, nearest)
                if w_c > 0 else None)
     pene = penetration_loss(geometry, obj) if w_pene > 0 else None
     reg = reg_loss(vec) if w_reg > 0 else None
@@ -357,21 +371,32 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     drop below ``convergence_tol``), 'backtrack' (damping past
     _LM_DAMPING_MAX) or 'cap' (the budget of accepted steps).  Records the
     start and every accepted step, and the StopReport, to ``trace`` under
-    ``stage``; returns the last accepted pose vector.
+    ``stage``, logs the report and the contact passes' rescanned and
+    queried rows at debug level, and returns the last accepted pose vector.
+
+    The contact term's nearest-sample queries go through one
+    CertifiedNearestSite per call, which reuses the accepted point's answer
+    at its trials.
     """
     lo, hi = hand.parameter_bounds(lock_scale)
     max_iters = (config.max_iters_stage2 if stage == 2
                  else config.max_iters_stage3)
     free = lo < hi
     eye = np.eye(free.sum())
+    nearest = None if obj is None else CertifiedNearestSite(obj.points)
 
     def evaluate(vec):
         terms, derivatives = pose_terms(vec, keypoints, obj,
-                                        target_likelihood, weights)
+                                        target_likelihood, weights, nearest)
         return sum(w * t for w, t in zip(weights, terms)), terms, derivatives
+
+    def accept():
+        if nearest is not None:
+            nearest.accept()
 
     x = np.clip(np.asarray(vec0, dtype=float), lo, hi)
     f, terms, derivatives = evaluate(x)
+    accept()
     evals, done, drop, reason, damping = 1, 0, math.nan, "cap", None
     trace.append(stage, 0, f, terms)
     while done < max_iters:
@@ -398,12 +423,17 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
         else:
             reason = "backtrack"
             break
+        accept()
         done, drop, x, f = done + 1, f - f_new, x_new, f_new
         trace.append(stage, done, f, terms)
         if drop < config.convergence_tol:
             reason = "tol"
             break
     trace.stops[stage] = StopReport(reason, done, evals, drop)
+    rows = (0, 0) if nearest is None else (nearest.rescanned, nearest.queried)
+    _log.debug("stage %d: %s after %d iterations, %d evaluations, last drop "
+               "%.3e, %d/%d contact rows rescanned", stage, reason, done,
+               evals, drop, *rows)
     return x
 
 

@@ -5,7 +5,11 @@ of mass, a mass, and a ball-approximated moment of inertia.  Contact maps are
 three per-point channels on the object surface: contact likelihood in [0, 1],
 hand part label in 0..16 (0 = no contact), and normal force in Newtons.
 The proximity conventions (contact likelihood, signed distance, nearest hand
-sample, nearest surface sample) are each written once, here.
+sample, nearest surface sample) are each written once, here.  The nearest
+hand sample has one kernel, ``nearest_site``'s cdist + argmin;
+``CertifiedNearestSite`` answers a descent's repeated queries with it,
+scanning only the points whose nearest sample a distance bound carried from
+the last accepted query cannot certify.
 """
 
 from __future__ import annotations
@@ -181,6 +185,12 @@ def contact_likelihood(d):
         return np.where(d <= CONTACT_RADIUS, 1.0, CONTACT_RADIUS / d)
 
 
+def _scan(points, sites):
+    """nearest_site's kernel: squared distances and each row's argmin."""
+    d_sq = cdist(points, sites, "sqeuclidean")
+    return d_sq, np.argmin(d_sq, axis=1)
+
+
 def nearest_site(points, sites):
     """Distance from each point to its nearest site, and that site's index.
 
@@ -190,11 +200,80 @@ def nearest_site(points, sites):
     distances and only the winners take a square root, so the distances
     equal cdist's euclidean ones bit for bit; two sites whose squared
     distances differ only below the rounding of the square root are not a
-    tie, and the strictly nearer one wins.
+    tie, and the strictly nearer one wins.  Over a descent's trial site
+    sets, ``CertifiedNearestSite`` gives the same answers and sends only
+    the rows it cannot certify through this scan.
     """
-    d_sq = cdist(points, sites, "sqeuclidean")
-    idx = np.argmin(d_sq, axis=1)
+    d_sq, idx = _scan(points, sites)
     return np.sqrt(d_sq[np.arange(idx.size), idx]), idx
+
+
+# Relative slack of CertifiedNearestSite's test and of the bounds it
+# carries: far above the rounding of the distances compared (a few ulps),
+# far below any gap between two sites that decides a nearest site.
+_CERTIFY_MARGIN = 1e-9
+
+
+class CertifiedNearestSite:
+    """nearest_site(points, sites) at a descent's trial site sets, reusing
+    the answer at the last accepted set.
+
+    Each point keeps its nearest site (its owner) and a lower bound on its
+    distance to every other site; a scan sets the bound to the second
+    smallest distance.  A query at moved sites recomputes each point's
+    distance to its old owner and lowers the bound by the largest site
+    displacement since the accepted set (the triangle inequality, as in
+    Hamerly's k-means bounds).  A point whose owner distance stays below the
+    lowered bound, less _CERTIFY_MARGIN for rounding, keeps its owner: the
+    owner is strictly nearest, so nearest_site's argmin and its tie rule
+    could pick no other.  Only the other rows go through nearest_site's
+    scan.  The owner distance is sqrt((dx*dx + dy*dy) + dz*dz), the sum
+    cdist forms, so every answer equals nearest_site's bit for bit.
+
+    ``accept()`` makes the last query's sites the reference of later
+    queries; a query that is not accepted leaves no trace.  ``queried`` and
+    ``rescanned`` count the rows asked for and the rows scanned.
+    """
+
+    def __init__(self, points):
+        self.points = points
+        self.queried = self.rescanned = 0
+        self._accepted = self._last = None
+
+    def __call__(self, sites):
+        """(distance, index) of each point's nearest site, as nearest_site."""
+        sites = np.array(sites, dtype=float)
+        n = self.points.shape[0]
+        if self._accepted is None:
+            dist, lower = np.empty(n), np.empty(n)
+            owner = np.empty(n, dtype=np.intp)
+            rows = slice(None)
+        else:
+            ref_sites, ref_owner, ref_lower = self._accepted
+            step = sites - ref_sites
+            shift = np.sqrt(np.max(np.einsum("ij,ij->i", step, step)))
+            sq = self.points - sites.take(ref_owner, axis=0)
+            sq *= sq
+            dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+            owner = ref_owner.copy()
+            lower = ((1.0 - _CERTIFY_MARGIN) * ref_lower
+                     - (1.0 + _CERTIFY_MARGIN) * shift)
+            rows = np.flatnonzero(~(dist < lower))
+        d_sq, idx = _scan(self.points[rows], sites)
+        scanned = np.arange(idx.size)
+        dist[rows] = np.sqrt(d_sq[scanned, idx])
+        owner[rows] = idx
+        d_sq[scanned, idx] = np.inf
+        # the second smallest; argmin is far faster than min along a row
+        lower[rows] = np.sqrt(d_sq[scanned, np.argmin(d_sq, axis=1)])
+        self.queried += n
+        self.rescanned += idx.size
+        self._last = (sites, owner, lower)
+        return dist, owner
+
+    def accept(self):
+        """Reuse the last query's answer from now on."""
+        self._accepted = self._last
 
 
 def nearest_surface(obj: ObjectModel, queries):

@@ -178,6 +178,45 @@ class TestCliBasics:
         assert name in capsys.readouterr().err
         assert not out_dir.exists()
 
+    # JSON true and false would convert to 1.0 and 0.0 under float()
+    @pytest.mark.parametrize("gravity", [[0, 0, True], [False, 0, -9.81],
+                                         [0, 0, "-9.81"]],
+                             ids=["true", "false", "string"])
+    def test_analyze_rejects_non_number_gravity(self, scene_files, tmp_path,
+                                                capsys, gravity):
+        scene, contacts = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gravity": gravity}))
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--config", str(cfg), "--scene", str(scene),
+                     "--contacts", str(contacts), "-o", str(out)]) == 2
+        assert "gravity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["encode-force", "decode-force"])
+    @pytest.mark.parametrize("field", ["temperature", "mu_log", "sigma_log"])
+    def test_rejects_boolean_binning(self, tmp_path, capsys, verb, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"binning": {field: True}}))
+        out = tmp_path / "out.json"
+        inputs = (["--value", "1"] if verb == "encode-force"
+                  else ["--scores", json.dumps([0.0, 1.0] + [0.0] * 8)])
+        assert main([verb, "--config", str(cfg), *inputs,
+                     "-o", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [True, [1.0, True], [False]],
+                             ids=["scalar", "list", "false"])
+    def test_encode_rejects_boolean_force(self, tmp_path, capsys, values):
+        forces = tmp_path / "forces.json"
+        forces.write_text(json.dumps(values))
+        out = tmp_path / "out.json"
+        assert main(["encode-force", "--input", str(forces),
+                     "-o", str(out)]) == 2
+        assert "force value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_encode_decode(self, capsys):
         assert main(["encode-force", "--value", "1.0"]) == 0
         encoded = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
-from grasp_eq import hand, optimizer
+from grasp_eq import hand, optimizer, scene
 from grasp_eq.batch import build_batch
 from grasp_eq.keypoints import KeypointSet, find_keypoints
 from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
@@ -610,3 +611,71 @@ class TestSharedDescent:
         assert trace.stops[3].evaluations > 2
         assert builds[3] == 1
 
+
+class TestCertifiedContactPasses:
+    @staticmethod
+    def stage2(obj, contacts, trace):
+        kps = find_keypoints(obj, contacts)
+        ref = hand.forward_kinematics(hand.neutral_grasp_pose())
+        pose1 = registration_to_pose(register_global(
+            ref.part_centers[np.asarray(kps.parts) - 1], kps.targets))
+        pose2 = fit_keypoints(pose1, kps, OptimizationConfig(), trace=trace)
+        return pose2, kps
+
+    def test_stage3_scans_under_half_its_rows(self, sphere_scene, monkeypatch):
+        obj, contacts = sphere_scene
+        trace = OptimizationTrace()
+        pose2, kps = self.stage2(obj, contacts, trace)
+        rows = []
+
+        def counted(a, b, metric):
+            rows.append(len(a))
+            return cdist(a, b, metric)
+
+        monkeypatch.setattr(scene, "cdist", counted)
+        optimize_grasp(pose2, obj, contacts, kps, OptimizationConfig(),
+                       trace=trace)
+        queried = trace.stops[3].evaluations * obj.n_points
+        assert trace.stops[3].evaluations > 10
+        assert rows[0] == obj.n_points  # the start is one full scan
+        assert sum(rows) < 0.5 * queried
+
+    def test_same_descent_as_full_passes(self, sphere_scene, monkeypatch):
+        obj, contacts = sphere_scene
+        runs = []
+        for full in (False, True):
+            if full:
+                pose_terms_certified = optimizer.pose_terms
+
+                def pose_terms_full(*args):
+                    return pose_terms_certified(*args[:5])
+
+                monkeypatch.setattr(optimizer, "pose_terms", pose_terms_full)
+            for use_keypoints in (True, False):
+                result = run_pipeline(obj, contacts, OptimizationConfig(),
+                                      use_keypoints=use_keypoints)
+                runs.append((result.pose_stage3.as_vector().tobytes(),
+                             result.trace.records, result.trace.stops))
+        assert runs[:2] == runs[2:]
+
+    def test_logs_one_line_per_stage(self, sphere_scene, caplog):
+        obj, contacts = sphere_scene
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        trace = run_pipeline(obj, contacts, OptimizationConfig()).trace
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "grasp_eq"
+                 and r.getMessage().startswith("stage")]
+        assert len(lines) == 2
+        for stage, line in zip((2, 3), lines):
+            stop = trace.stops[stage]
+            assert line.startswith(
+                f"stage {stage}: {stop.reason} after {stop.iterations} "
+                f"iterations, {stop.evaluations} evaluations, last drop "
+                f"{stop.last_drop:.3e}, ")
+            rescanned, queried = map(int, line.split(", ")[-1]
+                                     .split(" ")[0].split("/"))
+            if stage == 2:  # no contact term
+                assert (rescanned, queried) == (0, 0)
+            else:
+                assert queried == stop.evaluations * obj.n_points
+                assert obj.n_points <= rescanned < queried

@@ -7,10 +7,12 @@ from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
 from grasp_eq.errors import EmptyHand, EmptyObject, InvalidNormal
-from grasp_eq.scene import (CONTACT_RADIUS, ContactState, ObjectModel,
-                            compute_inertia, contact_likelihood,
-                            contact_map_from_hand, nearest_site,
-                            nearest_surface, signed_distance, tangent_bases)
+from grasp_eq import scene
+from grasp_eq.scene import (CONTACT_RADIUS, CertifiedNearestSite,
+                            ContactState, ObjectModel, compute_inertia,
+                            contact_likelihood, contact_map_from_hand,
+                            nearest_site, nearest_surface, signed_distance,
+                            tangent_bases)
 
 from conftest import sphere_object
 
@@ -213,6 +215,110 @@ class TestNearestSite:
         ref_d, _, d_mat = _euclidean_nearest(points, sites)
         assert d.tobytes() == ref_d.tobytes()
         assert d_mat[np.arange(idx.size), idx].tobytes() == ref_d.tobytes()
+
+
+def _moved(rng, sites, points, kind):
+    """A trial site set: ``kind`` names how it differs from ``sites``."""
+    moved = sites.copy()
+    if kind == "small":  # well inside most bounds
+        moved += rng.normal(scale=1e-3, size=sites.shape)
+    elif kind == "large":  # past every bound
+        moved += rng.normal(scale=0.5, size=sites.shape)
+    elif kind == "one":  # one site only
+        moved[rng.integers(len(sites))] += rng.normal(scale=0.05, size=3)
+    elif kind == "duplicate":  # an exact tie at every point
+        moved[rng.integers(len(sites))] = moved[rng.integers(len(sites))]
+    elif kind == "on_point":  # a site at distance 0 from a point
+        moved[rng.integers(len(sites))] = points[rng.integers(len(points))]
+    return moved  # "zero": the same sites
+
+
+class TestCertifiedNearestSite:
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(1, 60),
+           n_sites=st.integers(1, 12),
+           moves=st.lists(st.tuples(
+               st.sampled_from(["zero", "small", "large", "one", "duplicate",
+                                "on_point"]), st.booleans()),
+               min_size=1, max_size=8))
+    def test_equals_nearest_site_bit_for_bit(self, seed, n_points, n_sites,
+                                             moves):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-0.1, 0.1, size=(n_points, 3))
+        sites = rng.uniform(-0.1, 0.1, size=(n_sites, 3))
+        query = CertifiedNearestSite(points)
+        accepted = sites
+        for kind, accept in [("zero", True), *moves]:
+            trial = _moved(rng, accepted, points, kind)
+            d, idx = query(trial)
+            ref_d, ref_idx = nearest_site(points, trial)
+            assert d.tobytes() == ref_d.tobytes()
+            assert np.array_equal(idx, ref_idx)
+            if accept:
+                query.accept()
+                accepted = trial
+        assert query.queried == n_points * (len(moves) + 1)
+
+    def test_ties_go_to_the_lowest_index(self):
+        points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        query = CertifiedNearestSite(points)
+        _, idx = query([[0.6, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        query.accept()
+        assert idx.tolist() == [1, 0]
+        # site 0 moves onto site 1: an exact tie, which no bound certifies
+        d, idx = query([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        assert idx.tolist() == [0, 0]
+        assert d.tolist() == [0.5, 0.5]
+        assert query.rescanned == 4
+
+    def test_unmoved_sites_rescan_nothing(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-0.1, 0.1, size=(200, 3))
+        sites = rng.uniform(-0.1, 0.1, size=(20, 3))
+        query = CertifiedNearestSite(points)
+        first = query(sites)
+        query.accept()
+        for _ in range(3):
+            again = query(sites.copy())
+            query.accept()
+            assert again[0].tobytes() == first[0].tobytes()
+        assert (query.queried, query.rescanned) == (800, 200)
+
+    def test_rejected_query_leaves_no_trace(self):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(-0.1, 0.1, size=(300, 3))
+        sites = rng.uniform(-0.1, 0.1, size=(20, 3))
+        step = rng.normal(scale=2e-3, size=sites.shape)
+        rescans = []
+        far = sites + rng.normal(scale=0.3, size=sites.shape)
+        for rejected in (None, far):
+            query = CertifiedNearestSite(points)
+            query(sites)
+            query.accept()
+            if rejected is not None:
+                query(rejected)
+            before = query.rescanned
+            query(sites + step)
+            rescans.append(query.rescanned - before)
+        assert rescans[0] == rescans[1] < 300
+
+    def test_scans_through_nearest_sites_kernel(self, monkeypatch):
+        rows = []
+
+        def counted(a, b, metric):
+            rows.append(len(a))
+            return cdist(a, b, metric)
+
+        monkeypatch.setattr(scene, "cdist", counted)
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-0.1, 0.1, size=(100, 3))
+        sites = rng.uniform(-0.1, 0.1, size=(10, 3))
+        query = CertifiedNearestSite(points)
+        query(sites)
+        query.accept()
+        query(sites + 1e-4)
+        assert rows[0] == 100 and sum(rows) == query.rescanned < 200
 
 
 class TestContactMap:
