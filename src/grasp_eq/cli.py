@@ -21,7 +21,7 @@ from . import io as io_mod
 from .equilibrium import (DEFAULT_MU, assemble_from_contact_state,
                           stability_energy, stability_loss,
                           stability_loss_masked)
-from .errors import GraspEqError, SolverError, is_number
+from .errors import GraspEqError, SolverError
 from .force_codec import DEFAULT_TEMPERATURE, build_binning, decode, encode
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, find_keypoints)
@@ -69,23 +69,11 @@ def _resolve(args, cfg, key, default):
     return cfg.get(key, default)
 
 
-def _number(value, field):
-    """``value`` as a float, if it is a number; JSON ``true``, ``false``,
-    strings and ``null`` are not."""
-    if not is_number(value):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    return float(value)
-
-
 def _gravity(args, cfg, file_gravity=None):
     if args.gravity is not None:
         return np.array(_parse_floats(args.gravity, 3, "--gravity"))
     if "gravity" in cfg:
-        gravity = cfg["gravity"]
-        if not isinstance(gravity, list) or len(gravity) != 3:
-            raise ValueError(f"gravity must be a list of 3 numbers, "
-                             f"got {gravity!r}")
-        return np.array([_number(g, "gravity") for g in gravity])
+        return io_mod.json_vector(cfg["gravity"], 3, "gravity")
     if file_gravity is not None:
         return np.asarray(file_gravity, dtype=float)
     return np.array(GRAVITY)
@@ -94,10 +82,10 @@ def _gravity(args, cfg, file_gravity=None):
 def _binning(args, cfg):
     block = dict(cfg.get("binning", {}))
     s = args.bins if args.bins is not None else block.get("s", 10)
-    mu_log = _number(block.get("mu_log", 0.0), "mu_log")
-    sigma_log = _number(block.get("sigma_log", 1.0), "sigma_log")
-    temperature = _number(block.get("temperature", DEFAULT_TEMPERATURE),
-                          "temperature")
+    mu_log = io_mod.json_number(block.get("mu_log", 0.0), "mu_log")
+    sigma_log = io_mod.json_number(block.get("sigma_log", 1.0), "sigma_log")
+    temperature = io_mod.json_number(
+        block.get("temperature", DEFAULT_TEMPERATURE), "temperature")
     return build_binning(s, mu_log, sigma_log), temperature
 
 
@@ -208,7 +196,7 @@ def _load_values(args):
     if args.value is not None:
         return [float(args.value)]
     data = io_mod.load_json(args.input)
-    return [_number(v, "force value")
+    return [io_mod.json_number(v, "force value")
             for v in (data if isinstance(data, list) else [data])]
 
 
@@ -220,11 +208,21 @@ def _cmd_encode_force(args, cfg):
     return 0
 
 
+def _check_scores(data):
+    """Every entry of a (nested) score list must be a JSON number."""
+    if isinstance(data, list):
+        for entry in data:
+            _check_scores(entry)
+    else:
+        io_mod.json_number(data, "score")
+
+
 def _cmd_decode_force(args, cfg):
     binning, temperature = _binning(args, cfg)
     if args.temperature is not None:
         temperature = args.temperature
     data = io_mod.load_json(args.input) if args.input else json.loads(args.scores)
+    _check_scores(data)
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         payload = decode(arr, binning, temperature)
@@ -346,7 +344,9 @@ def build_parser() -> _Parser:
     p.add_argument("--shapes", default="sphere,box,cylinder,plate")
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="most worker processes to fork (default: the CPUs "
+                        "this process may run on; 1 runs serially)")
     p.set_defaults(func=_cmd_batch)
     return parser
 

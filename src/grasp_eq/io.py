@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from .errors import is_number
 from .hand import HandPose
 from .keypoints import KeypointSet
 from .scene import GRAVITY, ContactState, ObjectModel
@@ -59,6 +60,22 @@ def load_json(path):
         return json.load(handle)
 
 
+def json_number(value, field):
+    """``value`` as a float, if it is a number; JSON ``true``, ``false``,
+    strings and ``null`` are not."""
+    if not is_number(value):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_vector(value, count, field):
+    """``value`` as a float array, if it is a list of ``count`` numbers."""
+    if not isinstance(value, list) or len(value) != count:
+        raise ValueError(f"{field} must be a list of {count} numbers, "
+                         f"got {value!r}")
+    return np.array([json_number(v, field) for v in value])
+
+
 def save_scene(path, obj: ObjectModel, gravity=GRAVITY):
     dump_json(path, {
         "points": obj.points,
@@ -78,9 +95,10 @@ def load_scene(path):
     obj = ObjectModel(points=np.array(data["points"], dtype=float),
                       normals=np.array(data["normals"], dtype=float),
                       com=np.array(data["com"], dtype=float),
-                      mass=float(data.get("mass", 1.0)))
-    gravity = np.array(data.get("gravity", GRAVITY), dtype=float)
-    return obj, gravity
+                      mass=json_number(data.get("mass", 1.0), "scene mass"))
+    if "gravity" not in data:
+        return obj, np.array(GRAVITY)
+    return obj, json_vector(data["gravity"], 3, "scene gravity")
 
 
 def save_contacts(path, state: ContactState):

@@ -217,6 +217,40 @@ class TestCliBasics:
         assert "force value" in capsys.readouterr().err
         assert not out.exists()
 
+    # a scene file's gravity and mass are read outside the config checks
+    @pytest.mark.parametrize("field,value", [("gravity", [0, 0, True]),
+                                             ("gravity", [0, 0, "-9.81"]),
+                                             ("mass", True)],
+                             ids=["gravity-true", "gravity-string",
+                                  "mass-true"])
+    def test_analyze_rejects_non_number_scene_fields(self, scene_files,
+                                                     tmp_path, capsys,
+                                                     field, value):
+        scene, contacts = scene_files
+        data = json.loads(scene.read_text())
+        data[field] = value
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--scene", str(bad),
+                     "--contacts", str(contacts), "-o", str(out)]) == 2
+        assert f"scene {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["scores", "input"])
+    def test_decode_rejects_boolean_scores(self, tmp_path, capsys, source):
+        one_hot = [False, True] + [False] * 8
+        if source == "scores":
+            inputs = ["--scores", json.dumps(one_hot)]
+        else:
+            scores = tmp_path / "scores.json"
+            scores.write_text(json.dumps([[0.0, 1.0] + [0.0] * 8, one_hot]))
+            inputs = ["--input", str(scores)]
+        out = tmp_path / "out.json"
+        assert main(["decode-force", *inputs, "-o", str(out)]) == 2
+        assert "score must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_encode_decode(self, capsys):
         assert main(["encode-force", "--value", "1.0"]) == 0
         encoded = json.loads(capsys.readouterr().out)
@@ -360,6 +394,55 @@ class TestBatch:
         scenes = build_batch(1, ["sphere"], seed=0, sample_count=512)
         with pytest.raises(ValueError, match="threads"):
             batch_report(scenes, OptimizationConfig(), threads=threads)
+
+    def test_default_workers_follow_the_affinity_set(self, monkeypatch):
+        from grasp_eq import batch as batch_mod
+
+        built = []
+
+        class NoPool:
+            def __init__(self, max_workers, mp_context):
+                built.append(max_workers)
+                raise RuntimeError("pool built")
+        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", NoPool)
+        config = OptimizationConfig(max_iters_stage2=5, max_iters_stage3=5)
+        scenes = build_batch(2, ["sphere"], seed=0, sample_count=512)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(RuntimeError, match="pool built"):
+            batch_report(scenes, config)
+        assert built == [2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rows = batch_report(scenes, config)  # one CPU: serial, no pool
+        assert built == [2]
+        assert [r.status for r in rows] == ["ok", "ok"]
+
+    def test_scene_failing_in_a_worker_matches_serial(self, monkeypatch):
+        from grasp_eq import batch as batch_mod
+        from grasp_eq.batch import BatchScene
+        from grasp_eq.errors import SolverError
+        from grasp_eq.synth import SyntheticScene
+
+        real_pipeline = batch_mod.run_pipeline
+
+        def fails_on_576_samples(obj, *args, **kwargs):
+            if obj.n_points == 576:
+                raise SolverError("no convergence")
+            return real_pipeline(obj, *args, **kwargs)
+        # forked workers inherit the patched attribute
+        monkeypatch.setattr(batch_mod, "run_pipeline", fails_on_576_samples)
+        config = OptimizationConfig(max_iters_stage2=10, max_iters_stage3=10)
+        scenes = [BatchScene(index=i, spec=SyntheticScene(
+                      "sphere", (0.05,), 512 + 64 * i, seed=5 + i),
+                      style="tripod")
+                  for i in range(3)]
+        pooled = batch_report(scenes, config, threads=2)
+        serial = batch_report(scenes, config, threads=1)
+        assert [r.index for r in pooled] == [0, 1, 2]
+        assert pooled[1].status == serial[1].status
+        assert pooled[1].status == "error: SolverError: no convergence"
+        assert pooled[1].error is serial[1].error is SolverError
+        assert [pooled[0], pooled[2]] == [serial[0], serial[2]]
+        assert [pooled[0].status, pooled[2].status] == ["ok", "ok"]
 
     def test_cli_batch_exit_code_names_failed_scenes(self, tmp_path, capsys):
         out = tmp_path / "batch"
