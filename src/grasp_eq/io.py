@@ -76,6 +76,15 @@ def json_vector(value, count, field):
     return np.array([json_number(v, field) for v in value])
 
 
+def json_array(value, field, dtype=float):
+    """``value`` as an array, if every entry of its nested lists is a
+    number."""
+    for entry in np.asarray(value, dtype=object).ravel():
+        if not is_number(entry):
+            raise ValueError(f"{field} must hold only numbers, got {entry!r}")
+    return np.array(value, dtype=dtype)
+
+
 def save_scene(path, obj: ObjectModel, gravity=GRAVITY):
     dump_json(path, {
         "points": obj.points,
@@ -92,9 +101,9 @@ def load_scene(path):
     for key in ("points", "normals", "com"):
         if key not in data:
             raise ValueError(f"scene file {path} is missing {key!r}")
-    obj = ObjectModel(points=np.array(data["points"], dtype=float),
-                      normals=np.array(data["normals"], dtype=float),
-                      com=np.array(data["com"], dtype=float),
+    obj = ObjectModel(points=json_array(data["points"], "scene points"),
+                      normals=json_array(data["normals"], "scene normals"),
+                      com=json_array(data["com"], "scene com"),
                       mass=json_number(data.get("mass", 1.0), "scene mass"))
     if "gravity" not in data:
         return obj, np.array(GRAVITY)
@@ -114,9 +123,11 @@ def load_contacts(path) -> ContactState:
     for key in ("likelihood", "part_label", "force"):
         if key not in data:
             raise ValueError(f"contact file {path} is missing {key!r}")
-    return ContactState(likelihood=np.array(data["likelihood"], dtype=float),
-                        part_label=np.array(data["part_label"], dtype=int),
-                        force=np.array(data["force"], dtype=float))
+    return ContactState(
+        likelihood=json_array(data["likelihood"], "contact likelihood"),
+        part_label=json_array(data["part_label"], "contact part_label",
+                              dtype=int),
+        force=json_array(data["force"], "contact force"))
 
 
 def save_pose(path, pose: HandPose):

@@ -6,9 +6,14 @@ parts; one cluster per part is chosen by conditional stability energy, and
 the final keypoint combination is the part subset with the least stability
 energy over all C(|H|, n_kp) candidates.  Both choices are exact searches
 that assemble one system per search and solve the stability QP only for
-candidates whose per-row interval bound can still beat the incumbent; they
-return what solving every candidate would.  Keypoint targets sit one finger
-radius outside the contact centers along the cluster normals.
+the candidates that can decide the answer.  Each candidate's energy is
+bounded from below by its per-row interval bound and by the weak-duality
+bound from every solved candidate's optimal acceleration.  Solving best
+first, by least bound, finds a low energy that sets an energy band; an
+in-order pass then skips the candidates whose bounds lie above the band
+or cannot beat the incumbent.  The searches return what solving every
+candidate in order would.  Keypoint targets sit one finger radius
+outside the contact centers along the cluster normals.
 """
 
 from __future__ import annotations
@@ -132,35 +137,121 @@ def _candidate_bounds(sys, candidates):
     return energy_lower_bounds(sys, sys.forces[:, None] * members)
 
 
+def _dual_bounds(sys, candidates, y):
+    """Weak-duality lower bound on each candidate's stability energy.
+
+    For any direction y and any friction choice x in the box,
+    ||A x + c|| >= y.(A x + c) / |y| >= beta / |y| with
+    beta = y.c - sum_j |A_j^T y|, so the energy is at least
+    max(beta, 0)^2 / |y|^2.  At a candidate's own optimal acceleration the
+    bound is that candidate's energy.  beta is summed from per-column
+    terms of ``sys``: y.(N F) - |y.(B mu F)| - |y.(T mu F)| over the
+    candidate's columns, plus y.g6.  y = 0 bounds nothing.
+    """
+    norm = np.linalg.norm(y)
+    if norm == 0.0:
+        return np.zeros(len(candidates))
+    y = y / norm
+    scaled = sys.mu * sys.forces
+    terms = ((y @ sys.n_mat) * sys.forces - np.abs(y @ sys.b_mat) * scaled
+             - np.abs(y @ sys.t_mat) * scaled)
+    beta = terms[candidates].sum(axis=1) + y @ sys.gravity6
+    return np.maximum(beta, 0.0) ** 2
+
+
+def _band(energy):
+    """energy + 2 QP_TOL, or inf where floats cannot keep energy more than
+    QP_TOL below it (non-finite or very large energies)."""
+    band = energy + 2 * QP_TOL
+    return band if band - QP_TOL > energy else np.inf
+
+
 def _least_energy(sys, candidates):
     """Least-energy candidate, ties to the earliest: (index, energy).
 
     Row j of the (K, k) ``candidates`` lists the columns of ``sys`` that
-    make candidate j.  Candidates are visited in order, and one replaces
-    the incumbent only when its energy is lower by more than QP_TOL, the
-    solver's certified gap.  A candidate whose interval bound is at least
-    the incumbent's energy minus QP_TOL / 2 is not solved: its energy is
-    at least the bound (up to rounding near 1e-13, which the other half of
-    QP_TOL absorbs), so it could not replace the incumbent, and the result
-    is the one solving every candidate gives.
+    make candidate j.  The answer is defined by the in-order rule: visit
+    every candidate in order and let one replace the incumbent only when
+    its energy is lower by more than QP_TOL, the solver's certified gap.
+    The search returns that answer, bit for bit, while solving only the
+    candidates that can decide it.
+
+    Every candidate carries a lower bound on its energy: first its
+    interval bound, then, after each solve, the larger of that and the
+    weak-duality bound from the solved candidate's optimal acceleration
+    (``_dual_bounds``, tight at its own candidate).  Each bound is lowered
+    by QP_TOL / 4, which absorbs its rounding (near 1e-13), so it is never
+    above the energy the solver returns.
+
+    The search starts best first: it solves the unsolved candidate with
+    the least bound until no unsolved bound lies below the least energy
+    found, U.  The band is U + 2 QP_TOL.  The in-order rule is then
+    replayed over the "kept" candidates, whose energies lie below
+    band - QP_TOL; energies above the band are ignored.  A candidate is
+    skipped when its bound is above the band (it would be ignored) or at
+    least the incumbent's energy minus QP_TOL / 2 (it could not replace
+    the incumbent).  A solved energy e within QP_TOL below the band raises
+    the band to e + 2 QP_TOL, and the replay starts again on the cached
+    energies.
+
+    Why this is exact: once a replay finishes, every kept energy is below
+    band - QP_TOL and every other energy is above the band.  So a kept
+    candidate always replaces an ignored incumbent, and an ignored
+    candidate never replaces a kept one.  Scanning all candidates in
+    order therefore ends on the candidate that scanning the kept ones
+    ends on, and the kept set is never empty, since it holds U's
+    candidate.  Where a float cannot hold U + 2 QP_TOL (or e + 2 QP_TOL)
+    more than QP_TOL above U (or e), as for non-finite or very large
+    energies, the band is infinite: nothing is ignored, and the replay is
+    the plain in-order rule.
     """
     candidates = np.asarray(candidates)
-    bounds = _candidate_bounds(sys, candidates)
-    best, best_energy, solved = None, np.inf, 0
-    for j, cols in enumerate(candidates):
-        if bounds[j] >= best_energy - QP_TOL / 2:
-            continue
-        solved += 1
-        try:
-            energy = stability_energy(sys.take(cols)).energy
-        except SolverError as err:
-            # non-converged energy is still a valid upper bound for comparisons
-            energy = err.result.energy
-        if energy < best_energy - QP_TOL:
-            best, best_energy = j, energy
+    lower = _candidate_bounds(sys, candidates) - QP_TOL / 4
+    energies = {}
+
+    def energy(j):
+        if j not in energies:
+            try:
+                res = stability_energy(sys.take(candidates[j]))
+            except SolverError as err:
+                # non-converged energy is still a valid upper bound for
+                # comparisons, and its acceleration a valid direction
+                res = err.result
+            energies[j] = res.energy
+            if len(energies) < len(candidates):
+                np.maximum(lower, _dual_bounds(sys, candidates, res.accel)
+                           - QP_TOL / 4, out=lower)
+        return energies[j]
+
+    # best first: solve the unsolved candidate of least bound until no
+    # unsolved bound lies below the least energy found
+    least = np.inf
+    while True:
+        pending = lower.copy()
+        pending[list(energies)] = np.inf
+        j = int(np.argmin(pending))
+        if pending[j] >= least - QP_TOL / 2:
+            break
+        least = min(least, energy(j))
+    band, restarts = _band(least), 0
+    while True:
+        best, best_energy = None, np.inf
+        for j in range(len(candidates)):
+            if lower[j] > band or lower[j] >= best_energy - QP_TOL / 2:
+                continue
+            e = energy(j)
+            if band - QP_TOL <= e <= band < np.inf:
+                break
+            if e < band - QP_TOL and e < best_energy - QP_TOL:
+                best, best_energy = j, e
+        else:
+            break
+        # e lies within QP_TOL below the band: raise the band past it
+        band, restarts = _band(e), restarts + 1
     _log.debug("stability search: %d candidates, %d solved, %d skipped, "
-               "best energy %.3e", len(candidates), solved,
-               len(candidates) - solved, best_energy)
+               "best energy %.3e, band %.3e, %d restarts", len(candidates),
+               len(energies), len(candidates) - len(energies), best_energy,
+               band, restarts)
     return best, best_energy
 
 
@@ -174,9 +265,9 @@ def select_clusters(clusters, obj: ObjectModel, mu: float = DEFAULT_MU,
     representatives, in one pass.  A candidate replaces the incumbent only
     when its energy is lower by more than QP_TOL, the solver's certified
     gap, so ties go to the earliest cluster.  One system is assembled over
-    every cluster, and a candidate's QP is solved only when its interval
-    bound can still beat the incumbent, so the pick is the one solving
-    every candidate gives.
+    every cluster, and a candidate's QP is solved only when its bounds
+    leave it able to decide the pick (see ``_least_energy``), so the pick
+    is the one solving every candidate gives.
     """
     if not clusters:
         raise ValueError("no part has any contact cluster")
@@ -204,12 +295,12 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
 
     Searches every C(|H|, min(n_kp, |H|)) combination, so with |H| <= n_kp
     all parts are kept.  One system is assembled over all representatives,
-    and a combination's QP is solved only when its interval bound can
-    still beat the incumbent, so the result is the one solving every
-    combination gives.  Ties break toward the lexicographically smallest
-    part-id tuple: combinations are visited in that order and only
-    improvements by more than QP_TOL, the solver's certified gap, replace
-    the incumbent.
+    and a combination's QP is solved only when its bounds leave it able to
+    decide the result (see ``_least_energy``), so the result is the one
+    solving every combination gives.  Ties break toward the
+    lexicographically smallest part-id tuple: combinations are visited in
+    that order and only improvements by more than QP_TOL, the solver's
+    certified gap, replace the incumbent.
     """
     if not (is_number(n_kp) and n_kp % 1 == 0 and n_kp >= 1):
         raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp!r}")

@@ -228,14 +228,18 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
         owner = owners[idx]
         slope = -CONTACT_RADIUS / d[idx] ** 2  # d likelihood / d distance
         coef = np.sign(resid[idx]) * slope / obj.n_points
-        # (3, n): unit vectors from each point to its nearest sample
-        unit = ((geometry.samples[owner] - obj.points[idx]) / d[idx, None]).T
+        # contiguous (3, n): unit vectors from each point to its nearest sample
+        unit = (geometry.samples.T.take(owner, axis=1)
+                - obj.points.T.take(idx, axis=1))
+        unit /= d[idx]
         irls = slope ** 2 / (np.maximum(np.abs(resid[idx]), CONTACT_IRLS_FLOOR)
                              * obj.n_points)
-        # summed per sample: the gradient pull (3 columns) and the curvature
-        # block irls * unit unit^T (9 columns)
-        cols = np.concatenate([coef * unit,
-                               ((irls * unit)[:, None] * unit).reshape(9, -1)])
+        # summed per sample: the gradient pull (3 rows) and the curvature
+        # block irls * unit unit^T (9 rows)
+        cols = np.empty((12, len(idx)))
+        np.multiply(coef, unit, out=cols[:3])
+        np.multiply((irls * unit)[:, None], unit,
+                    out=cols[3:].reshape(3, 3, -1))
         per_sample = np.stack([np.bincount(owner, col, hand.N_SAMPLES)
                                for col in cols], axis=1)
         blocks = per_sample[:, 3:].reshape(-1, 3, 3)

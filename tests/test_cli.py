@@ -237,6 +237,36 @@ class TestCliBasics:
         assert f"scene {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    # each entry of the scene and contact arrays; a JSON true in place of
+    # the value 1 would load as 1 under np.array(..., dtype=float)
+    @pytest.mark.parametrize("name,field", [
+        ("scene", "points"), ("scene", "normals"), ("scene", "com"),
+        ("contact", "likelihood"), ("contact", "part_label"),
+        ("contact", "force")])
+    def test_analyze_rejects_boolean_array_entries(self, scene_files,
+                                                   tmp_path, capsys, name,
+                                                   field):
+        files = dict(zip(("scene", "contact"), scene_files))
+        data = json.loads(files[name].read_text())
+        if field == "com":
+            data["com"] = [0.0, 0.0, True]
+        elif name == "scene":
+            data[field][0] = [True, 0.0, 0.0]
+        else:
+            # a labelled, force-carrying point, so that 1 is a valid value
+            i = int(np.flatnonzero(np.array(data["force"]) > 0)[0])
+            data["likelihood"][i] = data["force"][i] = 1
+            data["part_label"][i] = 1
+            data[field][i] = True
+        files[name] = tmp_path / "bad.json"
+        files[name].write_text(json.dumps(data))
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--scene", str(files["scene"]),
+                     "--contacts", str(files["contact"]),
+                     "-o", str(out)]) == 2
+        assert f"{name} {field} must hold only numbers" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["scores", "input"])
     def test_decode_rejects_boolean_scores(self, tmp_path, capsys, source):
         one_hot = [False, True] + [False] * 8

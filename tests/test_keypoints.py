@@ -12,8 +12,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from grasp_eq import keypoints
-from grasp_eq.equilibrium import (QP_TOL, assemble, energy_lower_bounds,
-                                  stability_energy)
+from grasp_eq.equilibrium import (QP_TOL, StabilityResult, assemble,
+                                  energy_lower_bounds, stability_energy)
 from grasp_eq.errors import SolverError
 from grasp_eq.keypoints import (KeypointSet, PartCluster, cluster_contacts,
                                 find_keypoints, make_targets, select_clusters,
@@ -21,7 +21,7 @@ from grasp_eq.keypoints import (KeypointSet, PartCluster, cluster_contacts,
 from grasp_eq.scene import ContactState, ObjectModel
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
-from conftest import random_contacts, sphere_object
+from conftest import energy_matrices, random_contacts, sphere_object
 from test_acceptance import _random_representatives
 
 
@@ -389,21 +389,27 @@ def exhaustive_keypoints(reps, obj, n_kp):
     so a patched solver serves both."""
     chosen, best = None, np.inf
     for combo in itertools.combinations(sorted(reps), min(n_kp, len(reps))):
-        group = [reps[p] for p in combo]
-        sys = assemble(obj, np.array([c.center for c in group]),
-                       np.array([c.normal for c in group]),
-                       np.array([c.force for c in group]))
-        try:
-            energy = keypoints.stability_energy(sys).energy
-        except SolverError as err:
-            energy = err.result.energy
+        energy = solved_energy(obj, [reps[p] for p in combo])
         if energy < best - QP_TOL:
             chosen, best = combo, energy
     return chosen, best
 
 
+def solved_energy(obj, group):
+    """The energy the search takes for a group of clusters, looking up
+    ``keypoints.stability_energy`` at call time."""
+    sys = assemble(obj, np.array([c.center for c in group]),
+                   np.array([c.normal for c in group]),
+                   np.array([c.force for c in group]))
+    try:
+        return keypoints.stability_energy(sys).energy
+    except SolverError as err:
+        return err.result.energy
+
+
 def exhaustive_clusters(clusters, obj):
-    """Reference for select_clusters: every candidate solved."""
+    """Reference for select_clusters: every candidate solved, with the
+    solver ``exhaustive_keypoints`` uses."""
     parts = sorted(clusters)
     reps = {p: max(clusters[p], key=lambda c: c.force) for p in parts}
     for p in parts:
@@ -412,7 +418,7 @@ def exhaustive_clusters(clusters, obj):
         others = [reps[q] for q in parts if q != p]
         best, best_energy = None, np.inf
         for cand in clusters[p]:
-            energy = cluster_system_energy(obj, [cand] + others)
+            energy = solved_energy(obj, [cand] + others)
             if energy < best_energy - QP_TOL:
                 best, best_energy = cand, energy
         reps[p] = best
@@ -565,6 +571,155 @@ class TestEnergyBound:
             sub = sys.take(cols)
             assert_allclose(bound, energy_lower_bounds(sub, sub.forces),
                             rtol=1e-12, atol=0.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(n=st.integers(1, 6), collinear=st.booleans(),
+           mu=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_dual_bounds_sound_tight_and_vectorized(self, n, collinear, mu,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        obj = sphere_object(seed=seed % 1000)
+        points, normals, forces = random_contacts(rng, obj, n)
+        if collinear:
+            points = np.outer(rng.uniform(-0.05, 0.05, n), normals[0])
+        sys = assemble(obj, points, normals, forces, mu=mu)
+        k = int(rng.integers(1, n + 1))
+        candidates = np.array(list(itertools.combinations(range(n), k)))
+        subs = [sys.take(cols) for cols in candidates]
+        results = [stability_energy(sub) for sub in subs]
+        energies = np.array([res.energy for res in results])
+        # y = 0, an arbitrary direction, and each candidate's optimum, where
+        # the bound meets the energy up to rounding relative to it
+        slack = 1e-12 * np.maximum(energies, 1.0)
+        for y in [np.zeros(6), rng.normal(size=6)] + [r.accel for r in results]:
+            bounds = keypoints._dual_bounds(sys, candidates, y)
+            assert np.all(bounds <= energies + slack)
+            assert_allclose(bounds, [direct_dual_bound(sub, y) for sub in subs],
+                            rtol=1e-9, atol=1e-12)
+        for j, res in enumerate(results):
+            own = keypoints._dual_bounds(sys, candidates, res.accel)[j]
+            assert abs(own - res.energy) <= 1e-7
+
+
+def direct_dual_bound(sys, y):
+    """max(beta, 0)^2 / |y|^2 with beta = y.c - sum_j |A_j^T y|, from the
+    sub-system's own QP matrices."""
+    mat, const = energy_matrices(sys)
+    if not y @ y:
+        return 0.0
+    beta = y @ const - np.abs(mat.T @ y).sum()
+    return max(beta, 0.0) ** 2 / (y @ y)
+
+
+def inflated_energy(sys):
+    """stability_energy raised by 0 to 4 QP_TOL in steps of QP_TOL / 2,
+    the step picked by the forces: equal true energies then tie or sit
+    within QP_TOL of each other, as energies near the band do."""
+    res = stability_energy(sys)
+    step = int(round(float(sys.forces @ np.arange(1, sys.n_contacts + 1))
+                     * 7)) % 9
+    return replace(res, energy=res.energy + step * QP_TOL / 2)
+
+
+def restart_count(caplog):
+    return sum(int(r.getMessage().rsplit(", ", 1)[1].split()[0])
+               for r in caplog.records if r.name == "grasp_eq")
+
+
+class TestBandSearch:
+    """The band replay returns the in-order answer when energies tie or
+    land within QP_TOL of the band, which makes it restart."""
+
+    def test_near_band_keypoints_match_exhaustive(self, small_sphere,
+                                                  monkeypatch, caplog):
+        monkeypatch.setattr(keypoints, "stability_energy", inflated_energy)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        rng = np.random.default_rng(1700)
+        sets = [held_reps()]
+        for _ in range(6):
+            # copies of held parts at other forces: many subsets are still
+            # held, so their energies differ only by the inflation
+            reps = held_reps()
+            for dst, src in zip((3, 4, 6), rng.choice(sorted(reps), 3)):
+                reps[dst] = replace(reps[int(src)], part=dst,
+                                    force=reps[int(src)].force
+                                    * float(rng.uniform(0.8, 1.5)))
+            sets.append(reps)
+        for n_kp in (1, 2, 3, 4):
+            for reps in sets:
+                kps = select_keypoints(reps, small_sphere, n_kp=n_kp)
+                assert (kps.parts, kps.energy) == exhaustive_keypoints(
+                    reps, small_sphere, n_kp)
+        assert restart_count(caplog) > 0
+
+    def test_near_band_clusters_match_exhaustive(self, small_sphere,
+                                                 monkeypatch, caplog):
+        monkeypatch.setattr(keypoints, "stability_energy", inflated_energy)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        rng = np.random.default_rng(1800)
+        for _ in range(10):
+            clusters = {}
+            for p, rep in held_reps().items():
+                scales = rng.uniform(0.8, 1.5, size=int(rng.integers(1, 5)))
+                clusters[p] = [replace(rep, force=rep.force * float(s))
+                               for s in scales] + [random_cluster(rng, p)]
+                # an exact copy ties its original; the first must win
+                clusters[p].append(replace(clusters[p][0]))
+            reps = select_clusters(clusters, small_sphere)
+            expected = exhaustive_clusters(clusters, small_sphere)
+            assert {p: id(c) for p, c in reps.items()} == {
+                p: id(c) for p, c in expected.items()}
+        assert restart_count(caplog) > 0
+
+    # energies on a QP_TOL / 2 grid, so that ties and energies exactly at
+    # band - QP_TOL occur; at 1e9 a float cannot hold the band's margins,
+    # so the band must be infinite, or the replay would never end
+    @pytest.mark.parametrize("offset", [0.0, 1e9])
+    def test_replay_matches_in_order_rule_on_set_energies(self, small_sphere,
+                                                          monkeypatch, caplog,
+                                                          offset):
+        # candidate j is contact j alone; each bound is at most its energy
+        k = 5
+        rng = np.random.default_rng(1900)
+        points, normals, _ = random_contacts(rng, small_sphere, k)
+        sys = assemble(small_sphere, points, normals, np.arange(1.0, k + 1))
+        table = {}
+
+        def set_energy(sub):
+            return StabilityResult(energy=table[float(sub.forces[0])],
+                                   gamma=np.zeros(1), delta=np.zeros(1),
+                                   accel=np.zeros(6))
+
+        monkeypatch.setattr(keypoints, "stability_energy", set_energy)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        for _ in range(400):
+            energies = offset + rng.integers(0, 7, size=k) * (QP_TOL / 2)
+            bounds = energies * rng.choice([0.0, 0.5, 1.0], size=k)
+            table.update(zip(np.arange(1.0, k + 1), energies))
+            monkeypatch.setattr(keypoints, "_candidate_bounds",
+                                lambda sys, candidates, b=bounds: b.copy())
+            best, best_energy = None, np.inf
+            for j, e in enumerate(energies):
+                if e < best_energy - QP_TOL:
+                    best, best_energy = j, e
+            assert keypoints._least_energy(sys, np.arange(k)[:, None]) == (
+                best, best_energy)
+        if offset:
+            assert all("band inf" in r.getMessage() for r in caplog.records)
+        else:
+            assert restart_count(caplog) > 0
+
+    def test_log_reports_band_and_restarts(self, caplog):
+        obj = sphere_object()
+        reps16 = _random_representatives(np.random.default_rng(708), obj, 16)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        kps = select_keypoints(reps16, obj, n_kp=3)
+        [record] = [r for r in caplog.records if r.name == "grasp_eq"]
+        # the least energy is found first, so the band never moves
+        assert record.getMessage().endswith(
+            f", best energy {kps.energy:.3e}, "
+            f"band {kps.energy + 2 * QP_TOL:.3e}, 0 restarts")
 
 
 class TestFindKeypoints:
