@@ -20,6 +20,7 @@ attainable interval excludes zero.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,10 @@ from .scene import (GRAVITY, ObjectModel, _freeze, _pivot_tangents,
 DEFAULT_MU = 1.0
 QP_TOL = 1e-8
 QP_MAX_ITER = 10_000
+
+_log = logging.getLogger("grasp_eq")
+_FORCE_EXISTENCE_LOG = ("force existence: %d contacts, %d inner steps, "
+                        "%d outer iterations, gap %.3e")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,20 +236,28 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
     face minimum the edge or cap with the largest KKT violation is freed.
     Only the duality gap certifies: returns (lam, True, gap) once it falls
     below ``tol``, else (best lam, False, its gap) after ``max_iter`` outer
-    iterations.
+    iterations, followed by the work done: the inner steps taken and the
+    outer iterations run.
     """
     n = lam.shape[0]
     cols = mat.reshape(6, n, 4)
     free = np.ones((n, 4), dtype=bool)
     capped = np.zeros(n, dtype=bool)
     best_lam, best_f, best_gap = lam, np.inf, np.inf
-    for _ in range(max_iter):
+    steps = 0
+    for outer in range(1, max_iter + 1):
         while free.any():
+            steps += 1
             r = mat @ lam.ravel() + const
-            face = np.where(capped[:, None], cols - _free_mean(cols, free), cols)
+            # with no contact capped both centrings are identities
+            any_capped = capped.any()
+            face = (np.where(capped[:, None], cols - _free_mean(cols, free), cols)
+                    if any_capped else cols)
             step = np.zeros((n, 4))
             step[free], *_ = np.linalg.lstsq(face[:, free], -r, rcond=None)
-            step -= np.where(capped[:, None] & free, _free_mean(step, free), 0.0)
+            if any_capped:
+                step -= np.where(capped[:, None] & free,
+                                 _free_mean(step, free), 0.0)
             rise = step.sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 to_zero = np.where(free & (step < 0.0), lam / -step, np.inf)
@@ -268,7 +281,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
         if f < best_f:
             best_lam, best_f, best_gap = lam.copy(), f, gap
         if gap < tol:
-            return lam, True, gap
+            return lam, True, gap, steps, outer
         # a capped contact's free edges share one gradient `level` at a face
         # minimum: a zero edge violates KKT when its gradient is below the
         # level, a cap when the level is positive (shrinking the sum helps)
@@ -281,7 +294,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
                 free.flat[worst] = True
             else:
                 capped[worst - 4 * n] = False
-    return best_lam, False, best_gap
+    return best_lam, False, best_gap, steps, max_iter
 
 
 def _not_converged(what, gap, tol, max_iter, result):
@@ -411,6 +424,7 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     n = points.shape[0]
     gravity6 = np.concatenate([np.asarray(gravity, dtype=float), np.zeros(3)])
     if n == 0:
+        _log.debug(_FORCE_EXISTENCE_LOG, 0, 0, 0, 0.0)
         return ForceExistenceResult(energy=float(gravity6 @ gravity6),
                                     forces=np.zeros(0), gamma=np.zeros(0),
                                     delta=np.zeros(0), accel=_freeze(gravity6))
@@ -421,8 +435,9 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     # the minimizer is not unique; from lam = 0 the solver lands on sparse
     # vertices, from this interior point it keeps force on most contacts
     share = min(obj.mass * float(np.linalg.norm(gravity6)) / n, f_max)
-    lam, converged, gap_val = _solve_pyramid(mat, gravity6, np.full((n, 4), share / 4.0),
-                                             f_max, tol, max_iter)
+    lam, converged, gap_val, steps, rounds = _solve_pyramid(
+        mat, gravity6, np.full((n, 4), share / 4.0), f_max, tol, max_iter)
+    _log.debug(_FORCE_EXISTENCE_LOG, n, steps, rounds, gap_val)
     u = lam.sum(axis=1)
     safe = np.where(u > 0, u, 1.0)
     gamma, delta = np.clip((lam @ _EDGE_SIGNS) / safe[:, None], -1.0, 1.0).T

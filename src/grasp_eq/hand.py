@@ -112,6 +112,11 @@ def _affine_tables():
 _CENTER_WEIGHTS, _SAMPLE_WEIGHTS, SAMPLE_PARTS = _affine_tables()
 N_SAMPLES = _SAMPLE_WEIGHTS.shape[0]
 SAMPLE_PARTS.flags.writeable = False
+# each sample's two joints, the lower first, and their weights, shaped to
+# scale (N_SAMPLES, 3, N_PARAMS) jacobian rows
+_SAMPLE_JOINTS = np.nonzero(_SAMPLE_WEIGHTS)[1].reshape(N_SAMPLES, 2).T
+_SAMPLE_BLEND = np.take_along_axis(_SAMPLE_WEIGHTS, _SAMPLE_JOINTS.T,
+                                   axis=1).T[:, :, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,5 +344,20 @@ def center_jacobians(joint_jac, parts=None):
 
 
 def sample_jacobians(joint_jac):
-    """Surface-sample jacobians from joint jacobians."""
-    return np.einsum("sk,kdp->sdp", _SAMPLE_WEIGHTS, joint_jac)
+    """Surface-sample jacobians from joint jacobians.
+
+    Each sample blends two joints, so this is w_a J[a] + w_b J[b] over
+    _SAMPLE_JOINTS and _SAMPLE_BLEND rather than a product with all 21
+    _SAMPLE_WEIGHTS columns.  The other 19 products are zeros, which leave
+    a sum unchanged except for its sign of zero: the trailing + 0.0 turns
+    -0 into +0, as a sum accumulated from +0 does, so for finite joint
+    jacobians this equals np.einsum("sk,kdp->sdp", _SAMPLE_WEIGHTS,
+    joint_jac) bit for bit.
+    """
+    jac = joint_jac.take(_SAMPLE_JOINTS[0], axis=0)
+    jac *= _SAMPLE_BLEND[0]
+    other = joint_jac.take(_SAMPLE_JOINTS[1], axis=0)
+    other *= _SAMPLE_BLEND[1]
+    jac += other
+    jac += 0.0
+    return jac

@@ -17,6 +17,8 @@ term's object-point-to-hand-sample query at a trial reuses the accepted
 point's answer (``scene.CertifiedNearestSite``): a point keeps its
 nearest sample when no sample has moved far enough to overtake it, and
 only the other points are scanned, with the same result as a full scan.
+A trial whose other terms plus a lower bound on its contact term already
+exceed the accepted objective is rejected before that scan.
 """
 
 from __future__ import annotations
@@ -205,8 +207,27 @@ def _flat():
     return np.zeros(hand.N_PARAMS), np.zeros((hand.N_PARAMS, hand.N_PARAMS))
 
 
+def _residual_floor(resid, dist, rows, lower, target_likelihood):
+    """Lower bounds on the |residuals| a bracketed nearest-sample query
+    gives once scanned.
+
+    ``dist``, ``rows`` and ``lower`` are a CertifiedNearestSite bracket and
+    ``resid`` is likelihood(dist) - target.  Each point's nearest distance
+    d lies in [lo, dist] with lo = min(dist, lower) and likelihood is
+    non-increasing in d, so |likelihood(d) - t| is at least
+    max(likelihood(dist) - t, t - likelihood(max(lo, CONTACT_RADIUS)), 0),
+    and equals |likelihood(dist) - t| off ``rows``, where dist is certified.
+    Rounding is monotone, so each floor is at most the computed residual.
+    """
+    floor = np.abs(resid)
+    lo = np.maximum(np.minimum(dist[rows], lower[rows]), CONTACT_RADIUS)
+    floor[rows] = np.maximum(np.maximum(
+        resid[rows], target_likelihood[rows] - contact_likelihood(lo)), 0.0)
+    return floor
+
+
 def contact_loss(geometry, obj: ObjectModel, target_likelihood,
-                 nearest: CertifiedNearestSite | None = None):
+                 nearest: CertifiedNearestSite | None = None, exceeds=None):
     """Mean absolute difference between induced and target contact maps.
 
     ``nearest``, a CertifiedNearestSite over ``obj.points``, answers the
@@ -215,10 +236,27 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
     ``hand.sample_jacobians(joint_jac)``, when the caller already holds
     it.  Each object point's row weighs
     1 / max(|residual|, CONTACT_IRLS_FLOOR) in the curvature; the rows are
-    summed per nearest hand sample before the sample jacobians apply."""
-    d, owners = (nearest_site(obj.points, geometry.samples) if nearest is None
-                 else nearest(geometry.samples))
-    resid = contact_likelihood(d) - target_likelihood
+    summed per nearest hand sample before the sample jacobians apply.
+
+    ``exceeds``, with ``nearest``, is a test on a lower bound of the value,
+    the mean of ``_residual_floor`` between the query's bracket and its
+    scan: np.mean sums it and the |residuals| in one pairwise order, so
+    the bound is at most the value.  When ``exceeds`` holds for it, the
+    scan is skipped and (that bound, None) is returned.
+    """
+    if nearest is None:
+        d, owners = nearest_site(obj.points, geometry.samples)
+        resid = contact_likelihood(d) - target_likelihood
+    else:
+        d, rows, lower = nearest.bracket(geometry.samples)
+        resid = contact_likelihood(d) - target_likelihood
+        if exceeds is not None:
+            bound = float(np.mean(_residual_floor(resid, d, rows, lower,
+                                                  target_likelihood)))
+            if exceeds(bound):
+                return bound, None
+        d, owners = nearest.scan()
+        resid[rows] = contact_likelihood(d[rows]) - target_likelihood[rows]
 
     def derivatives(joint_jac, sample_jac=None):
         active = (d > CONTACT_RADIUS) & (resid != 0)
@@ -293,7 +331,7 @@ _REG_CURVATURE.flags.writeable = False
 
 
 def pose_terms(vec, keypoints, obj, target_likelihood, weights,
-               nearest=None):
+               nearest=None, ceiling=None):
     """The four pose-objective terms at ``vec`` from one kinematics pass.
 
     Returns (values, derivatives): the keypoint, contact, penetration and
@@ -303,15 +341,32 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
     term whose weight in ``weights`` is zero, or the keypoint term without
     keypoints, is not evaluated and reads 0 with zero derivatives.
     ``nearest`` is passed on to ``contact_loss``.
+
+    With ``nearest`` and a ``ceiling``, the contact term comes last: when a
+    lower bound on it already puts sum(weights * values), summed in this
+    order, above ``ceiling``, its scan is skipped and derivatives is None,
+    and the contact value is that bound.  The weighted sum is then the
+    same bound on the true sum, so it too exceeds ``ceiling``.
     """
     geometry, jacobian = hand.fk_with_jacobians(vec)
     w_kp, w_c, w_pene, w_reg = weights
     kp = (kp_loss(geometry, keypoints)
           if keypoints is not None and w_kp > 0 else None)
-    contact = (contact_loss(geometry, obj, target_likelihood, nearest)
-               if w_c > 0 else None)
     pene = penetration_loss(geometry, obj) if w_pene > 0 else None
     reg = reg_loss(vec) if w_reg > 0 else None
+    kp_v, pene_v, reg_v = (0.0 if term is None else term[0]
+                           for term in (kp, pene, reg))
+
+    def exceeds(bound):
+        return sum(w * t for w, t in
+                   zip(weights, (kp_v, bound, pene_v, reg_v))) > ceiling
+
+    contact = (contact_loss(geometry, obj, target_likelihood, nearest,
+                            None if ceiling is None else exceeds)
+               if w_c > 0 else None)
+    values = (kp_v, 0.0 if contact is None else contact[0], pene_v, reg_v)
+    if contact is not None and contact[1] is None:
+        return values, None
 
     def derivatives():
         jac = jacobian()
@@ -323,8 +378,6 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
                  _flat() if reg is None else (reg[1], _REG_CURVATURE))
         return tuple(zip(*pairs))
 
-    values = tuple(0.0 if term is None else term[0]
-                   for term in (kp, contact, pene, reg))
     return values, derivatives
 
 
@@ -375,12 +428,16 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     drop below ``convergence_tol``), 'backtrack' (damping past
     _LM_DAMPING_MAX) or 'cap' (the budget of accepted steps).  Records the
     start and every accepted step, and the StopReport, to ``trace`` under
-    ``stage``, logs the report and the contact passes' rescanned and
-    queried rows at debug level, and returns the last accepted pose vector.
+    ``stage``, logs the report, the trials rejected on the bound and the
+    contact passes' rescanned and queried rows at debug level, and returns
+    the last accepted pose vector.
 
     The contact term's nearest-sample queries go through one
     CertifiedNearestSite per call, which reuses the accepted point's answer
-    at its trials.
+    at its trials.  A trial is evaluated with the accepted objective as
+    ``pose_terms``'s ceiling: one that a lower bound on its contact term
+    already rejects skips that term's scan, is rejected by the same test on
+    the same (bounded) sum, and counts as an evaluation.
     """
     lo, hi = hand.parameter_bounds(lock_scale)
     max_iters = (config.max_iters_stage2 if stage == 2
@@ -389,9 +446,9 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     eye = np.eye(free.sum())
     nearest = None if obj is None else CertifiedNearestSite(obj.points)
 
-    def evaluate(vec):
-        terms, derivatives = pose_terms(vec, keypoints, obj,
-                                        target_likelihood, weights, nearest)
+    def evaluate(vec, ceiling=None):
+        terms, derivatives = pose_terms(vec, keypoints, obj, target_likelihood,
+                                        weights, nearest, ceiling)
         return sum(w * t for w, t in zip(weights, terms)), terms, derivatives
 
     def accept():
@@ -402,6 +459,7 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     f, terms, derivatives = evaluate(x)
     accept()
     evals, done, drop, reason, damping = 1, 0, math.nan, "cap", None
+    bounded = 0  # trials rejected on the contact bound, unscanned
     trace.append(stage, 0, f, terms)
     while done < max_iters:
         if f == 0.0:
@@ -419,8 +477,9 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
             x_new[free] += np.linalg.solve(normal + damping * diag_max * eye,
                                            rhs)
             x_new = np.clip(x_new, lo, hi)
-            f_new, terms, derivatives = evaluate(x_new)
+            f_new, terms, derivatives = evaluate(x_new, f)
             evals += 1
+            bounded += derivatives is None
             if np.isfinite(f_new) and f_new <= f:
                 break
             damping *= _LM_DAMPING_FACTOR
@@ -436,8 +495,8 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     trace.stops[stage] = StopReport(reason, done, evals, drop)
     rows = (0, 0) if nearest is None else (nearest.rescanned, nearest.queried)
     _log.debug("stage %d: %s after %d iterations, %d evaluations, last drop "
-               "%.3e, %d/%d contact rows rescanned", stage, reason, done,
-               evals, drop, *rows)
+               "%.3e, %d trials rejected on the bound, %d/%d contact rows "
+               "rescanned", stage, reason, done, evals, drop, bounded, *rows)
     return x
 
 

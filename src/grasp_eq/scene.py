@@ -9,7 +9,8 @@ sample, nearest surface sample) are each written once, here.  The nearest
 hand sample has one kernel, ``nearest_site``'s cdist + argmin;
 ``CertifiedNearestSite`` answers a descent's repeated queries with it,
 scanning only the points whose nearest sample a distance bound carried from
-the last accepted query cannot certify.
+the last accepted query cannot certify, and brackets each point's nearest
+distance before that scan.
 """
 
 from __future__ import annotations
@@ -230,22 +231,38 @@ class CertifiedNearestSite:
     scan.  The owner distance is sqrt((dx*dx + dy*dy) + dz*dz), the sum
     cdist forms, so every answer equals nearest_site's bit for bit.
 
-    ``accept()`` makes the last query's sites the reference of later
-    queries; a query that is not accepted leaves no trace.  ``queried`` and
-    ``rescanned`` count the rows asked for and the rows scanned.
+    A query is ``bracket(sites)``, the owner distances and bounds, then
+    ``scan()``, which finishes it; calling the object does both.  Between
+    the two, each point's nearest distance lies in [min(dist, lower), dist]
+    (before a first accepted query, dist is inf and lower 0), so a caller
+    can bound what the scan would return and drop the query unscanned.
+    ``accept()`` makes the last scanned query's sites the reference of
+    later queries; a query that is not accepted leaves no trace.
+    ``queried`` and ``rescanned`` count the rows bracketed and the rows
+    scanned.
     """
 
     def __init__(self, points):
         self.points = points
         self.queried = self.rescanned = 0
-        self._accepted = self._last = None
+        self._accepted = self._last = self._pending = None
 
     def __call__(self, sites):
         """(distance, index) of each point's nearest site, as nearest_site."""
+        self.bracket(sites)
+        return self.scan()
+
+    def bracket(self, sites):
+        """Start a query at ``sites``: returns (dist, rows, lower), each
+        point's distance to its accepted owner, the rows that distance does
+        not certify (an index array, or a slice of every row before the
+        first accepted query), and the (n,) lowered bounds on the distance
+        to every other site.  ``scan()`` overwrites ``dist`` and ``lower``
+        at ``rows``."""
         sites = np.array(sites, dtype=float)
         n = self.points.shape[0]
         if self._accepted is None:
-            dist, lower = np.empty(n), np.empty(n)
+            dist, lower = np.full(n, np.inf), np.zeros(n)
             owner = np.empty(n, dtype=np.intp)
             rows = slice(None)
         else:
@@ -259,6 +276,14 @@ class CertifiedNearestSite:
             lower = ((1.0 - _CERTIFY_MARGIN) * ref_lower
                      - (1.0 + _CERTIFY_MARGIN) * shift)
             rows = np.flatnonzero(~(dist < lower))
+        self.queried += n
+        self._pending = (sites, dist, owner, lower, rows)
+        return dist, rows, lower
+
+    def scan(self):
+        """Finish the bracketed query: (distance, index) as nearest_site."""
+        sites, dist, owner, lower, rows = self._pending
+        self._pending = None
         d_sq, idx = _scan(self.points[rows], sites)
         scanned = np.arange(idx.size)
         dist[rows] = np.sqrt(d_sq[scanned, idx])
@@ -266,7 +291,6 @@ class CertifiedNearestSite:
         d_sq[scanned, idx] = np.inf
         # the second smallest; argmin is far faster than min along a row
         lower[rows] = np.sqrt(d_sq[scanned, np.argmin(d_sq, axis=1)])
-        self.queried += n
         self.rescanned += idx.size
         self._last = (sites, owner, lower)
         return dist, owner

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
-from grasp_eq.equilibrium import (QP_TOL, assemble,
+from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
+                                  _free_mean, _solve_pyramid, assemble,
                                   assemble_from_contact_state, loss_gradient,
                                   solve_force_existence, stability_energy,
                                   stability_loss, stability_loss_masked)
@@ -361,6 +363,107 @@ class TestForceExistence:
         held = assemble(obj, pts, dirs, res.forces)
         assert_allclose(held.acceleration(res.gamma, res.delta), res.accel,
                         atol=1e-9)
+
+
+def _reference_pyramid(mat, const, lam, cap, tol, max_iter):
+    """The pyramid QP loop with both centrings always applied, the form
+    whose results _solve_pyramid must keep bit for bit; also reports
+    whether any contact was ever capped."""
+    n = lam.shape[0]
+    cols = mat.reshape(6, n, 4)
+    free = np.ones((n, 4), dtype=bool)
+    capped = np.zeros(n, dtype=bool)
+    ever_capped = False
+    best_lam, best_f, best_gap = lam, np.inf, np.inf
+    for _ in range(max_iter):
+        while free.any():
+            r = mat @ lam.ravel() + const
+            face = np.where(capped[:, None], cols - _free_mean(cols, free), cols)
+            step = np.zeros((n, 4))
+            step[free], *_ = np.linalg.lstsq(face[:, free], -r, rcond=None)
+            step -= np.where(capped[:, None] & free, _free_mean(step, free), 0.0)
+            rise = step.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                to_zero = np.where(free & (step < 0.0), lam / -step, np.inf)
+                to_cap = np.where(~capped & (rise > 0.0),
+                                  (cap - lam.sum(axis=1)) / rise, np.inf)
+            alpha = min(1.0, float(to_zero.min()), float(to_cap.min()))
+            lam = np.maximum(lam + alpha * step, 0.0)
+            if alpha == 1.0:
+                break
+            hit = to_zero <= alpha
+            lam[hit] = 0.0
+            free &= ~hit
+            capped |= to_cap <= alpha
+            ever_capped |= capped.any()
+        r = mat @ lam.ravel() + const
+        f = float(r @ r)
+        g = 2.0 * (mat.T @ r).reshape(n, 4)
+        gap = min(float((g * lam).sum() - cap * np.minimum(g.min(axis=1), 0.0).sum()), f)
+        if f < best_f:
+            best_lam, best_f, best_gap = lam.copy(), f, gap
+        if gap < tol:
+            return (lam, True, gap), ever_capped
+        level = np.where(capped[:, None], _free_mean(g, free), 0.0)
+        violation = np.concatenate([np.where(free, -np.inf, level - g).ravel(),
+                                    np.where(capped, level[:, 0], -np.inf)])
+        worst = int(np.argmax(violation))
+        if violation[worst] > 0.0:
+            if worst < 4 * n:
+                free.flat[worst] = True
+            else:
+                capped[worst - 4 * n] = False
+    return (best_lam, False, best_gap), ever_capped
+
+
+class TestPyramidSolver:
+    def test_matches_the_always_centred_loop_bit_for_bit(self, small_sphere):
+        rng = np.random.default_rng(18)
+        capping = 0
+        for trial in range(60):
+            n = int(rng.integers(1, 7))
+            mu = float(rng.uniform(0.2, 1.5))
+            if trial % 2:  # contacts on a sphere, as solve_force_existence
+                pts, dirs, _ = random_contacts(rng, small_sphere, n)
+                sys = assemble(small_sphere, pts, dirs, np.zeros(n), mu=mu)
+                mat = (sys.n_mat[:, :, None]
+                       + mu * sys.b_mat[:, :, None] * _EDGE_SIGNS[:, 0]
+                       + mu * sys.t_mat[:, :, None] * _EDGE_SIGNS[:, 1]
+                       ).reshape(6, 4 * n)
+                const = sys.gravity6
+            else:
+                mat = rng.normal(size=(6, 4 * n))
+                const = rng.normal(scale=5.0, size=6)
+            # caps small enough that contacts reach them
+            cap = float(rng.uniform(0.05, 3.0))
+            start = np.full((n, 4), cap * rng.uniform(0.0, 0.25))
+            max_iter = int(rng.choice([2, QP_MAX_ITER]))
+            got = _solve_pyramid(mat, const, start.copy(), cap, QP_TOL,
+                                 max_iter)
+            (lam, converged, gap), capped = _reference_pyramid(
+                mat, const, start.copy(), cap, QP_TOL, max_iter)
+            assert got[0].tobytes() == lam.tobytes()
+            assert got[1:3] == (converged, gap)
+            capping += capped
+        assert capping >= 10
+
+    def test_logs_one_line_per_force_existence_solve(self, small_sphere,
+                                                     caplog):
+        rng = np.random.default_rng(3)
+        pts, dirs, _ = random_contacts(rng, small_sphere, 4)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        for points, normals in ((pts, dirs), (np.zeros((0, 3)),
+                                               np.zeros((0, 3)))):
+            caplog.clear()
+            solve_force_existence(small_sphere, points, normals)
+            [line] = [r.getMessage() for r in caplog.records
+                      if r.name == "grasp_eq"]
+            contacts, steps, rounds, gap = (
+                line.removeprefix("force existence: ").split(", "))
+            assert contacts == f"{len(points)} contacts"
+            assert int(steps.split()[0]) >= min(len(points), 1)
+            assert int(rounds.split()[0]) >= min(len(points), 1)
+            assert float(gap.split()[1]) < QP_TOL
 
 
 class TestFromContactState:

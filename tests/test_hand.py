@@ -185,6 +185,21 @@ class TestJacobians:
         samples = hand.sample_jacobians(jac)
         assert samples.shape == (hand.N_SAMPLES, 3, 27)
 
+    def test_sample_jacobians_equal_the_weight_product_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for trial in range(40):
+            if trial % 2:  # the joint jacobian of a pose
+                jac = fk_with_jacobians(
+                    random_in_limit_pose(rng).as_vector())[1]()
+            else:  # any finite values, signed zeros among them
+                jac = (rng.normal(size=(hand.N_JOINTS, 3, hand.N_PARAMS))
+                       * 10.0 ** rng.integers(-300, 300, size=(
+                           hand.N_JOINTS, 3, hand.N_PARAMS)))
+                jac[rng.random(jac.shape) < 0.3] = -0.0
+                jac[rng.random(jac.shape) < 0.1] = 0.0
+            ref = np.einsum("sk,kdp->sdp", hand._SAMPLE_WEIGHTS, jac)
+            assert hand.sample_jacobians(jac).tobytes() == ref.tobytes()
+
 
 def _ref_axis_rotation(axis, angle):
     k = hand._skew(axis)

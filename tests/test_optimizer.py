@@ -679,3 +679,48 @@ class TestCertifiedContactPasses:
             else:
                 assert queried == stop.evaluations * obj.n_points
                 assert obj.n_points <= rescanned < queried
+
+    def test_stage3_rejects_trials_on_the_bound_unscanned(
+            self, sphere_scene, monkeypatch, caplog):
+        obj, contacts = sphere_scene
+        trace = OptimizationTrace()
+        pose2, kps = self.stage2(obj, contacts, trace)
+        scans = []
+
+        def counted(a, b, metric):
+            scans.append(len(a))
+            return cdist(a, b, metric)
+
+        monkeypatch.setattr(scene, "cdist", counted)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        optimize_grasp(pose2, obj, contacts, kps, OptimizationConfig(),
+                       trace=trace)
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("stage 3")]
+        bounded = int(line.split(" trials rejected on the bound")[0]
+                      .rsplit(", ", 1)[1])
+        assert bounded >= 1
+        # every other evaluation, the start included, scans once
+        assert len(scans) == trace.stops[3].evaluations - bounded
+
+    def test_bounded_contact_value_is_at_most_the_exact_one(self,
+                                                            sphere_scene):
+        obj, contacts = sphere_scene
+        weights = (10.0, 0.5, 10.0, 0.01)
+        lo, hi = hand.parameter_bounds()
+        vec0 = hand.neutral_grasp_pose().as_vector()
+        nearest = scene.CertifiedNearestSite(obj.points)
+        pose_terms(vec0, None, obj, contacts.likelihood, weights, nearest)
+        nearest.accept()
+        rng = np.random.default_rng(11)
+        for scale in (0.0, 1e-4, 1e-3, 1e-2, 1e-1):
+            vec = np.clip(vec0 + rng.normal(scale=scale, size=hand.N_PARAMS),
+                          lo, hi)
+            # a ceiling of -inf rejects every trial on its bound
+            bounded, derivatives = pose_terms(vec, None, obj,
+                                              contacts.likelihood, weights,
+                                              nearest, -np.inf)
+            exact, _ = pose_terms(vec, None, obj, contacts.likelihood, weights)
+            assert derivatives is None
+            assert (bounded[0], bounded[2:]) == (exact[0], exact[2:])
+            assert bounded[1] <= exact[1]

@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation
 
 from grasp_eq.errors import EmptyHand, EmptyObject, InvalidNormal
 from grasp_eq import scene
+from grasp_eq.optimizer import _residual_floor
 from grasp_eq.scene import (CONTACT_RADIUS, CertifiedNearestSite,
                             ContactState, ObjectModel, compute_inertia,
                             contact_likelihood, contact_map_from_hand,
@@ -319,6 +320,54 @@ class TestCertifiedNearestSite:
         query.accept()
         query(sites + 1e-4)
         assert rows[0] == 100 and sum(rows) == query.rescanned < 200
+
+
+def _trial(rng, sites, points, kind):
+    """_moved's trial site sets, plus a move past every bound by far."""
+    if kind == "huge":
+        return sites + rng.normal(scale=1e3, size=sites.shape)
+    return _moved(rng, sites, points, kind)
+
+
+class TestResidualFloor:
+    """The contact floor a bracket gives, against the scanned residuals."""
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(1, 60),
+           n_sites=st.integers(1, 12),
+           spread=st.sampled_from([4 * CONTACT_RADIUS, 0.1]),
+           moves=st.lists(st.tuples(
+               st.sampled_from(["zero", "small", "large", "huge", "one",
+                                "duplicate", "on_point"]), st.booleans()),
+               min_size=1, max_size=8))
+    def test_floor_bounds_the_scanned_residuals(self, seed, n_points,
+                                                n_sites, spread, moves):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-spread, spread, size=(n_points, 3))
+        sites = rng.uniform(-spread, spread, size=(n_sites, 3))
+        # targets at the ends of [0, 1] and inside it
+        target = np.where(rng.random(n_points) < 0.3,
+                          rng.integers(0, 2, n_points).astype(float),
+                          rng.uniform(size=n_points))
+        query = CertifiedNearestSite(points)
+        accepted = sites
+        for kind, accept in [("zero", True), *moves]:
+            trial = _trial(rng, accepted, points, kind)
+            dist, rows, lower = query.bracket(trial)
+            dist, lower = dist.copy(), lower.copy()
+            floor = _residual_floor(contact_likelihood(dist) - target, dist,
+                                    rows, lower, target)
+            d, _ = query.scan()
+            exact = np.abs(contact_likelihood(d) - target)
+            assert np.all(floor <= exact)
+            certified = np.ones(n_points, dtype=bool)
+            certified[rows] = False
+            assert floor[certified].tobytes() == exact[certified].tobytes()
+            assert np.mean(floor) <= np.mean(exact)
+            if accept:
+                query.accept()
+                accepted = trial
 
 
 class TestContactMap:
