@@ -113,13 +113,19 @@ def _cmd_synth(args, cfg):
     return 0
 
 
-def _cmd_analyze(args, cfg):
+def _scene_inputs(args, cfg):
+    """(obj, contacts, gravity, mu); one contact entry per scene point."""
     obj, file_gravity = io_mod.load_scene(args.scene)
     contacts = io_mod.load_contacts(args.contacts)
     if contacts.n_points != obj.n_points:
-        raise ValueError("contact state length does not match the scene")
-    gravity = _gravity(args, cfg, file_gravity)
-    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
+        raise ValueError(f"contact file {args.contacts} has {contacts.n_points}"
+                         f" points, scene file {args.scene} {obj.n_points}")
+    return (obj, contacts, _gravity(args, cfg, file_gravity),
+            _resolve(args, cfg, "mu", DEFAULT_MU))
+
+
+def _cmd_analyze(args, cfg):
+    obj, contacts, gravity, mu = _scene_inputs(args, cfg)
     sys_sub, idx = assemble_from_contact_state(obj, contacts, mu=mu,
                                                gravity=gravity)
     result = stability_energy(sys_sub)
@@ -148,10 +154,7 @@ def _keypoint_options(args, cfg):
 
 
 def _cmd_keypoints(args, cfg):
-    obj, file_gravity = io_mod.load_scene(args.scene)
-    contacts = io_mod.load_contacts(args.contacts)
-    gravity = _gravity(args, cfg, file_gravity)
-    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
+    obj, contacts, gravity, mu = _scene_inputs(args, cfg)
     kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
                          **_keypoint_options(args, cfg))
     _emit(io_mod.keypoints_payload(kps), args.output)
@@ -159,10 +162,7 @@ def _cmd_keypoints(args, cfg):
 
 
 def _cmd_optimize(args, cfg):
-    obj, file_gravity = io_mod.load_scene(args.scene)
-    contacts = io_mod.load_contacts(args.contacts)
-    gravity = _gravity(args, cfg, file_gravity)
-    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
+    obj, contacts, gravity, mu = _scene_inputs(args, cfg)
     result = run_pipeline(obj, contacts, _opt_config(cfg), mu=mu,
                           gravity=gravity, **_keypoint_options(args, cfg))
     os.makedirs(args.out_dir, exist_ok=True)

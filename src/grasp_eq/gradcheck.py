@@ -11,13 +11,12 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import hand
 from .equilibrium import _interval_bounds, assemble, loss_gradient, stability_loss_masked
-from .optimizer import pose_terms
-from .scene import (CONTACT_RADIUS, GRAVITY, ObjectModel, contact_likelihood,
-                    nearest_surface)
+from .optimizer import TERMS, pose_terms
+from .scene import (CONTACT_RADIUS, GRAVITY, CertifiedNearestSite, ObjectModel,
+                    contact_likelihood, nearest_surface)
 from .synth import SyntheticScene, generate_contacts, generate_scene
 
 REL_TOL = 1e-3  # run_gradcheck's bound on analytic vs. FD relative error
@@ -95,9 +94,10 @@ def pose_fd_safe(pose, obj, target_likelihood):
                                  axis=1).max()) + 1.0
     move = POSE_FD_SAFETY * POSE_FD_STEP * chain
     c0 = CONTACT_RADIUS
-    # nearest and second-nearest sample distance per object point
-    near = np.partition(cdist(obj.points, geometry.samples), 1, axis=1)
-    d, second = near[:, 0], near[:, 1]
+    # nearest and second-nearest sample distance (a scan's bound) per point
+    query = CertifiedNearestSite(obj.points)
+    second = query.bracket(geometry.samples)[2]
+    d, _ = query.scan()
     if np.any(np.abs(d - c0) <= move):
         return False
     resid = contact_likelihood(d) - target_likelihood
@@ -132,7 +132,7 @@ def check_pose_gradients(rng, obj, contacts):
 
     def terms(vec):
         return pose_terms(vec, kps_like, obj, contacts.likelihood,
-                          (1.0, 1.0, 1.0, 1.0))
+                          (1.0,) * len(TERMS))
 
     vec = pose.as_vector()
     grads = np.array(terms(vec)[1]()[0])

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from .errors import is_number
 from .hand import HandPose
 from .keypoints import KeypointSet
+from .optimizer import TraceRecord
 from .scene import GRAVITY, ContactState, ObjectModel
 
 
@@ -185,14 +187,7 @@ def write_csv(path, header, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def trace_rows(trace):
-    rows = []
-    for rec in trace.records:
-        rows.append([rec.stage, rec.iteration, rec.total, rec.kp, rec.contact,
-                     rec.penetration, rec.reg])
-    return rows
-
-
 def save_trace(path, trace):
-    write_csv(path, ["stage", "iteration", "total", "kp", "contact",
-                     "penetration", "reg"], trace_rows(trace))
+    """trace.csv: one row per TraceRecord, one column per field."""
+    write_csv(path, [f.name for f in fields(TraceRecord)],
+              [astuple(record) for record in trace.records])

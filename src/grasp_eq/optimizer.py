@@ -78,10 +78,19 @@ class TraceRecord:
     stage: int
     iteration: int
     total: float
-    kp: float
-    contact: float
-    penetration: float
-    reg: float
+    # the pose objective's terms and their weights, in the one term order
+    kp: float = field(metadata={"weight": "w_kp"})
+    contact: float = field(metadata={"weight": "w_c"})
+    penetration: float = field(metadata={"weight": "w_pene"})
+    reg: float = field(metadata={"weight": "w_reg"})
+
+
+TERMS = tuple(f.name for f in fields(TraceRecord) if "weight" in f.metadata)
+
+
+def objective(weights, terms):
+    """sum(weights * terms): the objective, its gradient, its curvature."""
+    return sum(w * t for w, t in zip(weights, terms))
 
 
 @dataclass
@@ -93,11 +102,8 @@ class OptimizationTrace:
     stops: dict = field(default_factory=dict)
 
     def append(self, stage, iteration, total, terms):
-        """Record one accepted step."""
-        self.records.append(TraceRecord(stage=stage, iteration=iteration,
-                                        total=total, kp=terms[0],
-                                        contact=terms[1], penetration=terms[2],
-                                        reg=terms[3]))
+        """Record one accepted step; ``terms`` in TERMS order."""
+        self.records.append(TraceRecord(stage, iteration, total, *terms))
 
     def stage_records(self, stage):
         return [r for r in self.records if r.stage == stage]
@@ -176,9 +182,9 @@ def registration_to_pose(reg: RegistrationResult) -> hand.HandPose:
 
 
 # ---------------------------------------------------------------------------
-# loss terms: each returns its value and derivatives(joint_jac), which builds
-# from the value pass's intermediates the term's gradient w.r.t. the 27-dim
-# pose vector and its Gauss-Newton curvature, a (27, 27) matrix
+# loss terms: each returns its value and derivatives(joint_jac, sample_jac),
+# which builds from the value pass's intermediates the term's gradient w.r.t.
+# the 27-dim pose vector and its Gauss-Newton curvature, a (27, 27) matrix
 
 # IRLS floors: at the current value a_k, an L1 or hinge row a is modelled by
 # its majorizer a^2 / (2 max(|a_k|, floor)), so a row at its kink keeps a
@@ -194,7 +200,7 @@ def kp_loss(geometry, keypoints: KeypointSet):
     parts = np.asarray(keypoints.parts, dtype=int)
     diff = geometry.part_centers[parts - 1] - keypoints.targets
 
-    def derivatives(joint_jac):
+    def derivatives(joint_jac, sample_jac=None):  # sample_jac: unused
         jac = hand.center_jacobians(joint_jac, keypoints.parts)
         rows = jac.reshape(-1, hand.N_PARAMS)
         return 2.0 * np.einsum("kd,kdp->p", diff, jac), 2.0 * rows.T @ rows
@@ -332,50 +338,49 @@ _REG_CURVATURE.flags.writeable = False
 
 def pose_terms(vec, keypoints, obj, target_likelihood, weights,
                nearest=None, ceiling=None):
-    """The four pose-objective terms at ``vec`` from one kinematics pass.
+    """The pose objective's terms at ``vec`` from one kinematics pass.
 
-    Returns (values, derivatives): the keypoint, contact, penetration and
-    regularization values, in that order, and a function that builds the
-    joint jacobian once and returns (gradients, curvatures), the four (27,)
-    gradients and (27, 27) Gauss-Newton curvatures in the same order.  A
-    term whose weight in ``weights`` is zero, or the keypoint term without
+    Returns (values, derivatives): the values in TERMS order, as are
+    ``weights``, and a function that builds the joint jacobian once and
+    returns the terms' (27,) gradients and (27, 27) Gauss-Newton curvatures
+    in that order.  A zero-weight term, or the keypoint term without
     keypoints, is not evaluated and reads 0 with zero derivatives.
     ``nearest`` is passed on to ``contact_loss``.
 
     With ``nearest`` and a ``ceiling``, the contact term comes last: when a
-    lower bound on it already puts sum(weights * values), summed in this
-    order, above ``ceiling``, its scan is skipped and derivatives is None,
-    and the contact value is that bound.  The weighted sum is then the
-    same bound on the true sum, so it too exceeds ``ceiling``.
+    lower bound on it already puts objective(weights, values) above
+    ``ceiling``, its scan is skipped, derivatives is None and the contact
+    value is that bound, a bound on the objective that exceeds ``ceiling``.
     """
     geometry, jacobian = hand.fk_with_jacobians(vec)
-    w_kp, w_c, w_pene, w_reg = weights
-    kp = (kp_loss(geometry, keypoints)
-          if keypoints is not None and w_kp > 0 else None)
-    pene = penetration_loss(geometry, obj) if w_pene > 0 else None
-    reg = reg_loss(vec) if w_reg > 0 else None
-    kp_v, pene_v, reg_v = (0.0 if term is None else term[0]
-                           for term in (kp, pene, reg))
+    weight = dict(zip(TERMS, weights))
+    # name -> (value, derivatives(joint_jac, sample_jac)), in TERMS order
+    terms = dict.fromkeys(TERMS, (0.0, lambda *_: _flat()))
+    if keypoints is not None and weight["kp"] > 0:
+        terms["kp"] = kp_loss(geometry, keypoints)
+    if weight["penetration"] > 0:
+        terms["penetration"] = penetration_loss(geometry, obj)
+    if weight["reg"] > 0:
+        reg_value, reg_grad = reg_loss(vec)
+        terms["reg"] = reg_value, lambda *_: (reg_grad, _REG_CURVATURE)
 
     def exceeds(bound):
-        return sum(w * t for w, t in
-                   zip(weights, (kp_v, bound, pene_v, reg_v))) > ceiling
+        bounded = {**terms, "contact": (bound, None)}
+        return objective(weights, [v for v, _ in bounded.values()]) > ceiling
 
-    contact = (contact_loss(geometry, obj, target_likelihood, nearest,
-                            None if ceiling is None else exceeds)
-               if w_c > 0 else None)
-    values = (kp_v, 0.0 if contact is None else contact[0], pene_v, reg_v)
-    if contact is not None and contact[1] is None:
+    if weight["contact"] > 0:
+        terms["contact"] = contact_loss(
+            geometry, obj, target_likelihood, nearest,
+            None if ceiling is None else exceeds)
+    values = tuple(value for value, _ in terms.values())
+    if terms["contact"][1] is None:
         return values, None
 
     def derivatives():
         jac = jacobian()
-        sample_jac = (None if contact is None and pene is None
-                      else hand.sample_jacobians(jac))
-        pairs = (_flat() if kp is None else kp[1](jac),
-                 _flat() if contact is None else contact[1](jac, sample_jac),
-                 _flat() if pene is None else pene[1](jac, sample_jac),
-                 _flat() if reg is None else (reg[1], _REG_CURVATURE))
+        sample_jac = (hand.sample_jacobians(jac) if weight["contact"] > 0
+                      or weight["penetration"] > 0 else None)
+        pairs = [partial(jac, sample_jac) for _, partial in terms.values()]
         return tuple(zip(*pairs))
 
     return values, derivatives
@@ -414,9 +419,9 @@ _LM_DAMPING_MAX = 1e12
 
 def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
               weights, config, trace):
-    """Levenberg-Marquardt descent of sum(weights * pose_terms values) from
-    ``vec0`` inside ``hand.parameter_bounds(lock_scale)``: the stage driver
-    behind stages II and III, on ``config``'s budget for ``stage``.
+    """Levenberg-Marquardt descent of objective(weights, pose_terms values)
+    from ``vec0`` inside ``hand.parameter_bounds(lock_scale)``: the stage
+    driver behind stages II and III, on ``config``'s budget for ``stage``.
 
     Each trial solves (H + lam I) dx = -g over the free parameters (lo <
     hi), g and H being the weighted gradient and Gauss-Newton curvature at
@@ -434,10 +439,9 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
 
     The contact term's nearest-sample queries go through one
     CertifiedNearestSite per call, which reuses the accepted point's answer
-    at its trials.  A trial is evaluated with the accepted objective as
-    ``pose_terms``'s ceiling: one that a lower bound on its contact term
-    already rejects skips that term's scan, is rejected by the same test on
-    the same (bounded) sum, and counts as an evaluation.
+    at its trials.  A trial gets the accepted objective as ``pose_terms``'
+    ceiling; one rejected there, unscanned, fails the accept test too and
+    counts as an evaluation.
     """
     lo, hi = hand.parameter_bounds(lock_scale)
     max_iters = (config.max_iters_stage2 if stage == 2
@@ -449,7 +453,7 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     def evaluate(vec, ceiling=None):
         terms, derivatives = pose_terms(vec, keypoints, obj, target_likelihood,
                                         weights, nearest, ceiling)
-        return sum(w * t for w, t in zip(weights, terms)), terms, derivatives
+        return objective(weights, terms), terms, derivatives
 
     def accept():
         if nearest is not None:
@@ -468,8 +472,8 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
         damping = (_LM_DAMPING_START if damping is None
                    else damping / _LM_DAMPING_FACTOR)
         grads, curvatures = derivatives()
-        rhs = -sum(w * g for w, g in zip(weights, grads))[free]
-        normal = sum(w * c for w, c in zip(weights, curvatures))[free][:, free]
+        rhs = -objective(weights, grads)[free]
+        normal = objective(weights, curvatures)[free][:, free]
         # a flat objective (H = 0) has g = 0: a zero step, then 'tol'
         diag_max = normal.diagonal().max() or 1.0
         while damping <= _LM_DAMPING_MAX:
@@ -508,7 +512,7 @@ def fit_keypoints(pose0: hand.HandPose, keypoints: KeypointSet,
     best pose found."""
     return hand.HandPose.from_vector(_lm_stage(
         2, pose0.as_vector(), pose0.scale, keypoints, None, None,
-        (1.0, 0.0, 0.0, 0.0), config,
+        tuple(float(name == "kp") for name in TERMS), config,
         OptimizationTrace() if trace is None else trace))
 
 
@@ -517,15 +521,15 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
                    keypoints: KeypointSet | None,
                    config: OptimizationConfig,
                    trace: OptimizationTrace | None = None):
-    """Stage III: the LM stage on the weighted sum of keypoint, contact,
-    penetration, and regularization terms over all pose parameters
-    including the shape scale.  Returns (pose, trace); the stage's stop
-    report is ``trace.stops[3]``."""
+    """Stage III: the LM stage on every term of TERMS over all pose
+    parameters, the shape scale included.  Returns (pose, trace); the
+    stage's stop report is ``trace.stops[3]``."""
     if trace is None:
         trace = OptimizationTrace()
     x = _lm_stage(3, pose1.as_vector(), None, keypoints, obj,
                   contact_target.likelihood,
-                  (config.w_kp, config.w_c, config.w_pene, config.w_reg),
+                  tuple(getattr(config, f.metadata["weight"])
+                        for f in fields(TraceRecord) if f.name in TERMS),
                   config, trace)
     return hand.HandPose.from_vector(x), trace
 
@@ -534,17 +538,17 @@ def evaluate_grasp(pose: hand.HandPose, obj: ObjectModel,
                    mu: float = DEFAULT_MU, gravity=GRAVITY) -> GraspReport:
     """Force-existence check of the posed hand.
 
-    Hand samples within the contact distance (CONTACT_RADIUS /
-    CONTACT_THRESHOLD) claim their nearest object point as a contact with
-    the object's surface normal; the residual is the minimum of ||accel||^2
-    over admissible forces up to solve_force_existence's cap and friction
-    in the linearized cone.  Penetration depth is max(0, -signed distance)
-    over the hand samples, the points that contact maps measure to and the
-    penetration loss hinges at.
+    Hand samples in contact (contact_likelihood at their distance to the
+    object >= CONTACT_THRESHOLD) claim their nearest object point as a
+    contact with the object's surface normal; the residual is the minimum
+    of ||accel||^2 over admissible forces up to solve_force_existence's cap
+    and friction in the linearized cone.  Penetration depth is max(0,
+    -signed distance) over the hand samples, the points that contact maps
+    measure to and the penetration loss hinges at.
     """
     geometry = hand.forward_kinematics(pose)
     d, idx, sd = nearest_surface(obj, geometry.samples)
-    touching = d <= CONTACT_RADIUS / CONTACT_THRESHOLD
+    touching = contact_likelihood(d) >= CONTACT_THRESHOLD
     contact_idx = np.unique(idx[touching])
     result = solve_force_existence(obj, obj.points[contact_idx],
                                    obj.normals[contact_idx], mu=mu,

@@ -373,6 +373,31 @@ class TestCliBasics:
                       if f"--{n} " in text}
             assert listed == set(names.split()), verb
 
+    @pytest.mark.parametrize("verb", ["analyze", "keypoints", "optimize"])
+    @pytest.mark.parametrize("shorter", ["contacts", "scene"])
+    def test_rejects_mismatched_scene_and_contacts(self, scene_files,
+                                                   tmp_path, capsys, verb,
+                                                   shorter):
+        """A contact file without one entry per scene point exits 2, names
+        both files and writes nothing, whichever of the two is shorter."""
+        half = {"scene": tmp_path / "scene.json",
+                "contacts": tmp_path / "contacts.json"}
+        assert main(["synth", "--shape", "sphere", "--dims", "0.05",
+                     "--samples", "1024", "--seed", "7", "--style", "tripod",
+                     "--scene-out", str(half["scene"]),
+                     "--contacts-out", str(half["contacts"])]) == 0
+        files = dict(zip(("scene", "contacts"), scene_files))
+        files[shorter] = half[shorter]
+        out = tmp_path / "out"
+        flag = "--out-dir" if verb == "optimize" else "-o"
+        assert main([verb, "--scene", str(files["scene"]), "--contacts",
+                     str(files["contacts"]), flag, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert str(files["scene"]) in captured.err
+        assert str(files["contacts"]) in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_encode_rejects_zero_bins(self, capsys):
         assert main(["encode-force", "--value", "1", "--bins", "0"]) == 2
 

@@ -10,9 +10,9 @@ from scipy.spatial.transform import Rotation
 from grasp_eq import hand, optimizer, scene
 from grasp_eq.batch import build_batch
 from grasp_eq.keypoints import KeypointSet, find_keypoints
-from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
-                                contact_loss, evaluate_grasp, fit_keypoints,
-                                kp_loss, optimize_grasp,
+from grasp_eq.optimizer import (TERMS, OptimizationConfig, OptimizationTrace,
+                                TraceRecord, contact_loss, evaluate_grasp,
+                                fit_keypoints, kp_loss, optimize_grasp,
                                 penetration_loss, pose_terms, reg_loss,
                                 register_global,
                                 registration_to_pose, run_pipeline)
@@ -282,6 +282,26 @@ class TestPoseTerms:
         no_kp = tuple(zip(values, derivatives()[0]))
         assert no_kp[0][0] == 0.0
         assert np.array_equal(no_kp[0][1], np.zeros(hand.N_PARAMS))
+
+    def test_values_follow_trace_record_fields(self, sphere_scene):
+        """pose_terms' values, and the weights, are in the order of
+        TraceRecord's term fields: weighing one field's term alone gives
+        that term's standalone value at the field's place."""
+        obj, contacts = sphere_scene
+        vec, kps = self.touching(obj)
+        names = [f.name for f in dataclasses.fields(TraceRecord)][3:]
+        assert TERMS == tuple(names) == ("kp", "contact", "penetration", "reg")
+        geometry, _ = hand.fk_with_jacobians(vec)
+        standalone = {"kp": kp_loss(geometry, kps)[0],
+                      "contact": contact_loss(geometry, obj,
+                                              contacts.likelihood)[0],
+                      "penetration": penetration_loss(geometry, obj)[0],
+                      "reg": reg_loss(vec)[0]}
+        for k, name in enumerate(names):
+            weights = tuple(float(j == k) for j in range(len(names)))
+            values, _ = pose_terms(vec, kps, obj, contacts.likelihood, weights)
+            assert values[k] == standalone[name] > 0.0
+            assert values[:k] + values[k + 1:] == (0.0,) * (len(names) - 1)
 
     def test_stage3_first_record_is_weighted_sum(self, sphere_scene):
         obj, contacts = sphere_scene

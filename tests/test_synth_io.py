@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from grasp_eq.equilibrium import assemble_from_contact_state, stability_energy
 from grasp_eq.errors import InvalidShape, StyleInfeasible
 from grasp_eq.hand import HandPose
 from grasp_eq.keypoints import KeypointSet
-from grasp_eq.optimizer import OptimizationConfig, OptimizationTrace, run_pipeline
+from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
+                                TraceRecord, run_pipeline)
 from grasp_eq.scene import GRAVITY
 from grasp_eq.synth import (SyntheticScene, generate_contacts, generate_scene)
 
@@ -178,11 +180,19 @@ class TestRoundTrips:
         assert modes == {"out.json": 0o644, "plain.json": 0o644}
 
     def test_trace_csv(self, tmp_path):
+        """trace.csv's columns are TraceRecord's fields, and each row reads
+        back as its record."""
         trace = OptimizationTrace()
         trace.append(2, 0, 1.5, (1.5, 0.0, 0.0, 0.0))
         trace.append(3, 1, 0.25, (0.1, 0.05, 0.05, 0.05))
+        trace.append(3, 2, 0.1 + 0.2, (1 / 3, 5e-324, 1e300, 2.0 ** -60))
         path = tmp_path / "trace.csv"
         io_mod.save_trace(path, trace)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "stage,iteration,total,kp,contact,penetration,reg"
-        assert len(lines) == 3
+        header, *rows = path.read_text().splitlines()
+        assert header == "stage,iteration,total,kp,contact,penetration,reg"
+        assert header.split(",") == [f.name for f in fields(TraceRecord)]
+        assert len(rows) == len(trace.records) == 3
+        for row, record in zip(rows, trace.records):
+            stage, iteration, *values = row.split(",")
+            assert TraceRecord(int(stage), int(iteration),
+                               *map(float, values)) == record
