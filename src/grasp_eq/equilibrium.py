@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError, SolverError, is_number
+from .hand import _cross
 from .scene import (GRAVITY, ObjectModel, _freeze, _pivot_tangents,
                     check_unit_normals)
 
@@ -36,6 +37,11 @@ QP_MAX_ITER = 10_000
 _log = logging.getLogger("grasp_eq")
 _FORCE_EXISTENCE_LOG = ("force existence: %d contacts, %d inner steps, "
                         "%d outer iterations, gap %.3e")
+# a child of grasp_eq, so the keypoint search's one record per search on
+# grasp_eq itself is not interleaved with one record per QP it solves
+_stability_log = logging.getLogger("grasp_eq.stability")
+_STABILITY_LOG = ("stability: %d contacts, %d inner steps, "
+                  "%d outer iterations, gap %.3e")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +137,7 @@ def assemble(obj: ObjectModel, points, normals, forces,
         dirs = np.stack([normals, b_dirs, t_dirs])
         inv_inertia = 1.0 / obj.inertia if obj.inertia > 0 else 0.0
         n_mat, b_mat, t_mat = np.concatenate(
-            [dirs / obj.mass, np.cross(points - obj.com, dirs) * inv_inertia],
+            [dirs / obj.mass, _cross(points - obj.com, dirs) * inv_inertia],
             axis=2).transpose(0, 2, 1)
         # negated after the fact: crossing with -normals would flip the
         # sign of exactly-cancelling zeros
@@ -168,26 +174,31 @@ def _solve_box(mat, const, tol, max_iter):
     rank deficient.  At each free-set minimum the bound coordinate with the
     largest KKT violation is freed.  Only the duality gap certifies:
     returns (x, True, gap) once it falls below ``tol``, else (best x,
-    False, its gap) after ``max_iter`` outer iterations.
+    False, its gap) after ``max_iter`` outer iterations, followed by the
+    work done: the inner steps taken and the outer iterations run.
     """
     k = mat.shape[1]
     x = np.zeros(k)
     free = np.ones(k, dtype=bool)
     best_x, best_f, best_gap = x, np.inf, np.inf
-    for _ in range(max_iter):
+    steps = 0
+    for outer in range(1, max_iter + 1):
         while free.any():
+            steps += 1
             r = mat @ x + const
             step, *_ = np.linalg.lstsq(mat[:, free], -r, rcond=None)
             xf = x[free]
-            room = np.where(step > 0.0, 1.0 - xf, -1.0 - xf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(step != 0.0, room / step, np.inf)
+            # distance to the bound the step heads for, over the step; a
+            # coordinate that does not move is never blocked
+            ratio = np.divide(np.copysign(1.0, step) - xf, step,
+                              out=np.full(len(step), np.inf),
+                              where=step != 0.0)
             alpha = min(1.0, float(ratio.min()))
             # a step that overflows (columns near the underflow limit) has
             # ratio 0, and 0 * inf is nan; at alpha = 0 only the blocked
             # coordinates move, to their bounds below
             if alpha > 0.0:
-                x[free] = np.clip(xf + alpha * step, -1.0, 1.0)
+                x[free] = np.minimum(np.maximum(xf + alpha * step, -1.0), 1.0)
             if alpha == 1.0:
                 break
             blocked = ratio <= alpha
@@ -203,13 +214,13 @@ def _solve_box(mat, const, tol, max_iter):
         if f < best_f:
             best_x, best_f, best_gap = x.copy(), f, gap
         if gap < tol:
-            return x, True, gap
+            return x, True, gap, steps, outer
         # a coordinate held at x_i = +-1 violates KKT when x_i * g_i > 0
         violation = np.where(free, 0.0, x * g)
         worst = int(np.argmax(violation))
         if violation[worst] > 0.0:
             free[worst] = True
-    return best_x, False, best_gap
+    return best_x, False, best_gap, steps, max_iter
 
 
 # edge k of the linearized friction pyramid is the force direction
@@ -317,11 +328,13 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     n = sys.n_contacts
     const = sys.n_mat @ sys.forces + sys.gravity6
     if n == 0:
+        _stability_log.debug(_STABILITY_LOG, 0, 0, 0, 0.0)
         return StabilityResult(energy=float(const @ const), gamma=np.zeros(0),
                                delta=np.zeros(0), accel=_freeze(const))
     scaled = sys.mu * sys.forces
-    mat = np.hstack([sys.b_mat * scaled, sys.t_mat * scaled])
-    x, converged, gap_val = _solve_box(mat, const, tol, max_iter)
+    mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
+    x, converged, gap_val, steps, rounds = _solve_box(mat, const, tol, max_iter)
+    _stability_log.debug(_STABILITY_LOG, n, steps, rounds, gap_val)
     accel = mat @ x + const
     result = StabilityResult(energy=float(accel @ accel), gamma=_freeze(x[:n]),
                              delta=_freeze(x[n:]), accel=_freeze(accel))

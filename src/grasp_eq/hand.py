@@ -221,10 +221,15 @@ def _skew(v):
                      [-v[1], v[0], 0.0]])
 
 
+_CROSS_I = np.array([1, 2, 0])
+_CROSS_J = np.array([2, 0, 1])
+
+
 def _cross(a, b):
-    """a x b over the last axis, written out; broadcasts like np.cross."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    """a x b over the last axis of two arrays, written out as np.cross
+    computes it, a_i b_j - a_j b_i; broadcasts like np.cross."""
+    return (a.take(_CROSS_I, axis=-1) * b.take(_CROSS_J, axis=-1)
+            - a.take(_CROSS_J, axis=-1) * b.take(_CROSS_I, axis=-1))
 
 
 # Per (finger, angle): rest rotation axis (abduction about _Z, then three

@@ -2,6 +2,8 @@
 
 Floats are emitted with Python's shortest-exact repr, so writing and
 re-reading any artifact reproduces the in-memory values bit for bit.
+Loaders read every numeric field as the JSON numbers it holds: a boolean,
+a string, a fractional id or a misshapen array is refused, not converted.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .errors import is_number
-from .hand import HandPose
+from .hand import N_ANGLES, HandPose
 from .keypoints import KeypointSet
 from .optimizer import TraceRecord
 from .scene import GRAVITY, ContactState, ObjectModel
@@ -78,13 +80,29 @@ def json_vector(value, count, field):
     return np.array([json_number(v, field) for v in value])
 
 
-def json_array(value, field, dtype=float):
+def json_array(value, field, dtype=float, shape=None):
     """``value`` as an array, if every entry of its nested lists is a
-    number."""
+    number (a whole number for an integer ``dtype``) and, when ``shape`` is
+    given, the array has that shape."""
+    whole = np.issubdtype(dtype, np.integer)
     for entry in np.asarray(value, dtype=object).ravel():
         if not is_number(entry):
             raise ValueError(f"{field} must hold only numbers, got {entry!r}")
-    return np.array(value, dtype=dtype)
+        if whole and entry % 1 != 0:
+            raise ValueError(f"{field} must hold only whole numbers, "
+                             f"got {entry!r}")
+    array = np.array(value, dtype=dtype)
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{field} must have shape {shape}, "
+                         f"got {array.shape}")
+    return array
+
+
+def _require(data, keys, path):
+    """Raise ValueError naming the first of ``keys`` missing from ``data``."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{path} is missing {key!r}")
 
 
 def save_scene(path, obj: ObjectModel, gravity=GRAVITY):
@@ -100,9 +118,7 @@ def save_scene(path, obj: ObjectModel, gravity=GRAVITY):
 def load_scene(path):
     """Returns (ObjectModel, gravity)."""
     data = load_json(path)
-    for key in ("points", "normals", "com"):
-        if key not in data:
-            raise ValueError(f"scene file {path} is missing {key!r}")
+    _require(data, ("points", "normals", "com"), f"scene file {path}")
     obj = ObjectModel(points=json_array(data["points"], "scene points"),
                       normals=json_array(data["normals"], "scene normals"),
                       com=json_array(data["com"], "scene com"),
@@ -122,9 +138,8 @@ def save_contacts(path, state: ContactState):
 
 def load_contacts(path) -> ContactState:
     data = load_json(path)
-    for key in ("likelihood", "part_label", "force"):
-        if key not in data:
-            raise ValueError(f"contact file {path} is missing {key!r}")
+    _require(data, ("likelihood", "part_label", "force"),
+             f"contact file {path}")
     return ContactState(
         likelihood=json_array(data["likelihood"], "contact likelihood"),
         part_label=json_array(data["part_label"], "contact part_label",
@@ -143,10 +158,11 @@ def save_pose(path, pose: HandPose):
 
 def load_pose(path) -> HandPose:
     data = load_json(path)
-    return HandPose(rotation=np.array(data["rot"], dtype=float),
-                    translation=np.array(data["trans"], dtype=float),
-                    angles=np.array(data["angles"], dtype=float),
-                    scale=float(data.get("scale", 1.0)))
+    _require(data, ("rot", "trans", "angles"), f"pose file {path}")
+    return HandPose(rotation=json_vector(data["rot"], 3, "pose rot"),
+                    translation=json_vector(data["trans"], 3, "pose trans"),
+                    angles=json_vector(data["angles"], N_ANGLES, "pose angles"),
+                    scale=json_number(data.get("scale", 1.0), "pose scale"))
 
 
 def keypoints_payload(kps: KeypointSet):
@@ -166,12 +182,20 @@ def save_keypoints(path, kps: KeypointSet):
 
 def load_keypoints(path) -> KeypointSet:
     data = load_json(path)
-    return KeypointSet(parts=tuple(int(p) for p in data["parts"]),
-                       centers=np.array(data["centers"], dtype=float),
-                       forces=np.array(data["forces"], dtype=float),
-                       normals=np.array(data["normals"], dtype=float),
-                       targets=np.array(data["targets"], dtype=float),
-                       energy=float(data["energy"]))
+    keys = ("parts", "centers", "forces", "normals", "targets", "energy")
+    _require(data, keys, f"keypoint file {path}")
+    parts = data["parts"]
+    if not isinstance(parts, list):
+        raise ValueError(f"keypoint parts must be a list, got {parts!r}")
+    k = len(parts)
+    parts = json_array(parts, "keypoint parts", dtype=int, shape=(k,))
+    return KeypointSet(
+        parts=tuple(int(p) for p in parts),
+        centers=json_array(data["centers"], "keypoint centers", shape=(k, 3)),
+        forces=json_array(data["forces"], "keypoint forces", shape=(k,)),
+        normals=json_array(data["normals"], "keypoint normals", shape=(k, 3)),
+        targets=json_array(data["targets"], "keypoint targets", shape=(k, 3)),
+        energy=json_number(data["energy"], "keypoint energy"))
 
 
 def format_cell(value):

@@ -23,8 +23,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .equilibrium import (DEFAULT_MU, QP_TOL, assemble, energy_lower_bounds,
@@ -86,6 +84,31 @@ def _make_cluster(part, indices, obj, forces):
                        force=total, normal=normal)
 
 
+def _components(count, pairs):
+    """Connected components of the graph on ``count`` points with edges
+    ``pairs`` (an (m, 2) index array): each point's label is the smallest
+    index in its component.
+
+    Min-label propagation with pointer jumping (Shiloach & Vishkin 1982):
+    each round lowers both ends of every edge to the smaller of their
+    labels, then replaces every label by its own label, until a round
+    changes nothing.  Labels only fall and never leave a component, and at
+    the fixed point every edge joins equal labels, each the label of its
+    own point, so that label is the component's smallest index.
+    """
+    label = np.arange(count)
+    heads, tails = pairs[:, 0], pairs[:, 1]
+    while True:
+        low = np.minimum(label[heads], label[tails])
+        lowered = label.copy()
+        np.minimum.at(lowered, heads, low)
+        np.minimum.at(lowered, tails, low)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
 def cluster_contacts(obj: ObjectModel, contacts: ContactState,
                      radius: float = DEFAULT_CLUSTER_RADIUS):
     """Single-linkage clustering of force-carrying points within each part.
@@ -104,14 +127,12 @@ def cluster_contacts(obj: ObjectModel, contacts: ContactState,
     labels = contacts.part_label[idx]
     pairs = cKDTree(obj.points[idx]).query_pairs(radius, output_type="ndarray")
     pairs = pairs[labels[pairs[:, 0]] == labels[pairs[:, 1]]]
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                       shape=(len(idx), len(idx)))
-    # components are numbered in the order a scan of the ascending idx
-    # first reaches them, so by their smallest point index
-    count, component = connected_components(graph, directed=False)
+    component = _components(len(idx), pairs)
     out = {int(part): [] for part in np.unique(labels)}
-    for lab in range(count):
-        members = idx[component == lab]
+    # a component's label is its smallest point index, so ascending roots
+    # order the clusters by their smallest point index
+    for root in np.flatnonzero(component == np.arange(len(idx))):
+        members = idx[component == root]
         part = contacts.part_label[members[0]]
         out[int(part)].append(_make_cluster(part, members, obj,
                                             contacts.force))

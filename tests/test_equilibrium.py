@@ -11,13 +11,14 @@ from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
 from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
-                                  _free_mean, _solve_pyramid, assemble,
+                                  _free_mean, _solve_box, _solve_pyramid,
+                                  assemble,
                                   assemble_from_contact_state, loss_gradient,
                                   solve_force_existence, stability_energy,
                                   stability_loss, stability_loss_masked)
 from grasp_eq.errors import InvalidNormal, ShapeError, SolverError
 from grasp_eq.keypoints import cluster_contacts, select_clusters
-from grasp_eq.scene import ContactState, tangent_bases
+from grasp_eq.scene import ContactState, _pivot_tangents, tangent_bases
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import (energy_matrices, grid_energy_coordinate,
@@ -64,6 +65,38 @@ class TestAssemble:
         a1 = sys1.acceleration(zero, zero) - sys1.gravity6
         a2 = sys2.acceleration(zero, zero) - sys2.gravity6
         assert_allclose(a2, 2.0 * a1, atol=1e-12)
+
+    def test_matches_np_cross_assembly_bit_for_bit(self):
+        # the matrices as assembled with np.cross: the moment columns are
+        # (p - com) x d, d the normal, b and t directions
+        rng = np.random.default_rng(19)
+        signed_zeros = 0
+        for trial in range(80):
+            n = int(rng.integers(1, 8))
+            obj = sphere_object(radius=float(rng.uniform(0.02, 0.1)),
+                                seed=trial, mass=float(rng.uniform(0.1, 3.0)))
+            pts, dirs, forces = random_contacts(rng, obj, n)
+            if trial % 3 == 1:  # axis-aligned normals, some points at the com
+                dirs = (np.eye(3)[rng.integers(0, 3, n)]
+                        * rng.choice([-1.0, 1.0], (n, 1)))
+                pts = np.where(rng.uniform(size=(n, 1)) < 0.5, obj.com,
+                               obj.com + 0.05 * dirs)
+            bases = None
+            if trial % 3 == 2:  # explicit frames, rotated about the normal
+                b, t = _pivot_tangents(dirs)
+                angle = rng.uniform(0.0, 2 * np.pi, (n, 1))
+                bases = (np.cos(angle) * b + np.sin(angle) * t,
+                         np.cos(angle) * t - np.sin(angle) * b)
+            sys = assemble(obj, pts, dirs, forces, bases=bases)
+            b, t = _pivot_tangents(dirs) if bases is None else bases
+            arms = np.stack([dirs, b, t])
+            want = np.concatenate(
+                [arms / obj.mass, np.cross(pts - obj.com, arms) * (1.0 / obj.inertia)],
+                axis=2).transpose(0, 2, 1)
+            for got, ref in zip((-sys.n_mat, sys.b_mat, sys.t_mat), want):
+                assert got.tobytes() == ref.tobytes()
+            signed_zeros += np.signbit(want[want == 0.0]).any()
+        assert signed_zeros >= 10
 
 
 class TestStabilityEnergy:
@@ -464,6 +497,115 @@ class TestPyramidSolver:
             assert int(steps.split()[0]) >= min(len(points), 1)
             assert int(rounds.split()[0]) >= min(len(points), 1)
             assert float(gap.split()[1]) < QP_TOL
+
+
+def _reference_box(mat, const, tol, max_iter):
+    """The box QP loop with its ratio test through np.where and its step
+    clipped by np.clip, the form whose results _solve_box must keep bit for
+    bit; also reports which edge cases it met."""
+    k = mat.shape[1]
+    x = np.zeros(k)
+    free = np.ones(k, dtype=bool)
+    best_x, best_f, best_gap = x, np.inf, np.inf
+    met = set()
+    for _ in range(max_iter):
+        while free.any():
+            r = mat @ x + const
+            step, *_ = np.linalg.lstsq(mat[:, free], -r, rcond=None)
+            xf = x[free]
+            met.update(name for name, hit in (
+                ("zero step", np.any(step == 0.0)),
+                ("start on a bound", np.any(np.abs(xf) == 1.0)),
+                ("rank deficient",
+                 np.linalg.matrix_rank(mat[:, free]) < free.sum())) if hit)
+            room = np.where(step > 0.0, 1.0 - xf, -1.0 - xf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(step != 0.0, room / step, np.inf)
+            alpha = min(1.0, float(ratio.min()))
+            if alpha > 0.0:
+                x[free] = np.clip(xf + alpha * step, -1.0, 1.0)
+            if alpha == 1.0:
+                break
+            blocked = ratio <= alpha
+            hit = np.flatnonzero(free)[blocked]
+            x[hit] = np.sign(step[blocked])
+            free[hit] = False
+        r = mat @ x + const
+        f = float(r @ r)
+        g = 2.0 * (mat.T @ r)
+        gap = min(float(g @ x + np.abs(g).sum()), f)
+        if f < best_f:
+            best_x, best_f, best_gap = x.copy(), f, gap
+        if gap < tol:
+            return (x, True, gap), met
+        violation = np.where(free, 0.0, x * g)
+        worst = int(np.argmax(violation))
+        if violation[worst] > 0.0:
+            free[worst] = True
+    return (best_x, False, best_gap), met
+
+
+class TestBoxSolver:
+    def test_matches_the_clipped_ratio_loop_bit_for_bit(self, small_sphere):
+        rng = np.random.default_rng(20)
+        met = {}
+        for trial in range(100):
+            kind = trial % 5
+            n = int(rng.integers(1, 7))
+            pts, dirs, forces = random_contacts(rng, small_sphere, n)
+            if kind == 1:  # zero-force contacts: all-zero columns
+                forces[rng.uniform(size=n) < 0.5] = 0.0
+            elif kind == 2:  # repeated contacts: equal columns
+                pick = rng.integers(0, n, n + 2)
+                pts, dirs, forces = pts[pick], dirs[pick], forces[pick]
+            elif kind == 3:  # axis-aligned contacts: exactly zero entries
+                dirs = (np.eye(3)[rng.integers(0, 3, n)]
+                        * rng.choice([-1.0, 1.0], (n, 1)))
+                pts = 0.05 * dirs
+            sys = assemble(small_sphere, pts, dirs, forces,
+                           mu=float(rng.uniform(0.1, 1.5)))
+            mat, const = energy_matrices(sys)
+            if kind == 4:  # wide and pushed far out: coordinates leave bounds
+                mat = rng.normal(size=(6, 2 * n + 4))
+                const = rng.normal(scale=5.0, size=6)
+            max_iter = int(rng.choice([1, 2, QP_MAX_ITER]))
+            got = _solve_box(mat, const, QP_TOL, max_iter)
+            (x, converged, gap), seen = _reference_box(mat, const, QP_TOL,
+                                                       max_iter)
+            assert got[0].tobytes() == x.tobytes()
+            assert got[1:3] == (converged, gap)
+            for name in seen:
+                met[name] = met.get(name, 0) + 1
+        assert min(met.get(name, 0) for name in
+                   ("zero step", "start on a bound", "rank deficient")) >= 10
+
+    def test_counts_its_work(self, small_sphere):
+        rng = np.random.default_rng(21)
+        pts, dirs, forces = random_contacts(rng, small_sphere, 4)
+        mat, const = energy_matrices(assemble(small_sphere, pts, dirs, forces))
+        *_, steps, rounds = _solve_box(mat, const, QP_TOL, QP_MAX_ITER)
+        assert steps >= rounds >= 1
+        capped = _solve_box(mat, const, -1.0, 3)
+        assert capped[1] is False and capped[4] == 3 and capped[3] >= 3
+
+    def test_logs_one_line_per_stability_solve(self, small_sphere, caplog):
+        rng = np.random.default_rng(3)
+        pts, dirs, forces = random_contacts(rng, small_sphere, 4)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        for points, normals, f in ((pts, dirs, forces), (np.zeros((0, 3)),
+                                                         np.zeros((0, 3)),
+                                                         np.zeros(0))):
+            caplog.clear()
+            res = stability_energy(assemble(small_sphere, points, normals, f))
+            [line] = [r.getMessage() for r in caplog.records
+                      if r.name == "grasp_eq.stability"]
+            contacts, steps, rounds, gap = (
+                line.removeprefix("stability: ").split(", "))
+            assert contacts == f"{len(points)} contacts"
+            assert int(steps.split()[0]) >= min(len(points), 1)
+            assert int(rounds.split()[0]) >= min(len(points), 1)
+            assert float(gap.split()[1]) < QP_TOL
+            assert res.energy >= 0.0
 
 
 class TestFromContactState:

@@ -289,3 +289,24 @@ class TestPoseVector:
             HandPose(angles=np.zeros(19))
         with pytest.raises(ValueError):
             HandPose(scale=-1.0)
+
+
+class TestCross:
+    def test_matches_np_cross_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        shapes = [((3,), (3,)), ((7, 3), (7, 3)), ((5, 3), (3, 5, 3)),
+                  ((4, 1, 3), (6, 3)), ((3,), (2, 4, 3))]
+        signed_zeros = 0
+        for trial in range(60):
+            a_shape, b_shape = shapes[trial % len(shapes)]
+            a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+            if trial % 2:
+                # small integers: products cancel exactly, and the rounding
+                # leaves signed zeros in the inputs
+                a, b = np.round(2.0 * a), np.round(2.0 * b)
+            want = np.cross(a, b)
+            got = hand._cross(a, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            signed_zeros += np.signbit(want[want == 0.0]).any()
+        assert signed_zeros >= 10

@@ -217,7 +217,7 @@ class TestOnePassClustering:
         obj, contacts = next(acceptance7_scenes())
         parts = np.unique(contacts.part_label[contacts.contact_mask])
         assert len(parts) >= 4
-        calls = {"cKDTree": 0, "connected_components": 0}
+        calls = {"cKDTree": 0, "_components": 0}
         for name in calls:
             def counted(*args, _fn=getattr(keypoints, name), _name=name,
                         **kwargs):
@@ -225,13 +225,81 @@ class TestOnePassClustering:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(keypoints, name, counted)
         cluster_contacts(obj, contacts)
-        assert calls == {"cKDTree": 1, "connected_components": 1}
+        assert calls == {"cKDTree": 1, "_components": 1}
 
     @pytest.mark.parametrize("radius", [True, 0.0, -0.01])
     def test_rejects_bad_radius(self, small_sphere, radius):
         state = state_from_patches(small_sphere, [(3, np.arange(3), 1.0)])
         with pytest.raises(ValueError, match="cluster_radius"):
             cluster_contacts(small_sphere, state, radius=radius)
+
+
+@st.composite
+def pair_graphs(draw):
+    """(count, pairs): long chains in ascending, descending or random
+    order (a label must travel a whole chain), random extra edges, self
+    loops, duplicate and reversed pairs, and often isolated points."""
+    count = draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pieces = [np.zeros((0, 2), dtype=np.intp)]
+    for order in draw(st.lists(st.sampled_from(["up", "down", "random"]),
+                               max_size=3)) if count > 1 else []:
+        path = np.sort(rng.choice(count, draw(st.integers(2, count)),
+                                  replace=False))
+        path = {"up": path, "down": path[::-1],
+                "random": rng.permutation(path)}[order]
+        pieces.append(np.column_stack([path[:-1], path[1:]]))
+    if count:
+        pieces.append(rng.integers(0, count, (draw(st.integers(0, count)), 2)))
+    pairs = np.concatenate(pieces)
+    if len(pairs):
+        pairs = np.concatenate([pairs, pairs[rng.integers(
+            0, len(pairs), draw(st.integers(0, len(pairs))))]])
+        flip = rng.uniform(size=len(pairs)) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        pairs = pairs[rng.permutation(len(pairs))]
+    return count, pairs
+
+
+def oracle_components(count, pairs):
+    """scipy's component numbers, and each point's smallest component
+    index from them."""
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(count, count))
+    n_comp, numbers = connected_components(graph, directed=False)
+    roots = np.full(n_comp, count)
+    np.minimum.at(roots, numbers, np.arange(count))
+    return numbers, roots[numbers]
+
+
+class TestComponents:
+    """keypoints._components labels each point with its component's
+    smallest index; scipy's connected_components is the oracle."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(graph=pair_graphs())
+    def test_matches_connected_components(self, graph):
+        count, pairs = graph
+        numbers, expected = oracle_components(count, pairs)
+        label = keypoints._components(count, pairs)
+        assert np.array_equal(label, expected)
+        # scipy numbers components by first reach in index order, which is
+        # the order of their smallest indices, as cluster_contacts lists them
+        roots = np.flatnonzero(label == np.arange(count))
+        assert np.array_equal(np.searchsorted(roots, label), numbers)
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_no_pairs_leaves_every_point_alone(self, count):
+        label = keypoints._components(count, np.zeros((0, 2), dtype=np.intp))
+        assert np.array_equal(label, np.arange(count))
+
+    def test_long_descending_chain(self):
+        count = 1000
+        path = np.arange(count)[::-1]
+        label = keypoints._components(count,
+                                      np.column_stack([path[:-1], path[1:]]))
+        assert np.array_equal(label, np.zeros(count, dtype=int))
 
 
 class TestSelectClusters:

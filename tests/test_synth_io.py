@@ -196,3 +196,83 @@ class TestRoundTrips:
             stage, iteration, *values = row.split(",")
             assert TraceRecord(int(stage), int(iteration),
                                *map(float, values)) == record
+
+
+def _good_pose_payload():
+    return {"rot": [0.1, 0.0, 0.0], "trans": [0.0, 0.0, 0.1],
+            "angles": [0.0] * 20, "scale": 1.1}
+
+
+def _good_keypoint_payload():
+    return {"parts": [1, 2, 3], "centers": [[0.0, 0.0, 0.05]] * 3,
+            "forces": [1.0, 2.0, 3.0], "normals": [[0.0, 0.0, 1.0]] * 3,
+            "targets": [[0.0, 0.0, 0.055]] * 3, "energy": 5.0}
+
+
+class TestStrictLoads:
+    """Pose and keypoint files read every field as the JSON numbers it
+    holds: booleans, strings, fractional part ids and misshapen arrays are
+    refused, not converted."""
+
+    def _write(self, tmp_path, payload):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_good_files_load(self, tmp_path):
+        pose = io_mod.load_pose(self._write(tmp_path, _good_pose_payload()))
+        assert pose.scale == 1.1
+        assert np.array_equal(pose.rotation, [0.1, 0.0, 0.0])
+        kps = io_mod.load_keypoints(self._write(tmp_path,
+                                                _good_keypoint_payload()))
+        assert kps.parts == (1, 2, 3)
+        assert kps.energy == 5.0
+        assert kps.targets.shape == (3, 3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rot", [True, 0, 0]), ("rot", [0, 0]), ("rot", "0"),
+        ("trans", [0, None, 0]), ("trans", [0, "0", 0]),
+        ("angles", [False] * 20), ("angles", [0.0] * 19),
+        ("scale", "1.1"), ("scale", True), ("scale", None)])
+    def test_pose_rejects(self, tmp_path, field, value):
+        payload = _good_pose_payload()
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"pose {field}"):
+            io_mod.load_pose(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize("field, value", [
+        ("parts", [True, 2, 3]), ("parts", [1.5, 2, 3]), ("parts", ["1", 2, 3]),
+        ("parts", 3), ("parts", [[1, 2, 3]]),
+        ("centers", [[0, 0, True]] * 3), ("centers", [[0, 0, 0]] * 2),
+        ("forces", ["1", 2, 3]), ("forces", [1, 2]),
+        ("normals", [[0, 0, None]] * 3), ("normals", [[0, 1]] * 3),
+        ("targets", [[0, 0, "0"]] * 3), ("targets", [0, 0, 0]),
+        ("energy", "5"), ("energy", True), ("energy", [5.0])])
+    def test_keypoints_reject(self, tmp_path, field, value):
+        payload = _good_keypoint_payload()
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"keypoint {field}"):
+            io_mod.load_keypoints(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize("load, payload, key", [
+        (io_mod.load_pose, _good_pose_payload(), "angles"),
+        (io_mod.load_keypoints, _good_keypoint_payload(), "energy")])
+    def test_missing_field_is_named(self, tmp_path, load, payload, key):
+        del payload[key]
+        with pytest.raises(ValueError, match=f"missing '{key}'"):
+            load(self._write(tmp_path, payload))
+
+    def test_pose_scale_defaults_to_one(self, tmp_path):
+        payload = _good_pose_payload()
+        del payload["scale"]
+        assert io_mod.load_pose(self._write(tmp_path, payload)).scale == 1.0
+
+    def test_contact_part_labels_must_be_whole(self, tmp_path):
+        payload = {"likelihood": [1.0, 0.0], "part_label": [1.5, 0],
+                   "force": [1.0, 0.0]}
+        with pytest.raises(ValueError, match="part_label must hold only "
+                                             "whole numbers"):
+            io_mod.load_contacts(self._write(tmp_path, payload))
+        payload["part_label"] = [2.0, 0]
+        state = io_mod.load_contacts(self._write(tmp_path, payload))
+        assert state.part_label.tolist() == [2, 0]
