@@ -176,6 +176,14 @@ def _solve_box(mat, const, tol, max_iter):
     returns (x, True, gap) once it falls below ``tol``, else (best x,
     False, its gap) after ``max_iter`` outer iterations, followed by the
     work done: the inner steps taken and the outer iterations run.
+
+    The step is not clipped into the box: a coordinate the step does not
+    block ends inside it, rounding included.  Heading for bound b = +-1
+    from x, its ratio fl(fl(b - x) / step) exceeds alpha, so alpha * step
+    and its rounding lie between 0 and fl(b - x); x + fl(b - x) overshoots
+    b by at most 2^-53, half the float spacing past |b| = 1, so the sum
+    rounds to a value between x and b.  A blocked coordinate is set to its
+    bound.
     """
     k = mat.shape[1]
     x = np.zeros(k)
@@ -198,7 +206,7 @@ def _solve_box(mat, const, tol, max_iter):
             # ratio 0, and 0 * inf is nan; at alpha = 0 only the blocked
             # coordinates move, to their bounds below
             if alpha > 0.0:
-                x[free] = np.minimum(np.maximum(xf + alpha * step, -1.0), 1.0)
+                x[free] = xf + alpha * step
             if alpha == 1.0:
                 break
             blocked = ratio <= alpha
@@ -320,10 +328,11 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
 
     The objective is a convex quadratic over a box, solved exactly by an
     active-set method, so the returned energy is the global minimum within
-    solver tolerance: ``tol`` bounds the duality gap, which bounds
-    energy - minimum.  Raises SolverError (carrying the best iterate) if
-    the gap does not fall below ``tol`` within ``max_iter`` active-set
-    iterations.
+    solver tolerance: the duality gap, which bounds energy - minimum, is
+    below ``tol`` times max(1, 1e-4 E0), E0 being the energy at zero
+    friction (relative to E0 once E0 passes 1e4).  Raises SolverError
+    (carrying the best iterate) if the gap does not fall below that within
+    ``max_iter`` active-set iterations.
     """
     n = sys.n_contacts
     const = sys.n_mat @ sys.forces + sys.gravity6
@@ -333,6 +342,8 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
                                delta=np.zeros(0), accel=_freeze(const))
     scaled = sys.mu * sys.forces
     mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
+    # past E0 = 1e4, floats cannot certify an absolute gap of QP_TOL
+    tol = tol * max(1.0, 1e-4 * float(const @ const))
     x, converged, gap_val, steps, rounds = _solve_box(mat, const, tol, max_iter)
     _stability_log.debug(_STABILITY_LOG, n, steps, rounds, gap_val)
     accel = mat @ x + const

@@ -215,10 +215,13 @@ class HandGeometry:
     samples: np.ndarray
 
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
 def _skew(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 _CROSS_I = np.array([1, 2, 0])
@@ -250,12 +253,12 @@ _DOWNSTREAM = (_I >= _K)[..., None]
 def rotation_matrix(omega) -> np.ndarray:
     """Rodrigues rotation for an axis-angle vector."""
     omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega)
+    theta = np.sqrt(omega.dot(omega))  # np.linalg.norm's arithmetic
     k = _skew(omega)
     if theta < 1e-12:
-        return np.eye(3) + k + 0.5 * (k @ k)
+        return _EYE3 + k + 0.5 * (k @ k)
     k /= theta
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    return _EYE3 + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
 def _local_joints(vec):
@@ -269,7 +272,7 @@ def _local_joints(vec):
     """
     s = vec[26]
     q = vec[6:26].reshape(5, 4, 1, 1)
-    frames = np.eye(3) + np.sin(q) * _ANGLE_SKEW + (1.0 - np.cos(q)) * _ANGLE_SKEW_SQ
+    frames = _EYE3 + np.sin(q) * _ANGLE_SKEW + (1.0 - np.cos(q)) * _ANGLE_SKEW_SQ
     # chained in place: frames[:, k] becomes the orientation after the
     # abduction and k flexions
     frames[:, 1] = frames[:, 0] @ frames[:, 1]
@@ -291,9 +294,9 @@ def _rotation_point_jacobian(omega, r, rotated):
     omega = np.asarray(omega, dtype=float)
     theta_sq = float(omega @ omega)
     if theta_sq < 1e-16:
-        w = np.eye(3)
+        w = _EYE3
     else:
-        eye_minus_rt = np.eye(3) - r.T
+        eye_minus_rt = _EYE3 - r.T
         w = (omega[:, None] * omega + _cross(omega, eye_minus_rt)) / theta_sq
     return _cross(w, rotated[:, None]).transpose(0, 2, 1)
 
@@ -322,7 +325,7 @@ def fk_with_jacobians(vec):
     def jacobian():
         jac = np.zeros((N_JOINTS, 3, N_PARAMS))
         jac[:, :, 0:3] = _rotation_point_jacobian(vec[:3], r_glob, rotated)
-        jac[:, :, 3:6] = np.eye(3)
+        jac[:, :, 3:6] = _EYE3
         # angles: revolute-joint rule, d p/d q = w x (p - pivot), downstream
         # only; a joint's own rotation leaves its axis fixed, so frame k
         # carries axis k, and angle k turns about joint max(k - 1, 0)

@@ -82,15 +82,19 @@ def json_vector(value, count, field):
 
 def json_array(value, field, dtype=float, shape=None):
     """``value`` as an array, if every entry of its nested lists is a
-    number (a whole number for an integer ``dtype``) and, when ``shape`` is
-    given, the array has that shape."""
+    number (a whole number that ``dtype`` holds, for an integer ``dtype``)
+    and, when ``shape`` is given, the array has that shape."""
     whole = np.issubdtype(dtype, np.integer)
+    bounds = np.iinfo(dtype) if whole else None
     for entry in np.asarray(value, dtype=object).ravel():
         if not is_number(entry):
             raise ValueError(f"{field} must hold only numbers, got {entry!r}")
         if whole and entry % 1 != 0:
             raise ValueError(f"{field} must hold only whole numbers, "
                              f"got {entry!r}")
+        if whole and not bounds.min <= entry <= bounds.max:
+            raise ValueError(f"{field} must hold only whole numbers in "
+                             f"[{bounds.min}, {bounds.max}], got {entry!r}")
     array = np.array(value, dtype=dtype)
     if shape is not None and array.shape != shape:
         raise ValueError(f"{field} must have shape {shape}, "

@@ -213,23 +213,22 @@ def _flat():
     return np.zeros(hand.N_PARAMS), np.zeros((hand.N_PARAMS, hand.N_PARAMS))
 
 
-def _residual_floor(resid, dist, rows, lower, target_likelihood):
+def _residual_floor(dist, lower, target_likelihood):
     """Lower bounds on the |residuals| a bracketed nearest-sample query
     gives once scanned.
 
-    ``dist``, ``rows`` and ``lower`` are a CertifiedNearestSite bracket and
-    ``resid`` is likelihood(dist) - target.  Each point's nearest distance
-    d lies in [lo, dist] with lo = min(dist, lower) and likelihood is
-    non-increasing in d, so |likelihood(d) - t| is at least
-    max(likelihood(dist) - t, t - likelihood(max(lo, CONTACT_RADIUS)), 0),
-    and equals |likelihood(dist) - t| off ``rows``, where dist is certified.
+    ``dist`` and ``lower`` are a CertifiedNearestSite bracket.  Each
+    point's nearest distance d lies in [lo, dist] with lo = min(dist,
+    lower) and likelihood is non-increasing in d, so |likelihood(d) - t|
+    is at least max(likelihood(dist) - t, t - likelihood(lo), 0).  Where
+    dist is certified (dist < lower), lo is dist and the bound is
+    |likelihood(dist) - t| bit for bit, so no row needs to be picked out.
     Rounding is monotone, so each floor is at most the computed residual.
     """
-    floor = np.abs(resid)
-    lo = np.maximum(np.minimum(dist[rows], lower[rows]), CONTACT_RADIUS)
-    floor[rows] = np.maximum(np.maximum(
-        resid[rows], target_likelihood[rows] - contact_likelihood(lo)), 0.0)
-    return floor
+    floor = contact_likelihood(dist) - target_likelihood
+    np.maximum(floor, target_likelihood
+               - contact_likelihood(np.minimum(dist, lower)), out=floor)
+    return np.maximum(floor, 0.0, out=floor)
 
 
 def contact_loss(geometry, obj: ObjectModel, target_likelihood,
@@ -252,40 +251,41 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
     """
     if nearest is None:
         d, owners = nearest_site(obj.points, geometry.samples)
-        resid = contact_likelihood(d) - target_likelihood
+        columns = obj.points.T
     else:
-        d, rows, lower = nearest.bracket(geometry.samples)
-        resid = contact_likelihood(d) - target_likelihood
+        d, _, lower = nearest.bracket(geometry.samples)
         if exceeds is not None:
-            bound = float(np.mean(_residual_floor(resid, d, rows, lower,
-                                                  target_likelihood)))
+            bound = float(np.mean(_residual_floor(d, lower, target_likelihood)))
             if exceeds(bound):
                 return bound, None
         d, owners = nearest.scan()
-        resid[rows] = contact_likelihood(d[rows]) - target_likelihood[rows]
+        columns = nearest.columns
+    resid = contact_likelihood(d) - target_likelihood
 
     def derivatives(joint_jac, sample_jac=None):
         active = (d > CONTACT_RADIUS) & (resid != 0)
-        if not np.any(active):
+        if not active.any():
             return _flat()
-        idx = np.flatnonzero(active)
-        owner = owners[idx]
-        slope = -CONTACT_RADIUS / d[idx] ** 2  # d likelihood / d distance
-        coef = np.sign(resid[idx]) * slope / obj.n_points
+        # every row in one contiguous pass: an inactive row is put at
+        # infinite distance, so its slope and unit vector are zeros, which
+        # leave the per-sample sums below unchanged bit for bit
+        dist = np.where(active, d, np.inf)
+        slope = -CONTACT_RADIUS / dist ** 2  # d likelihood / d distance
+        coef = np.sign(resid) * slope / obj.n_points
         # contiguous (3, n): unit vectors from each point to its nearest sample
-        unit = (geometry.samples.T.take(owner, axis=1)
-                - obj.points.T.take(idx, axis=1))
-        unit /= d[idx]
-        irls = slope ** 2 / (np.maximum(np.abs(resid[idx]), CONTACT_IRLS_FLOOR)
+        unit = geometry.samples.T.take(owners, axis=1) - columns
+        unit /= dist
+        irls = slope ** 2 / (np.maximum(np.abs(resid), CONTACT_IRLS_FLOOR)
                              * obj.n_points)
         # summed per sample: the gradient pull (3 rows) and the curvature
         # block irls * unit unit^T (9 rows)
-        cols = np.empty((12, len(idx)))
+        cols = np.empty((12, d.size))
         np.multiply(coef, unit, out=cols[:3])
         np.multiply((irls * unit)[:, None], unit,
                     out=cols[3:].reshape(3, 3, -1))
-        per_sample = np.stack([np.bincount(owner, col, hand.N_SAMPLES)
-                               for col in cols], axis=1)
+        per_sample = np.empty((hand.N_SAMPLES, 12))
+        for j, col in enumerate(cols):
+            per_sample[:, j] = np.bincount(owners, col, hand.N_SAMPLES)
         blocks = per_sample[:, 3:].reshape(-1, 3, 3)
         if sample_jac is None:
             sample_jac = hand.sample_jacobians(joint_jac)
@@ -336,6 +336,10 @@ _REG_CURVATURE = np.diag(np.r_[np.zeros(6), np.full(21, 2.0)])
 _REG_CURVATURE.flags.writeable = False
 
 
+# a term that is not evaluated: value 0, flat derivatives
+_SKIPPED = (0.0, lambda *_: _flat())
+
+
 def pose_terms(vec, keypoints, obj, target_likelihood, weights,
                nearest=None, ceiling=None):
     """The pose objective's terms at ``vec`` from one kinematics pass.
@@ -355,7 +359,7 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
     geometry, jacobian = hand.fk_with_jacobians(vec)
     weight = dict(zip(TERMS, weights))
     # name -> (value, derivatives(joint_jac, sample_jac)), in TERMS order
-    terms = dict.fromkeys(TERMS, (0.0, lambda *_: _flat()))
+    terms = dict.fromkeys(TERMS, _SKIPPED)
     if keypoints is not None and weight["kp"] > 0:
         terms["kp"] = kp_loss(geometry, keypoints)
     if weight["penetration"] > 0:
@@ -447,7 +451,9 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     max_iters = (config.max_iters_stage2 if stage == 2
                  else config.max_iters_stage3)
     free = lo < hi
-    eye = np.eye(free.sum())
+    eye = np.eye(np.count_nonzero(free))
+    if free.all():  # a slice selects by view: no copies, no fancy writes
+        free = slice(None)
     nearest = None if obj is None else CertifiedNearestSite(obj.points)
 
     def evaluate(vec, ceiling=None):
@@ -480,7 +486,7 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
             x_new = x.copy()
             x_new[free] += np.linalg.solve(normal + damping * diag_max * eye,
                                            rhs)
-            x_new = np.clip(x_new, lo, hi)
+            np.clip(x_new, lo, hi, out=x_new)
             f_new, terms, derivatives = evaluate(x_new, f)
             evals += 1
             bounded += derivatives is None

@@ -181,9 +181,11 @@ def _pivot_tangents(normals):
 
 
 def contact_likelihood(d):
-    """Contact likelihood min(CONTACT_RADIUS / d, 1) at hand distances d."""
-    with np.errstate(divide="ignore"):
-        return np.where(d <= CONTACT_RADIUS, 1.0, CONTACT_RADIUS / d)
+    """Contact likelihood min(CONTACT_RADIUS / d, 1) at hand distances d.
+
+    Written CONTACT_RADIUS / max(d, CONTACT_RADIUS): exactly 1 up to the
+    radius, with no division by zero, and NaN where d is NaN."""
+    return CONTACT_RADIUS / np.maximum(d, CONTACT_RADIUS)
 
 
 def _scan(points, sites):
@@ -229,7 +231,9 @@ class CertifiedNearestSite:
     owner is strictly nearest, so nearest_site's argmin and its tie rule
     could pick no other.  Only the other rows go through nearest_site's
     scan.  The owner distance is sqrt((dx*dx + dy*dy) + dz*dz), the sum
-    cdist forms, so every answer equals nearest_site's bit for bit.
+    cdist forms, so every answer equals nearest_site's bit for bit; it is
+    formed on ``columns``, a (3, n) copy of the points, one contiguous
+    pass per coordinate.
 
     A query is ``bracket(sites)``, the owner distances and bounds, then
     ``scan()``, which finishes it; calling the object does both.  Between
@@ -244,6 +248,7 @@ class CertifiedNearestSite:
 
     def __init__(self, points):
         self.points = points
+        self.columns = np.ascontiguousarray(points.T)
         self.queried = self.rescanned = 0
         self._accepted = self._last = self._pending = None
 
@@ -266,15 +271,15 @@ class CertifiedNearestSite:
             owner = np.empty(n, dtype=np.intp)
             rows = slice(None)
         else:
-            ref_sites, ref_owner, ref_lower = self._accepted
+            ref_sites, owner, ref_lower = self._accepted
             step = sites - ref_sites
             shift = np.sqrt(np.max(np.einsum("ij,ij->i", step, step)))
-            sq = self.points - sites.take(ref_owner, axis=0)
+            sq = self.columns - sites.T.take(owner, axis=1)
             sq *= sq
-            dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-            owner = ref_owner.copy()
-            lower = ((1.0 - _CERTIFY_MARGIN) * ref_lower
-                     - (1.0 + _CERTIFY_MARGIN) * shift)
+            dist = sq[0] + sq[1]
+            dist += sq[2]
+            np.sqrt(dist, out=dist)
+            lower = ref_lower - (1.0 + _CERTIFY_MARGIN) * shift
             rows = np.flatnonzero(~(dist < lower))
         self.queried += n
         self._pending = (sites, dist, owner, lower, rows)
@@ -287,6 +292,7 @@ class CertifiedNearestSite:
         d_sq, idx = _scan(self.points[rows], sites)
         scanned = np.arange(idx.size)
         dist[rows] = np.sqrt(d_sq[scanned, idx])
+        owner = owner.copy()
         owner[rows] = idx
         d_sq[scanned, idx] = np.inf
         # the second smallest; argmin is far faster than min along a row
@@ -296,8 +302,11 @@ class CertifiedNearestSite:
         return dist, owner
 
     def accept(self):
-        """Reuse the last query's answer from now on."""
-        self._accepted = self._last
+        """Reuse the last query's answer from now on.  Its bounds are
+        scaled down by _CERTIFY_MARGIN here, once for every later query."""
+        if self._last is not None:
+            sites, owner, lower = self._last
+            self._accepted = (sites, owner, (1.0 - _CERTIFY_MARGIN) * lower)
 
 
 def nearest_surface(obj: ObjectModel, queries):

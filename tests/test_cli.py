@@ -267,6 +267,22 @@ class TestCliBasics:
         assert f"{name} {field} must hold only numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", [1e300, -1e300, 2 ** 63, 2.0 ** 63])
+    def test_analyze_rejects_part_labels_outside_int64(self, scene_files,
+                                                       tmp_path, capsys,
+                                                       label):
+        scene, contacts = scene_files
+        data = json.loads(contacts.read_text())
+        data["part_label"][0] = label
+        bad = tmp_path / "contacts.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--scene", str(scene),
+                     "--contacts", str(bad), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "contact part_label" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["scores", "input"])
     def test_decode_rejects_boolean_scores(self, tmp_path, capsys, source):
         one_hot = [False, True] + [False] * 8

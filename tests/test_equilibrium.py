@@ -1,5 +1,6 @@
 import itertools
 import logging
+import time
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import (energy_matrices, grid_energy_coordinate,
                       grid_energy_zoomed, random_contacts, sphere_object)
+from test_acceptance import _random_representatives
 
 BOTTOM_P = np.array([[0.0, 0.0, -0.05]])
 BOTTOM_N = np.array([[0.0, 0.0, -1.0]])
@@ -587,6 +589,55 @@ class TestBoxSolver:
         assert steps >= rounds >= 1
         capped = _solve_box(mat, const, -1.0, 3)
         assert capped[1] is False and capped[4] == 3 and capped[3] >= 3
+
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_large_forces_certify_relative_to_their_energy(self, scale):
+        """Every pair and triple of six representatives with forces scaled
+        up (zero-friction energies 2e4 to 1e8) certifies, in well under a
+        second for all 35: an absolute gap of QP_TOL is out of float
+        reach there, and the certificate scales with the energy."""
+        obj = sphere_object()
+        reps = _random_representatives(np.random.default_rng(700), obj, 6)
+        start = time.perf_counter()
+        solved = 0
+        for size in (2, 3):
+            for combo in itertools.combinations(sorted(reps), size):
+                group = [reps[p] for p in combo]
+                sys = assemble(obj, np.array([c.center for c in group]),
+                               np.array([c.normal for c in group]),
+                               scale * np.array([c.force for c in group]))
+                assert stability_energy(sys).energy >= 0.0
+                solved += 1
+        assert solved == 35
+        assert time.perf_counter() - start < 1.0
+
+    def test_unblocked_coordinates_stay_in_the_box(self):
+        """_solve_box's step update keeps every coordinate its ratio test
+        does not block inside [-1, 1] without a clip, on starts at and a
+        few ulps off the bounds and steps aimed at them across magnitudes
+        (the rounding argument in its docstring)."""
+        rng = np.random.default_rng(22)
+        ulp = 2.0 ** -53
+        moved = 0
+        for trial in range(3000):
+            k = int(rng.integers(1, 12))
+            x = np.clip(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], k)
+                        + rng.integers(-4, 5, k) * ulp
+                        + (trial % 2) * rng.uniform(-1.0, 1.0, k), -1.0, 1.0)
+            step = rng.normal(size=k) * 10.0 ** rng.uniform(-300, 300, k)
+            aim = rng.uniform(size=k) < 0.5
+            step[aim] = ((np.sign(step[aim]) - x[aim])
+                         * rng.choice([1.0, 1 - 2 * ulp, 1 + 2 * ulp, 0.5],
+                                      aim.sum()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = np.divide(np.copysign(1.0, step) - x, step,
+                                  out=np.full(k, np.inf), where=step != 0.0)
+                alpha = min(1.0, float(ratio.min()))
+                new = x + alpha * step
+            unblocked = (alpha > 0.0) & ~(ratio <= alpha) & np.isfinite(new)
+            assert np.all(np.abs(new[unblocked]) <= 1.0)
+            moved += np.count_nonzero(unblocked & (new != x))
+        assert moved > 1000
 
     def test_logs_one_line_per_stability_solve(self, small_sphere, caplog):
         rng = np.random.default_rng(3)

@@ -632,6 +632,123 @@ class TestSharedDescent:
         assert builds[3] == 1
 
 
+def _reference_likelihood(d):
+    """contact_likelihood written as np.where(d <= c0, 1, c0 / d)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(d <= CONTACT_RADIUS, 1.0, CONTACT_RADIUS / d)
+
+
+def _reference_contact_derivatives(geometry, obj, d, owners, resid,
+                                   joint_jac):
+    """contact_loss's derivatives over the gathered active rows, the form
+    whose results its all-row pass must keep bit for bit."""
+    active = (d > CONTACT_RADIUS) & (resid != 0)
+    if not np.any(active):
+        return (np.zeros(hand.N_PARAMS),
+                np.zeros((hand.N_PARAMS, hand.N_PARAMS)))
+    idx = np.flatnonzero(active)
+    owner = owners[idx]
+    slope = -CONTACT_RADIUS / d[idx] ** 2
+    coef = np.sign(resid[idx]) * slope / obj.n_points
+    unit = (geometry.samples.T.take(owner, axis=1)
+            - obj.points.T.take(idx, axis=1))
+    unit /= d[idx]
+    irls = slope ** 2 / (np.maximum(np.abs(resid[idx]),
+                                    optimizer.CONTACT_IRLS_FLOOR)
+                         * obj.n_points)
+    cols = np.empty((12, len(idx)))
+    np.multiply(coef, unit, out=cols[:3])
+    np.multiply((irls * unit)[:, None], unit, out=cols[3:].reshape(3, 3, -1))
+    per_sample = np.stack([np.bincount(owner, col, hand.N_SAMPLES)
+                           for col in cols], axis=1)
+    blocks = per_sample[:, 3:].reshape(-1, 3, 3)
+    sample_jac = hand.sample_jacobians(joint_jac)
+    flat_jac = sample_jac.reshape(-1, hand.N_PARAMS)
+    return (np.einsum("sd,sdp->p", per_sample[:, :3], sample_jac),
+            flat_jac.T @ (blocks @ sample_jac).reshape(-1, hand.N_PARAMS))
+
+
+class TestContactPassReference:
+    """contact_loss's value, gradient and curvature against the gathered
+    reference, byte for byte, through full and certified passes.  The
+    suite turns RuntimeWarnings into errors, so a point on a hand sample
+    (d = 0) must not be divided by."""
+
+    KINDS = ("all active", "within radius", "zero residual", "on a sample")
+
+    @staticmethod
+    def state(rng, kind):
+        vec = hand.neutral_grasp_pose().as_vector()
+        vec[6:26] += rng.normal(scale=0.1, size=hand.N_ANGLES)
+        vec = np.clip(vec, *hand.parameter_bounds())
+        geometry, jacobian = hand.fk_with_jacobians(vec)
+        samples = geometry.samples
+        n = int(rng.integers(50, 400))
+        points = samples.mean(axis=0) + rng.normal(scale=0.05, size=(n, 3))
+        k = n // 5
+        near = samples[rng.integers(0, hand.N_SAMPLES, k)]
+        if kind == "within radius":
+            offset = rng.normal(size=(k, 3))
+            offset *= (rng.uniform(0.1, 0.9, (k, 1)) * CONTACT_RADIUS
+                       / np.linalg.norm(offset, axis=1, keepdims=True))
+            points[:k] = near + offset
+        elif kind == "on a sample":
+            points[:k] = near
+        elif kind == "all active":  # no point within the radius
+            points = points[scene.nearest_site(points, samples)[0]
+                            > CONTACT_RADIUS]
+        normals = rng.normal(size=points.shape)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        obj = ObjectModel(points=points, normals=normals)
+        d, owners = scene.nearest_site(obj.points, samples)
+        target = rng.uniform(size=obj.n_points)
+        if kind == "zero residual":
+            target[:k] = _reference_likelihood(d[:k])
+        resid = _reference_likelihood(d) - target
+        active = (d > CONTACT_RADIUS) & (resid != 0)
+        assert {"all active": active.all(),
+                "within radius": np.any(d <= CONTACT_RADIUS) and d.min() > 0,
+                "zero residual": np.any((d > CONTACT_RADIUS) & (resid == 0)),
+                "on a sample": np.any(d == 0.0)}[kind]
+        return geometry, jacobian(), obj, target, d, owners, resid
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_gathered_reference(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for _ in range(10):
+            geometry, jac, obj, target, d, owners, resid = self.state(rng,
+                                                                      kind)
+            ref_value = float(np.mean(np.abs(resid)))
+            ref = _reference_contact_derivatives(geometry, obj, d, owners,
+                                                 resid, jac)
+            # accept() before any scan, as a stage without a contact term
+            # calls it, then the bracket and scan of a first query
+            nearest = scene.CertifiedNearestSite(obj.points)
+            nearest.accept()
+            passes = [contact_loss(geometry, obj, target),
+                      contact_loss(geometry, obj, target, nearest,
+                                   lambda bound: False)]
+            nearest.accept()
+            # a second query at the same sites, certified row by row
+            passes.append(contact_loss(geometry, obj, target, nearest,
+                                       lambda bound: False))
+            for value, derivatives in passes:
+                grad, curvature = derivatives(jac)
+                assert value == ref_value
+                assert grad.tobytes() == ref[0].tobytes()
+                assert curvature.tobytes() == ref[1].tobytes()
+
+    def test_likelihood_equals_the_where_form(self):
+        c0 = CONTACT_RADIUS
+        d = np.array([0.0, -0.0, -1.0, 5e-324, np.nextafter(c0, 0), c0,
+                      np.nextafter(c0, 1), 2 * c0, 1.0, 1e300, np.inf,
+                      np.nan])
+        d = np.concatenate([d, np.random.default_rng(0).uniform(0, 4 * c0,
+                                                                1000)])
+        assert (contact_likelihood(d).tobytes()
+                == _reference_likelihood(d).tobytes())
+
+
 class TestCertifiedContactPasses:
     @staticmethod
     def stage2(obj, contacts, trace):

@@ -356,8 +356,7 @@ class TestResidualFloor:
             trial = _trial(rng, accepted, points, kind)
             dist, rows, lower = query.bracket(trial)
             dist, lower = dist.copy(), lower.copy()
-            floor = _residual_floor(contact_likelihood(dist) - target, dist,
-                                    rows, lower, target)
+            floor = _residual_floor(dist, lower, target)
             d, _ = query.scan()
             exact = np.abs(contact_likelihood(d) - target)
             assert np.all(floor <= exact)
