@@ -80,8 +80,11 @@ def _gravity(args, cfg, file_gravity=None):
 
 
 def _binning(args, cfg):
-    block = dict(cfg.get("binning", {}))
-    s = args.bins if args.bins is not None else block.get("s", 10)
+    block = cfg.get("binning", {})
+    if not isinstance(block, dict):
+        raise ValueError(f"binning config must be a JSON object, got {block!r}")
+    s = (args.bins if args.bins is not None
+         else io_mod.json_number(block.get("s", 10), "binning s"))
     mu_log = io_mod.json_number(block.get("mu_log", 0.0), "mu_log")
     sigma_log = io_mod.json_number(block.get("sigma_log", 1.0), "sigma_log")
     temperature = io_mod.json_number(
@@ -355,14 +358,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        return args.func(args, cfg)
+        # a verb's magnitudes all come from its inputs, so an overflow or
+        # an invalid value is an input out of range, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = _load_config(getattr(args, "config", None))
+            return args.func(args, cfg)
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return SOLVER_EXIT
     except (GraspEqError, ValueError, KeyError, OSError,
             json.JSONDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
+        return INPUT_EXIT
+    except FloatingPointError as err:
+        print(f"input error: an input is out of range ({err})",
+              file=sys.stderr)
         return INPUT_EXIT
 
 

@@ -28,11 +28,12 @@ import numpy as np
 from .errors import ShapeError, SolverError, is_number
 from .hand import _cross
 from .scene import (GRAVITY, ObjectModel, _freeze, _pivot_tangents,
-                    check_unit_normals)
+                    check_forces, check_unit_normals)
 
 DEFAULT_MU = 1.0
 QP_TOL = 1e-8
 QP_MAX_ITER = 10_000
+_EPS = np.finfo(float).eps
 
 _log = logging.getLogger("grasp_eq")
 _FORCE_EXISTENCE_LOG = ("force existence: %d contacts, %d inner steps, "
@@ -120,8 +121,7 @@ def assemble(obj: ObjectModel, points, normals, forces,
     forces = np.atleast_1d(np.asarray(forces, dtype=float))
     if forces.shape != (n,):
         raise ShapeError(f"expected {n} forces, got shape {forces.shape}")
-    if np.any(forces < 0) or not np.all(np.isfinite(forces)):
-        raise ValueError("contact forces must be finite and non-negative")
+    check_forces(forces)
     if not (is_number(mu) and np.isfinite(mu) and mu >= 0):
         raise ValueError(f"friction coefficient mu must be a finite number "
                          f">= 0, got {mu!r}")
@@ -257,9 +257,17 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
     below ``tol``, else (best lam, False, its gap) after ``max_iter`` outer
     iterations, followed by the work done: the inner steps taken and the
     outer iterations run.
+
+    ``tol`` is scaled by max(1, floor / QP_TOL), where floor is the gap's
+    rounding at lam: one ulp of lam or of const moves the gradient g by up
+    to 2 eps |mat|^T (|mat| lam + |const|), and the gap weighs each
+    contact's g by up to its edge sum plus the cap.  On a light object
+    (large 1/m and 1/I columns) that floor passes QP_TOL, and no float lam
+    certifies QP_TOL itself.
     """
     n = lam.shape[0]
     cols = mat.reshape(6, n, 4)
+    abs_mat, abs_const = np.abs(mat), np.abs(const)
     free = np.ones((n, 4), dtype=bool)
     capped = np.zeros(n, dtype=bool)
     best_lam, best_f, best_gap = lam, np.inf, np.inf
@@ -299,7 +307,10 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
         gap = min(float((g * lam).sum() - cap * np.minimum(g.min(axis=1), 0.0).sum()), f)
         if f < best_f:
             best_lam, best_f, best_gap = lam.copy(), f, gap
-        if gap < tol:
+        noise = 2.0 * _EPS * (abs_mat.T @ (abs_mat @ lam.ravel() + abs_const))
+        floor = float((noise.reshape(n, 4).max(axis=1)
+                       * (cap + lam.sum(axis=1))).sum())
+        if gap < tol * max(1.0, floor / QP_TOL):
             return lam, True, gap, steps, outer
         # a capped contact's free edges share one gradient `level` at a face
         # minimum: a zero edge violates KKT when its gradient is below the

@@ -103,7 +103,10 @@ def json_array(value, field, dtype=float, shape=None):
 
 
 def _require(data, keys, path):
-    """Raise ValueError naming the first of ``keys`` missing from ``data``."""
+    """Raise ValueError unless ``data`` is a JSON object holding ``keys``,
+    naming the first key missing."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
     for key in keys:
         if key not in data:
             raise ValueError(f"{path} is missing {key!r}")

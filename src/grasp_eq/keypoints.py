@@ -4,16 +4,16 @@ Contact points are clustered per hand part (single linkage) in one
 neighbour pass over all force-carrying points, dropping the pairs across
 parts; one cluster per part is chosen by conditional stability energy, and
 the final keypoint combination is the part subset with the least stability
-energy over all C(|H|, n_kp) candidates.  Both choices are exact searches
-that assemble one system per search and solve the stability QP only for
-the candidates that can decide the answer.  Each candidate's energy is
-bounded from below by its per-row interval bound and by the weak-duality
-bound from every solved candidate's optimal acceleration.  Solving best
-first, by least bound, finds a low energy that sets an energy band; an
-in-order pass then skips the candidates whose bounds lie above the band
-or cannot beat the incumbent.  The searches return what solving every
-candidate in order would.  Keypoint targets sit one finger radius
-outside the contact centers along the cluster normals.
+energy over all C(|H|, n_kp) candidates.  Both choices take the earliest
+candidate whose energy is within QP_TOL of the least.  Both are exact
+searches that assemble one system per search and solve the stability QP
+only for the candidates that can decide the answer.  Each candidate's
+energy is bounded from below by its per-row interval bound and by the
+weak-duality bound from every solved candidate's optimal acceleration.
+The search solves best first, by least bound, and skips a candidate once
+its bound shows that it can neither tie the least energy ahead of the
+current answer nor lower the least energy past it.  Keypoint targets sit
+one finger radius outside the contact centers along the cluster normals.
 """
 
 from __future__ import annotations
@@ -180,22 +180,14 @@ def _dual_bounds(sys, candidates, y):
     return np.maximum(beta, 0.0) ** 2
 
 
-def _band(energy):
-    """energy + 2 QP_TOL, or inf where floats cannot keep energy more than
-    QP_TOL below it (non-finite or very large energies)."""
-    band = energy + 2 * QP_TOL
-    return band if band - QP_TOL > energy else np.inf
-
-
 def _least_energy(sys, candidates):
     """Least-energy candidate, ties to the earliest: (index, energy).
 
     Row j of the (K, k) ``candidates`` lists the columns of ``sys`` that
-    make candidate j.  The answer is defined by the in-order rule: visit
-    every candidate in order and let one replace the incumbent only when
-    its energy is lower by more than QP_TOL, the solver's certified gap.
-    The search returns that answer, bit for bit, while solving only the
-    candidates that can decide it.
+    make candidate j.  The answer is the earliest candidate whose energy
+    is within QP_TOL, the solver's certified gap, of the least energy.  The
+    search returns it, bit for bit, solving only the candidates that can
+    decide it.
 
     Every candidate carries a lower bound on its energy: first its
     interval bound, then, after each solve, the larger of that and the
@@ -204,75 +196,44 @@ def _least_energy(sys, candidates):
     by QP_TOL / 4, which absorbs its rounding (near 1e-13), so it is never
     above the energy the solver returns.
 
-    The search starts best first: it solves the unsolved candidate with
-    the least bound until no unsolved bound lies below the least energy
-    found, U.  The band is U + 2 QP_TOL.  The in-order rule is then
-    replayed over the "kept" candidates, whose energies lie below
-    band - QP_TOL; energies above the band are ignored.  A candidate is
-    skipped when its bound is above the band (it would be ignored) or at
-    least the incumbent's energy minus QP_TOL / 2 (it could not replace
-    the incumbent).  A solved energy e within QP_TOL below the band raises
-    the band to e + 2 QP_TOL, and the replay starts again on the cached
-    energies.
-
-    Why this is exact: once a replay finishes, every kept energy is below
-    band - QP_TOL and every other energy is above the band.  So a kept
-    candidate always replaces an ignored incumbent, and an ignored
-    candidate never replaces a kept one.  Scanning all candidates in
-    order therefore ends on the candidate that scanning the kept ones
-    ends on, and the kept set is never empty, since it holds U's
-    candidate.  Where a float cannot hold U + 2 QP_TOL (or e + 2 QP_TOL)
-    more than QP_TOL above U (or e), as for non-finite or very large
-    energies, the band is infinite: nothing is ignored, and the replay is
-    the plain in-order rule.
+    Let U be the least energy solved so far and ``best`` the earliest
+    solved candidate with energy <= U + QP_TOL.  An unsolved candidate can
+    change the answer only if it comes before ``best`` with a bound
+    <= U + QP_TOL, or if its bound + QP_TOL is below ``best``'s energy (it
+    could lower U past ``best``).  The least-bound such candidate is solved
+    until none is left.  Both tests add QP_TOL and compare as the rule
+    does; rounding is monotone, so a bound that fails a test fails it for
+    every energy above it.
     """
     candidates = np.asarray(candidates)
+    count = len(candidates)
     lower = _candidate_bounds(sys, candidates) - QP_TOL / 4
-    energies = {}
-
-    def energy(j):
-        if j not in energies:
-            try:
-                res = stability_energy(sys.take(candidates[j]))
-            except SolverError as err:
-                # non-converged energy is still a valid upper bound for
-                # comparisons, and its acceleration a valid direction
-                res = err.result
-            energies[j] = res.energy
-            if len(energies) < len(candidates):
-                np.maximum(lower, _dual_bounds(sys, candidates, res.accel)
-                           - QP_TOL / 4, out=lower)
-        return energies[j]
-
-    # best first: solve the unsolved candidate of least bound until no
-    # unsolved bound lies below the least energy found
-    least = np.inf
+    energies = np.full(count, np.inf)
+    solved = np.zeros(count, dtype=bool)
+    least, best, best_energy = np.inf, count, np.inf
     while True:
-        pending = lower.copy()
-        pending[list(energies)] = np.inf
-        j = int(np.argmin(pending))
-        if pending[j] >= least - QP_TOL / 2:
+        deciding = lower + QP_TOL < best_energy
+        deciding[:best] |= lower[:best] <= least + QP_TOL
+        pending = np.flatnonzero(deciding & ~solved)
+        if not pending.size:
             break
-        least = min(least, energy(j))
-    band, restarts = _band(least), 0
-    while True:
-        best, best_energy = None, np.inf
-        for j in range(len(candidates)):
-            if lower[j] > band or lower[j] >= best_energy - QP_TOL / 2:
-                continue
-            e = energy(j)
-            if band - QP_TOL <= e <= band < np.inf:
-                break
-            if e < band - QP_TOL and e < best_energy - QP_TOL:
-                best, best_energy = j, e
-        else:
-            break
-        # e lies within QP_TOL below the band: raise the band past it
-        band, restarts = _band(e), restarts + 1
+        j = int(pending[np.argmin(lower[pending])])
+        try:
+            res = stability_energy(sys.take(candidates[j]))
+        except SolverError as err:
+            # non-converged energy is still a valid upper bound for
+            # comparisons, and its acceleration a valid direction
+            res = err.result
+        energies[j], solved[j] = res.energy, True
+        if not solved.all():
+            np.maximum(lower, _dual_bounds(sys, candidates, res.accel)
+                       - QP_TOL / 4, out=lower)
+        least = energies.min()
+        best = int(np.argmax(solved & (energies <= least + QP_TOL)))
+        best_energy = energies[best]
     _log.debug("stability search: %d candidates, %d solved, %d skipped, "
-               "best energy %.3e, band %.3e, %d restarts", len(candidates),
-               len(energies), len(candidates) - len(energies), best_energy,
-               band, restarts)
+               "best energy %.3e", count, solved.sum(), count - solved.sum(),
+               best_energy)
     return best, best_energy
 
 
@@ -283,12 +244,12 @@ def select_clusters(clusters, obj: ObjectModel, mu: float = DEFAULT_MU,
     Each part starts with its highest-force cluster; parts are then visited
     in ascending id, re-selecting the cluster that minimizes the stability
     energy of {candidate} united with the other parts' current
-    representatives, in one pass.  A candidate replaces the incumbent only
-    when its energy is lower by more than QP_TOL, the solver's certified
-    gap, so ties go to the earliest cluster.  One system is assembled over
-    every cluster, and a candidate's QP is solved only when its bounds
-    leave it able to decide the pick (see ``_least_energy``), so the pick
-    is the one solving every candidate gives.
+    representatives, in one pass.  The pick is the earliest cluster whose
+    energy is within QP_TOL, the solver's certified gap, of the least.  One
+    system is assembled over every cluster, and a candidate's QP is solved
+    only when its bounds leave it able to decide the pick (see
+    ``_least_energy``), so the pick is the one solving every candidate
+    gives.
     """
     if not clusters:
         raise ValueError("no part has any contact cluster")
@@ -318,10 +279,9 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
     all parts are kept.  One system is assembled over all representatives,
     and a combination's QP is solved only when its bounds leave it able to
     decide the result (see ``_least_energy``), so the result is the one
-    solving every combination gives.  Ties break toward the
-    lexicographically smallest part-id tuple: combinations are visited in
-    that order and only improvements by more than QP_TOL, the solver's
-    certified gap, replace the incumbent.
+    solving every combination gives: the lexicographically smallest
+    part-id tuple whose energy is within QP_TOL, the solver's certified
+    gap, of the least.
     """
     if not (is_number(n_kp) and n_kp % 1 == 0 and n_kp >= 1):
         raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp!r}")

@@ -34,6 +34,7 @@ CONTACT_RADIUS = 0.002
 CONTACT_THRESHOLD = 0.5
 
 _UNIT_TOL = 1e-6
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _as_float_array(value, shape_tail, name):
@@ -64,6 +65,17 @@ def check_unit_normals(normals):
     if np.any(bad):
         raise InvalidNormal(f"{int(bad.sum())} normals deviate from unit length by more than {_UNIT_TOL}")
     return normals
+
+
+def check_forces(force):
+    """Raise ValueError unless the (n,) ``force`` array is finite,
+    non-negative and small enough that the squares of its entries sum to a
+    finite number, as the stability energy needs."""
+    if not np.all(np.isfinite(force)) or force.min(initial=0.0) < 0:
+        raise ValueError("forces must be finite and non-negative")
+    if force.max(initial=0.0) > np.sqrt(_FLOAT_MAX / max(force.size, 1)):
+        raise ValueError("forces must be small enough that their squares "
+                         "sum to a finite number")
 
 
 def compute_inertia(points, com, mass):
@@ -139,8 +151,7 @@ class ContactState:
             raise ValueError("likelihood must lie in [0, 1]")
         if part_label.min(initial=0) < 0 or part_label.max(initial=0) > N_PARTS:
             raise ValueError(f"part labels must lie in 0..{N_PARTS}")
-        if not np.all(np.isfinite(force)) or force.min(initial=0.0) < 0:
-            raise ValueError("forces must be finite and non-negative")
+        check_forces(force)
         if np.any((force > 0) & (likelihood == 0)):
             raise ValueError("positive force requires positive likelihood")
         if np.any((part_label > 0) & (likelihood == 0)):

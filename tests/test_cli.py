@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grasp_eq import io as io_mod
 from grasp_eq.batch import build_batch, batch_report, penetration_curve
 from grasp_eq.cli import build_parser, main
+from grasp_eq.errors import GraspEqError
 from grasp_eq.optimizer import OptimizationConfig
 
 
@@ -283,6 +289,23 @@ class TestCliBasics:
         assert "input error" in err and "contact part_label" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["analyze", "keypoints"])
+    def test_rejects_forces_whose_squares_overflow(self, scene_files,
+                                                   tmp_path, capsys, verb):
+        # at 1e200 times its forces, analyze once spun all QP iterations on
+        # overflowed values and exited 3, and keypoints blamed the normals
+        scene, contacts = scene_files
+        data = json.loads(contacts.read_text())
+        data["force"] = [f * 1e200 for f in data["force"]]
+        bad = tmp_path / "contacts.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "a.json"
+        assert main([verb, "--scene", str(scene),
+                     "--contacts", str(bad), "-o", str(out)]) == 2
+        assert ("input error: forces must be small enough that their "
+                "squares sum" in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["scores", "input"])
     def test_decode_rejects_boolean_scores(self, tmp_path, capsys, source):
         one_hot = [False, True] + [False] * 8
@@ -555,3 +578,134 @@ class TestBatch:
                      "--samples", "512", "--threads", "0",
                      "--out-dir", str(out)]) == 2
         assert "threads" in capsys.readouterr().err
+
+
+# The input-error contract: one leaf of a valid scene, contact, config,
+# pose or keypoint file replaced by a value of the wrong kind, an extreme
+# number or nothing; every verb that reads the file then exits 0, 2 or 3
+# with no traceback and no RuntimeWarning (the suite makes those errors).
+MISSING = object()
+REPLACEMENTS = [True, "1.0", 1e300, -1e300, 1.5, [], {}, MISSING]
+
+
+def _draw_path(data, node):
+    """A node of a JSON tree, as its key path: from the root, step into a
+    child three times in four, so that every field is drawn often."""
+    path = ()
+    while (isinstance(node, (dict, list)) and node
+           and data.draw(st.integers(0, 3)) > 0):
+        key = data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+    return path
+
+
+def _replaced(data, path, value):
+    """JSON text of ``data`` with the node at ``path`` replaced by
+    ``value`` (MISSING drops it; at the root, the file is empty)."""
+    if not path:
+        return "" if value is MISSING else json.dumps(value)
+    data = json.loads(json.dumps(data))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(data)
+
+
+def _loader_exit(load):
+    """The CLI's exit code for a file read by a loader no verb calls."""
+    try:
+        load()
+    except (GraspEqError, ValueError, KeyError, OSError,
+            json.JSONDecodeError):
+        return 2
+    return 0
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    files = {name: root / f"{name}.json"
+             for name in ("scene", "contacts", "config", "pose", "keypoints")}
+    files["config"].write_text(json.dumps({
+        "mu": 1.0, "gravity": [0.0, 0.0, -9.81], "cluster_radius": 0.01,
+        "n_kp": 3, "offset": 0.005,
+        "optimizer": {"w_kp": 10.0, "w_c": 0.5, "w_pene": 10.0,
+                      "w_reg": 0.01, "max_iters_stage2": 3,
+                      "max_iters_stage3": 3, "convergence_tol": 1e-9},
+        "binning": {"s": 10, "mu_log": 0.0, "sigma_log": 1.0,
+                    "temperature": 0.1}}))
+    assert main(["synth", "--shape", "sphere", "--dims", "0.05",
+                 "--samples", "64", "--seed", "7", "--style", "tripod",
+                 "--scene-out", str(files["scene"]),
+                 "--contacts-out", str(files["contacts"])]) == 0
+    out = root / "opt"
+    assert main(["optimize", "--config", str(files["config"]),
+                 "--scene", str(files["scene"]),
+                 "--contacts", str(files["contacts"]),
+                 "--out-dir", str(out)]) == 0
+    os.replace(out / "pose.json", files["pose"])
+    os.replace(out / "keypoints.json", files["keypoints"])
+    return root
+
+
+class TestInputContract:
+    VERBS = {
+        "scene": ("analyze", "keypoints", "optimize"),
+        "contacts": ("analyze", "keypoints", "optimize"),
+        "config": ("synth", "analyze", "keypoints", "optimize",
+                   "encode-force", "decode-force", "batch"),
+        "pose": ("load_pose",),
+        "keypoints": ("load_keypoints",),
+    }
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(data=st.data())
+    def test_one_bad_leaf_exits_0_2_or_3(self, valid_inputs, tmp_path_factory,
+                                         data):
+        valid = {name: json.loads((valid_inputs / f"{name}.json").read_text())
+                 for name in self.VERBS}
+        name = data.draw(st.sampled_from(sorted(self.VERBS)))
+        path = _draw_path(data, valid[name])
+        value = data.draw(st.sampled_from(REPLACEMENTS))
+        verb = data.draw(st.sampled_from(self.VERBS[name]))
+        work = tmp_path_factory.mktemp("case")
+        files = {}
+        for key in valid:
+            files[key] = work / f"{key}.json"
+            files[key].write_text(_replaced(valid[key], path, value)
+                                  if key == name else json.dumps(valid[key]))
+        scene = ["--scene", str(files["scene"]),
+                 "--contacts", str(files["contacts"])]
+        argv = {
+            "synth": ["--shape", "sphere", "--dims", "0.05", "--samples",
+                      "64", "--scene-out", str(work / "s.json"),
+                      "--contacts-out", str(work / "c.json")],
+            "analyze": scene + ["-o", str(work / "out.json")],
+            "keypoints": scene + ["-o", str(work / "out.json")],
+            "optimize": scene + ["--out-dir", str(work / "opt")],
+            "encode-force": ["--value", "3.0", "-o", str(work / "out.json")],
+            "decode-force": ["--scores", json.dumps([0.0] * 5 + [1.0] * 5),
+                             "-o", str(work / "out.json")],
+            "batch": ["--count", "1", "--shapes", "sphere", "--samples",
+                      "64", "--threads", "1", "--out-dir", str(work / "b")],
+        }
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            if verb == "load_pose":
+                code = _loader_exit(lambda: io_mod.load_pose(files["pose"]))
+            elif verb == "load_keypoints":
+                code = _loader_exit(
+                    lambda: io_mod.load_keypoints(files["keypoints"]))
+            else:
+                code = main([verb, "--config", str(files["config"]),
+                             *argv[verb]])
+        assert code in (0, 2, 3)
+        # a batch records a scene's exception, warnings included, as text
+        assert "Warning" not in err.getvalue()

@@ -19,7 +19,8 @@ from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
                                   stability_loss, stability_loss_masked)
 from grasp_eq.errors import InvalidNormal, ShapeError, SolverError
 from grasp_eq.keypoints import cluster_contacts, select_clusters
-from grasp_eq.scene import ContactState, _pivot_tangents, tangent_bases
+from grasp_eq.scene import (ContactState, ObjectModel, _pivot_tangents,
+                            tangent_bases)
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import (energy_matrices, grid_energy_coordinate,
@@ -59,6 +60,14 @@ class TestAssemble:
     def test_rejects_bad_friction_coefficient(self, small_sphere, mu):
         with pytest.raises(ValueError, match="friction"):
             assemble(small_sphere, BOTTOM_P, BOTTOM_N, [9.81], mu=mu)
+
+    def test_rejects_forces_whose_squares_overflow(self, small_sphere):
+        # at 1e200 the stability QP once ran all QP_MAX_ITER iterations
+        # and raised at gap inf
+        with pytest.raises(ValueError, match="squares sum to a finite"):
+            assemble(small_sphere, PINCH_P, PINCH_N, [1e200, 1e200])
+        with pytest.raises(ValueError, match="squares sum to a finite"):
+            ContactState(likelihood=[1.0], part_label=[1], force=[1e200])
 
     def test_force_linearity(self, small_sphere):
         sys1 = assemble(small_sphere, PINCH_P, PINCH_N, [2.0, 3.0])
@@ -375,6 +384,30 @@ class TestForceExistence:
                                   tol=0.0, max_iter=1)
         forces = info.value.result.forces
         assert np.all((forces >= 0.0) & (forces <= 5.0))
+
+    @pytest.mark.parametrize("mass", [0.01, 0.001])
+    def test_light_object_certifies(self, mass):
+        # 1/m and 1/I scale the edge columns up, and with them the gap's
+        # rounding past QP_TOL; at 10 g, trial 16 (points 212 and 102) once
+        # ran all QP_MAX_ITER iterations and raised at gap 1.3e-7
+        scene = generate_scene(SyntheticScene("sphere", (0.05,), 256, seed=0))
+        obj = ObjectModel(points=scene.points, normals=scene.normals,
+                          com=scene.com, mass=mass)
+        rng = np.random.default_rng(0)
+        start = time.perf_counter()
+        for _ in range(40):
+            idx = rng.choice(256, rng.integers(1, 6), replace=False)
+            n = len(idx)
+            res = solve_force_existence(obj, obj.points[idx], obj.normals[idx])
+            sys = assemble(obj, obj.points[idx], obj.normals[idx], np.zeros(n))
+            edges = (sys.n_mat[:, :, None]
+                     + sys.b_mat[:, :, None] * _EDGE_SIGNS[:, 0]
+                     + sys.t_mat[:, :, None] * _EDGE_SIGNS[:, 1]
+                     ).reshape(6, 4 * n)
+            weights, norm = nnls(edges, -sys.gravity6)
+            if weights.reshape(n, 4).sum(axis=1).max() < 20.0:
+                assert res.energy == pytest.approx(norm ** 2, abs=1e-9)
+        assert time.perf_counter() - start < 0.5
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))

@@ -451,16 +451,21 @@ class TestSelectKeypoints:
         assert a.energy == b.energy
 
 
+def earliest_tie(energies):
+    """Index of the earliest energy within QP_TOL of the least."""
+    least = min(energies)
+    return next(j for j, e in enumerate(energies) if e <= least + QP_TOL)
+
+
 def exhaustive_keypoints(reps, obj, n_kp):
-    """Reference: solve every combination, as the search did before it
-    pruned by bounds.  Looks up ``keypoints.stability_energy`` at call time,
-    so a patched solver serves both."""
-    chosen, best = None, np.inf
-    for combo in itertools.combinations(sorted(reps), min(n_kp, len(reps))):
-        energy = solved_energy(obj, [reps[p] for p in combo])
-        if energy < best - QP_TOL:
-            chosen, best = combo, energy
-    return chosen, best
+    """Reference: solve every combination and take the earliest within
+    QP_TOL of the least.  Looks up ``keypoints.stability_energy`` at call
+    time, so a patched solver serves both."""
+    combos = list(itertools.combinations(sorted(reps), min(n_kp, len(reps))))
+    energies = [solved_energy(obj, [reps[p] for p in combo])
+                for combo in combos]
+    best = earliest_tie(energies)
+    return combos[best], energies[best]
 
 
 def solved_energy(obj, group):
@@ -477,19 +482,15 @@ def solved_energy(obj, group):
 
 def exhaustive_clusters(clusters, obj):
     """Reference for select_clusters: every candidate solved, with the
-    solver ``exhaustive_keypoints`` uses."""
+    solver and the rule ``exhaustive_keypoints`` uses."""
     parts = sorted(clusters)
     reps = {p: max(clusters[p], key=lambda c: c.force) for p in parts}
     for p in parts:
         if len(clusters[p]) == 1:
             continue
         others = [reps[q] for q in parts if q != p]
-        best, best_energy = None, np.inf
-        for cand in clusters[p]:
-            energy = solved_energy(obj, [cand] + others)
-            if energy < best_energy - QP_TOL:
-                best, best_energy = cand, energy
-        reps[p] = best
+        reps[p] = clusters[p][earliest_tie(
+            [solved_energy(obj, [cand] + others) for cand in clusters[p]])]
     return reps
 
 
@@ -613,8 +614,9 @@ class TestPrunedSearch:
         message = records[0].getMessage()
         assert "560 candidates" in message
         solved = int(message.split(" solved")[0].rsplit(" ", 1)[1])
-        assert f"{560 - solved} skipped" in message
-        assert f"best energy {kps.energy:.3e}" in message
+        assert message == (f"stability search: 560 candidates, {solved} "
+                           f"solved, {560 - solved} skipped, best energy "
+                           f"{kps.energy:.3e}")
 
 
 class TestEnergyBound:
@@ -683,26 +685,20 @@ def direct_dual_bound(sys, y):
 def inflated_energy(sys):
     """stability_energy raised by 0 to 4 QP_TOL in steps of QP_TOL / 2,
     the step picked by the forces: equal true energies then tie or sit
-    within QP_TOL of each other, as energies near the band do."""
+    within QP_TOL of each other, as near-ties do."""
     res = stability_energy(sys)
     step = int(round(float(sys.forces @ np.arange(1, sys.n_contacts + 1))
                      * 7)) % 9
     return replace(res, energy=res.energy + step * QP_TOL / 2)
 
 
-def restart_count(caplog):
-    return sum(int(r.getMessage().rsplit(", ", 1)[1].split()[0])
-               for r in caplog.records if r.name == "grasp_eq")
-
-
 class TestBandSearch:
-    """The band replay returns the in-order answer when energies tie or
-    land within QP_TOL of the band, which makes it restart."""
+    """The search returns the earliest candidate within QP_TOL of the
+    least energy when energies tie or land within QP_TOL of each other."""
 
     def test_near_band_keypoints_match_exhaustive(self, small_sphere,
-                                                  monkeypatch, caplog):
+                                                  monkeypatch):
         monkeypatch.setattr(keypoints, "stability_energy", inflated_energy)
-        caplog.set_level(logging.DEBUG, logger="grasp_eq")
         rng = np.random.default_rng(1700)
         sets = [held_reps()]
         for _ in range(6):
@@ -719,12 +715,10 @@ class TestBandSearch:
                 kps = select_keypoints(reps, small_sphere, n_kp=n_kp)
                 assert (kps.parts, kps.energy) == exhaustive_keypoints(
                     reps, small_sphere, n_kp)
-        assert restart_count(caplog) > 0
 
     def test_near_band_clusters_match_exhaustive(self, small_sphere,
-                                                 monkeypatch, caplog):
+                                                 monkeypatch):
         monkeypatch.setattr(keypoints, "stability_energy", inflated_energy)
-        caplog.set_level(logging.DEBUG, logger="grasp_eq")
         rng = np.random.default_rng(1800)
         for _ in range(10):
             clusters = {}
@@ -738,15 +732,13 @@ class TestBandSearch:
             expected = exhaustive_clusters(clusters, small_sphere)
             assert {p: id(c) for p, c in reps.items()} == {
                 p: id(c) for p, c in expected.items()}
-        assert restart_count(caplog) > 0
 
-    # energies on a QP_TOL / 2 grid, so that ties and energies exactly at
-    # band - QP_TOL occur; at 1e9 a float cannot hold the band's margins,
-    # so the band must be infinite, or the replay would never end
+    # energies on a QP_TOL / 2 grid, so that ties and energies exactly
+    # QP_TOL above the least occur; at 1e9 a float cannot hold QP_TOL, so
+    # only exact ties count
     @pytest.mark.parametrize("offset", [0.0, 1e9])
     def test_replay_matches_in_order_rule_on_set_energies(self, small_sphere,
-                                                          monkeypatch, caplog,
-                                                          offset):
+                                                          monkeypatch, offset):
         # candidate j is contact j alone; each bound is at most its energy
         k = 5
         rng = np.random.default_rng(1900)
@@ -760,34 +752,15 @@ class TestBandSearch:
                                    accel=np.zeros(6))
 
         monkeypatch.setattr(keypoints, "stability_energy", set_energy)
-        caplog.set_level(logging.DEBUG, logger="grasp_eq")
         for _ in range(400):
             energies = offset + rng.integers(0, 7, size=k) * (QP_TOL / 2)
             bounds = energies * rng.choice([0.0, 0.5, 1.0], size=k)
             table.update(zip(np.arange(1.0, k + 1), energies))
             monkeypatch.setattr(keypoints, "_candidate_bounds",
                                 lambda sys, candidates, b=bounds: b.copy())
-            best, best_energy = None, np.inf
-            for j, e in enumerate(energies):
-                if e < best_energy - QP_TOL:
-                    best, best_energy = j, e
+            best = earliest_tie(energies)
             assert keypoints._least_energy(sys, np.arange(k)[:, None]) == (
-                best, best_energy)
-        if offset:
-            assert all("band inf" in r.getMessage() for r in caplog.records)
-        else:
-            assert restart_count(caplog) > 0
-
-    def test_log_reports_band_and_restarts(self, caplog):
-        obj = sphere_object()
-        reps16 = _random_representatives(np.random.default_rng(708), obj, 16)
-        caplog.set_level(logging.DEBUG, logger="grasp_eq")
-        kps = select_keypoints(reps16, obj, n_kp=3)
-        [record] = [r for r in caplog.records if r.name == "grasp_eq"]
-        # the least energy is found first, so the band never moves
-        assert record.getMessage().endswith(
-            f", best energy {kps.energy:.3e}, "
-            f"band {kps.energy + 2 * QP_TOL:.3e}, 0 restarts")
+                best, energies[best])
 
 
 class TestFindKeypoints:
