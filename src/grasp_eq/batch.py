@@ -1,9 +1,11 @@
 """Batch pipeline runs over synthetic scenes with aggregate reports.
 
-Scenes run independently, in forked worker processes when more than one
-worker is allowed, with per-scene seeds derived as seed + scene index, so
-results do not depend on scheduling.  Wall-clock timings go to a separate
-sidecar file to keep the result CSVs byte-stable across repeated runs.
+Scenes run independently, with per-scene seeds derived as seed + scene
+index, so results do not depend on scheduling.  When more than one process
+is allowed, the calling process runs scenes alongside plain forks of
+itself, and every process claims the next unrun scene from one shared
+counter.  Wall-clock timings go to a separate sidecar file to keep the
+result CSVs byte-stable across repeated runs.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +113,70 @@ def penetration_curve(rows):
     return curve
 
 
+def _fan_out(scenes, scene_fn, processes):
+    """Rows of ``scene_fn`` over ``scenes`` from this process and
+    ``processes - 1`` forks of it, in no particular order.
+
+    Each process claims the next unclaimed scene from one shared counter
+    until none is left, so a slow scene does not hold up the rest.  A fork
+    pickles its rows into its own pipe and leaves through ``os._exit``.
+    Raises RuntimeError if a fork dies or sends nothing; if anything raises
+    here, every fork still running is killed and reaped before it spreads.
+    """
+    claimed = multiprocessing.get_context("fork").Value("q", 0)
+
+    def share():
+        rows = []
+        while True:
+            with claimed.get_lock():
+                i = claimed.value
+                claimed.value = i + 1
+            if i >= len(scenes):
+                return rows
+            rows.append(scene_fn(scenes[i]))
+
+    pipes = {}  # pid -> read end of that fork's pipe
+    try:
+        for _ in range(processes - 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the fork: never return into the caller
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as out:
+                        out.write(pickle.dumps(share()))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pipes[pid] = open(read_fd, "rb")
+        rows = share()
+        for pid in list(pipes):
+            with pipes[pid] as pipe:
+                # to EOF before waitpid: a fork blocked on a full pipe
+                # would never exit
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del pipes[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not data:
+                raise RuntimeError(f"batch process {pid} exited with status "
+                                   f"{code} after sending {len(data)} bytes")
+            rows.extend(pickle.loads(data))
+        return rows
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
                  gravity=GRAVITY, out_dir=None, threads: int = None,
                  use_keypoints: bool = True):
@@ -119,13 +186,14 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
     (per-scene rows + aggregate means), penetration_curve.csv, and
     timings.csv (wall clock, non-deterministic by nature).
 
-    ``threads`` caps the number of worker processes and must be at least 1;
-    None means the CPUs this process may run on (its affinity set, so a
-    pinned run forks no more workers than it has CPUs).  Workers are
-    forked, so they inherit the imported package and any patched module
-    attributes; a spawned worker would pay a package import, about 0.5 s,
-    on every call.  With one worker, or one scene, the scenes run serially
-    in this process.
+    ``threads`` caps the number of processes that run scenes, this one
+    included, and must be at least 1; None means the CPUs this process may
+    run on (its affinity set, so a pinned run forks no more processes than
+    it has CPUs).  This process runs scenes too and forks ``threads - 1``
+    more; forks inherit the imported package and any patched module
+    attributes, where a spawned process would pay a package import, about
+    0.5 s, on every call.  With one process, or one scene, the scenes run
+    serially in this process.  Only this process writes the CSVs.
     """
     scenes = list(scenes)
     if not scenes:
@@ -139,10 +207,7 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
     if threads == 1:
         rows = [scene_fn(s) for s in scenes]
     else:
-        with ProcessPoolExecutor(
-                max_workers=threads,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            rows = list(pool.map(scene_fn, scenes))
+        rows = _fan_out(scenes, scene_fn, threads)
     rows.sort(key=lambda r: r.index)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

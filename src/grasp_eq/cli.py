@@ -348,7 +348,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int,
-                   help="most worker processes to fork (default: the CPUs "
+                   help="most processes that run scenes, this one "
+                        "included, which forks the rest (default: the CPUs "
                         "this process may run on; 1 runs serially)")
     p.set_defaults(func=_cmd_batch)
     return parser

@@ -29,7 +29,7 @@ class EmptyHand(GraspEqError):
 
 
 class InvalidBinCount(GraspEqError):
-    """Force binning needs at least 3 bins."""
+    """Force binning needs from 3 to force_codec.MAX_BINS bins."""
 
 
 class InvalidSpread(GraspEqError):

@@ -19,6 +19,10 @@ from .scene import nearest_site
 
 DEFAULT_TEMPERATURE = 0.02
 
+# Most bins a binning may have; the paper uses 3-10.  The edges and centers
+# are allocated only after this check.
+MAX_BINS = 10_000
+
 # Softmax weights below this fraction of the dominant weight are flushed to
 # zero so that decode(encode(0)) returns exactly 0.0 (the zero bin's center
 # is 0; residual exp(-1/t) leakage from other bins would otherwise survive).
@@ -44,9 +48,11 @@ class ForceBinning:
 
 
 def build_binning(s: int, mu_log: float = 0.0, sigma_log: float = 1.0) -> ForceBinning:
-    """Construct the binning; s >= 3 and sigma_log > 0."""
+    """Construct the binning; 3 <= s <= MAX_BINS and sigma_log > 0."""
     if int(s) != s or s < 3:
         raise InvalidBinCount(f"need an integer count of at least 3 bins, got {s!r}")
+    if s > MAX_BINS:
+        raise InvalidBinCount(f"need at most {MAX_BINS} bins, got {s!r}")
     s = int(s)
     if not sigma_log > 0:
         raise InvalidSpread(f"sigma_log must be positive, got {sigma_log}")

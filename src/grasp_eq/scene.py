@@ -58,8 +58,11 @@ def _freeze(arr):
 def check_unit_normals(normals):
     """Raise InvalidNormal unless every row is a finite unit vector."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    if not np.all(np.isfinite(normals)):
-        raise InvalidNormal("normals contain non-finite values")
+    # no unit vector has a component larger than 1 in size, and a much
+    # larger one would overflow the length below; NaN fails this test too
+    if not np.all(np.abs(normals) <= 1.0 + _UNIT_TOL):
+        raise InvalidNormal("normals must be finite, with no component "
+                            f"larger than 1 + {_UNIT_TOL} in size")
     norms = np.linalg.norm(normals, axis=-1)
     bad = np.abs(norms - 1.0) > _UNIT_TOL
     if np.any(bad):

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -440,11 +443,55 @@ class TestCliBasics:
     def test_encode_rejects_zero_bins(self, capsys):
         assert main(["encode-force", "--value", "1", "--bins", "0"]) == 2
 
+    @pytest.mark.parametrize("source,count", [
+        ("flag", 10 ** 9), ("config", 1e9), ("config", 1e300)])
+    def test_encode_rejects_too_many_bins(self, tmp_path, capsys, source,
+                                          count):
+        if source == "flag":
+            args = ["--bins", str(count)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"binning": {"s": count}}))
+            args = ["--config", str(cfg)]
+        assert main(["encode-force", "--value", "1", *args]) == 2
+        err = capsys.readouterr().err
+        assert "input error: need at most 10000 bins" in err
+        assert repr(count) in err
+
+    @pytest.mark.parametrize("size", [1e300, -1e300])
+    def test_analyze_names_normals_too_large_to_square(self, scene_files,
+                                                        tmp_path, capsys,
+                                                        size):
+        scene, contacts = scene_files
+        data = json.loads(scene.read_text())
+        data["normals"][0] = [size, 0.0, 0.0]
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--scene", str(bad),
+                     "--contacts", str(contacts), "-o", str(out)]) == 2
+        assert "normals" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck", "--count", "3", "--seed", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["loss_gradient"]["max_rel_err"] <= 1e-3
+
+
+def _assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def serial_rows():
+    """Seven scenes, a short config and their rows from a serial run."""
+    config = OptimizationConfig(max_iters_stage2=5, max_iters_stage3=5)
+    scenes = build_batch(7, ["sphere", "box"], seed=5, sample_count=512)
+    return scenes, config, batch_report(scenes, config, threads=1)
 
 
 class TestBatch:
@@ -490,25 +537,71 @@ class TestBatch:
             batch_report(scenes, OptimizationConfig(), threads=threads)
 
     def test_default_workers_follow_the_affinity_set(self, monkeypatch):
-        from grasp_eq import batch as batch_mod
+        real_fork = os.fork
+        forks = []
 
-        built = []
-
-        class NoPool:
-            def __init__(self, max_workers, mp_context):
-                built.append(max_workers)
-                raise RuntimeError("pool built")
-        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", NoPool)
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+        monkeypatch.setattr(os, "fork", counted_fork)
         config = OptimizationConfig(max_iters_stage2=5, max_iters_stage3=5)
         scenes = build_batch(2, ["sphere"], seed=0, sample_count=512)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with pytest.raises(RuntimeError, match="pool built"):
-            batch_report(scenes, config)
-        assert built == [2]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        rows = batch_report(scenes, config)  # one CPU: serial, no pool
-        assert built == [2]
+        rows = batch_report(scenes, config)  # this process and one fork
+        assert len(forks) == 1
         assert [r.status for r in rows] == ["ok", "ok"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rows = batch_report(scenes, config)  # one CPU: serial, no fork
+        assert len(forks) == 1
+        assert [r.status for r in rows] == ["ok", "ok"]
+        _assert_no_children()
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_every_scene_runs_once_at_any_process_count(self, threads,
+                                                        serial_rows):
+        scenes, config, serial = serial_rows
+        assert len(scenes) > threads
+        rows = batch_report(scenes, config, threads=threads)
+        _assert_no_children()
+        assert [r.index for r in rows] == list(range(len(scenes)))
+        assert rows == serial
+
+    def test_a_fork_that_dies_fails_the_batch(self, monkeypatch):
+        from grasp_eq import batch as batch_mod
+        from grasp_eq.batch import SceneRow
+
+        parent = os.getpid()
+        fork_claimed = multiprocessing.get_context("fork").Event()
+
+        def dies_in_the_fork(scene, **kwargs):
+            if os.getpid() != parent:
+                fork_claimed.set()
+                os.kill(os.getpid(), signal.SIGKILL)
+            # hold the parent's first scene until the fork has one of its own
+            assert fork_claimed.wait(timeout=30)
+            return SceneRow(index=scene.index, shape="sphere", style="tripod",
+                            seed=scene.index, status="ok")
+        monkeypatch.setattr(batch_mod, "run_scene", dies_in_the_fork)
+        scenes = build_batch(4, ["sphere"], seed=0, sample_count=512)
+        with pytest.raises(RuntimeError, match="status -9"):
+            batch_report(scenes, OptimizationConfig(), threads=2)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("error", [LookupError, KeyboardInterrupt])
+    def test_an_error_in_the_parent_kills_the_forks(self, monkeypatch, error):
+        from grasp_eq import batch as batch_mod
+
+        parent = os.getpid()
+
+        def raises_in_the_parent(scene, **kwargs):
+            if os.getpid() == parent:
+                raise error("parent scene failed")
+            time.sleep(60)  # a fork still running when the parent raises
+        monkeypatch.setattr(batch_mod, "run_scene", raises_in_the_parent)
+        scenes = build_batch(4, ["sphere"], seed=0, sample_count=512)
+        with pytest.raises(error, match="parent scene failed"):
+            batch_report(scenes, OptimizationConfig(), threads=3)
+        _assert_no_children()
 
     def test_scene_failing_in_a_worker_matches_serial(self, monkeypatch):
         from grasp_eq import batch as batch_mod

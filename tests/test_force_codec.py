@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from grasp_eq.errors import (InvalidBinCount, InvalidForce, InvalidSpread,
                              InvalidTemperature, ShapeError)
-from grasp_eq.force_codec import build_binning, decode, encode, spread_force
+from grasp_eq.force_codec import (MAX_BINS, build_binning, decode, encode,
+                                  spread_force)
 
 from conftest import sphere_object
 
@@ -33,6 +34,12 @@ class TestBinning:
             build_binning(2)
         with pytest.raises(InvalidSpread):
             build_binning(10, 0.0, 0.0)
+
+    def test_bin_count_is_capped_before_allocation(self):
+        assert build_binning(MAX_BINS).centers.shape == (MAX_BINS,)
+        for s in (MAX_BINS + 1, 10 ** 9, 1e300):
+            with pytest.raises(InvalidBinCount, match="at most"):
+                build_binning(s)
 
 
 class TestEncode:

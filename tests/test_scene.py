@@ -87,6 +87,12 @@ class TestTangentBasis:
         with pytest.raises(InvalidNormal):
             tangent_bases(np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]]))
 
+    @pytest.mark.parametrize("size", [1e300, -1e300, 1.0 + 2e-6])
+    def test_rejects_components_beyond_unit_size(self, size):
+        # 1e300 once overflowed in the length test before it could raise
+        with pytest.raises(InvalidNormal, match="normals"):
+            tangent_bases(np.array([[0.0, 0.0, 1.0], [size, 0.0, 0.0]]))
+
 
 class TestInertia:
     def test_single_point(self):
