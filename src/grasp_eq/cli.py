@@ -9,6 +9,7 @@ scenes fail, then exits 3 if every failure is a solver error, else 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -73,7 +74,7 @@ def _gravity(args, cfg, file_gravity=None):
     if args.gravity is not None:
         return np.array(_parse_floats(args.gravity, 3, "--gravity"))
     if "gravity" in cfg:
-        return io_mod.json_vector(cfg["gravity"], 3, "gravity")
+        return io_mod.json_array(cfg["gravity"], "gravity", shape=(3,))
     if file_gravity is not None:
         return np.asarray(file_gravity, dtype=float)
     return np.array(GRAVITY)
@@ -174,19 +175,16 @@ def _cmd_optimize(args, cfg):
                           result.keypoints)
     io_mod.save_trace(os.path.join(args.out_dir, "trace.csv"), result.trace)
     evaluation = {
-        "before": {"residual": result.report_before.residual,
-                   "contacts": result.report_before.contact_count,
-                   "max_penetration": result.report_before.max_penetration},
-        "after": {"residual": result.report_after.residual,
-                  "contacts": result.report_after.contact_count,
-                  "max_penetration": result.report_after.max_penetration},
+        **{name: {"residual": report.residual,
+                  "contacts": report.contact_count,
+                  "max_penetration": report.max_penetration}
+           for name, report in (("before", result.report_before),
+                                ("after", result.report_after))},
         "keypoint_energy": result.keypoints.energy,
         "registration_residual": result.registration.residual,
         # last_drop is nan for a stage that accepted no step; null keeps
         # the file strict JSON
-        "stops": {str(stage): {"reason": stop.reason,
-                               "iterations": stop.iterations,
-                               "evaluations": stop.evaluations,
+        "stops": {str(stage): {**dataclasses.asdict(stop),
                                "last_drop": None if math.isnan(stop.last_drop)
                                else stop.last_drop}
                   for stage, stop in sorted(result.trace.stops.items())},
@@ -211,26 +209,16 @@ def _cmd_encode_force(args, cfg):
     return 0
 
 
-def _check_scores(data):
-    """Every entry of a (nested) score list must be a JSON number."""
-    if isinstance(data, list):
-        for entry in data:
-            _check_scores(entry)
-    else:
-        io_mod.json_number(data, "score")
-
-
 def _cmd_decode_force(args, cfg):
     binning, temperature = _binning(args, cfg)
     if args.temperature is not None:
         temperature = args.temperature
     data = io_mod.load_json(args.input) if args.input else json.loads(args.scores)
-    _check_scores(data)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        payload = decode(arr, binning, temperature)
-    else:
+    arr = io_mod.json_array(data, "score")
+    if arr.ndim == 2:
         payload = [decode(row, binning, temperature) for row in arr]
+    else:  # decode refuses any shape but (bins,)
+        payload = decode(arr, binning, temperature)
     _emit(payload, args.output)
     return 0
 
@@ -275,6 +263,15 @@ def build_parser() -> _Parser:
     physics = argparse.ArgumentParser(add_help=False)
     physics.add_argument("--gravity", help="gravity as x,y,z")
     physics.add_argument("--mu", type=float, help="friction coefficient")
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--scene", required=True)
+    scene.add_argument("--contacts", required=True)
+    keypoint = argparse.ArgumentParser(add_help=False)
+    keypoint.add_argument("--n-kp", type=int)
+    keypoint.add_argument("--cluster-radius", type=float)
+    keypoint.add_argument("--offset", type=float)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[config, seed, physics],
@@ -289,56 +286,40 @@ def build_parser() -> _Parser:
     p.add_argument("--contacts-out")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("analyze", parents=[config, physics],
+    p = sub.add_parser("analyze", parents=[config, physics, scene, output],
                        help="stability energy and loss of a contact state")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--contacts", required=True)
-    p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("keypoints", parents=[config, physics],
+    p = sub.add_parser("keypoints",
+                       parents=[config, physics, scene, keypoint, output],
                        help="select stability-optimal contact keypoints")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--contacts", required=True)
-    p.add_argument("--n-kp", type=int, dest="n_kp")
-    p.add_argument("--cluster-radius", type=float, dest="cluster_radius")
-    p.add_argument("--offset", type=float)
-    p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_keypoints)
 
-    p = sub.add_parser("optimize", parents=[config, physics],
+    p = sub.add_parser("optimize", parents=[config, physics, scene, keypoint],
                        help="run the three-stage pose optimization")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--contacts", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-kp", type=int, dest="n_kp")
-    p.add_argument("--cluster-radius", type=float, dest="cluster_radius")
-    p.add_argument("--offset", type=float)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("encode-force", parents=[config],
+    p = sub.add_parser("encode-force", parents=[config, output],
                        help="one-hot encode force values")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--value", type=float)
     g.add_argument("--input", help="JSON file with a list of forces")
     p.add_argument("--bins", type=int)
-    p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_encode_force)
 
-    p = sub.add_parser("decode-force", parents=[config],
+    p = sub.add_parser("decode-force", parents=[config, output],
                        help="soft-argmax decode force score vectors")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--scores", help="JSON array of bin scores")
     g.add_argument("--input", help="JSON file with scores")
     p.add_argument("--bins", type=int)
     p.add_argument("--temperature", type=float)
-    p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_decode_force)
 
-    p = sub.add_parser("gradcheck", parents=[seed],
+    p = sub.add_parser("gradcheck", parents=[seed, output],
                        help="verify analytic gradients against finite differences")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("batch", parents=[config, seed, physics],

@@ -221,7 +221,8 @@ def _solve_box(mat, const, tol, max_iter):
         gap = min(float(g @ x + np.abs(g).sum()), f)
         if f < best_f:
             best_x, best_f, best_gap = x.copy(), f, gap
-        if gap < tol:
+        # with no coordinates x is the minimizer, whatever tol is
+        if gap < tol or not k:
             return x, True, gap, steps, outer
         # a coordinate held at x_i = +-1 violates KKT when x_i * g_i > 0
         violation = np.where(free, 0.0, x * g)
@@ -310,7 +311,8 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
         noise = 2.0 * _EPS * (abs_mat.T @ (abs_mat @ lam.ravel() + abs_const))
         floor = float((noise.reshape(n, 4).max(axis=1)
                        * (cap + lam.sum(axis=1))).sum())
-        if gap < tol * max(1.0, floor / QP_TOL):
+        # with no contacts lam is the minimizer, whatever tol is
+        if gap < tol * max(1.0, floor / QP_TOL) or not n:
             return lam, True, gap, steps, outer
         # a capped contact's free edges share one gradient `level` at a face
         # minimum: a zero edge violates KKT when its gradient is below the
@@ -347,10 +349,6 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     """
     n = sys.n_contacts
     const = sys.n_mat @ sys.forces + sys.gravity6
-    if n == 0:
-        _stability_log.debug(_STABILITY_LOG, 0, 0, 0, 0.0)
-        return StabilityResult(energy=float(const @ const), gamma=np.zeros(0),
-                               delta=np.zeros(0), accel=_freeze(const))
     scaled = sys.mu * sys.forces
     mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
     # past E0 = 1e4, floats cannot certify an absolute gap of QP_TOL
@@ -457,19 +455,14 @@ def solve_force_existence(obj: ObjectModel, points, normals,
         raise ValueError("f_max must be finite and non-negative")
     points = np.atleast_2d(np.asarray(points, dtype=float)).reshape(-1, 3)
     n = points.shape[0]
-    gravity6 = np.concatenate([np.asarray(gravity, dtype=float), np.zeros(3)])
-    if n == 0:
-        _log.debug(_FORCE_EXISTENCE_LOG, 0, 0, 0, 0.0)
-        return ForceExistenceResult(energy=float(gravity6 @ gravity6),
-                                    forces=np.zeros(0), gamma=np.zeros(0),
-                                    delta=np.zeros(0), accel=_freeze(gravity6))
     sys = assemble(obj, points, normals, np.zeros(n), mu=mu, gravity=gravity)
+    gravity6 = sys.gravity6
     mat = (sys.n_mat[:, :, None]
            + mu * sys.b_mat[:, :, None] * _EDGE_SIGNS[:, 0]
            + mu * sys.t_mat[:, :, None] * _EDGE_SIGNS[:, 1]).reshape(6, 4 * n)
     # the minimizer is not unique; from lam = 0 the solver lands on sparse
     # vertices, from this interior point it keeps force on most contacts
-    share = min(obj.mass * float(np.linalg.norm(gravity6)) / n, f_max)
+    share = min(obj.mass * float(np.linalg.norm(gravity6)) / max(n, 1), f_max)
     lam, converged, gap_val, steps, rounds = _solve_pyramid(
         mat, gravity6, np.full((n, 4), share / 4.0), f_max, tol, max_iter)
     _log.debug(_FORCE_EXISTENCE_LOG, n, steps, rounds, gap_val)

@@ -8,6 +8,8 @@ nearest-neighbor switches (where the losses are not differentiable).
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,6 +154,14 @@ def check_pose_gradients(rng, obj, contacts):
     return True, worst
 
 
+def _summary(check, count):
+    """How many calls of ``check`` checked, stopping at ``count`` of them
+    or after 20 * count calls, and the largest error among them."""
+    tries = (check() for _ in range(20 * count))
+    errors = [err for _, err in islice(filter(itemgetter(0), tries), count)]
+    return {"checked": len(errors), "max_rel_err": max([0.0, *errors])}
+
+
 def run_gradcheck(count=20, seed=0):
     """CLI entry: run both gradient families and summarize."""
     rng = np.random.default_rng(seed)
@@ -159,27 +169,9 @@ def run_gradcheck(count=20, seed=0):
                           seed=seed)
     obj = generate_scene(spec)
     contacts = generate_contacts(obj, "tripod", seed=seed)
-    loss_checked = pose_checked = 0
-    loss_worst = pose_worst = 0.0
-    attempts = 0
-    while loss_checked < count and attempts < 20 * count:
-        attempts += 1
-        ok, err = check_loss_gradient(rng)
-        if ok:
-            loss_checked += 1
-            loss_worst = max(loss_worst, err)
-    attempts = 0
-    while pose_checked < count and attempts < 20 * count:
-        attempts += 1
-        ok, err = check_pose_gradients(rng, obj, contacts)
-        if ok:
-            pose_checked += 1
-            pose_worst = max(pose_worst, err)
-    passed = (loss_checked == count and pose_checked == count
-              and loss_worst <= REL_TOL and pose_worst <= REL_TOL)
-    return {
-        "loss_gradient": {"checked": loss_checked, "max_rel_err": loss_worst},
-        "pose_gradients": {"checked": pose_checked, "max_rel_err": pose_worst},
-        "tolerance": REL_TOL,
-        "passed": bool(passed),
-    }
+    loss = _summary(lambda: check_loss_gradient(rng), count)
+    pose = _summary(lambda: check_pose_gradients(rng, obj, contacts), count)
+    passed = all(family["checked"] == count and family["max_rel_err"] <= REL_TOL
+                 for family in (loss, pose))
+    return {"loss_gradient": loss, "pose_gradients": pose,
+            "tolerance": REL_TOL, "passed": passed}

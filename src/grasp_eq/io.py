@@ -72,14 +72,6 @@ def json_number(value, field):
     return float(value)
 
 
-def json_vector(value, count, field):
-    """``value`` as a float array, if it is a list of ``count`` numbers."""
-    if not isinstance(value, list) or len(value) != count:
-        raise ValueError(f"{field} must be a list of {count} numbers, "
-                         f"got {value!r}")
-    return np.array([json_number(v, field) for v in value])
-
-
 def json_array(value, field, dtype=float, shape=None):
     """``value`` as an array, if every entry of its nested lists is a
     number (a whole number that ``dtype`` holds, for an integer ``dtype``)
@@ -132,7 +124,7 @@ def load_scene(path):
                       mass=json_number(data.get("mass", 1.0), "scene mass"))
     if "gravity" not in data:
         return obj, np.array(GRAVITY)
-    return obj, json_vector(data["gravity"], 3, "scene gravity")
+    return obj, json_array(data["gravity"], "scene gravity", shape=(3,))
 
 
 def save_contacts(path, state: ContactState):
@@ -166,9 +158,11 @@ def save_pose(path, pose: HandPose):
 def load_pose(path) -> HandPose:
     data = load_json(path)
     _require(data, ("rot", "trans", "angles"), f"pose file {path}")
-    return HandPose(rotation=json_vector(data["rot"], 3, "pose rot"),
-                    translation=json_vector(data["trans"], 3, "pose trans"),
-                    angles=json_vector(data["angles"], N_ANGLES, "pose angles"),
+    return HandPose(rotation=json_array(data["rot"], "pose rot", shape=(3,)),
+                    translation=json_array(data["trans"], "pose trans",
+                                           shape=(3,)),
+                    angles=json_array(data["angles"], "pose angles",
+                                      shape=(N_ANGLES,)),
                     scale=json_number(data.get("scale", 1.0), "pose scale"))
 
 

@@ -320,7 +320,7 @@ class TestCliBasics:
             inputs = ["--input", str(scores)]
         out = tmp_path / "out.json"
         assert main(["decode-force", *inputs, "-o", str(out)]) == 2
-        assert "score must be a number" in capsys.readouterr().err
+        assert "score must hold only numbers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_encode_decode(self, capsys):
