@@ -119,21 +119,25 @@ def _fan_out(scenes, scene_fn, processes):
 
     Each process claims the next unclaimed scene from one shared counter
     until none is left, so a slow scene does not hold up the rest.  A fork
-    pickles its rows into its own pipe and leaves through ``os._exit``.
-    Raises RuntimeError if a fork dies or sends nothing; if anything raises
-    here, every fork still running is killed and reaped before it spreads.
+    pickles its rows into its own pipe and leaves through ``os._exit``; it
+    stops claiming once this process is gone, even killed, which changes
+    its parent.  Raises RuntimeError if a fork dies or sends nothing; if
+    anything raises here, every fork still running is killed and reaped
+    before it spreads.
     """
     claimed = multiprocessing.get_context("fork").Value("q", 0)
+    caller = os.getpid()
 
     def share():
         rows = []
-        while True:
+        while os.getpid() == caller or os.getppid() == caller:
             with claimed.get_lock():
                 i = claimed.value
                 claimed.value = i + 1
             if i >= len(scenes):
-                return rows
+                break
             rows.append(scene_fn(scenes[i]))
+        return rows
 
     pipes = {}  # pid -> read end of that fork's pipe
     try:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ShapeError, SolverError, is_number
 from .hand import _cross
-from .scene import (GRAVITY, ObjectModel, _freeze, _pivot_tangents,
-                    check_forces, check_unit_normals)
+from .scene import (_FLOAT_MAX, GRAVITY, ObjectModel, _freeze,
+                    _pivot_tangents, check_forces, check_unit_normals)
 
 DEFAULT_MU = 1.0
 QP_TOL = 1e-8
@@ -128,6 +128,9 @@ def assemble(obj: ObjectModel, points, normals, forces,
     gravity = np.asarray(gravity, dtype=float)
     if gravity.shape != (3,) or not np.all(np.isfinite(gravity)):
         raise ValueError("gravity must be a finite 3-vector")
+    if np.abs(gravity).max() > np.sqrt(_FLOAT_MAX / 4):
+        raise ValueError("gravity must be small enough that its squares sum "
+                         "to a finite number")
     if n:
         check_unit_normals(normals)
         if bases is None:

@@ -1,5 +1,6 @@
-"""Exception hierarchy and the number test shared by all modules."""
+"""Exception hierarchy and the number tests shared by all modules."""
 
+import math
 import numbers
 
 
@@ -10,6 +11,15 @@ def is_number(value, kind=numbers.Real):
     integers; a setting given either is not a number.
     """
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def is_finite(value):
+    """Whether the number ``value`` is neither NaN nor infinite, nor a
+    whole number too large for a float (Python's json reads all three)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class GraspEqError(Exception):
@@ -33,7 +43,8 @@ class InvalidBinCount(GraspEqError):
 
 
 class InvalidSpread(GraspEqError):
-    """Force binning log-spread must be positive."""
+    """Force binning log-center and log-spread must be finite, the spread
+    positive, and the top bin's center a finite float."""
 
 
 class InvalidForce(GraspEqError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidBinCount, InvalidForce, InvalidSpread,
-                     InvalidTemperature, ShapeError)
+                     InvalidTemperature, ShapeError, is_finite)
 from .scene import nearest_site
 
 DEFAULT_TEMPERATURE = 0.02
@@ -27,6 +27,8 @@ MAX_BINS = 10_000
 # zero so that decode(encode(0)) returns exactly 0.0 (the zero bin's center
 # is 0; residual exp(-1/t) leakage from other bins would otherwise survive).
 _WEIGHT_FLOOR = 1e-18
+
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,21 +50,30 @@ class ForceBinning:
 
 
 def build_binning(s: int, mu_log: float = 0.0, sigma_log: float = 1.0) -> ForceBinning:
-    """Construct the binning; 3 <= s <= MAX_BINS and sigma_log > 0."""
-    if int(s) != s or s < 3:
-        raise InvalidBinCount(f"need an integer count of at least 3 bins, got {s!r}")
+    """Construct the binning; 3 <= s <= MAX_BINS, mu_log and sigma_log
+    finite, sigma_log > 0, and the top bin's center a finite float."""
+    # +inf fails the first test and NaN and -inf the second before int(s)
     if s > MAX_BINS:
         raise InvalidBinCount(f"need at most {MAX_BINS} bins, got {s!r}")
+    if not s >= 3 or int(s) != s:
+        raise InvalidBinCount(f"need an integer count of at least 3 bins, got {s!r}")
     s = int(s)
-    if not sigma_log > 0:
-        raise InvalidSpread(f"sigma_log must be positive, got {sigma_log}")
+    if not is_finite(mu_log):
+        raise InvalidSpread(f"mu_log must be finite, got {mu_log}")
+    if not (is_finite(sigma_log) and sigma_log > 0):
+        raise InvalidSpread(f"sigma_log must be finite and positive, got {sigma_log}")
     mu_log = float(mu_log)
     sigma_log = float(sigma_log)
+    half = 3.0 * sigma_log / (s - 2)
+    # the top bin's log-center, as computed below, in Python floats, which
+    # overflow to inf without a numpy error
+    if not mu_log + 3.0 * sigma_log + half <= _LOG_MAX:
+        raise InvalidSpread(f"mu_log {mu_log} and sigma_log {sigma_log} put "
+                            "the top bin's center past the float range")
     # log-edges of the finite interior boundaries, uniformly spaced
     i = np.arange(1, s)
     log_edges = mu_log + (6.0 * (i - 1) / (s - 2) - 3.0) * sigma_log
     edges = np.concatenate(([0.0], np.exp(log_edges), [np.inf]))
-    half = 3.0 * sigma_log / (s - 2)
     log_centers = np.empty(s - 1)
     log_centers[:-1] = 0.5 * (log_edges[:-1] + log_edges[1:])
     log_centers[-1] = log_edges[-1] + half

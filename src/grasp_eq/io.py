@@ -3,7 +3,8 @@
 Floats are emitted with Python's shortest-exact repr, so writing and
 re-reading any artifact reproduces the in-memory values bit for bit.
 Loaders read every numeric field as the JSON numbers it holds: a boolean,
-a string, a fractional id or a misshapen array is refused, not converted.
+a string, NaN, an infinity, a fractional id or a misshapen array is
+refused, not converted.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .errors import is_number
+from .errors import is_finite, is_number
 from .hand import N_ANGLES, HandPose
 from .keypoints import KeypointSet
 from .optimizer import TraceRecord
@@ -65,22 +66,25 @@ def load_json(path):
 
 
 def json_number(value, field):
-    """``value`` as a float, if it is a number; JSON ``true``, ``false``,
-    strings and ``null`` are not."""
-    if not is_number(value):
-        raise ValueError(f"{field} must be a number, got {value!r}")
+    """``value`` as a float, if it is a finite number; JSON ``true``,
+    ``false``, strings, ``null``, NaN and the infinities are not."""
+    if not (is_number(value) and is_finite(value)):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
     return float(value)
 
 
 def json_array(value, field, dtype=float, shape=None):
     """``value`` as an array, if every entry of its nested lists is a
-    number (a whole number that ``dtype`` holds, for an integer ``dtype``)
-    and, when ``shape`` is given, the array has that shape."""
+    finite number (a whole number that ``dtype`` holds, for an integer
+    ``dtype``) and, when ``shape`` is given, the array has that shape."""
     whole = np.issubdtype(dtype, np.integer)
     bounds = np.iinfo(dtype) if whole else None
     for entry in np.asarray(value, dtype=object).ravel():
         if not is_number(entry):
             raise ValueError(f"{field} must hold only numbers, got {entry!r}")
+        if not is_finite(entry):
+            raise ValueError(f"{field} must hold only finite numbers, "
+                             f"got {entry!r}")
         if whole and entry % 1 != 0:
             raise ValueError(f"{field} must hold only whole numbers, "
                              f"got {entry!r}")

@@ -35,6 +35,9 @@ CONTACT_THRESHOLD = 0.5
 
 _UNIT_TOL = 1e-6
 _FLOAT_MAX = np.finfo(float).max
+# coordinates no larger than this keep the squared distance between two
+# points, such as a surface point and the com, a finite sum
+_COORD_MAX = float(np.sqrt(_FLOAT_MAX)) / 4
 
 
 def _as_float_array(value, shape_tail, name):
@@ -44,8 +47,10 @@ def _as_float_array(value, shape_tail, name):
             raise ValueError(f"{name} must have shape (3,), got {arr.shape}")
     elif arr.ndim != 2 or arr.shape[1:] != shape_tail:
         raise ValueError(f"{name} must have shape (n, {shape_tail[0]}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+    # NaN fails this test too
+    if not np.all(np.abs(arr) <= _COORD_MAX):
+        raise ValueError(f"{name} must be finite, with no coordinate larger "
+                         f"than {_COORD_MAX:.3g} in size")
     return arr
 
 

@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -15,6 +17,7 @@ from grasp_eq import io as io_mod
 from grasp_eq.batch import build_batch, batch_report, penetration_curve
 from grasp_eq.cli import build_parser, main
 from grasp_eq.errors import GraspEqError
+from grasp_eq.force_codec import build_binning, decode
 from grasp_eq.optimizer import OptimizationConfig
 
 
@@ -473,11 +476,122 @@ class TestCliBasics:
         assert "normals" in capsys.readouterr().err
         assert not out.exists()
 
+    # Python's json reads these three non-standard literals
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["s", "mu_log", "sigma_log",
+                                       "temperature"])
+    @pytest.mark.parametrize("verb", ["encode-force", "decode-force"])
+    def test_rejects_non_finite_binning(self, tmp_path, capsys, verb, field,
+                                        value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"binning": {{"{field}": {value}}}}}')
+        out = tmp_path / "out.json"
+        inputs = (["--value", "2.0"] if verb == "encode-force"
+                  else ["--scores", json.dumps([0.0, 1.0] + [0.0] * 8)])
+        assert main([verb, "--config", str(cfg), *inputs,
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert (f"binning {field}" if field == "s" else field) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scores", ["5", "[[[0, 1, 0]]]"])
+    def test_decode_rejects_scores_not_1d_or_2d(self, tmp_path, capsys,
+                                               scores):
+        out = tmp_path / "out.json"
+        assert main(["decode-force", "--scores", scores, "--bins", "3",
+                     "-o", str(out)]) == 2
+        assert "scores" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decode_2d_scores_and_temperature_flag(self, tmp_path, capsys):
+        rows = np.random.default_rng(0).normal(size=(3, 10)).tolist()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"binning": {"temperature": 5.0}}))
+        assert main(["decode-force", "--config", str(cfg), "--scores",
+                     json.dumps(rows), "--temperature", "0.3"]) == 0
+        binning = build_binning(10)
+        assert json.loads(capsys.readouterr().out) == [
+            decode(row, binning, 0.3) for row in rows]
+
+    def test_gravity_flag(self, scene_files, tmp_path, capsys):
+        scene, contacts = scene_files
+        inputs = ["--scene", str(scene), "--contacts", str(contacts)]
+        cfg = tmp_path / "cfg.json"
+        outputs = []
+        for gravity, flag in (([0.0, 0.0, -9.81], []),
+                              ([0.0, 0.0, -5.0], []),
+                              ([0.0, 0.0, -9.81], ["--gravity", "0,0,-5"])):
+            cfg.write_text(json.dumps({"gravity": gravity}))
+            assert main(["analyze", *inputs, "--config", str(cfg),
+                         *flag]) == 0
+            outputs.append(capsys.readouterr().out)
+        # the flag wins over the config
+        assert outputs[2] == outputs[1] != outputs[0]
+        assert main(["analyze", *inputs, "--gravity", "0,-5"]) == 2
+        assert ("--gravity expects 3 comma-separated values"
+                in capsys.readouterr().err)
+
+    def test_solver_error_exits_3(self, scene_files, monkeypatch, capsys):
+        from grasp_eq import cli
+        from grasp_eq.errors import SolverError
+
+        def not_converged(sys):
+            raise SolverError("stability QP not converged")
+        monkeypatch.setattr(cli, "stability_energy", not_converged)
+        scene, contacts = scene_files
+        assert main(["analyze", "--scene", str(scene),
+                     "--contacts", str(contacts)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "solver error: stability QP not converged\n"
+        assert captured.out == ""
+
+    # a square of 1e300 overflows; each field is named before any squaring
+    @pytest.mark.parametrize("source, field", [
+        ("scene", "points"), ("scene", "com"), ("scene", "gravity"),
+        ("config", "gravity"), ("flag", "gravity")])
+    def test_analyze_names_fields_too_large_to_square(self, scene_files,
+                                                      tmp_path, capsys,
+                                                      source, field):
+        scene, contacts = scene_files
+        data = json.loads(scene.read_text())
+        argv = []
+        if source == "scene":
+            if field == "points":
+                data["points"][3][1] = -1e300
+            else:
+                data[field] = [0.0, 0.0, 1e300]
+        elif source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"gravity": [0.0, 0.0, 1e300]}))
+            argv = ["--config", str(cfg)]
+        else:
+            argv = ["--gravity", "0,0,1e300"]
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--scene", str(bad), "--contacts",
+                     str(contacts), *argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and field in err
+        assert "out of range" not in err
+        assert not out.exists()
+
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck", "--count", "3", "--seed", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["loss_gradient"]["max_rel_err"] <= 1e-3
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie whose
+    new parent has not reaped it yet has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _assert_no_children():
@@ -603,6 +717,47 @@ class TestBatch:
             batch_report(scenes, OptimizationConfig(), threads=3)
         _assert_no_children()
 
+    def test_forks_stop_when_the_caller_is_killed(self, tmp_path):
+        # each scene sleeps scene_s and prints the pid that ran it; the
+        # whole batch would keep a fork busy for about 100 seconds
+        scene_s = 0.5
+        script = tmp_path / "batch.py"
+        script.write_text(f"""
+import os, time
+from grasp_eq import batch
+from grasp_eq.optimizer import OptimizationConfig
+
+def slow_scene(scene, **kwargs):
+    print(os.getpid(), flush=True)
+    time.sleep({scene_s})
+    return batch.SceneRow(index=scene.index, shape="sphere", style="tripod",
+                          seed=scene.index, status="ok")
+batch.run_scene = slow_scene
+batch.batch_report(batch.build_batch(400, ["sphere"], seed=0),
+                   OptimizationConfig(), threads=2)
+""")
+        package = os.path.dirname(io_mod.__file__)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        caller = subprocess.Popen([sys.executable, str(script)],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+        fork = None
+        try:
+            while fork is None:
+                pid = int(caller.stdout.readline())
+                fork = pid if pid != caller.pid else None
+            caller.kill()
+            caller.wait()
+            deadline = time.monotonic() + 4 * scene_s
+            while _running(fork) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(fork)
+        finally:
+            caller.kill()
+            caller.wait()
+            caller.stdout.close()
+            if fork is not None and _running(fork):
+                os.kill(fork, signal.SIGKILL)
+
     def test_scene_failing_in_a_worker_matches_serial(self, monkeypatch):
         from grasp_eq import batch as batch_mod
         from grasp_eq.batch import BatchScene
@@ -675,10 +830,13 @@ class TestBatch:
 
 # The input-error contract: one leaf of a valid scene, contact, config,
 # pose or keypoint file replaced by a value of the wrong kind, an extreme
-# number or nothing; every verb that reads the file then exits 0, 2 or 3
-# with no traceback and no RuntimeWarning (the suite makes those errors).
+# or non-finite number (json writes and reads NaN and the infinities) or
+# nothing; every verb that reads the file then exits 0, 2 or 3 with no
+# traceback and no RuntimeWarning (the suite makes those errors), and
+# writes only strict JSON.
 MISSING = object()
-REPLACEMENTS = [True, "1.0", 1e300, -1e300, 1.5, [], {}, MISSING]
+REPLACEMENTS = [True, "1.0", 1e300, -1e300, 1.5, float("nan"), float("inf"),
+                float("-inf"), [], {}, MISSING]
 
 
 def _draw_path(data, node):
@@ -802,3 +960,6 @@ class TestInputContract:
         assert code in (0, 2, 3)
         # a batch records a scene's exception, warnings included, as text
         assert "Warning" not in err.getvalue()
+        for path in work.rglob("*.json"):
+            if path.parent != work or path.stem not in valid:  # an output
+                json.loads(path.read_text(), parse_constant=pytest.fail)

@@ -61,6 +61,16 @@ class TestAssemble:
         with pytest.raises(ValueError, match="friction"):
             assemble(small_sphere, BOTTOM_P, BOTTOM_N, [9.81], mu=mu)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_gravity_whose_squares_overflow(self, small_sphere, n):
+        points, normals = BOTTOM_P[:n], BOTTOM_N[:n]
+        with pytest.raises(ValueError, match="gravity must be small enough"):
+            assemble(small_sphere, points, normals, [9.81] * n,
+                     gravity=[0.0, 0.0, 1e300])
+        with pytest.raises(ValueError, match="gravity must be small enough"):
+            solve_force_existence(small_sphere, points, normals,
+                                  gravity=[0.0, 0.0, -1e300])
+
     def test_rejects_forces_whose_squares_overflow(self, small_sphere):
         # at 1e200 the stability QP once ran all QP_MAX_ITER iterations
         # and raised at gap inf
@@ -353,6 +363,22 @@ class TestForceExistence:
     def test_no_contacts(self, small_sphere):
         res = solve_force_existence(small_sphere, np.zeros((0, 3)), np.zeros((0, 3)))
         assert res.energy == pytest.approx(96.2361, abs=1e-9)
+
+    def test_no_contacts_at_any_tolerance(self, small_sphere):
+        """With no contact the QPs have no variable, so both certify their
+        start at once, even at a tolerance no gap can fall below."""
+        empty = np.zeros((0, 3))
+        res = solve_force_existence(small_sphere, empty, empty, tol=0.0)
+        free = stability_energy(assemble(small_sphere, empty, empty,
+                                         np.zeros(0)), tol=0.0)
+        for r in (res, free):
+            assert r.energy == 9.81 ** 2
+            assert r.accel.tolist() == [0.0, 0.0, -9.81, 0.0, 0.0, 0.0]
+            assert r.gamma.shape == r.delta.shape == (0,)
+        assert res.forces.shape == (0,)
+        # the empty set passes the friction check too
+        with pytest.raises(ValueError, match="friction"):
+            solve_force_existence(small_sphere, empty, empty, mu=-1.0)
 
     def test_bottom_support(self, small_sphere):
         res = solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N)

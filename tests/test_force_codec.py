@@ -42,6 +42,29 @@ class TestBinning:
                 build_binning(s)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameters(self, value):
+        with pytest.raises(InvalidBinCount):
+            build_binning(value)
+        with pytest.raises(InvalidSpread, match="mu_log"):
+            build_binning(10, value, 1.0)
+        with pytest.raises(InvalidSpread, match="sigma_log"):
+            build_binning(10, 0.0, value)
+
+    def test_top_center_must_be_a_float(self):
+        log_max = np.log(np.finfo(float).max)
+        for s in (3, 10, MAX_BINS):
+            # the top center's log is mu_log + 3 sigma_log (s - 1) / (s - 2)
+            mu_log = log_max - 3.0 * (s - 1) / (s - 2) - 1e-9
+            with np.errstate(over="raise"):
+                top = build_binning(s, mu_log, 1.0).centers[-1]
+            assert np.isfinite(top) and top > 1e300
+            with pytest.raises(InvalidSpread, match="float range"):
+                build_binning(s, mu_log + 1e-6, 1.0)
+        with pytest.raises(InvalidSpread, match="float range"):
+            build_binning(10, 0.0, 1e308)
+
+
 class TestEncode:
     def test_zero_force(self, binning):
         v = encode(0.0, binning)

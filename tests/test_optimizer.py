@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -392,6 +393,32 @@ class TestCurvatures:
                                     (pene(jac), pene_ref)):
             assert (np.linalg.norm(curvature - ref)
                     <= 1e-12 * np.linalg.norm(ref))
+
+
+    def test_uphill_gradient_stops_on_backtrack(self, monkeypatch):
+        # with the gradient's sign flipped every trial step climbs, so each
+        # is rejected until the damping passes _LM_DAMPING_MAX
+        real_terms = optimizer.pose_terms
+
+        def uphill_terms(*args, **kwargs):
+            values, derivatives = real_terms(*args, **kwargs)
+
+            def flipped():
+                grads, curvatures = derivatives()
+                return tuple(-g for g in grads), curvatures
+            return values, flipped
+        monkeypatch.setattr(optimizer, "pose_terms", uphill_terms)
+        pose0 = hand.neutral_grasp_pose()
+        targets = hand.forward_kinematics(pose0).part_centers[[3, 6, 9]]
+        kps = keypoints_for((4, 7, 10), targets + 0.01)
+        trace = OptimizationTrace()
+        pose = fit_keypoints(pose0, kps, OptimizationConfig(), trace=trace)
+        stop = trace.stops[2]
+        # the start, then one trial at each damping from 1e-3 to 1e12
+        assert (stop.reason, stop.iterations, stop.evaluations) == (
+            "backtrack", 0, 17)
+        assert math.isnan(stop.last_drop)
+        assert np.array_equal(pose.as_vector(), pose0.as_vector())
 
 
 class TestOptimizeGrasp:

@@ -134,6 +134,19 @@ class TestObjectModel:
         with pytest.raises(InvalidNormal):
             ObjectModel(points=[[0.0, 0.0, 1.0]], normals=[[0.0, 0.0, 0.5]])
 
+    # one coordinate of 1e300 would square to inf in the inertia
+    @pytest.mark.parametrize("field", ["points", "com"])
+    def test_rejects_coordinates_too_large_to_square(self, field):
+        args = {"points": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                "normals": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                "com": [0.0, 0.0, 0.0]}
+        array = np.array(args[field])
+        array.flat[-1] = -1e300
+        args[field] = array
+        with pytest.raises(ValueError, match=f"{field} must be finite, with "
+                                             "no coordinate larger than"):
+            ObjectModel(**args)
+
     def test_immutable(self, small_sphere):
         with pytest.raises(ValueError):
             small_sphere.points[0, 0] = 7.0

@@ -211,8 +211,8 @@ def _good_keypoint_payload():
 
 class TestStrictLoads:
     """Pose and keypoint files read every field as the JSON numbers it
-    holds: booleans, strings, fractional part ids and misshapen arrays are
-    refused, not converted."""
+    holds: booleans, strings, non-finite numbers, fractional part ids and
+    misshapen arrays are refused, not converted."""
 
     def _write(self, tmp_path, payload):
         path = tmp_path / "in.json"
@@ -252,6 +252,23 @@ class TestStrictLoads:
         payload = _good_keypoint_payload()
         payload[field] = value
         with pytest.raises(ValueError, match=f"keypoint {field}"):
+            io_mod.load_keypoints(self._write(tmp_path, payload))
+
+    # json writes and reads NaN and the infinities; a whole number past the
+    # float range has no float either
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 10 ** 400])
+    @pytest.mark.parametrize("field", ["centers", "forces", "energy"])
+    def test_keypoints_reject_non_finite(self, tmp_path, field, value):
+        payload = _good_keypoint_payload()
+        if field == "energy":
+            payload[field] = value
+        elif field == "forces":
+            payload[field][1] = value
+        else:
+            payload[field][1][2] = value
+        with pytest.raises(ValueError, match=f"keypoint {field} must (be a|"
+                                             "hold only) finite number"):
             io_mod.load_keypoints(self._write(tmp_path, payload))
 
     @pytest.mark.parametrize("load, payload, key", [
