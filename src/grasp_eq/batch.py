@@ -22,6 +22,8 @@ import numpy as np
 
 from .equilibrium import DEFAULT_MU
 from .io import write_csv
+from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
+                        DEFAULT_N_KEYPOINTS)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
 from .synth import SyntheticScene, generate_contacts, generate_scene
@@ -79,7 +81,8 @@ def build_batch(count: int, shapes, seed: int,
 
 
 def run_scene(scene: BatchScene, config: OptimizationConfig, mu: float,
-              gravity, use_keypoints: bool = True) -> SceneRow:
+              gravity, use_keypoints: bool = True, *, cluster_radius: float,
+              n_kp: int, target_offset: float) -> SceneRow:
     row = SceneRow(index=scene.index, shape=scene.spec.shape, style=scene.style,
                    seed=scene.spec.seed, status="ok")
     start = time.perf_counter()
@@ -88,6 +91,8 @@ def run_scene(scene: BatchScene, config: OptimizationConfig, mu: float,
         contacts = generate_contacts(obj, scene.style, seed=scene.spec.seed,
                                      mu=mu, gravity=gravity)
         result = run_pipeline(obj, contacts, config, mu=mu, gravity=gravity,
+                              cluster_radius=cluster_radius, n_kp=n_kp,
+                              target_offset=target_offset,
                               use_keypoints=use_keypoints)
         row.contact_count = result.report_after.contact_count
         row.residual_before = result.report_before.residual
@@ -183,7 +188,10 @@ def _fan_out(scenes, scene_fn, processes):
 
 def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
                  gravity=GRAVITY, out_dir=None, threads: int = None,
-                 use_keypoints: bool = True):
+                 use_keypoints: bool = True,
+                 cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
+                 n_kp: int = DEFAULT_N_KEYPOINTS,
+                 target_offset: float = DEFAULT_KEYPOINT_OFFSET):
     """Run every scene, aggregate, and optionally write the report CSVs.
 
     Returns the list of SceneRow results.  Output files: summary.csv
@@ -207,7 +215,9 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
         raise ValueError(f"threads must be at least 1, got {threads}")
     threads = min(threads, len(scenes))
     scene_fn = functools.partial(run_scene, config=config, mu=mu,
-                                 gravity=gravity, use_keypoints=use_keypoints)
+                                 gravity=gravity, use_keypoints=use_keypoints,
+                                 cluster_radius=cluster_radius, n_kp=n_kp,
+                                 target_offset=target_offset)
     if threads == 1:
         rows = [scene_fn(s) for s in scenes]
     else:

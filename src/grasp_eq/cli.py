@@ -9,6 +9,7 @@ scenes fail, then exits 3 if every failure is a solver error, else 2.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import math
@@ -40,57 +41,61 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _parse_floats(text, count, what):
-    parts = text.split(",")
-    if len(parts) != count:
-        raise ValueError(f"{what} expects {count} comma-separated values")
-    return tuple(float(p) for p in parts)
+# The config file's schema: each top-level setting with its default, and
+# the keys of the two blocks.  A binning value left out takes
+# build_binning's default; "optimizer" holds OptimizationConfig's fields.
+_SCHEMA = {"mu": DEFAULT_MU, "gravity": GRAVITY, "n_kp": DEFAULT_N_KEYPOINTS,
+           "cluster_radius": DEFAULT_CLUSTER_RADIUS,
+           "offset": DEFAULT_KEYPOINT_OFFSET,
+           "binning": ("s", "mu_log", "sigma_log", "temperature"),
+           "optimizer": tuple(f.name for f in
+                              dataclasses.fields(OptimizationConfig))}
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    cfg = io_mod.load_json(path)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
+def _declared(data, keys, where):
+    """``data``, if it is a JSON object whose keys are all in ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must hold a JSON object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{where} has undeclared key {key!r}")
+    return data
 
 
-def _opt_config(cfg):
-    try:
-        return OptimizationConfig(**cfg.get("optimizer", {}))
-    except TypeError as err:  # unknown or non-mapping settings
-        raise ValueError(f"optimizer config: {err}") from None
-
-
-def _resolve(args, cfg, key, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
-
-
-def _gravity(args, cfg, file_gravity=None):
-    if args.gravity is not None:
-        return np.array(_parse_floats(args.gravity, 3, "--gravity"))
-    if "gravity" in cfg:
-        return io_mod.json_array(cfg["gravity"], "gravity", shape=(3,))
-    if file_gravity is not None:
-        return np.asarray(file_gravity, dtype=float)
-    return np.array(GRAVITY)
-
-
-def _binning(args, cfg):
-    block = cfg.get("binning", {})
-    if not isinstance(block, dict):
-        raise ValueError(f"binning config must be a JSON object, got {block!r}")
-    s = (args.bins if args.bins is not None
-         else io_mod.json_number(block.get("s", 10), "binning s"))
-    mu_log = io_mod.json_number(block.get("mu_log", 0.0), "mu_log")
-    sigma_log = io_mod.json_number(block.get("sigma_log", 1.0), "sigma_log")
-    temperature = io_mod.json_number(
-        block.get("temperature", DEFAULT_TEMPERATURE), "temperature")
-    return build_binning(s, mu_log, sigma_log), temperature
+def _settings(args, scene_file=None):
+    """Each setting from its flag, else the config file, else the mapping
+    ``scene_file`` (a scene file's gravity), else its default.  Raises
+    ValueError naming a config key outside _SCHEMA or of the wrong type."""
+    path = getattr(args, "config", None)
+    cfg = _declared(io_mod.load_json(path) if path else {}, _SCHEMA,
+                    "config file")
+    binning, optimizer = (_declared(cfg.pop(name, {}), _SCHEMA[name],
+                                    f"config {name}")
+                          for name in ("binning", "optimizer"))
+    binning = {key: io_mod.json_number(value, f"binning {key}")
+               for key, value in binning.items()}
+    cfg = {key: io_mod.json_array(value, key, shape=(3,)) if key == "gravity"
+           else io_mod.json_number(value, "friction coefficient mu"
+                                   if key == "mu" else key)
+           for key, value in cfg.items()}
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None}
+    if "gravity" in flags:
+        parts = args.gravity.split(",")
+        if len(parts) != 3:
+            raise ValueError("--gravity expects 3 comma-separated values")
+        flags["gravity"] = np.array([float(p) for p in parts])
+    if "bins" in flags:
+        binning["s"] = flags["bins"]
+    temperature = binning.pop("temperature", DEFAULT_TEMPERATURE)
+    s = collections.ChainMap(flags, cfg, scene_file or {}, _SCHEMA)
+    # grouped as the flags are, each group a set of keyword arguments
+    return {"physics": {"mu": s["mu"], "gravity": s["gravity"]},
+            "keypoint": {"cluster_radius": s["cluster_radius"],
+                         "n_kp": s["n_kp"], "target_offset": s["offset"]},
+            "binning": build_binning(**binning),
+            "temperature": flags.get("temperature", temperature),
+            "optimizer": OptimizationConfig(**optimizer)}
 
 
 def _emit(payload, path=None):
@@ -100,38 +105,37 @@ def _emit(payload, path=None):
         print(json.dumps(io_mod.to_jsonable(payload), indent=2))
 
 
-def _cmd_synth(args, cfg):
+def _cmd_synth(args):
     from .synth import SyntheticScene, generate_contacts, generate_scene
 
+    physics = _settings(args)["physics"]
     dims = tuple(float(d) for d in args.dims.split(","))
     spec = SyntheticScene(shape=args.shape, dimensions=dims,
                           sample_count=args.samples, seed=args.seed)
     obj = generate_scene(spec)
-    gravity = _gravity(args, cfg)
-    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
-    io_mod.save_scene(args.scene_out, obj, gravity=gravity)
-    if args.contacts_out:
-        contacts = generate_contacts(obj, args.style, seed=args.seed, mu=mu,
-                                     gravity=gravity)
+    # generated before either file is written, so a failure writes neither
+    contacts = (generate_contacts(obj, args.style, seed=args.seed, **physics)
+                if args.contacts_out else None)
+    io_mod.save_scene(args.scene_out, obj, gravity=physics["gravity"])
+    if contacts is not None:
         io_mod.save_contacts(args.contacts_out, contacts)
     return 0
 
 
-def _scene_inputs(args, cfg):
-    """(obj, contacts, gravity, mu); one contact entry per scene point."""
+def _scene_inputs(args):
+    """(obj, contacts, settings); one contact entry per scene point."""
     obj, file_gravity = io_mod.load_scene(args.scene)
     contacts = io_mod.load_contacts(args.contacts)
     if contacts.n_points != obj.n_points:
         raise ValueError(f"contact file {args.contacts} has {contacts.n_points}"
                          f" points, scene file {args.scene} {obj.n_points}")
-    return (obj, contacts, _gravity(args, cfg, file_gravity),
-            _resolve(args, cfg, "mu", DEFAULT_MU))
+    return obj, contacts, _settings(args, {"gravity": file_gravity})
 
 
-def _cmd_analyze(args, cfg):
-    obj, contacts, gravity, mu = _scene_inputs(args, cfg)
-    sys_sub, idx = assemble_from_contact_state(obj, contacts, mu=mu,
-                                               gravity=gravity)
+def _cmd_analyze(args):
+    obj, contacts, settings = _scene_inputs(args)
+    sys_sub, idx = assemble_from_contact_state(obj, contacts,
+                                               **settings["physics"])
     result = stability_energy(sys_sub)
     payload = {
         "energy": result.energy,
@@ -147,28 +151,18 @@ def _cmd_analyze(args, cfg):
     return 0
 
 
-def _keypoint_options(args, cfg):
-    """Keyword arguments of the keypoint chain from flags, config, defaults."""
-    return {
-        "cluster_radius": _resolve(args, cfg, "cluster_radius",
-                                   DEFAULT_CLUSTER_RADIUS),
-        "n_kp": _resolve(args, cfg, "n_kp", DEFAULT_N_KEYPOINTS),
-        "target_offset": _resolve(args, cfg, "offset", DEFAULT_KEYPOINT_OFFSET),
-    }
-
-
-def _cmd_keypoints(args, cfg):
-    obj, contacts, gravity, mu = _scene_inputs(args, cfg)
-    kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
-                         **_keypoint_options(args, cfg))
+def _cmd_keypoints(args):
+    obj, contacts, settings = _scene_inputs(args)
+    kps = find_keypoints(obj, contacts, **settings["physics"],
+                         **settings["keypoint"])
     _emit(io_mod.keypoints_payload(kps), args.output)
     return 0
 
 
-def _cmd_optimize(args, cfg):
-    obj, contacts, gravity, mu = _scene_inputs(args, cfg)
-    result = run_pipeline(obj, contacts, _opt_config(cfg), mu=mu,
-                          gravity=gravity, **_keypoint_options(args, cfg))
+def _cmd_optimize(args):
+    obj, contacts, settings = _scene_inputs(args)
+    result = run_pipeline(obj, contacts, settings["optimizer"],
+                          **settings["physics"], **settings["keypoint"])
     os.makedirs(args.out_dir, exist_ok=True)
     io_mod.save_pose(os.path.join(args.out_dir, "pose.json"), result.pose_stage3)
     io_mod.save_keypoints(os.path.join(args.out_dir, "keypoints.json"),
@@ -201,18 +195,17 @@ def _load_values(args):
             for v in (data if isinstance(data, list) else [data])]
 
 
-def _cmd_encode_force(args, cfg):
-    binning, _ = _binning(args, cfg)
+def _cmd_encode_force(args):
+    binning = _settings(args)["binning"]
     vectors = [encode(v, binning) for v in _load_values(args)]
     payload = vectors[0] if args.value is not None else vectors
     _emit(payload, args.output)
     return 0
 
 
-def _cmd_decode_force(args, cfg):
-    binning, temperature = _binning(args, cfg)
-    if args.temperature is not None:
-        temperature = args.temperature
+def _cmd_decode_force(args):
+    settings = _settings(args)
+    binning, temperature = settings["binning"], settings["temperature"]
     data = io_mod.load_json(args.input) if args.input else json.loads(args.scores)
     arr = io_mod.json_array(data, "score")
     if arr.ndim == 2:
@@ -223,7 +216,7 @@ def _cmd_decode_force(args, cfg):
     return 0
 
 
-def _cmd_gradcheck(args, cfg):
+def _cmd_gradcheck(args):
     from .gradcheck import run_gradcheck
 
     report = run_gradcheck(count=args.count, seed=args.seed)
@@ -231,15 +224,13 @@ def _cmd_gradcheck(args, cfg):
     return 0 if report["passed"] else SOLVER_EXIT
 
 
-def _cmd_batch(args, cfg):
-    shapes = args.shapes.split(",")
-    config = _opt_config(cfg)
-    gravity = _gravity(args, cfg)
-    mu = _resolve(args, cfg, "mu", DEFAULT_MU)
-    scenes = batch_mod.build_batch(args.count, shapes, args.seed,
-                                   sample_count=args.samples)
-    rows = batch_mod.batch_report(scenes, config, mu=mu, gravity=gravity,
-                                  out_dir=args.out_dir, threads=args.threads)
+def _cmd_batch(args):
+    settings = _settings(args)
+    scenes = batch_mod.build_batch(args.count, args.shapes.split(","),
+                                   args.seed, sample_count=args.samples)
+    rows = batch_mod.batch_report(
+        scenes, settings["optimizer"], **settings["physics"],
+        **settings["keypoint"], out_dir=args.out_dir, threads=args.threads)
     failures = [r for r in rows if r.status != "ok"]
     print(f"batch: {len(rows) - len(failures)}/{len(rows)} scenes ok, "
           f"reports in {args.out_dir}")
@@ -343,8 +334,7 @@ def main(argv=None) -> int:
         # a verb's magnitudes all come from its inputs, so an overflow or
         # an invalid value is an input out of range, not a warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cfg = _load_config(getattr(args, "config", None))
-            return args.func(args, cfg)
+            return args.func(args)
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return SOLVER_EXIT

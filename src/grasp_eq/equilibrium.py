@@ -34,6 +34,10 @@ DEFAULT_MU = 1.0
 QP_TOL = 1e-8
 QP_MAX_ITER = 10_000
 _EPS = np.finfo(float).eps
+# Bound on mu times the largest friction column entry times the total
+# force.  A friction acceleration row is at most twice that, so the squares
+# of six such rows sum to at most 0.375 of the float range.
+_FRICTION_MAX = float(np.sqrt(_FLOAT_MAX)) / 8
 
 _log = logging.getLogger("grasp_eq")
 _FORCE_EXISTENCE_LOG = ("force existence: %d contacts, %d inner steps, "
@@ -332,6 +336,19 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
     return best_lam, False, best_gap, steps, max_iter
 
 
+def _check_friction(sys, total_force):
+    """Raise ValueError naming mu unless mu times the largest friction
+    column entry times ``total_force`` is within _FRICTION_MAX (computed in
+    Python floats, which overflow to inf without a numpy error)."""
+    column = max(float(np.abs(sys.b_mat).max(initial=0.0)),
+                 float(np.abs(sys.t_mat).max(initial=0.0)))
+    if not sys.mu * column * total_force <= _FRICTION_MAX:
+        raise ValueError(f"friction coefficient mu {sys.mu!r} is too large "
+                         f"for this object and a total force of "
+                         f"{total_force:.3g}: the friction accelerations "
+                         f"would pass {_FRICTION_MAX:.3g}")
+
+
 def _not_converged(what, gap, tol, max_iter, result):
     return SolverError(
         f"{what} QP not converged: gap {gap:.3e} not below tol {tol:.1e} "
@@ -351,6 +368,7 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     ``max_iter`` active-set iterations.
     """
     n = sys.n_contacts
+    _check_friction(sys, float(sys.forces.sum()))
     const = sys.n_mat @ sys.forces + sys.gravity6
     scaled = sys.mu * sys.forces
     mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
@@ -459,6 +477,7 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     points = np.atleast_2d(np.asarray(points, dtype=float)).reshape(-1, 3)
     n = points.shape[0]
     sys = assemble(obj, points, normals, np.zeros(n), mu=mu, gravity=gravity)
+    _check_friction(sys, n * float(f_max))
     gravity6 = sys.gravity6
     mat = (sys.n_mat[:, :, None]
            + mu * sys.b_mat[:, :, None] * _EDGE_SIGNS[:, 0]

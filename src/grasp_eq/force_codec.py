@@ -49,9 +49,11 @@ class ForceBinning:
     centers: np.ndarray
 
 
-def build_binning(s: int, mu_log: float = 0.0, sigma_log: float = 1.0) -> ForceBinning:
+def build_binning(s: int = 10, mu_log: float = 0.0,
+                  sigma_log: float = 1.0) -> ForceBinning:
     """Construct the binning; 3 <= s <= MAX_BINS, mu_log and sigma_log
-    finite, sigma_log > 0, and the top bin's center a finite float."""
+    finite, sigma_log > 0, and the top bin's center a finite float.  The
+    defaults are the package's only copies of these three settings."""
     # +inf fails the first test and NaN and -inf the second before int(s)
     if s > MAX_BINS:
         raise InvalidBinCount(f"need at most {MAX_BINS} bins, got {s!r}")

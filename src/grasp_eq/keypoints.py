@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 from .equilibrium import (DEFAULT_MU, QP_TOL, assemble, energy_lower_bounds,
                           stability_energy)
 from .errors import SolverError, is_number
-from .scene import GRAVITY, ContactState, ObjectModel
+from .scene import _COORD_MAX, GRAVITY, ContactState, ObjectModel
 
 DEFAULT_CLUSTER_RADIUS = 0.01
 # Targets sit this far outside the contact centers along the normal: a part
@@ -306,11 +306,17 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
 
 def make_targets(keypoints: KeypointSet,
                  r: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:
-    """Offset targets along the cluster normals: q_i = p_i + r n_i."""
-    if not (is_number(r) and np.isfinite(r) and r >= 0):
-        raise ValueError(f"keypoint offset must be a finite number >= 0, "
-                         f"got {r!r}")
-    return replace(keypoints, targets=keypoints.centers + r * keypoints.normals)
+    """Offset targets along the cluster normals: q_i = p_i + r n_i, each
+    coordinate within _COORD_MAX in size, as a scene point's is."""
+    # NaN and the infinities fail this test too
+    if not (is_number(r) and 0 <= r <= _COORD_MAX):
+        raise ValueError(f"keypoint offset must be a number from 0 to "
+                         f"{_COORD_MAX:.3g}, got {r!r}")
+    targets = keypoints.centers + r * keypoints.normals
+    if not np.all(np.abs(targets) <= _COORD_MAX):
+        raise ValueError(f"keypoint offset {r!r} puts a target coordinate "
+                         f"past {_COORD_MAX:.3g} in size")
+    return replace(keypoints, targets=targets)
 
 
 def find_keypoints(obj: ObjectModel, contacts: ContactState,

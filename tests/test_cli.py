@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import multiprocessing
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from grasp_eq.batch import build_batch, batch_report, penetration_curve
 from grasp_eq.cli import build_parser, main
 from grasp_eq.errors import GraspEqError
 from grasp_eq.force_codec import build_binning, decode
-from grasp_eq.optimizer import OptimizationConfig
+from grasp_eq.optimizer import OptimizationConfig, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +345,7 @@ class TestCliBasics:
     def test_config_file(self, scene_files, tmp_path, capsys):
         scene, contacts = scene_files
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mu": 0.5, "keypoints": {}}))
+        cfg.write_text(json.dumps({"mu": 0.5}))
         out = tmp_path / "a.json"
         assert main(["analyze", "--config", str(cfg), "--scene", str(scene),
                      "--contacts", str(contacts), "-o", str(out)]) == 0
@@ -584,6 +586,115 @@ class TestCliBasics:
         assert report["loss_gradient"]["max_rel_err"] <= 1e-3
 
 
+def _verb_argv(verb, scene_files, out):
+    """Arguments that run ``verb``, a verb that reads a config file, with
+    every file it writes under the directory ``out``."""
+    scene, contacts = scene_files
+    inputs = ["--scene", str(scene), "--contacts", str(contacts)]
+    return {
+        "synth": ["--shape", "sphere", "--dims", "0.05", "--samples", "256",
+                  "--scene-out", str(out / "s.json"),
+                  "--contacts-out", str(out / "c.json")],
+        "analyze": [*inputs, "-o", str(out / "out.json")],
+        "keypoints": [*inputs, "-o", str(out / "out.json")],
+        "optimize": [*inputs, "--out-dir", str(out / "opt")],
+        "encode-force": ["--value", "1", "-o", str(out / "out.json")],
+        "decode-force": ["--scores", json.dumps([0.0, 1.0] + [0.0] * 8),
+                         "-o", str(out / "out.json")],
+        "batch": ["--count", "1", "--shapes", "sphere", "--samples", "256",
+                  "--threads", "1", "--out-dir", str(out / "batch")],
+    }[verb]
+
+
+CONFIG_VERBS = ("synth", "analyze", "keypoints", "optimize", "encode-force",
+                "decode-force", "batch")
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("block, key", [
+        ({"optimiser": {}}, "optimiser"), ({"binning": {"bins": 4}}, "bins"),
+        ({"optimizer": {"w_kp": 1, "seed": 0}}, "seed")])
+    @pytest.mark.parametrize("verb", CONFIG_VERBS)
+    def test_undeclared_key_exits_2(self, scene_files, tmp_path, capsys,
+                                    verb, block, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(block))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([verb, "--config", str(cfg),
+                     *_verb_argv(verb, scene_files, out)]) == 2
+        captured = capsys.readouterr()
+        assert f"undeclared key {key!r}" in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_readme_config_is_the_defaults(self, tmp_path):
+        """README's config example holds every declared key, each at its
+        default: the reader accepts it and reads what no file gives."""
+        from grasp_eq import cli
+
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        text = readme.split("### Config file", 1)[1]
+        text = text.split("```json\n", 1)[1].split("```", 1)[0]
+        example = json.loads(text)
+        assert example.keys() == cli._SCHEMA.keys()
+        for block in ("binning", "optimizer"):
+            assert sorted(example[block]) == sorted(cli._SCHEMA[block])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        read, default = (cli._settings(argparse.Namespace(config=path))
+                         for path in (str(cfg), None))
+        assert np.array_equal(read["physics"].pop("gravity"),
+                              default["physics"].pop("gravity"))
+        for key in ("physics", "keypoint", "temperature", "optimizer"):
+            assert read[key] == default[key], key
+        for field in ("s", "mu_log", "sigma_log"):
+            assert (getattr(read["binning"], field)
+                    == getattr(default["binning"], field)), field
+
+    def test_synth_writes_both_files_or_neither(self, tmp_path, capsys):
+        scene, contacts = tmp_path / "s.json", tmp_path / "c.json"
+        assert main(["synth", "--gravity", "0,0,1e300", "--shape", "sphere",
+                     "--dims", "0.05", "--samples", "256",
+                     "--scene-out", str(scene),
+                     "--contacts-out", str(contacts)]) == 2
+        assert "gravity" in capsys.readouterr().err
+        assert not scene.exists() and not contacts.exists()
+
+    @pytest.mark.parametrize("verb", ["synth", "analyze", "keypoints",
+                                      "optimize", "batch"])
+    def test_friction_too_large_names_mu(self, scene_files, tmp_path, capsys,
+                                         verb):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": 1e300}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([verb, "--config", str(cfg),
+                     *_verb_argv(verb, scene_files, out)]) == 2
+        err = capsys.readouterr().err
+        assert "friction coefficient mu 1e+300 is too large" in err
+        assert "out of range" not in err
+        if verb != "batch":  # a batch writes its reports on failures too
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("verb", ["keypoints", "optimize"])
+    def test_offset_too_large_names_offset(self, scene_files, tmp_path,
+                                           capsys, verb, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"offset": 1e300} if source == "config"
+                                  else {}))
+        flag = ["--offset", "1e300"] if source == "flag" else []
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([verb, "--config", str(cfg), *flag,
+                     *_verb_argv(verb, scene_files, out)]) == 2
+        err = capsys.readouterr().err
+        assert "keypoint offset must be a number from 0" in err
+        assert "out of range" not in err
+        assert list(out.iterdir()) == []
+
+
 def _running(pid):
     """Whether process ``pid`` exists and has not exited (a zombie whose
     new parent has not reaped it yet has exited)."""
@@ -816,6 +927,39 @@ batch.batch_report(batch.build_batch(400, ["sphere"], seed=0),
                      "--shapes", "sphere", "--samples", "512",
                      "--seed", "3", "--out-dir", str(out)]) == 0
         assert (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("n_kp", 2),
+                                            ("cluster_radius", 0.002),
+                                            ("offset", 0.0)])
+    def test_cli_batch_reads_the_keypoint_settings(self, tmp_path, capsys,
+                                                   key, value):
+        """A config keypoint setting reaches run_pipeline: the batch row is
+        the one run_pipeline gives with it, not the default row."""
+        from grasp_eq.synth import generate_contacts, generate_scene
+
+        optimizer = {"max_iters_stage2": 20, "max_iters_stage3": 20}
+        rows = {}
+        for name, block in (("default", {}), ("set", {key: value})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**block, "optimizer": optimizer}))
+            out = tmp_path / name
+            assert main(["batch", "--config", str(cfg), "--count", "1",
+                         "--shapes", "sphere", "--samples", "256",
+                         "--threads", "1", "--out-dir", str(out)]) == 0
+            rows[name] = (out / "summary.csv").read_text().splitlines()[1]
+        scene = build_batch(1, ["sphere"], seed=0, sample_count=256)[0]
+        obj = generate_scene(scene.spec)
+        contacts = generate_contacts(obj, scene.style, seed=scene.spec.seed)
+        keyword = "target_offset" if key == "offset" else key
+        result = run_pipeline(obj, contacts, OptimizationConfig(**optimizer),
+                              **{keyword: value})
+        reports = (result.report_after.contact_count,
+                   result.report_before.residual,
+                   result.report_after.residual,
+                   result.report_after.max_penetration)
+        assert rows["set"].split(",")[5:] == [io_mod.format_cell(v)
+                                              for v in reports]
+        assert rows["set"] != rows["default"]
 
     def test_cli_batch_rejects_zero_threads(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

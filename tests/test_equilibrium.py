@@ -71,6 +71,18 @@ class TestAssemble:
             solve_force_existence(small_sphere, points, normals,
                                   gravity=[0.0, 0.0, -1e300])
 
+    # mu times a column entry times the total force is checked in Python
+    # floats, so even the largest float is named before any numpy product
+    @pytest.mark.parametrize("mu", [1e300, np.finfo(float).max])
+    def test_rejects_friction_whose_accelerations_overflow(self,
+                                                           small_sphere, mu):
+        sys = assemble(small_sphere, PINCH_P, PINCH_N, [5.0, 5.0], mu=mu)
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="friction coefficient mu"):
+                stability_energy(sys)
+            with pytest.raises(ValueError, match="friction coefficient mu"):
+                solve_force_existence(small_sphere, PINCH_P, PINCH_N, mu=mu)
+
     def test_rejects_forces_whose_squares_overflow(self, small_sphere):
         # at 1e200 the stability QP once ran all QP_MAX_ITER iterations
         # and raised at gap inf

@@ -792,7 +792,7 @@ class TestMakeTargets:
         assert_allclose(make_targets(kps, r=0.005).targets, [[0.0, 0.0, 0.005]])
 
     @pytest.mark.parametrize("r", [float("nan"), float("inf"), -0.001,
-                                   "0.005", True])
+                                   "0.005", True, 1e300])
     def test_rejects_bad_offset(self, r):
         kps = KeypointSet(parts=(2,), centers=np.zeros((1, 3)),
                           forces=np.array([1.0]),
@@ -800,6 +800,17 @@ class TestMakeTargets:
                           targets=np.zeros((1, 3)), energy=0.0)
         with pytest.raises(ValueError, match="offset"):
             make_targets(kps, r=r)
+
+    def test_rejects_targets_past_the_coordinate_bound(self):
+        """A target may reach as far as a scene point, and no further."""
+        kps = KeypointSet(parts=(2,), centers=np.array([[0.0, 0.0, 3e153]]),
+                          forces=np.array([1.0]),
+                          normals=np.array([[0.0, 0.0, 1.0]]),
+                          targets=np.zeros((1, 3)), energy=0.0)
+        targets = make_targets(kps, r=3e152).targets
+        assert targets[0, 2] == pytest.approx(3.3e153)
+        with pytest.raises(ValueError, match="offset 1e.153 puts a target"):
+            make_targets(kps, r=1e153)
 
     def test_sphere_targets_radial(self, small_sphere):
         state = state_from_patches(small_sphere, [(4, np.array([0, 1, 2]), 1.0)])
