@@ -23,7 +23,7 @@ import numpy as np
 from .equilibrium import DEFAULT_MU
 from .io import write_csv
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
-                        DEFAULT_N_KEYPOINTS)
+                        DEFAULT_N_KEYPOINTS, check_keypoint_settings)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
 from .synth import SyntheticScene, generate_contacts, generate_scene
@@ -205,11 +205,14 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
     more; forks inherit the imported package and any patched module
     attributes, where a spawned process would pay a package import, about
     0.5 s, on every call.  With one process, or one scene, the scenes run
-    serially in this process.  Only this process writes the CSVs.
+    serially in this process.  Only this process writes the CSVs.  A
+    keypoint setting that the keypoint search would refuse raises
+    ValueError before any scene runs.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("batch needs at least one scene")
+    check_keypoint_settings(cluster_radius, n_kp, target_offset)
     threads = len(os.sched_getaffinity(0)) if threads is None else threads
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -21,11 +21,11 @@ attainable interval excludes zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SolverError, is_number
+from .errors import ShapeError, SolverError, is_finite, is_number
 from .hand import _cross
 from .scene import (_FLOAT_MAX, GRAVITY, ObjectModel, _freeze,
                     _pivot_tangents, check_forces, check_unit_normals)
@@ -38,6 +38,8 @@ _EPS = np.finfo(float).eps
 # force.  A friction acceleration row is at most twice that, so the squares
 # of six such rows sum to at most 0.375 of the float range.
 _FRICTION_MAX = float(np.sqrt(_FLOAT_MAX)) / 8
+# Bound on each gravity component: the squares of three sum to a finite float
+_GRAVITY_MAX = float(np.sqrt(_FLOAT_MAX / 4))
 
 _log = logging.getLogger("grasp_eq")
 _FORCE_EXISTENCE_LOG = ("force existence: %d contacts, %d inner steps, "
@@ -84,14 +86,31 @@ class EquilibriumSystem:
         Fortran-ordered, and the QP's products would then round differently
         from a system assembled over those contacts directly.
         """
-        return replace(self, n_mat=_freeze(self.n_mat.take(cols, axis=1)),
-                       b_mat=_freeze(self.b_mat.take(cols, axis=1)),
-                       t_mat=_freeze(self.t_mat.take(cols, axis=1)),
-                       forces=_freeze(self.forces.take(cols)))
+        parts = [a.take(cols, axis=-1) for a in
+                 (self.n_mat, self.b_mat, self.t_mat, self.forces)]
+        for a in parts:
+            a.flags.writeable = False
+        n_mat, b_mat, t_mat, forces = parts
+        return EquilibriumSystem(n_mat, b_mat, t_mat, self.gravity6, self.mu,
+                                 forces)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class QPStop:
+    """How a QP solve stopped: ``steps`` inner least-squares steps over
+    ``iterations`` outer active-set iterations, ending at duality ``gap``;
+    ``reason`` is 'gap' (the gap fell below the tolerance) or 'cap' (the
+    iteration budget ran out).  The defaults describe a result known
+    exactly."""
+
+    steps: int = 0
+    iterations: int = 0
+    gap: float = 0.0
+    reason: str = "gap"
 
 
 @dataclass(frozen=True, eq=False)
-class StabilityResult:
+class StabilityResult(QPStop):
     """Minimizer of the stability QP: energy == ||accel||^2 at (gamma, delta)."""
 
     energy: float
@@ -101,7 +120,7 @@ class StabilityResult:
 
 
 @dataclass(frozen=True, eq=False)
-class ForceExistenceResult:
+class ForceExistenceResult(QPStop):
     """Minimizer of ||accel||^2 over both bounded forces and friction."""
 
     energy: float
@@ -122,39 +141,42 @@ def assemble(obj: ObjectModel, points, normals, forces,
     points = np.atleast_2d(np.asarray(points, dtype=float)).reshape(-1, 3)
     n = points.shape[0]
     normals = np.asarray(normals, dtype=float).reshape(n, 3) if n else np.zeros((0, 3))
-    forces = np.atleast_1d(np.asarray(forces, dtype=float))
+    # a copy: the system freezes its forces, the caller's stay writeable
+    forces = np.atleast_1d(np.array(forces, dtype=float))
     if forces.shape != (n,):
         raise ShapeError(f"expected {n} forces, got shape {forces.shape}")
     check_forces(forces)
-    if not (is_number(mu) and np.isfinite(mu) and mu >= 0):
+    if not (is_number(mu) and is_finite(mu) and mu >= 0):
         raise ValueError(f"friction coefficient mu must be a finite number "
                          f">= 0, got {mu!r}")
     gravity = np.asarray(gravity, dtype=float)
-    if gravity.shape != (3,) or not np.all(np.isfinite(gravity)):
+    # the largest component's size, nan for a nan component or a wrong shape
+    size = float(np.abs(gravity).max()) if gravity.shape == (3,) else np.nan
+    if not is_finite(size):
         raise ValueError("gravity must be a finite 3-vector")
-    if np.abs(gravity).max() > np.sqrt(_FLOAT_MAX / 4):
+    if size > _GRAVITY_MAX:
         raise ValueError("gravity must be small enough that its squares sum "
                          "to a finite number")
+    # N, B and T as one block, written in place
+    mats = np.zeros((3, 6, n))
     if n:
         check_unit_normals(normals)
         if bases is None:
             b_dirs, t_dirs = _pivot_tangents(normals)
         else:
             b_dirs, t_dirs = (np.asarray(a, dtype=float).reshape(n, 3) for a in bases)
-        dirs = np.stack([normals, b_dirs, t_dirs])
+        dirs = np.array((normals, b_dirs, t_dirs))
         inv_inertia = 1.0 / obj.inertia if obj.inertia > 0 else 0.0
-        n_mat, b_mat, t_mat = np.concatenate(
-            [dirs / obj.mass, _cross(points - obj.com, dirs) * inv_inertia],
-            axis=2).transpose(0, 2, 1)
+        np.divide(dirs, obj.mass, out=mats[:, :3].transpose(0, 2, 1))
+        np.multiply(_cross(points - obj.com, dirs), inv_inertia,
+                    out=mats[:, 3:].transpose(0, 2, 1))
         # negated after the fact: crossing with -normals would flip the
         # sign of exactly-cancelling zeros
-        n_mat = -n_mat
-    else:
-        n_mat = b_mat = t_mat = np.zeros((6, 0))
-    gravity6 = np.concatenate([gravity, np.zeros(3)])
-    return EquilibriumSystem(n_mat=_freeze(n_mat), b_mat=_freeze(b_mat),
-                             t_mat=_freeze(t_mat), gravity6=_freeze(gravity6),
-                             mu=float(mu), forces=_freeze(forces))
+        np.negative(mats[0], out=mats[0])
+    n_mat, b_mat, t_mat = _freeze(mats)
+    gravity6 = _freeze(np.concatenate([gravity, np.zeros(3)]))
+    return EquilibriumSystem(n_mat, b_mat, t_mat, gravity6, float(mu),
+                             _freeze(forces))
 
 
 def assemble_from_contact_state(obj: ObjectModel, state, mu: float = DEFAULT_MU,
@@ -191,36 +213,42 @@ def _solve_box(mat, const, tol, max_iter):
     b by at most 2^-53, half the float spacing past |b| = 1, so the sum
     rounds to a value between x and b.  A blocked coordinate is set to its
     bound.
+
+    The free set is an ascending index array, so the free columns keep
+    their order; the residual is recomputed only where x moves.
     """
     k = mat.shape[1]
     x = np.zeros(k)
-    free = np.ones(k, dtype=bool)
+    free = np.arange(k)
     best_x, best_f, best_gap = x, np.inf, np.inf
     steps = 0
+    r = mat @ x + const
     for outer in range(1, max_iter + 1):
-        while free.any():
+        while free.size:
             steps += 1
-            r = mat @ x + const
-            step, *_ = np.linalg.lstsq(mat[:, free], -r, rcond=None)
-            xf = x[free]
+            step, *_ = np.linalg.lstsq(mat.take(free, axis=1), -r, rcond=None)
+            xf = x.take(free)
             # distance to the bound the step heads for, over the step; a
             # coordinate that does not move is never blocked
             ratio = np.divide(np.copysign(1.0, step) - xf, step,
-                              out=np.full(len(step), np.inf),
+                              out=np.full(free.size, np.inf),
                               where=step != 0.0)
+            # min(1.0, nan) is 1.0: a step holding a nan (from an
+            # overflowing lstsq) is taken whole
             alpha = min(1.0, float(ratio.min()))
+            if alpha == 1.0:
+                x[free] = xf + step
+                r = mat @ x + const
+                break
             # a step that overflows (columns near the underflow limit) has
             # ratio 0, and 0 * inf is nan; at alpha = 0 only the blocked
             # coordinates move, to their bounds below
             if alpha > 0.0:
                 x[free] = xf + alpha * step
-            if alpha == 1.0:
-                break
             blocked = ratio <= alpha
-            hit = np.flatnonzero(free)[blocked]
-            x[hit] = np.sign(step[blocked])
-            free[hit] = False
-        r = mat @ x + const
+            x[free[blocked]] = np.sign(step[blocked])
+            free = free[~blocked]
+            r = mat @ x + const
         f = float(r @ r)
         g = 2.0 * (mat.T @ r)
         # linear minimization over the box is -sum |g|; f >= 0 everywhere,
@@ -232,10 +260,11 @@ def _solve_box(mat, const, tol, max_iter):
         if gap < tol or not k:
             return x, True, gap, steps, outer
         # a coordinate held at x_i = +-1 violates KKT when x_i * g_i > 0
-        violation = np.where(free, 0.0, x * g)
-        worst = int(np.argmax(violation))
+        violation = x * g
+        violation[free] = 0.0
+        worst = int(violation.argmax())
         if violation[worst] > 0.0:
-            free[worst] = True
+            free = np.sort(np.append(free, worst))
     return best_x, False, best_gap, steps, max_iter
 
 
@@ -349,10 +378,11 @@ def _check_friction(sys, total_force):
                          f"would pass {_FRICTION_MAX:.3g}")
 
 
-def _not_converged(what, gap, tol, max_iter, result):
+def _not_converged(what, tol, result):
     return SolverError(
-        f"{what} QP not converged: gap {gap:.3e} not below tol {tol:.1e} "
-        f"after {max_iter} active-set iterations", result=result)
+        f"{what} QP not converged: gap {result.gap:.3e} not below tol "
+        f"{tol:.1e} after {result.iterations} active-set iterations",
+        result=result)
 
 
 def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
@@ -374,13 +404,17 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
     # past E0 = 1e4, floats cannot certify an absolute gap of QP_TOL
     tol = tol * max(1.0, 1e-4 * float(const @ const))
-    x, converged, gap_val, steps, rounds = _solve_box(mat, const, tol, max_iter)
-    _stability_log.debug(_STABILITY_LOG, n, steps, rounds, gap_val)
+    x, converged, gap, steps, rounds = _solve_box(mat, const, tol, max_iter)
     accel = mat @ x + const
-    result = StabilityResult(energy=float(accel @ accel), gamma=_freeze(x[:n]),
-                             delta=_freeze(x[n:]), accel=_freeze(accel))
+    # x is the solver's own array; gamma and delta are read-only views of it
+    x.flags.writeable = accel.flags.writeable = False
+    result = StabilityResult(float(accel @ accel), x[:n], x[n:], accel,
+                             steps=steps, iterations=rounds, gap=gap,
+                             reason="gap" if converged else "cap")
+    _stability_log.debug(_STABILITY_LOG, n, result.steps, result.iterations,
+                         result.gap)
     if not converged:
-        raise _not_converged("stability", gap_val, tol, max_iter, result)
+        raise _not_converged("stability", tol, result)
     return result
 
 
@@ -485,16 +519,18 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     # the minimizer is not unique; from lam = 0 the solver lands on sparse
     # vertices, from this interior point it keeps force on most contacts
     share = min(obj.mass * float(np.linalg.norm(gravity6)) / max(n, 1), f_max)
-    lam, converged, gap_val, steps, rounds = _solve_pyramid(
+    lam, converged, gap, steps, rounds = _solve_pyramid(
         mat, gravity6, np.full((n, 4), share / 4.0), f_max, tol, max_iter)
-    _log.debug(_FORCE_EXISTENCE_LOG, n, steps, rounds, gap_val)
     u = lam.sum(axis=1)
     safe = np.where(u > 0, u, 1.0)
     gamma, delta = np.clip((lam @ _EDGE_SIGNS) / safe[:, None], -1.0, 1.0).T
     accel = mat @ lam.ravel() + gravity6
-    result = ForceExistenceResult(energy=float(accel @ accel), forces=_freeze(u),
-                                  gamma=_freeze(gamma), delta=_freeze(delta),
-                                  accel=_freeze(accel))
+    result = ForceExistenceResult(
+        energy=float(accel @ accel), forces=_freeze(u), gamma=_freeze(gamma),
+        delta=_freeze(delta), accel=_freeze(accel), steps=steps,
+        iterations=rounds, gap=gap, reason="gap" if converged else "cap")
+    _log.debug(_FORCE_EXISTENCE_LOG, n, result.steps, result.iterations,
+               result.gap)
     if not converged:
-        raise _not_converged("force-existence", gap_val, tol, max_iter, result)
+        raise _not_converged("force-existence", tol, result)
     return result

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .equilibrium import (DEFAULT_MU, QP_TOL, assemble, energy_lower_bounds,
                           stability_energy)
-from .errors import SolverError, is_number
+from .errors import SolverError, is_finite, is_number
 from .scene import _COORD_MAX, GRAVITY, ContactState, ObjectModel
 
 DEFAULT_CLUSTER_RADIUS = 0.01
@@ -69,19 +70,23 @@ class KeypointSet:
     energy: float
 
 
-def _make_cluster(part, indices, obj, forces):
-    indices = np.sort(np.asarray(indices, dtype=int))
-    f = forces[indices]
-    total = float(f.sum())
-    center = (f[:, None] * obj.points[indices]).sum(axis=0) / total
-    avg = (f[:, None] * obj.normals[indices]).sum(axis=0)
-    norm = np.linalg.norm(avg)
-    if norm > 1e-9:
-        normal = avg / norm
-    else:
-        normal = obj.normals[indices[int(np.argmax(f))]]
-    return PartCluster(part=int(part), indices=indices, center=center,
-                       force=total, normal=normal)
+def check_keypoint_settings(cluster_radius=DEFAULT_CLUSTER_RADIUS,
+                            n_kp=DEFAULT_N_KEYPOINTS,
+                            target_offset=DEFAULT_KEYPOINT_OFFSET):
+    """The checks cluster_contacts, select_keypoints and make_targets make
+    on their settings, so that a caller can refuse them before any work:
+    raises ValueError naming the setting, else returns n_kp as an int."""
+    if not (is_number(cluster_radius) and is_finite(cluster_radius)
+            and cluster_radius > 0):
+        raise ValueError(f"cluster_radius must be a finite number > 0, "
+                         f"got {cluster_radius!r}")
+    # NaN and the infinities fail these tests too
+    if not (is_number(n_kp) and n_kp % 1 == 0 and n_kp >= 1):
+        raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp!r}")
+    if not (is_number(target_offset) and 0 <= target_offset <= _COORD_MAX):
+        raise ValueError(f"keypoint offset must be a number from 0 to "
+                         f"{_COORD_MAX:.3g}, got {target_offset!r}")
+    return int(n_kp)
 
 
 def _components(count, pairs):
@@ -120,23 +125,41 @@ def cluster_contacts(obj: ObjectModel, contacts: ContactState,
     ...]} with parts ascending and clusters ordered by their smallest
     point index.
     """
-    if not (is_number(radius) and np.isfinite(radius) and radius > 0):
-        raise ValueError(f"cluster_radius must be a finite number > 0, "
-                         f"got {radius!r}")
+    check_keypoint_settings(cluster_radius=radius)
     idx = np.flatnonzero(contacts.contact_mask)
+    if not idx.size:
+        return {}
     labels = contacts.part_label[idx]
     pairs = cKDTree(obj.points[idx]).query_pairs(radius, output_type="ndarray")
     pairs = pairs[labels[pairs[:, 0]] == labels[pairs[:, 1]]]
     component = _components(len(idx), pairs)
-    out = {int(part): [] for part in np.unique(labels)}
-    # a component's label is its smallest point index, so ascending roots
-    # order the clusters by their smallest point index
-    for root in np.flatnonzero(component == np.arange(len(idx))):
-        members = idx[component == root]
-        part = contacts.part_label[members[0]]
-        out[int(part)].append(_make_cluster(part, members, obj,
-                                            contacts.force))
-    return out
+    # a stable sort keeps each component's points ascending, and a
+    # component's label is its smallest point index, so the runs come
+    # ordered by their smallest point index
+    order = component.argsort(kind="stable")
+    members, labels, component = (a.take(order) for a in
+                                  (idx, labels, component))
+    bounds = [0, *((component[1:] != component[:-1]).nonzero()[0]
+                   + 1).tolist(), len(idx)]
+    forces = contacts.force.take(members)
+    weighted_points = forces[:, None] * obj.points.take(members, axis=0)
+    weighted_normals = forces[:, None] * obj.normals.take(members, axis=0)
+    out = {}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        f = forces[lo:hi]
+        total = float(f.sum())
+        center = weighted_points[lo:hi].sum(axis=0) / total
+        avg = weighted_normals[lo:hi].sum(axis=0)
+        # np.linalg.norm's own arithmetic
+        norm = math.sqrt(avg.dot(avg))
+        if norm > 1e-9:
+            normal = avg / norm
+        else:
+            normal = obj.normals[members[lo + int(f.argmax())]]
+        part = int(labels[lo])
+        out.setdefault(part, []).append(
+            PartCluster(part, members[lo:hi], center, total, normal))
+    return dict(sorted(out.items()))
 
 
 def _assemble_clusters(cluster_list, obj, mu, gravity):
@@ -153,9 +176,10 @@ def _candidate_bounds(sys, candidates):
     Candidate j's force column is the system's forces on the columns in
     row j of ``candidates`` and zero elsewhere.
     """
-    members = np.zeros((sys.n_contacts, len(candidates)))
-    members[candidates, np.arange(len(candidates))[:, None]] = 1.0
-    return energy_lower_bounds(sys, sys.forces[:, None] * members)
+    forces = np.zeros((sys.n_contacts, len(candidates)))
+    forces[candidates, np.arange(len(candidates))[:, None]] = (
+        sys.forces.take(candidates))
+    return energy_lower_bounds(sys, forces)
 
 
 def _dual_bounds(sys, candidates, y):
@@ -169,14 +193,15 @@ def _dual_bounds(sys, candidates, y):
     terms of ``sys``: y.(N F) - |y.(B mu F)| - |y.(T mu F)| over the
     candidate's columns, plus y.g6.  y = 0 bounds nothing.
     """
-    norm = np.linalg.norm(y)
+    # np.linalg.norm's own arithmetic
+    norm = math.sqrt(y.dot(y))
     if norm == 0.0:
         return np.zeros(len(candidates))
     y = y / norm
     scaled = sys.mu * sys.forces
     terms = ((y @ sys.n_mat) * sys.forces - np.abs(y @ sys.b_mat) * scaled
              - np.abs(y @ sys.t_mat) * scaled)
-    beta = terms[candidates].sum(axis=1) + y @ sys.gravity6
+    beta = terms.take(candidates).sum(axis=1) + y @ sys.gravity6
     return np.maximum(beta, 0.0) ** 2
 
 
@@ -211,13 +236,15 @@ def _least_energy(sys, candidates):
     energies = np.full(count, np.inf)
     solved = np.zeros(count, dtype=bool)
     least, best, best_energy = np.inf, count, np.inf
-    while True:
+    # each pass solves one more candidate or stops
+    for solves in range(1, count + 1):
         deciding = lower + QP_TOL < best_energy
         deciding[:best] |= lower[:best] <= least + QP_TOL
-        pending = np.flatnonzero(deciding & ~solved)
+        deciding[solved] = False
+        pending = deciding.nonzero()[0]
         if not pending.size:
             break
-        j = int(pending[np.argmin(lower[pending])])
+        j = int(pending[lower.take(pending).argmin()])
         try:
             res = stability_energy(sys.take(candidates[j]))
         except SolverError as err:
@@ -225,11 +252,11 @@ def _least_energy(sys, candidates):
             # comparisons, and its acceleration a valid direction
             res = err.result
         energies[j], solved[j] = res.energy, True
-        if not solved.all():
+        if solves < count:
             np.maximum(lower, _dual_bounds(sys, candidates, res.accel)
                        - QP_TOL / 4, out=lower)
         least = energies.min()
-        best = int(np.argmax(solved & (energies <= least + QP_TOL)))
+        best = int((solved & (energies <= least + QP_TOL)).argmax())
         best_energy = energies[best]
     _log.debug("stability search: %d candidates, %d solved, %d skipped, "
                "best energy %.3e", count, solved.sum(), count - solved.sum(),
@@ -283,9 +310,7 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
     part-id tuple whose energy is within QP_TOL, the solver's certified
     gap, of the least.
     """
-    if not (is_number(n_kp) and n_kp % 1 == 0 and n_kp >= 1):
-        raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp!r}")
-    n_kp = int(n_kp)
+    n_kp = check_keypoint_settings(n_kp=n_kp)
     if not representatives:
         raise ValueError("no representative clusters to select from")
     parts = sorted(representatives)
@@ -308,10 +333,7 @@ def make_targets(keypoints: KeypointSet,
                  r: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:
     """Offset targets along the cluster normals: q_i = p_i + r n_i, each
     coordinate within _COORD_MAX in size, as a scene point's is."""
-    # NaN and the infinities fail this test too
-    if not (is_number(r) and 0 <= r <= _COORD_MAX):
-        raise ValueError(f"keypoint offset must be a number from 0 to "
-                         f"{_COORD_MAX:.3g}, got {r!r}")
+    check_keypoint_settings(target_offset=r)
     targets = keypoints.centers + r * keypoints.normals
     if not np.all(np.abs(targets) <= _COORD_MAX):
         raise ValueError(f"keypoint offset {r!r} puts a target coordinate "

@@ -928,6 +928,28 @@ batch.batch_report(batch.build_batch(400, ["sphere"], seed=0),
                      "--seed", "3", "--out-dir", str(out)]) == 0
         assert (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("n_kp", 0, "n_kp"), ("n_kp", 2.5, "n_kp"),
+        ("cluster_radius", 0.0, "cluster_radius"),
+        ("offset", -0.001, "keypoint offset")])
+    def test_cli_batch_refuses_a_bad_keypoint_setting_before_any_scene(
+            self, tmp_path, capsys, monkeypatch, key, value, named):
+        """The keypoint search's own checks refuse the setting up front:
+        exit 2 naming it, no scene run and no report written."""
+        from grasp_eq import batch as batch_mod
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("a scene ran")
+        monkeypatch.setattr(batch_mod, "run_scene", no_scene)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "batch"
+        assert main(["batch", "--config", str(cfg), "--count", "2",
+                     "--samples", "256", "--threads", "1",
+                     "--out-dir", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("n_kp", 2),
                                             ("cluster_radius", 0.002),
                                             ("offset", 0.0)])
@@ -993,6 +1015,33 @@ def _draw_path(data, node):
             sorted(node) if isinstance(node, dict) else range(len(node))))
         path, node = path + (key,), node[key]
     return path
+
+
+def _draw_object_path(data, node):
+    """A JSON object of a tree, as its key path: from the root, step into
+    a child object one time in two."""
+    path = ()
+    while True:
+        objects = sorted(key for key, child in node.items()
+                         if isinstance(child, dict))
+        if not objects or data.draw(st.booleans()):
+            return path
+        key = data.draw(st.sampled_from(objects))
+        path, node = path + (key,), node[key]
+
+
+UNDECLARED = "undeclared"
+
+
+def _added(data, path, value):
+    """JSON text of ``data`` with key UNDECLARED set to ``value`` in the
+    object at ``path``."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path:
+        node = node[key]
+    node[UNDECLARED] = value
+    return json.dumps(data)
 
 
 def _replaced(data, path, value):
@@ -1066,15 +1115,20 @@ class TestInputContract:
         valid = {name: json.loads((valid_inputs / f"{name}.json").read_text())
                  for name in self.VERBS}
         name = data.draw(st.sampled_from(sorted(self.VERBS)))
-        path = _draw_path(data, valid[name])
-        value = data.draw(st.sampled_from(REPLACEMENTS))
+        # either one leaf replaced or one undeclared key added to an object
+        added = data.draw(st.booleans())
+        path = (_draw_object_path if added else _draw_path)(data, valid[name])
+        value = data.draw(st.sampled_from(
+            [v for v in REPLACEMENTS if not (added and v is MISSING)]))
         verb = data.draw(st.sampled_from(self.VERBS[name]))
         work = tmp_path_factory.mktemp("case")
         files = {}
         for key in valid:
             files[key] = work / f"{key}.json"
-            files[key].write_text(_replaced(valid[key], path, value)
-                                  if key == name else json.dumps(valid[key]))
+            files[key].write_text(
+                json.dumps(valid[key]) if key != name
+                else _added(valid[key], path, value) if added
+                else _replaced(valid[key], path, value))
         scene = ["--scene", str(files["scene"]),
                  "--contacts", str(files["contacts"])]
         argv = {
@@ -1102,6 +1156,9 @@ class TestInputContract:
                 code = main([verb, "--config", str(files["config"]),
                              *argv[verb]])
         assert code in (0, 2, 3)
+        if added and name == "config":  # every config key is declared
+            assert code == 2
+            assert f"has undeclared key {UNDECLARED!r}" in err.getvalue()
         # a batch records a scene's exception, warnings included, as text
         assert "Warning" not in err.getvalue()
         for path in work.rglob("*.json"):

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
-from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
+from grasp_eq.equilibrium import (_FORCE_EXISTENCE_LOG, _STABILITY_LOG,
+                                  QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
                                   _free_mean, _solve_box, _solve_pyramid,
                                   assemble,
                                   assemble_from_contact_state, loss_gradient,
@@ -90,6 +91,13 @@ class TestAssemble:
             assemble(small_sphere, PINCH_P, PINCH_N, [1e200, 1e200])
         with pytest.raises(ValueError, match="squares sum to a finite"):
             ContactState(likelihood=[1.0], part_label=[1], force=[1e200])
+
+    def test_leaves_the_callers_forces_writeable(self, small_sphere):
+        forces = np.array([4.0, 5.0])
+        sys = assemble(small_sphere, PINCH_P, PINCH_N, forces)
+        forces[0] = 1.0
+        assert sys.forces.tolist() == [4.0, 5.0]
+        assert not sys.forces.flags.writeable
 
     def test_force_linearity(self, small_sphere):
         sys1 = assemble(small_sphere, PINCH_P, PINCH_N, [2.0, 3.0])
@@ -221,6 +229,31 @@ class TestStabilityEnergy:
             stability_energy(sys, tol=0.0, max_iter=1)
         assert info.value.result is not None
         assert info.value.result.energy >= 0.0
+
+    def test_result_records_its_stop(self, small_sphere, caplog):
+        """The result carries the solver's work, gap and reason, and the
+        debug line is formatted from them; a capped solve raises with
+        reason 'cap' and its message reads the same fields."""
+        rng = np.random.default_rng(5)
+        pts, dirs, forces = random_contacts(rng, small_sphere, 4)
+        sys = assemble(small_sphere, pts, dirs, forces)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        res = stability_energy(sys)
+        mat, const = energy_matrices(sys)
+        _, _, gap, steps, rounds = _solve_box(mat, const, QP_TOL, QP_MAX_ITER)
+        assert (res.steps, res.iterations, res.gap, res.reason) == (
+            steps, rounds, gap, "gap")
+        assert res.gap < QP_TOL and res.steps >= res.iterations >= 1
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "grasp_eq.stability"] == [
+            _STABILITY_LOG % (4, res.steps, res.iterations, res.gap)]
+        with pytest.raises(SolverError) as info:
+            stability_energy(sys, tol=-1.0, max_iter=3)
+        capped = info.value.result
+        assert (capped.reason, capped.iterations) == ("cap", 3)
+        assert capped.steps >= 3
+        assert (f"gap {capped.gap:.3e} not below tol -1.0e+00 after 3 "
+                "active-set iterations") in str(info.value)
 
     def test_rank_deficient_triple_matches_active_pattern_enumeration(self):
         # acceptance 7's trial 10: the box triple on parts (8, 10, 16) has a
@@ -422,6 +455,23 @@ class TestForceExistence:
                                   tol=0.0, max_iter=1)
         forces = info.value.result.forces
         assert np.all((forces >= 0.0) & (forces <= 5.0))
+
+    def test_result_records_its_stop(self, small_sphere, caplog):
+        rng = np.random.default_rng(6)
+        pts, dirs, _ = random_contacts(rng, small_sphere, 3)
+        caplog.set_level(logging.DEBUG, logger="grasp_eq")
+        res = solve_force_existence(small_sphere, pts, dirs)
+        assert res.reason == "gap" and res.gap < QP_TOL
+        assert res.steps >= res.iterations >= 1
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "grasp_eq"] == [
+            _FORCE_EXISTENCE_LOG % (3, res.steps, res.iterations, res.gap)]
+        with pytest.raises(SolverError) as info:
+            solve_force_existence(small_sphere, pts, dirs, tol=-1.0,
+                                  max_iter=2)
+        capped = info.value.result
+        assert (capped.reason, capped.iterations) == ("cap", 2)
+        assert f"gap {capped.gap:.3e}" in str(info.value)
 
     @pytest.mark.parametrize("mass", [0.01, 0.001])
     def test_light_object_certifies(self, mass):

@@ -117,6 +117,23 @@ class TestClustering:
         assert np.linalg.norm(cluster.normal) == pytest.approx(1.0)
 
 
+def reference_cluster(part, indices, obj, forces):
+    """One cluster as clustering built it, one call per cluster, before it
+    took every cluster's sums from one sorted pass."""
+    indices = np.sort(np.asarray(indices, dtype=int))
+    f = forces[indices]
+    total = float(f.sum())
+    center = (f[:, None] * obj.points[indices]).sum(axis=0) / total
+    avg = (f[:, None] * obj.normals[indices]).sum(axis=0)
+    norm = np.linalg.norm(avg)
+    if norm > 1e-9:
+        normal = avg / norm
+    else:
+        normal = obj.normals[indices[int(np.argmax(f))]]
+    return PartCluster(part=int(part), indices=indices, center=center,
+                       force=total, normal=normal)
+
+
 def per_part_clusters(obj, contacts, radius):
     """Reference: one neighbour pass per part, as clustering ran before it
     took all parts at once."""
@@ -129,8 +146,8 @@ def per_part_clusters(obj, contacts, radius):
         graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                            shape=(len(idx), len(idx)))
         _, labels = connected_components(graph, directed=False)
-        clusters = [keypoints._make_cluster(part, idx[labels == lab], obj,
-                                            contacts.force)
+        clusters = [reference_cluster(part, idx[labels == lab], obj,
+                                      contacts.force)
                     for lab in np.unique(labels)]
         clusters.sort(key=lambda c: int(c.indices[0]))
         out[int(part)] = clusters
@@ -138,15 +155,18 @@ def per_part_clusters(obj, contacts, radius):
 
 
 def assert_same_clusters(got, expected):
+    """Equal clusters, bit for bit: signed zeros and types included."""
     assert list(got) == list(expected)
     for part in expected:
         assert len(got[part]) == len(expected[part])
         for a, b in zip(got[part], expected[part]):
-            assert a.part == b.part == part
-            assert np.array_equal(a.indices, b.indices)
-            assert a.force == b.force
-            assert np.array_equal(a.center, b.center)
-            assert np.array_equal(a.normal, b.normal)
+            assert a.part == b.part == part and type(a.part) is int
+            assert type(a.force) is type(b.force) is float
+            assert np.float64(a.force).tobytes() == np.float64(b.force).tobytes()
+            for name in ("indices", "center", "normal"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                assert x.tobytes() == y.tobytes()
 
 
 def acceptance7_scenes():
@@ -173,20 +193,29 @@ class TestOnePassClustering:
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(1, 60),
            n_parts=st.integers(1, 5), spread=st.floats(0.002, 0.05),
-           radius=st.floats(0.001, 0.02), zero_share=st.floats(0.0, 0.5))
+           radius=st.floats(0.001, 0.02), zero_share=st.floats(0.0, 0.5),
+           opposed=st.booleans())
     def test_matches_per_part_on_random_states(self, seed, n_points, n_parts,
-                                               spread, radius, zero_share):
-        # points of all parts mixed in one box, often closer than the radius
+                                               spread, radius, zero_share,
+                                               opposed):
+        # points of all parts mixed in one box, often closer than the
+        # radius; with ``opposed`` each point has a twin at its place with
+        # the opposite normal and the same force, so a cluster's mean
+        # normal cancels and its strongest member's normal stands in
         rng = np.random.default_rng(seed)
         points = rng.uniform(-spread, spread, (n_points, 3))
         normals = rng.normal(size=(n_points, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        obj = ObjectModel(points=points, normals=normals, com=np.zeros(3))
         labels = rng.integers(1, n_parts + 1, n_points)
         force = rng.uniform(0.1, 3.0, n_points) * (
             rng.uniform(size=n_points) >= zero_share)
-        state = ContactState(likelihood=np.ones(n_points), part_label=labels,
-                             force=force)
+        if opposed:
+            points, labels, force = (np.concatenate([a, a])
+                                     for a in (points, labels, force))
+            normals = np.concatenate([normals, -normals])
+        obj = ObjectModel(points=points, normals=normals, com=np.zeros(3))
+        state = ContactState(likelihood=np.ones(len(points)),
+                             part_label=labels, force=force)
         assert_same_clusters(cluster_contacts(obj, state, radius=radius),
                              per_part_clusters(obj, state, radius))
 

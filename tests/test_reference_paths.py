@@ -1,0 +1,332 @@
+"""The keypoint search's lean paths against their plain forms, bit for bit.
+
+Each reference below is the plain form of a function the keypoint search
+runs on every candidate: the box QP loop over a boolean free set, the
+sub-system built through ``dataclasses.replace``, the stability energy
+that freezes each output, and the search loop with its bounds written
+out.  The lean forms must return the same bits, ties and solve order
+included.  Clustering is pinned against one aggregate call per cluster
+in test_keypoints.py.
+"""
+
+import contextlib
+import itertools
+import logging
+import struct
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grasp_eq import keypoints
+from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, StabilityResult,
+                                  _check_friction, _solve_box, assemble,
+                                  energy_lower_bounds, stability_energy)
+from grasp_eq.errors import SolverError
+from grasp_eq.scene import _freeze
+
+from conftest import random_contacts, sphere_object
+from test_keypoints import held_reps
+
+
+def bits(value):
+    """The bytes of a float or an array, so -0.0 and nan compare exactly."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return struct.pack("<d", value)
+
+
+def reference_box(mat, const, tol, max_iter):
+    """The box QP loop over a boolean free set, re-masked on every step."""
+    k = mat.shape[1]
+    x = np.zeros(k)
+    free = np.ones(k, dtype=bool)
+    best_x, best_f, best_gap = x, np.inf, np.inf
+    steps = 0
+    for outer in range(1, max_iter + 1):
+        while free.any():
+            steps += 1
+            r = mat @ x + const
+            step, *_ = np.linalg.lstsq(mat[:, free], -r, rcond=None)
+            xf = x[free]
+            ratio = np.divide(np.copysign(1.0, step) - xf, step,
+                              out=np.full(len(step), np.inf),
+                              where=step != 0.0)
+            alpha = min(1.0, float(ratio.min()))
+            if alpha > 0.0:
+                x[free] = xf + alpha * step
+            if alpha == 1.0:
+                break
+            blocked = ratio <= alpha
+            hit = np.flatnonzero(free)[blocked]
+            x[hit] = np.sign(step[blocked])
+            free[hit] = False
+        r = mat @ x + const
+        f = float(r @ r)
+        g = 2.0 * (mat.T @ r)
+        gap = min(float(g @ x + np.abs(g).sum()), f)
+        if f < best_f:
+            best_x, best_f, best_gap = x.copy(), f, gap
+        if gap < tol or not k:
+            return x, True, gap, steps, outer
+        violation = np.where(free, 0.0, x * g)
+        worst = int(np.argmax(violation))
+        if violation[worst] > 0.0:
+            free[worst] = True
+    return best_x, False, best_gap, steps, max_iter
+
+
+def reference_take(sys, cols):
+    return replace(sys, n_mat=_freeze(sys.n_mat.take(cols, axis=1)),
+                   b_mat=_freeze(sys.b_mat.take(cols, axis=1)),
+                   t_mat=_freeze(sys.t_mat.take(cols, axis=1)),
+                   forces=_freeze(sys.forces.take(cols)))
+
+
+def reference_stability_energy(sys, tol=QP_TOL, max_iter=QP_MAX_ITER):
+    """(result, converged) with each output frozen on its own, solved by
+    reference_box."""
+    n = sys.n_contacts
+    _check_friction(sys, float(sys.forces.sum()))
+    const = sys.n_mat @ sys.forces + sys.gravity6
+    scaled = sys.mu * sys.forces
+    mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
+    tol = tol * max(1.0, 1e-4 * float(const @ const))
+    x, converged, gap, steps, rounds = reference_box(mat, const, tol,
+                                                     max_iter)
+    accel = mat @ x + const
+    result = StabilityResult(energy=float(accel @ accel), gamma=_freeze(x[:n]),
+                             delta=_freeze(x[n:]), accel=_freeze(accel),
+                             steps=steps, iterations=rounds, gap=gap,
+                             reason="gap" if converged else "cap")
+    return result, converged
+
+
+def reference_candidate_bounds(sys, candidates):
+    members = np.zeros((sys.n_contacts, len(candidates)))
+    members[candidates, np.arange(len(candidates))[:, None]] = 1.0
+    return energy_lower_bounds(sys, sys.forces[:, None] * members)
+
+
+def reference_dual_bounds(sys, candidates, y):
+    norm = np.linalg.norm(y)
+    if norm == 0.0:
+        return np.zeros(len(candidates))
+    y = y / norm
+    scaled = sys.mu * sys.forces
+    terms = ((y @ sys.n_mat) * sys.forces - np.abs(y @ sys.b_mat) * scaled
+             - np.abs(y @ sys.t_mat) * scaled)
+    beta = terms[candidates].sum(axis=1) + y @ sys.gravity6
+    return np.maximum(beta, 0.0) ** 2
+
+
+def reference_least_energy(sys, candidates, solve, bounds):
+    """The search as a plain loop, from the candidates' first ``bounds``:
+    (best, energy, the solved candidates' accelerations in solve order
+    keyed by candidate, its debug line)."""
+    candidates = np.asarray(candidates)
+    count = len(candidates)
+    lower = bounds - QP_TOL / 4
+    energies = np.full(count, np.inf)
+    solved = np.zeros(count, dtype=bool)
+    least, best, best_energy = np.inf, count, np.inf
+    order = {}
+    while True:
+        deciding = lower + QP_TOL < best_energy
+        deciding[:best] |= lower[:best] <= least + QP_TOL
+        pending = np.flatnonzero(deciding & ~solved)
+        if not pending.size:
+            break
+        j = int(pending[np.argmin(lower[pending])])
+        try:
+            res = solve(reference_take(sys, candidates[j]))
+        except SolverError as err:
+            res = err.result
+        order[j] = res.accel
+        energies[j], solved[j] = res.energy, True
+        if not solved.all():
+            np.maximum(lower, reference_dual_bounds(sys, candidates, res.accel)
+                       - QP_TOL / 4, out=lower)
+        least = energies.min()
+        best = int(np.argmax(solved & (energies <= least + QP_TOL)))
+        best_energy = energies[best]
+    line = (f"stability search: {count} candidates, {solved.sum()} solved, "
+            f"{count - solved.sum()} skipped, best energy {best_energy:.3e}")
+    return best, best_energy, order, line
+
+
+@contextlib.contextmanager
+def search_lines():
+    """The messages the ``grasp_eq`` logger itself records meanwhile, at
+    debug level."""
+    lines = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: (lines.append(record.getMessage())
+                                   if record.name == "grasp_eq" else None)
+    logger = logging.getLogger("grasp_eq")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def drawn_system(seed, n, mu, zero_share, repeats, held):
+    """A system over n random contacts on a sphere, or over the held
+    set's clusters (energy 0 up to rounding), some forces zeroed and
+    ``repeats`` contacts repeated as equal columns."""
+    rng = np.random.default_rng(seed)
+    obj = sphere_object(seed=seed % 1000)
+    if held:
+        reps = list(held_reps().values())
+        points = np.array([c.center for c in reps])
+        normals = np.array([c.normal for c in reps])
+        forces = np.array([c.force for c in reps])
+        n = len(reps)
+    else:
+        points, normals, forces = random_contacts(rng, obj, n)
+    forces[rng.uniform(size=n) < zero_share] = 0.0
+    pick = np.concatenate([np.arange(n), rng.integers(0, n, repeats)])
+    rng.shuffle(pick)
+    return rng, obj, assemble(obj, points[pick], normals[pick], forces[pick],
+                              mu=mu)
+
+
+SYSTEMS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
+               mu=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.5),
+               zero_share=st.sampled_from([0.0, 0.4, 1.0]),
+               repeats=st.integers(0, 3), held=st.booleans())
+
+
+class TestBoxLoop:
+    def test_overflowing_and_nan_steps_match_the_masked_loop(self):
+        """Columns near the underflow limit make the least-squares step
+        overflow (ratio 0, alpha 0) or turn nan (min(1.0, nan) is 1.0, a
+        whole step); both loops take the same path to the same bits."""
+        met = {"inf": 0, "nan": 0}
+        lstsq = np.linalg.lstsq
+
+        def counted(a, b, rcond=None):
+            out = lstsq(a, b, rcond=rcond)
+            step = out[0]
+            if np.isnan(step).any():
+                met["nan"] += 1
+            elif np.isinf(step).any():
+                met["inf"] += 1
+            return out
+
+        rng = np.random.default_rng(27)
+        with (mock.patch.object(np.linalg, "lstsq", counted),
+              np.errstate(all="ignore")):
+            for _ in range(400):
+                k = int(rng.integers(2, 7))
+                mat = (rng.normal(size=(6, k))
+                       * 10.0 ** -rng.uniform(290, 310, size=(1, k)))
+                const = rng.normal(size=6) * 10.0 ** rng.uniform(-5, 5)
+                max_iter = int(rng.choice([1, 3]))
+                got = _solve_box(mat, const, QP_TOL, max_iter)
+                want = reference_box(mat, const, QP_TOL, max_iter)
+                assert bits(got[0]) == bits(want[0])
+                assert bits(got[2]) == bits(want[2])
+                assert (got[1], *got[3:]) == (want[1], *want[3:])
+        assert met["nan"] >= 5 and met["inf"] >= 20
+
+
+class TestCandidatePath:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=120)
+    @given(**SYSTEMS, max_iter=st.sampled_from([1, 2, QP_MAX_ITER]))
+    def test_take_and_stability_energy_match_their_plain_forms(
+            self, seed, n, mu, zero_share, repeats, held, max_iter):
+        rng, _, sys = drawn_system(seed, n, mu, zero_share, repeats, held)
+        size = sys.n_contacts
+        for k in sorted({1, min(3, size), size}):
+            cols = np.sort(rng.choice(size, k, replace=False))
+            sub, ref = sys.take(cols), reference_take(sys, cols)
+            for name in ("n_mat", "b_mat", "t_mat", "gravity6", "forces"):
+                got, want = getattr(sub, name), getattr(ref, name)
+                assert bits(got) == bits(want)
+                assert got.flags.c_contiguous and not got.flags.writeable
+            assert (sub.mu, type(sub)) == (ref.mu, type(ref))
+            want, converged = reference_stability_energy(ref,
+                                                         max_iter=max_iter)
+            try:
+                got = stability_energy(sub, max_iter=max_iter)
+            except SolverError as err:
+                got = err.result
+                assert not converged
+            else:
+                assert converged
+            assert bits(got.energy) == bits(want.energy)
+            assert bits(got.gap) == bits(want.gap)
+            for name in ("gamma", "delta", "accel"):
+                array = getattr(got, name)
+                assert bits(array) == bits(getattr(want, name))
+                assert not array.flags.writeable
+            assert ((got.steps, got.iterations, got.reason)
+                    == (want.steps, want.iterations, want.reason))
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=120)
+    @given(**SYSTEMS, k=st.integers(1, 4), grid=st.booleans(),
+           offset=st.sampled_from([0.0, 1.0, 1e9]))
+    def test_least_energy_matches_its_plain_form(self, seed, n, mu,
+                                                 zero_share, repeats, held,
+                                                 k, grid, offset):
+        """Same answer, same solves in the same order, same debug line.
+        With ``grid`` the energies are set on a QP_TOL / 2 grid above
+        ``offset``, keyed by the sub-system, so equal candidates tie and
+        others sit exactly QP_TOL / 2 and QP_TOL apart, and the first
+        bounds are 0, half or all of them, so bounds meet the band edges
+        too; the accelerations, and so the dual bounds, stay the
+        solver's."""
+        rng, _, sys = drawn_system(seed, n, mu, zero_share, repeats, held)
+        candidates = np.array(list(itertools.combinations(
+            range(sys.n_contacts), min(k, sys.n_contacts))))
+        table = {}
+
+        def key(sub):
+            return sub.forces.tobytes(), sub.n_mat.tobytes()
+
+        def solve(sub):
+            try:
+                res = stability_energy(sub)
+            except SolverError as err:
+                res = err.result
+            return replace(res, energy=table[key(sub)]) if grid else res
+
+        bounds = reference_candidate_bounds(sys, candidates)
+        if grid:
+            for cols in candidates:
+                table.setdefault(key(reference_take(sys, cols)), offset
+                                 + int(rng.integers(0, 7)) * (QP_TOL / 2))
+            bounds = np.array([table[key(reference_take(sys, cols))]
+                               for cols in candidates]) * rng.choice(
+                [0.0, 0.5, 1.0], len(candidates))
+        want = reference_least_energy(sys, candidates, solve, bounds.copy())
+        order = []
+
+        def recorded(sub):
+            order.append(sub)
+            return solve(sub)
+
+        with (mock.patch.object(keypoints, "stability_energy", recorded),
+              mock.patch.object(keypoints, "_candidate_bounds",
+                                lambda sys, candidates: bounds.copy()),
+              search_lines() as lines):
+            best, energy = keypoints._least_energy(sys, candidates)
+        assert (best, bits(float(energy))) == (want[0], bits(float(want[1])))
+        assert [(sub.forces.tobytes(), sub.n_mat.tobytes()) for sub in order] == [
+            (sub.forces.tobytes(), sub.n_mat.tobytes()) for sub in
+            (reference_take(sys, candidates[j]) for j in want[2])]
+        assert lines == [want[3]]
+        assert bits(keypoints._candidate_bounds(sys, candidates)) == bits(
+            reference_candidate_bounds(sys, candidates))
+        for y in [np.zeros(6), *want[2].values()]:
+            assert bits(keypoints._dual_bounds(sys, candidates, y)) == bits(
+                reference_dual_bounds(sys, candidates, y))
