@@ -12,7 +12,6 @@ import argparse
 import collections
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -176,11 +175,7 @@ def _cmd_optimize(args):
                                 ("after", result.report_after))},
         "keypoint_energy": result.keypoints.energy,
         "registration_residual": result.registration.residual,
-        # last_drop is nan for a stage that accepted no step; null keeps
-        # the file strict JSON
-        "stops": {str(stage): {**dataclasses.asdict(stop),
-                               "last_drop": None if math.isnan(stop.last_drop)
-                               else stop.last_drop}
+        "stops": {str(stage): stop.as_json("last_drop")
                   for stage, stop in sorted(result.trace.stops.items())},
     }
     io_mod.dump_json(os.path.join(args.out_dir, "evaluation.json"), evaluation)

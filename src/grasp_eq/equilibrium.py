@@ -16,16 +16,22 @@ Stability energy is the minimum of ||accel||^2 over the friction box, a
 convex box-constrained quadratic program.  A differentiable relaxation
 bounds each acceleration row independently and penalizes rows whose
 attainable interval excludes zero.
+
+Both QPs, this one and the force-existence fit, return their result with
+the active-set loop's ``errors.Stop``, log one debug line formatted from
+it, and raise SolverError, its message formatted from it, unless its
+reason is 'gap'.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SolverError, is_finite, is_number
+from .errors import ShapeError, SolverError, Stop, is_finite, is_number
 from .hand import _cross
 from .scene import (_FLOAT_MAX, GRAVITY, ObjectModel, _freeze,
                     _pivot_tangents, check_forces, check_unit_normals)
@@ -42,13 +48,9 @@ _FRICTION_MAX = float(np.sqrt(_FLOAT_MAX)) / 8
 _GRAVITY_MAX = float(np.sqrt(_FLOAT_MAX / 4))
 
 _log = logging.getLogger("grasp_eq")
-_FORCE_EXISTENCE_LOG = ("force existence: %d contacts, %d inner steps, "
-                        "%d outer iterations, gap %.3e")
 # a child of grasp_eq, so the keypoint search's one record per search on
 # grasp_eq itself is not interleaved with one record per QP it solves
 _stability_log = logging.getLogger("grasp_eq.stability")
-_STABILITY_LOG = ("stability: %d contacts, %d inner steps, "
-                  "%d outer iterations, gap %.3e")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,32 +97,19 @@ class EquilibriumSystem:
                                  forces)
 
 
-@dataclass(frozen=True, eq=False, kw_only=True)
-class QPStop:
-    """How a QP solve stopped: ``steps`` inner least-squares steps over
-    ``iterations`` outer active-set iterations, ending at duality ``gap``;
-    ``reason`` is 'gap' (the gap fell below the tolerance) or 'cap' (the
-    iteration budget ran out).  The defaults describe a result known
-    exactly."""
-
-    steps: int = 0
-    iterations: int = 0
-    gap: float = 0.0
-    reason: str = "gap"
-
-
 @dataclass(frozen=True, eq=False)
-class StabilityResult(QPStop):
+class StabilityResult:
     """Minimizer of the stability QP: energy == ||accel||^2 at (gamma, delta)."""
 
     energy: float
     gamma: np.ndarray
     delta: np.ndarray
     accel: np.ndarray
+    stop: Stop
 
 
 @dataclass(frozen=True, eq=False)
-class ForceExistenceResult(QPStop):
+class ForceExistenceResult:
     """Minimizer of ||accel||^2 over both bounded forces and friction."""
 
     energy: float
@@ -128,6 +117,7 @@ class ForceExistenceResult(QPStop):
     gamma: np.ndarray
     delta: np.ndarray
     accel: np.ndarray
+    stop: Stop
 
 
 def assemble(obj: ObjectModel, points, normals, forces,
@@ -201,10 +191,11 @@ def _solve_box(mat, const, tol, max_iter):
     and steps back into the box, fixing the coordinates it meets at their
     bounds; the minimum-norm step stays defined when the free columns are
     rank deficient.  At each free-set minimum the bound coordinate with the
-    largest KKT violation is freed.  Only the duality gap certifies:
-    returns (x, True, gap) once it falls below ``tol``, else (best x,
-    False, its gap) after ``max_iter`` outer iterations, followed by the
-    work done: the inner steps taken and the outer iterations run.
+    largest KKT violation is freed.  Returns (x, Stop): x once the duality
+    gap, the only certificate, falls below ``tol`` ('gap'); else the best
+    finite x, or the start if none, after ``max_iter`` outer iterations
+    ('cap') or at once on a non-finite objective, which no step undoes
+    ('nonfinite').
 
     The step is not clipped into the box: a coordinate the step does not
     block ends inside it, rounding included.  Heading for bound b = +-1
@@ -250,6 +241,9 @@ def _solve_box(mat, const, tol, max_iter):
             free = free[~blocked]
             r = mat @ x + const
         f = float(r @ r)
+        if not math.isfinite(f):
+            return (best_x if best_f < np.inf else np.zeros(k),
+                    Stop("nonfinite", outer, steps, best_gap))
         g = 2.0 * (mat.T @ r)
         # linear minimization over the box is -sum |g|; f >= 0 everywhere,
         # so f itself bounds the suboptimality as well
@@ -258,14 +252,14 @@ def _solve_box(mat, const, tol, max_iter):
             best_x, best_f, best_gap = x.copy(), f, gap
         # with no coordinates x is the minimizer, whatever tol is
         if gap < tol or not k:
-            return x, True, gap, steps, outer
+            return x, Stop("gap", outer, steps, gap)
         # a coordinate held at x_i = +-1 violates KKT when x_i * g_i > 0
         violation = x * g
         violation[free] = 0.0
         worst = int(violation.argmax())
         if violation[worst] > 0.0:
             free = np.sort(np.append(free, worst))
-    return best_x, False, best_gap, steps, max_iter
+    return best_x, Stop("cap", max_iter, steps, best_gap)
 
 
 # edge k of the linearized friction pyramid is the force direction
@@ -290,10 +284,9 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
     are centred), and steps back into the feasible set, dropping the edges
     that reach zero and capping the contacts that reach ``cap``.  At each
     face minimum the edge or cap with the largest KKT violation is freed.
-    Only the duality gap certifies: returns (lam, True, gap) once it falls
-    below ``tol``, else (best lam, False, its gap) after ``max_iter`` outer
-    iterations, followed by the work done: the inner steps taken and the
-    outer iterations run.
+    Returns (lam, Stop) with the reasons of ``_solve_box``; on 'cap' or
+    'nonfinite' lam is the best finite iterate, or the start if there is
+    none.
 
     ``tol`` is scaled by max(1, floor / QP_TOL), where floor is the gap's
     rounding at lam: one ulp of lam or of const moves the gradient g by up
@@ -337,6 +330,8 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
             capped |= to_cap <= alpha
         r = mat @ lam.ravel() + const
         f = float(r @ r)
+        if not math.isfinite(f):
+            return best_lam, Stop("nonfinite", outer, steps, best_gap)
         g = 2.0 * (mat.T @ r).reshape(n, 4)
         # linear minimization puts each contact's whole cap on its steepest
         # edge when that edge descends; f >= 0 everywhere, so f itself
@@ -349,7 +344,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
                        * (cap + lam.sum(axis=1))).sum())
         # with no contacts lam is the minimizer, whatever tol is
         if gap < tol * max(1.0, floor / QP_TOL) or not n:
-            return lam, True, gap, steps, outer
+            return lam, Stop("gap", outer, steps, gap)
         # a capped contact's free edges share one gradient `level` at a face
         # minimum: a zero edge violates KKT when its gradient is below the
         # level, a cap when the level is positive (shrinking the sum helps)
@@ -362,7 +357,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
                 free.flat[worst] = True
             else:
                 capped[worst - 4 * n] = False
-    return best_lam, False, best_gap, steps, max_iter
+    return best_lam, Stop("cap", max_iter, steps, best_gap)
 
 
 def _check_friction(sys, total_force):
@@ -378,13 +373,6 @@ def _check_friction(sys, total_force):
                          f"would pass {_FRICTION_MAX:.3g}")
 
 
-def _not_converged(what, tol, result):
-    return SolverError(
-        f"{what} QP not converged: gap {result.gap:.3e} not below tol "
-        f"{tol:.1e} after {result.iterations} active-set iterations",
-        result=result)
-
-
 def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
                      max_iter: int = QP_MAX_ITER) -> StabilityResult:
     """Minimize ||accel||^2 over gamma, delta in [-1, 1]^n.
@@ -394,8 +382,8 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     solver tolerance: the duality gap, which bounds energy - minimum, is
     below ``tol`` times max(1, 1e-4 E0), E0 being the energy at zero
     friction (relative to E0 once E0 passes 1e4).  Raises SolverError
-    (carrying the best iterate) if the gap does not fall below that within
-    ``max_iter`` active-set iterations.
+    (carrying the best iterate) unless the stop's reason is 'gap', the gap
+    falling below that within ``max_iter`` active-set iterations.
     """
     n = sys.n_contacts
     _check_friction(sys, float(sys.forces.sum()))
@@ -404,17 +392,15 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
     # past E0 = 1e4, floats cannot certify an absolute gap of QP_TOL
     tol = tol * max(1.0, 1e-4 * float(const @ const))
-    x, converged, gap, steps, rounds = _solve_box(mat, const, tol, max_iter)
+    x, stop = _solve_box(mat, const, tol, max_iter)
     accel = mat @ x + const
     # x is the solver's own array; gamma and delta are read-only views of it
     x.flags.writeable = accel.flags.writeable = False
-    result = StabilityResult(float(accel @ accel), x[:n], x[n:], accel,
-                             steps=steps, iterations=rounds, gap=gap,
-                             reason="gap" if converged else "cap")
-    _stability_log.debug(_STABILITY_LOG, n, result.steps, result.iterations,
-                         result.gap)
-    if not converged:
-        raise _not_converged("stability", tol, result)
+    result = StabilityResult(float(accel @ accel), x[:n], x[n:], accel, stop)
+    _stability_log.debug("stability: %d contacts, %s", n, stop)
+    if stop.reason != "gap":
+        raise SolverError(f"stability QP not certified below tol {tol:.1e}: "
+                          f"{stop}", result)
     return result
 
 
@@ -502,8 +488,8 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     It is solved exactly by an active-set method started from the interior
     point that shares the object's weight evenly over the contacts.  Like
     stability_energy, ``tol`` bounds the duality gap and SolverError
-    (carrying the best iterate) is raised if it is not reached within
-    ``max_iter`` active-set iterations.  Used to test whether admissible
+    (carrying the best iterate) is raised unless the stop's reason is
+    'gap'.  Used to test whether admissible
     forces exist that hold the object still.
     """
     if not np.isfinite(f_max) or f_max < 0:
@@ -519,18 +505,17 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     # the minimizer is not unique; from lam = 0 the solver lands on sparse
     # vertices, from this interior point it keeps force on most contacts
     share = min(obj.mass * float(np.linalg.norm(gravity6)) / max(n, 1), f_max)
-    lam, converged, gap, steps, rounds = _solve_pyramid(
-        mat, gravity6, np.full((n, 4), share / 4.0), f_max, tol, max_iter)
+    lam, stop = _solve_pyramid(mat, gravity6, np.full((n, 4), share / 4.0),
+                               f_max, tol, max_iter)
     u = lam.sum(axis=1)
     safe = np.where(u > 0, u, 1.0)
     gamma, delta = np.clip((lam @ _EDGE_SIGNS) / safe[:, None], -1.0, 1.0).T
     accel = mat @ lam.ravel() + gravity6
     result = ForceExistenceResult(
         energy=float(accel @ accel), forces=_freeze(u), gamma=_freeze(gamma),
-        delta=_freeze(delta), accel=_freeze(accel), steps=steps,
-        iterations=rounds, gap=gap, reason="gap" if converged else "cap")
-    _log.debug(_FORCE_EXISTENCE_LOG, n, result.steps, result.iterations,
-               result.gap)
-    if not converged:
-        raise _not_converged("force-existence", tol, result)
+        delta=_freeze(delta), accel=_freeze(accel), stop=stop)
+    _log.debug("force existence: %d contacts, %s", n, stop)
+    if stop.reason != "gap":
+        raise SolverError(f"force-existence QP not certified below tol "
+                          f"{tol:.1e}: {stop}", result)
     return result

@@ -1,7 +1,8 @@
-"""Exception hierarchy and the number tests shared by all modules."""
+"""Exception hierarchy, the solvers' Stop record and shared number tests."""
 
 import math
 import numbers
+from typing import NamedTuple
 
 
 def is_number(value, kind=numbers.Real):
@@ -67,10 +68,42 @@ class StyleInfeasible(GraspEqError):
     """Contact style cannot be realized on this object."""
 
 
+class Stop(NamedTuple):
+    """Why a solver stopped, and the work it did: a tuple, so that the
+    record each QP returns costs little to build.
+
+    A QP's ``reason`` is 'gap' (the duality gap fell below the tolerance),
+    'cap' (the budget ran out) or 'nonfinite' (the objective overflowed or
+    turned nan); it counts outer active-set ``iterations`` and inner
+    least-squares steps as ``evaluations``, and ``final`` is the returned
+    iterate's duality gap (inf if no iterate was finite).  A descent
+    stage's is 'tol' (a drop below ``convergence_tol``, or a zero loss),
+    'backtrack' (no trial kept the loss from rising) or 'cap'; it counts
+    accepted steps as ``iterations`` and objective evaluations, the start
+    included, and ``final`` is the last accepted drop (nan if none).
+    """
+
+    reason: str
+    iterations: int
+    evaluations: int
+    final: float
+
+    def __str__(self):
+        return (f"{self.reason} after {self.iterations} iterations, "
+                f"{self.evaluations} evaluations, final {self.final:.3e}")
+
+    def as_json(self, final_name):
+        """A strict-JSON object; ``final`` is named ``final_name``, and is
+        null when not finite."""
+        return {"reason": self.reason, "iterations": self.iterations,
+                "evaluations": self.evaluations,
+                final_name: self.final if math.isfinite(self.final) else None}
+
+
 class SolverError(GraspEqError):
     """Iterative solver failed to converge.
 
-    Carries the best iterate found so far in ``result``.
+    Carries the best iterate found so far, with its Stop, in ``result``.
     """
 
     def __init__(self, message, result=None):

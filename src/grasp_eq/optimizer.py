@@ -9,10 +9,11 @@ Levenberg-Marquardt driver, ``_lm_stage``, over the terms of ``pose_terms``
 (stage II weighs the keypoint term alone and locks the scale); its loop is
 the one place trial points are accepted and stages stop.  A step is
 accepted only if it does not raise the objective, and each stage records
-why it stopped in ``OptimizationTrace.stops``.  Trial points are evaluated by value only; the
-joint jacobian, the gradients and the curvatures are built from that
-evaluation's kinematics and nearest-neighbour results, and only at an
-accepted point, where the driver draws its next trials.  The contact
+why it stopped, an ``errors.Stop``, in ``OptimizationTrace.stops`` and
+logs it.  Trial points are evaluated by value only; the joint jacobian,
+the gradients and the curvatures are built from that evaluation's
+kinematics and nearest-neighbour results, and only at an accepted point,
+where the driver draws its next trials.  The contact
 term's object-point-to-hand-sample query at a trial reuses the accepted
 point's answer (``scene.CertifiedNearestSite``): a point keeps its
 nearest sample when no sample has moved far enough to overtake it, and
@@ -33,7 +34,7 @@ from scipy.spatial.transform import Rotation
 
 from . import hand
 from .equilibrium import DEFAULT_MU, solve_force_existence
-from .errors import is_number
+from .errors import Stop, is_number
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, KeypointSet, find_keypoints)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
@@ -95,8 +96,8 @@ def objective(weights, terms):
 
 @dataclass
 class OptimizationTrace:
-    """Per-iteration loss records and each stage's StopReport keyed by
-    stage number."""
+    """Per-iteration loss records and each stage's Stop keyed by stage
+    number."""
 
     records: list = field(default_factory=list)
     stops: dict = field(default_factory=dict)
@@ -394,23 +395,6 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
 # descent core
 
 
-@dataclass(frozen=True)
-class StopReport:
-    """How one stage's descent ended.
-
-    ``reason`` is 'tol' (the last drop fell below ``convergence_tol``, or
-    the loss reached 0), 'backtrack' (no trial step kept the loss from
-    rising) or 'cap' (the iteration budget ran out).  ``iterations`` counts
-    accepted steps, ``evaluations`` objective evaluations including the
-    start, and ``last_drop`` is the last accepted decrease (nan if none).
-    """
-
-    reason: str
-    iterations: int
-    evaluations: int
-    last_drop: float
-
-
 # Levenberg-Marquardt damping, as a multiple of the largest diagonal entry
 # of the curvature: the first trial step uses _LM_DAMPING_START, each
 # accepted step divides it by _LM_DAMPING_FACTOR and each rejected one
@@ -436,8 +420,8 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     leaves less to push into the object.  Stops on 'tol' (objective 0, or a
     drop below ``convergence_tol``), 'backtrack' (damping past
     _LM_DAMPING_MAX) or 'cap' (the budget of accepted steps).  Records the
-    start and every accepted step, and the StopReport, to ``trace`` under
-    ``stage``, logs the report, the trials rejected on the bound and the
+    start and every accepted step, and the Stop, to ``trace`` under
+    ``stage``, logs the Stop, the trials rejected on the bound and the
     contact passes' rescanned and queried rows at debug level, and returns
     the last accepted pose vector.
 
@@ -502,11 +486,10 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
         if drop < config.convergence_tol:
             reason = "tol"
             break
-    trace.stops[stage] = StopReport(reason, done, evals, drop)
+    trace.stops[stage] = stop = Stop(reason, done, evals, drop)
     rows = (0, 0) if nearest is None else (nearest.rescanned, nearest.queried)
-    _log.debug("stage %d: %s after %d iterations, %d evaluations, last drop "
-               "%.3e, %d trials rejected on the bound, %d/%d contact rows "
-               "rescanned", stage, reason, done, evals, drop, bounded, *rows)
+    _log.debug("stage %d: %s, %d trials rejected on the bound, %d/%d contact "
+               "rows rescanned", stage, stop, bounded, *rows)
     return x
 
 
@@ -529,7 +512,7 @@ def optimize_grasp(pose1: hand.HandPose, obj: ObjectModel,
                    trace: OptimizationTrace | None = None):
     """Stage III: the LM stage on every term of TERMS over all pose
     parameters, the shape scale included.  Returns (pose, trace); the
-    stage's stop report is ``trace.stops[3]``."""
+    stage's Stop is ``trace.stops[3]``."""
     if trace is None:
         trace = OptimizationTrace()
     x = _lm_stage(3, pose1.as_vector(), None, keypoints, obj,

@@ -11,8 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
-from grasp_eq.equilibrium import (_FORCE_EXISTENCE_LOG, _STABILITY_LOG,
-                                  QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
+from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
                                   _free_mean, _solve_box, _solve_pyramid,
                                   assemble,
                                   assemble_from_contact_state, loss_gradient,
@@ -231,29 +230,30 @@ class TestStabilityEnergy:
         assert info.value.result.energy >= 0.0
 
     def test_result_records_its_stop(self, small_sphere, caplog):
-        """The result carries the solver's work, gap and reason, and the
-        debug line is formatted from them; a capped solve raises with
-        reason 'cap' and its message reads the same fields."""
+        """The result carries the solver's Stop, and the debug line is
+        formatted from it; a capped solve raises with reason 'cap' and its
+        message reads the same record."""
         rng = np.random.default_rng(5)
         pts, dirs, forces = random_contacts(rng, small_sphere, 4)
         sys = assemble(small_sphere, pts, dirs, forces)
         caplog.set_level(logging.DEBUG, logger="grasp_eq")
         res = stability_energy(sys)
         mat, const = energy_matrices(sys)
-        _, _, gap, steps, rounds = _solve_box(mat, const, QP_TOL, QP_MAX_ITER)
-        assert (res.steps, res.iterations, res.gap, res.reason) == (
-            steps, rounds, gap, "gap")
-        assert res.gap < QP_TOL and res.steps >= res.iterations >= 1
+        _, stop = _solve_box(mat, const, QP_TOL, QP_MAX_ITER)
+        assert res.stop == stop and stop.reason == "gap"
+        assert stop.final < QP_TOL and stop.evaluations >= stop.iterations >= 1
         assert [r.getMessage() for r in caplog.records
                 if r.name == "grasp_eq.stability"] == [
-            _STABILITY_LOG % (4, res.steps, res.iterations, res.gap)]
+            f"stability: 4 contacts, {stop}"]
         with pytest.raises(SolverError) as info:
             stability_energy(sys, tol=-1.0, max_iter=3)
-        capped = info.value.result
+        capped = info.value.result.stop
         assert (capped.reason, capped.iterations) == ("cap", 3)
-        assert capped.steps >= 3
-        assert (f"gap {capped.gap:.3e} not below tol -1.0e+00 after 3 "
-                "active-set iterations") in str(info.value)
+        assert capped.evaluations >= 3
+        assert str(info.value) == ("stability QP not certified below tol "
+                                   f"-1.0e+00: {capped}")
+        assert str(capped) == (f"cap after 3 iterations, {capped.evaluations} "
+                               f"evaluations, final {capped.final:.3e}")
 
     def test_rank_deficient_triple_matches_active_pattern_enumeration(self):
         # acceptance 7's trial 10: the box triple on parts (8, 10, 16) has a
@@ -460,18 +460,19 @@ class TestForceExistence:
         rng = np.random.default_rng(6)
         pts, dirs, _ = random_contacts(rng, small_sphere, 3)
         caplog.set_level(logging.DEBUG, logger="grasp_eq")
-        res = solve_force_existence(small_sphere, pts, dirs)
-        assert res.reason == "gap" and res.gap < QP_TOL
-        assert res.steps >= res.iterations >= 1
+        stop = solve_force_existence(small_sphere, pts, dirs).stop
+        assert stop.reason == "gap" and stop.final < QP_TOL
+        assert stop.evaluations >= stop.iterations >= 1
         assert [r.getMessage() for r in caplog.records
                 if r.name == "grasp_eq"] == [
-            _FORCE_EXISTENCE_LOG % (3, res.steps, res.iterations, res.gap)]
+            f"force existence: 3 contacts, {stop}"]
         with pytest.raises(SolverError) as info:
             solve_force_existence(small_sphere, pts, dirs, tol=-1.0,
                                   max_iter=2)
-        capped = info.value.result
+        capped = info.value.result.stop
         assert (capped.reason, capped.iterations) == ("cap", 2)
-        assert f"gap {capped.gap:.3e}" in str(info.value)
+        assert str(info.value) == ("force-existence QP not certified below "
+                                   f"tol -1.0e+00: {capped}")
 
     @pytest.mark.parametrize("mass", [0.01, 0.001])
     def test_light_object_certifies(self, mass):
@@ -594,14 +595,40 @@ class TestPyramidSolver:
             cap = float(rng.uniform(0.05, 3.0))
             start = np.full((n, 4), cap * rng.uniform(0.0, 0.25))
             max_iter = int(rng.choice([2, QP_MAX_ITER]))
-            got = _solve_pyramid(mat, const, start.copy(), cap, QP_TOL,
-                                 max_iter)
+            got, stop = _solve_pyramid(mat, const, start.copy(), cap, QP_TOL,
+                                       max_iter)
             (lam, converged, gap), capped = _reference_pyramid(
                 mat, const, start.copy(), cap, QP_TOL, max_iter)
-            assert got[0].tobytes() == lam.tobytes()
-            assert got[1:3] == (converged, gap)
+            assert got.tobytes() == lam.tobytes()
+            assert (stop.reason, stop.final) == ("gap" if converged else "cap",
+                                                 gap)
             capping += capped
         assert capping >= 10
+
+    def test_nan_step_stops_at_once(self):
+        """Edge columns near the underflow limit can make the least-squares
+        step nan, and every later iterate with it.  At the full budget the
+        loop stops on 'nonfinite' in the outer iteration that took it,
+        returning the best finite lam (here the start), instead of running
+        every iteration."""
+        rng = np.random.default_rng(5)
+        nonfinite = 0
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                n = int(rng.integers(1, 5))
+                mat = (rng.normal(size=(6, 4 * n))
+                       * 10.0 ** -rng.uniform(290, 310, size=(1, 4 * n)))
+                const = rng.normal(size=6) * 10.0 ** rng.uniform(-5, 5)
+                cap = float(rng.uniform(0.05, 3.0))
+                start = np.full((n, 4), cap * rng.uniform(0.0, 0.25))
+                lam, stop = _solve_pyramid(mat, const, start.copy(), cap,
+                                           QP_TOL, QP_MAX_ITER)
+                assert stop.iterations <= 2 and np.isfinite(lam).all()
+                if stop.reason == "nonfinite":
+                    nonfinite += 1
+                    assert lam.tobytes() == start.tobytes()
+                    assert stop.final == np.inf
+        assert nonfinite >= 30
 
     def test_logs_one_line_per_force_existence_solve(self, small_sphere,
                                                      caplog):
@@ -611,15 +638,13 @@ class TestPyramidSolver:
         for points, normals in ((pts, dirs), (np.zeros((0, 3)),
                                                np.zeros((0, 3)))):
             caplog.clear()
-            solve_force_existence(small_sphere, points, normals)
-            [line] = [r.getMessage() for r in caplog.records
-                      if r.name == "grasp_eq"]
-            contacts, steps, rounds, gap = (
-                line.removeprefix("force existence: ").split(", "))
-            assert contacts == f"{len(points)} contacts"
-            assert int(steps.split()[0]) >= min(len(points), 1)
-            assert int(rounds.split()[0]) >= min(len(points), 1)
-            assert float(gap.split()[1]) < QP_TOL
+            stop = solve_force_existence(small_sphere, points, normals).stop
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "grasp_eq"] == [
+                f"force existence: {len(points)} contacts, {stop}"]
+            assert stop.evaluations >= min(len(points), 1)
+            assert stop.iterations >= min(len(points), 1)
+            assert stop.final < QP_TOL
 
 
 def _reference_box(mat, const, tol, max_iter):
@@ -692,11 +717,12 @@ class TestBoxSolver:
                 mat = rng.normal(size=(6, 2 * n + 4))
                 const = rng.normal(scale=5.0, size=6)
             max_iter = int(rng.choice([1, 2, QP_MAX_ITER]))
-            got = _solve_box(mat, const, QP_TOL, max_iter)
+            got, stop = _solve_box(mat, const, QP_TOL, max_iter)
             (x, converged, gap), seen = _reference_box(mat, const, QP_TOL,
                                                        max_iter)
-            assert got[0].tobytes() == x.tobytes()
-            assert got[1:3] == (converged, gap)
+            assert got.tobytes() == x.tobytes()
+            assert (stop.reason, stop.final) == ("gap" if converged else "cap",
+                                                 gap)
             for name in seen:
                 met[name] = met.get(name, 0) + 1
         assert min(met.get(name, 0) for name in
@@ -706,10 +732,11 @@ class TestBoxSolver:
         rng = np.random.default_rng(21)
         pts, dirs, forces = random_contacts(rng, small_sphere, 4)
         mat, const = energy_matrices(assemble(small_sphere, pts, dirs, forces))
-        *_, steps, rounds = _solve_box(mat, const, QP_TOL, QP_MAX_ITER)
-        assert steps >= rounds >= 1
-        capped = _solve_box(mat, const, -1.0, 3)
-        assert capped[1] is False and capped[4] == 3 and capped[3] >= 3
+        _, stop = _solve_box(mat, const, QP_TOL, QP_MAX_ITER)
+        assert stop.evaluations >= stop.iterations >= 1
+        _, capped = _solve_box(mat, const, -1.0, 3)
+        assert (capped.reason, capped.iterations) == ("cap", 3)
+        assert capped.evaluations >= 3
 
     @pytest.mark.parametrize("scale", [100.0, 1000.0])
     def test_large_forces_certify_relative_to_their_energy(self, scale):
@@ -769,14 +796,13 @@ class TestBoxSolver:
                                                          np.zeros(0))):
             caplog.clear()
             res = stability_energy(assemble(small_sphere, points, normals, f))
-            [line] = [r.getMessage() for r in caplog.records
-                      if r.name == "grasp_eq.stability"]
-            contacts, steps, rounds, gap = (
-                line.removeprefix("stability: ").split(", "))
-            assert contacts == f"{len(points)} contacts"
-            assert int(steps.split()[0]) >= min(len(points), 1)
-            assert int(rounds.split()[0]) >= min(len(points), 1)
-            assert float(gap.split()[1]) < QP_TOL
+            stop = res.stop
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "grasp_eq.stability"] == [
+                f"stability: {len(points)} contacts, {stop}"]
+            assert stop.evaluations >= min(len(points), 1)
+            assert stop.iterations >= min(len(points), 1)
+            assert stop.final < QP_TOL
             assert res.energy >= 0.0
 
 

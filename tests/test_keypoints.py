@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 from grasp_eq import keypoints
 from grasp_eq.equilibrium import (QP_TOL, StabilityResult, assemble,
                                   energy_lower_bounds, stability_energy)
-from grasp_eq.errors import SolverError
+from grasp_eq.errors import SolverError, Stop
 from grasp_eq.keypoints import (KeypointSet, PartCluster, cluster_contacts,
                                 find_keypoints, make_targets, select_clusters,
                                 select_keypoints)
@@ -778,7 +778,8 @@ class TestBandSearch:
         def set_energy(sub):
             return StabilityResult(energy=table[float(sub.forces[0])],
                                    gamma=np.zeros(1), delta=np.zeros(1),
-                                   accel=np.zeros(6))
+                                   accel=np.zeros(6),
+                                   stop=Stop("gap", 0, 0, 0.0))
 
         monkeypatch.setattr(keypoints, "stability_energy", set_energy)
         for _ in range(400):

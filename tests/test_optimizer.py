@@ -417,7 +417,7 @@ class TestCurvatures:
         # the start, then one trial at each damping from 1e-3 to 1e12
         assert (stop.reason, stop.iterations, stop.evaluations) == (
             "backtrack", 0, 17)
-        assert math.isnan(stop.last_drop)
+        assert math.isnan(stop.final)
         assert np.array_equal(pose.as_vector(), pose0.as_vector())
 
 
@@ -430,7 +430,7 @@ class TestOptimizeGrasp:
                                   OptimizationConfig(max_iters_stage3=1))
         stop = trace.stops[3]
         assert (stop.reason, stop.iterations) == ("cap", 1)
-        assert stop.evaluations >= 2 and stop.last_drop > 0.0
+        assert stop.evaluations >= 2 and stop.final > 0.0
 
     def test_flat_objective_stops_on_tol(self):
         # every object point within CONTACT_RADIUS of a hand sample: the
@@ -832,10 +832,7 @@ class TestCertifiedContactPasses:
         assert len(lines) == 2
         for stage, line in zip((2, 3), lines):
             stop = trace.stops[stage]
-            assert line.startswith(
-                f"stage {stage}: {stop.reason} after {stop.iterations} "
-                f"iterations, {stop.evaluations} evaluations, last drop "
-                f"{stop.last_drop:.3e}, ")
+            assert line.startswith(f"stage {stage}: {stop}, ")
             rescanned, queried = map(int, line.split(", ")[-1]
                                      .split(" ")[0].split("/"))
             if stage == 2:  # no contact term

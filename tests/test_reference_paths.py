@@ -17,17 +17,18 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasp_eq import keypoints
 from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, StabilityResult,
                                   _check_friction, _solve_box, assemble,
-                                  energy_lower_bounds, stability_energy)
-from grasp_eq.errors import SolverError
+                                  energy_lower_bounds, solve_force_existence,
+                                  stability_energy)
+from grasp_eq.errors import SolverError, Stop
 from grasp_eq.scene import _freeze
 
-from conftest import random_contacts, sphere_object
+from conftest import energy_matrices, random_contacts, sphere_object
 from test_keypoints import held_reps
 
 
@@ -41,9 +42,10 @@ def bits(value):
 def reference_box(mat, const, tol, max_iter):
     """The box QP loop over a boolean free set, re-masked on every step."""
     k = mat.shape[1]
-    x = np.zeros(k)
+    start = np.zeros(k)
+    x = start.copy()
     free = np.ones(k, dtype=bool)
-    best_x, best_f, best_gap = x, np.inf, np.inf
+    best_x, best_f, best_gap = start, np.inf, np.inf
     steps = 0
     for outer in range(1, max_iter + 1):
         while free.any():
@@ -65,17 +67,19 @@ def reference_box(mat, const, tol, max_iter):
             free[hit] = False
         r = mat @ x + const
         f = float(r @ r)
+        if not np.isfinite(f):
+            return best_x, Stop("nonfinite", outer, steps, best_gap)
         g = 2.0 * (mat.T @ r)
         gap = min(float(g @ x + np.abs(g).sum()), f)
         if f < best_f:
             best_x, best_f, best_gap = x.copy(), f, gap
         if gap < tol or not k:
-            return x, True, gap, steps, outer
+            return x, Stop("gap", outer, steps, gap)
         violation = np.where(free, 0.0, x * g)
         worst = int(np.argmax(violation))
         if violation[worst] > 0.0:
             free[worst] = True
-    return best_x, False, best_gap, steps, max_iter
+    return best_x, Stop("cap", max_iter, steps, best_gap)
 
 
 def reference_take(sys, cols):
@@ -86,7 +90,7 @@ def reference_take(sys, cols):
 
 
 def reference_stability_energy(sys, tol=QP_TOL, max_iter=QP_MAX_ITER):
-    """(result, converged) with each output frozen on its own, solved by
+    """The result with each output frozen on its own, solved by
     reference_box."""
     n = sys.n_contacts
     _check_friction(sys, float(sys.forces.sum()))
@@ -94,14 +98,11 @@ def reference_stability_energy(sys, tol=QP_TOL, max_iter=QP_MAX_ITER):
     scaled = sys.mu * sys.forces
     mat = np.concatenate([sys.b_mat * scaled, sys.t_mat * scaled], axis=1)
     tol = tol * max(1.0, 1e-4 * float(const @ const))
-    x, converged, gap, steps, rounds = reference_box(mat, const, tol,
-                                                     max_iter)
+    x, stop = reference_box(mat, const, tol, max_iter)
     accel = mat @ x + const
-    result = StabilityResult(energy=float(accel @ accel), gamma=_freeze(x[:n]),
-                             delta=_freeze(x[n:]), accel=_freeze(accel),
-                             steps=steps, iterations=rounds, gap=gap,
-                             reason="gap" if converged else "cap")
-    return result, converged
+    return StabilityResult(energy=float(accel @ accel), gamma=_freeze(x[:n]),
+                           delta=_freeze(x[n:]), accel=_freeze(accel),
+                           stop=stop)
 
 
 def reference_candidate_bounds(sys, candidates):
@@ -158,14 +159,14 @@ def reference_least_energy(sys, candidates, solve, bounds):
 
 
 @contextlib.contextmanager
-def search_lines():
-    """The messages the ``grasp_eq`` logger itself records meanwhile, at
-    debug level."""
+def search_lines(name="grasp_eq"):
+    """The messages the logger ``name`` itself records meanwhile, at debug
+    level."""
     lines = []
     handler = logging.Handler(logging.DEBUG)
     handler.emit = lambda record: (lines.append(record.getMessage())
-                                   if record.name == "grasp_eq" else None)
-    logger = logging.getLogger("grasp_eq")
+                                   if record.name == name else None)
+    logger = logging.getLogger(name)
     level = logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
@@ -203,11 +204,24 @@ SYSTEMS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
                repeats=st.integers(0, 3), held=st.booleans())
 
 
+def tiny_column_systems():
+    """400 box QPs (mat, const, max_iter) with 2 to 6 columns scaled 1e-290
+    to 1e-310 and a budget of 1 or 3."""
+    rng = np.random.default_rng(27)
+    for _ in range(400):
+        k = int(rng.integers(2, 7))
+        mat = (rng.normal(size=(6, k))
+               * 10.0 ** -rng.uniform(290, 310, size=(1, k)))
+        const = rng.normal(size=6) * 10.0 ** rng.uniform(-5, 5)
+        yield mat, const, int(rng.choice([1, 3]))
+
+
 class TestBoxLoop:
     def test_overflowing_and_nan_steps_match_the_masked_loop(self):
         """Columns near the underflow limit make the least-squares step
         overflow (ratio 0, alpha 0) or turn nan (min(1.0, nan) is 1.0, a
-        whole step); both loops take the same path to the same bits."""
+        whole step, and a nan objective); both loops take the same path to
+        the same bits."""
         met = {"inf": 0, "nan": 0}
         lstsq = np.linalg.lstsq
 
@@ -220,21 +234,31 @@ class TestBoxLoop:
                 met["inf"] += 1
             return out
 
-        rng = np.random.default_rng(27)
         with (mock.patch.object(np.linalg, "lstsq", counted),
               np.errstate(all="ignore")):
-            for _ in range(400):
-                k = int(rng.integers(2, 7))
-                mat = (rng.normal(size=(6, k))
-                       * 10.0 ** -rng.uniform(290, 310, size=(1, k)))
-                const = rng.normal(size=6) * 10.0 ** rng.uniform(-5, 5)
-                max_iter = int(rng.choice([1, 3]))
-                got = _solve_box(mat, const, QP_TOL, max_iter)
-                want = reference_box(mat, const, QP_TOL, max_iter)
-                assert bits(got[0]) == bits(want[0])
-                assert bits(got[2]) == bits(want[2])
-                assert (got[1], *got[3:]) == (want[1], *want[3:])
+            for mat, const, max_iter in tiny_column_systems():
+                got_x, got = _solve_box(mat, const, QP_TOL, max_iter)
+                want_x, want = reference_box(mat, const, QP_TOL, max_iter)
+                assert bits(got_x) == bits(want_x)
+                assert bits(got.final) == bits(want.final)
+                assert ((got.reason, got.iterations, got.evaluations)
+                        == (want.reason, want.iterations, want.evaluations))
         assert met["nan"] >= 5 and met["inf"] >= 20
+
+    def test_nan_step_stops_at_once(self):
+        """A nan step makes every later iterate nan.  At the full budget
+        the loop stops on 'nonfinite' in the outer iteration that took it,
+        returning the best finite x (here the start), instead of running
+        every iteration and returning its nan working array."""
+        nonfinite = 0
+        with np.errstate(all="ignore"):
+            for mat, const, _ in tiny_column_systems():
+                x, stop = _solve_box(mat, const, QP_TOL, QP_MAX_ITER)
+                assert stop.iterations <= 2 and np.isfinite(x).all()
+                if stop.reason == "nonfinite":
+                    nonfinite += 1
+                    assert not x.any() and stop.final == np.inf
+        assert nonfinite >= 10
 
 
 class TestCandidatePath:
@@ -253,23 +277,24 @@ class TestCandidatePath:
                 assert bits(got) == bits(want)
                 assert got.flags.c_contiguous and not got.flags.writeable
             assert (sub.mu, type(sub)) == (ref.mu, type(ref))
-            want, converged = reference_stability_energy(ref,
-                                                         max_iter=max_iter)
+            want = reference_stability_energy(ref, max_iter=max_iter)
             try:
                 got = stability_energy(sub, max_iter=max_iter)
             except SolverError as err:
                 got = err.result
-                assert not converged
+                assert want.stop.reason != "gap"
             else:
-                assert converged
+                assert want.stop.reason == "gap"
             assert bits(got.energy) == bits(want.energy)
-            assert bits(got.gap) == bits(want.gap)
+            assert bits(got.stop.final) == bits(want.stop.final)
             for name in ("gamma", "delta", "accel"):
                 array = getattr(got, name)
                 assert bits(array) == bits(getattr(want, name))
                 assert not array.flags.writeable
-            assert ((got.steps, got.iterations, got.reason)
-                    == (want.steps, want.iterations, want.reason))
+            assert ((got.stop.evaluations, got.stop.iterations,
+                     got.stop.reason)
+                    == (want.stop.evaluations, want.stop.iterations,
+                        want.stop.reason))
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=120)
@@ -330,3 +355,43 @@ class TestCandidatePath:
         for y in [np.zeros(6), *want[2].values()]:
             assert bits(keypoints._dual_bounds(sys, candidates, y)) == bits(
                 reference_dual_bounds(sys, candidates, y))
+
+
+class TestSolverErrorContract:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=120)
+    @given(**SYSTEMS, max_iter=st.sampled_from([1, 2, QP_MAX_ITER]))
+    # both QPs raise on these; few drawn examples do at one iteration
+    @example(seed=7, n=3, mu=1.0, zero_share=0.0, repeats=1, held=False,
+             max_iter=1)
+    @example(seed=125, n=5, mu=1.0, zero_share=0.0, repeats=1, held=False,
+             max_iter=1)
+    def test_raises_exactly_when_the_gap_does_not_certify(
+            self, seed, n, mu, zero_share, repeats, held, max_iter):
+        """Both QPs return their result when its stop's reason is 'gap'
+        and otherwise raise SolverError; the error carries that stop in
+        its result, and the debug line and the message are formatted from
+        it."""
+        rng, obj, sys = drawn_system(seed, n, mu, zero_share, repeats, held)
+        points, normals, _ = random_contacts(rng, obj, n)
+        _, const = energy_matrices(sys)
+        stability_tol = QP_TOL * max(1.0, 1e-4 * float(const @ const))
+        for logger, line, message, solve in (
+                ("grasp_eq.stability", f"stability: {sys.n_contacts} contacts",
+                 f"stability QP not certified below tol {stability_tol:.1e}",
+                 lambda: stability_energy(sys, max_iter=max_iter)),
+                ("grasp_eq", f"force existence: {n} contacts",
+                 f"force-existence QP not certified below tol {QP_TOL:.1e}",
+                 lambda: solve_force_existence(obj, points, normals, mu=mu,
+                                               max_iter=max_iter))):
+            with search_lines(logger) as lines:
+                try:
+                    result = solve()
+                except SolverError as err:
+                    assert err.result.stop.reason != "gap"
+                    assert str(err) == f"{message}: {err.result.stop}"
+                    result = err.result
+                else:
+                    assert result.stop.reason == "gap"
+            assert lines == [f"{line}, {result.stop}"]
+            assert result.stop.iterations <= max_iter
