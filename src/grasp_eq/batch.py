@@ -204,10 +204,10 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
     it has CPUs).  This process runs scenes too and forks ``threads - 1``
     more; forks inherit the imported package and any patched module
     attributes, where a spawned process would pay a package import, about
-    0.5 s, on every call.  With one process, or one scene, the scenes run
-    serially in this process.  Only this process writes the CSVs.  A
-    keypoint setting that the keypoint search would refuse raises
-    ValueError before any scene runs.
+    0.5 s, on every call.  With one process, or one scene, nothing is
+    forked and the scenes run in this process.  Only this process writes
+    the CSVs.  A keypoint setting that the keypoint search would refuse
+    raises ValueError before any scene runs.
     """
     scenes = list(scenes)
     if not scenes:
@@ -221,10 +221,7 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
                                  gravity=gravity, use_keypoints=use_keypoints,
                                  cluster_radius=cluster_radius, n_kp=n_kp,
                                  target_offset=target_offset)
-    if threads == 1:
-        rows = [scene_fn(s) for s in scenes]
-    else:
-        rows = _fan_out(scenes, scene_fn, threads)
+    rows = _fan_out(scenes, scene_fn, threads)
     rows.sort(key=lambda r: r.index)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -29,3 +29,8 @@ def test_import_leaves_scipy_optimize_unloaded():
     # both QPs are the package's own active-set solvers; scipy.optimize
     # alone would add about 8 MB to the peak resident set
     assert not loaded_by_import("scipy.optimize")
+
+
+def test_import_leaves_the_gradient_check_unloaded():
+    # only the gradcheck verb needs it
+    assert not loaded_by_import("grasp_eq.gradcheck")

@@ -10,6 +10,7 @@ in test_keypoints.py.
 """
 
 import contextlib
+import functools
 import itertools
 import logging
 import struct
@@ -17,7 +18,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasp_eq import keypoints
@@ -204,6 +205,60 @@ SYSTEMS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
                repeats=st.integers(0, 3), held=st.booleans())
 
 
+def raises(solve):
+    try:
+        solve()
+    except SolverError:
+        return True
+    return False
+
+
+@functools.cache
+def uncertified_draws():
+    """(drawn_system arguments, max_iter 1) on which both QPs raise: the
+    stability QP on the drawn system and the force-existence QP on the
+    contacts drawn next on its object.  Of the 600 systems with 3 to 5
+    contacts scanned here about 2% qualify, so random draws seldom do."""
+    draws = []
+    for n, seed in itertools.product((3, 4, 5), range(200)):
+        system = dict(seed=seed, n=n, mu=1.0, zero_share=0.0, repeats=1,
+                      held=False)
+        rng, obj, drawn = drawn_system(**system)
+        points, normals, _ = random_contacts(rng, obj, n)
+        if (raises(lambda: stability_energy(drawn, max_iter=1))
+                and raises(lambda: solve_force_existence(
+                    obj, points, normals, mu=1.0, max_iter=1))):
+            draws.append((system, 1))
+    return draws
+
+
+# random systems at every budget, or one of uncertified_draws
+DRAWS = (st.tuples(st.fixed_dictionaries(SYSTEMS),
+                   st.sampled_from([1, 2, QP_MAX_ITER]))
+         | st.deferred(lambda: st.sampled_from(uncertified_draws())))
+
+
+@contextlib.contextmanager
+def counted_raises():
+    """How often this module's stability_energy and solve_force_existence
+    raise SolverError meanwhile, by name."""
+    uncertified_draws()  # its scan's raises are not counted
+    raised = {"stability_energy": 0, "solve_force_existence": 0}
+
+    def counted(name, solve):
+        def wrapper(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except SolverError:
+                raised[name] += 1
+                raise
+        return wrapper
+
+    with mock.patch.dict(globals(), {name: counted(name, globals()[name])
+                                     for name in raised}):
+        yield raised
+
+
 def tiny_column_systems():
     """400 box QPs (mat, const, max_iter) with 2 to 6 columns scaled 1e-290
     to 1e-310 and a budget of 1 or 3."""
@@ -262,12 +317,17 @@ class TestBoxLoop:
 
 
 class TestCandidatePath:
+    def test_take_and_stability_energy_match_their_plain_forms(self):
+        with counted_raises() as raised:
+            self.take_and_stability_energy_match()
+        assert raised["stability_energy"] >= 10
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=120)
-    @given(**SYSTEMS, max_iter=st.sampled_from([1, 2, QP_MAX_ITER]))
-    def test_take_and_stability_energy_match_their_plain_forms(
-            self, seed, n, mu, zero_share, repeats, held, max_iter):
-        rng, _, sys = drawn_system(seed, n, mu, zero_share, repeats, held)
+    @given(draw=DRAWS)
+    def take_and_stability_energy_match(self, draw):
+        system, max_iter = draw
+        rng, _, sys = drawn_system(**system)
         size = sys.n_contacts
         for k in sorted({1, min(3, size), size}):
             cols = np.sort(rng.choice(size, k, replace=False))
@@ -358,21 +418,22 @@ class TestCandidatePath:
 
 
 class TestSolverErrorContract:
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=120)
-    @given(**SYSTEMS, max_iter=st.sampled_from([1, 2, QP_MAX_ITER]))
-    # both QPs raise on these; few drawn examples do at one iteration
-    @example(seed=7, n=3, mu=1.0, zero_share=0.0, repeats=1, held=False,
-             max_iter=1)
-    @example(seed=125, n=5, mu=1.0, zero_share=0.0, repeats=1, held=False,
-             max_iter=1)
-    def test_raises_exactly_when_the_gap_does_not_certify(
-            self, seed, n, mu, zero_share, repeats, held, max_iter):
+    def test_raises_exactly_when_the_gap_does_not_certify(self):
         """Both QPs return their result when its stop's reason is 'gap'
         and otherwise raise SolverError; the error carries that stop in
         its result, and the debug line and the message are formatted from
         it."""
-        rng, obj, sys = drawn_system(seed, n, mu, zero_share, repeats, held)
+        with counted_raises() as raised:
+            self.raises_exactly_when_the_gap_does_not_certify()
+        assert min(raised.values()) >= 10
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=120)
+    @given(draw=DRAWS)
+    def raises_exactly_when_the_gap_does_not_certify(self, draw):
+        system, max_iter = draw
+        n, mu = system["n"], system["mu"]
+        rng, obj, sys = drawn_system(**system)
         points, normals, _ = random_contacts(rng, obj, n)
         _, const = energy_matrices(sys)
         stability_tol = QP_TOL * max(1.0, 1e-4 * float(const @ const))
