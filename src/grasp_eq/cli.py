@@ -177,6 +177,7 @@ def _cmd_optimize(args):
         "registration_residual": result.registration.residual,
         "stops": {str(stage): stop.as_json("last_drop")
                   for stage, stop in sorted(result.trace.stops.items())},
+        "seconds": result.seconds,
     }
     io_mod.dump_json(os.path.join(args.out_dir, "evaluation.json"), evaluation)
     return 0

@@ -22,6 +22,7 @@ value pass of ``fk_with_jacobians``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,12 +249,13 @@ _F, _K, _I = np.ogrid[:5, :4, 1:4]
 _ANGLE_ROWS = 1 + 4 * _F + _I
 _ANGLE_COLS = 6 + 4 * _F + _K
 _DOWNSTREAM = (_I >= _K)[..., None]
+_PIVOTS = np.array([0, 0, 1, 2])  # the joint angle k turns about
 
 
 def rotation_matrix(omega) -> np.ndarray:
     """Rodrigues rotation for an axis-angle vector."""
     omega = np.asarray(omega, dtype=float)
-    theta = np.sqrt(omega.dot(omega))  # np.linalg.norm's arithmetic
+    theta = math.sqrt(omega.dot(omega))  # np.linalg.norm's arithmetic
     k = _skew(omega)
     if theta < 1e-12:
         return _EYE3 + k + 0.5 * (k @ k)
@@ -265,10 +267,11 @@ def _local_joints(vec):
     """Hand-frame finger joints of pose vector ``vec`` and the frames that
     turn them.
 
-    Returns (joints, frames): joints[f], shape (5, 4, 3), are the base and
-    the three distal joints of finger f, and frames[f, k], shape
-    (5, 4, 3, 3), the orientation after its abduction and k flexions, which
-    carries the current axis of angle k for the geometric jacobian.
+    Returns (joints, frames): joints, shape (21, 3), are the wrist at the
+    origin, then per finger the base and the three distal joints, and
+    frames[f, k], shape (5, 4, 3, 3), the orientation of finger f after its
+    abduction and k flexions, which carries the current axis of angle k for
+    the geometric jacobian.
     """
     s = vec[26]
     q = vec[6:26].reshape(5, 4, 1, 1)
@@ -279,7 +282,9 @@ def _local_joints(vec):
     frames[:, 2] = frames[:, 1] @ frames[:, 2]
     frames[:, 3] = frames[:, 2] @ frames[:, 3]
     bones = (frames[:, 1:] @ (_BONES * s)[..., None])[..., 0]
-    joints = np.cumsum(np.concatenate([_BASES[:, None] * s, bones], axis=1), axis=1)
+    joints = np.zeros((N_JOINTS, 3))
+    np.add.accumulate(np.concatenate([_BASES[:, None] * s, bones], axis=1),
+                      axis=1, out=joints[1:].reshape(5, 4, 3))
     return joints, frames
 
 
@@ -313,11 +318,11 @@ def fk_with_jacobians(vec):
     never pays for it.
     """
     vec = np.asarray(vec, dtype=float)
-    joints, frames = _local_joints(vec)
+    local, frames = _local_joints(vec)
     r_glob = rotation_matrix(vec[:3])
     # the 21 joints turned by r_glob but not yet translated, which the
     # jacobian reuses
-    rotated = np.concatenate([np.zeros((1, 3)), joints.reshape(N_ANGLES, 3)]) @ r_glob.T
+    rotated = local @ r_glob.T
     world = rotated + vec[3:6]
     geometry = HandGeometry(joints=world, part_centers=_CENTER_WEIGHTS @ world,
                             samples=_SAMPLE_WEIGHTS @ world)
@@ -330,8 +335,8 @@ def fk_with_jacobians(vec):
         # only; a joint's own rotation leaves its axis fixed, so frame k
         # carries axis k, and angle k turns about joint max(k - 1, 0)
         axes = (frames @ _ANGLE_AXES[..., None])[..., 0]
-        pivots = joints[:, [0, 0, 1, 2]]
-        arms = joints[:, None, 1:] - pivots[:, :, None]
+        joints = local[1:].reshape(5, 4, 3)
+        arms = joints[:, None, 1:] - joints.take(_PIVOTS, axis=1)[:, :, None]
         d_local = _cross(axes[:, :, None], arms) * _DOWNSTREAM
         jac[_ANGLE_ROWS, :, _ANGLE_COLS] = d_local @ r_glob.T
         jac[:, :, 26] = rotated / vec[26]

@@ -37,6 +37,12 @@ DEFAULT_CLUSTER_RADIUS = 0.01
 # The package's only radius (see README "Conventions").
 DEFAULT_KEYPOINT_OFFSET = 0.005
 DEFAULT_N_KEYPOINTS = 3
+# Keypoint targets are bounded 1e4 times tighter than scene coordinates.
+# Stages II and III pull the hand toward targets it cannot reach, and their
+# steps turn it by a rotation vector that grows with the targets' distance:
+# targets about 1.5e153 from the object already give a rotation vector
+# whose squared norm passes the float range.
+_TARGET_MAX = _COORD_MAX * 1e-4
 
 _log = logging.getLogger("grasp_eq")
 
@@ -83,9 +89,9 @@ def check_keypoint_settings(cluster_radius=DEFAULT_CLUSTER_RADIUS,
     # NaN and the infinities fail these tests too
     if not (is_number(n_kp) and n_kp % 1 == 0 and n_kp >= 1):
         raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp!r}")
-    if not (is_number(target_offset) and 0 <= target_offset <= _COORD_MAX):
+    if not (is_number(target_offset) and 0 <= target_offset <= _TARGET_MAX):
         raise ValueError(f"keypoint offset must be a number from 0 to "
-                         f"{_COORD_MAX:.3g}, got {target_offset!r}")
+                         f"{_TARGET_MAX:.3g}, got {target_offset!r}")
     return int(n_kp)
 
 
@@ -332,12 +338,13 @@ def select_keypoints(representatives, obj: ObjectModel, mu: float = DEFAULT_MU,
 def make_targets(keypoints: KeypointSet,
                  r: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:
     """Offset targets along the cluster normals: q_i = p_i + r n_i, each
-    coordinate within _COORD_MAX in size, as a scene point's is."""
+    coordinate within _TARGET_MAX in size, so that stages II and III stay
+    finite."""
     check_keypoint_settings(target_offset=r)
     targets = keypoints.centers + r * keypoints.normals
-    if not np.all(np.abs(targets) <= _COORD_MAX):
+    if not np.all(np.abs(targets) <= _TARGET_MAX):
         raise ValueError(f"keypoint offset {r!r} puts a target coordinate "
-                         f"past {_COORD_MAX:.3g} in size")
+                         f"past {_TARGET_MAX:.3g} in size")
     return replace(keypoints, targets=targets)
 
 

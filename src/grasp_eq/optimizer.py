@@ -24,9 +24,12 @@ exceed the accepted objective is rejected before that scan.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import numbers
+import operator
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -91,7 +94,7 @@ TERMS = tuple(f.name for f in fields(TraceRecord) if "weight" in f.metadata)
 
 def objective(weights, terms):
     """sum(weights * terms): the objective, its gradient, its curvature."""
-    return sum(w * t for w, t in zip(weights, terms))
+    return sum(map(operator.mul, weights, terms))
 
 
 @dataclass
@@ -198,15 +201,15 @@ PENETRATION_IRLS_FLOOR = 1e-5
 def kp_loss(geometry, keypoints: KeypointSet):
     """Sum of squared distances from selected part centers to targets; its
     curvature is 2 J^T J over the center rows."""
-    parts = np.asarray(keypoints.parts, dtype=int)
-    diff = geometry.part_centers[parts - 1] - keypoints.targets
+    diff = geometry.part_centers.take(np.subtract(keypoints.parts, 1), axis=0)
+    diff -= keypoints.targets
 
     def derivatives(joint_jac, sample_jac=None):  # sample_jac: unused
         jac = hand.center_jacobians(joint_jac, keypoints.parts)
         rows = jac.reshape(-1, hand.N_PARAMS)
         return 2.0 * np.einsum("kd,kdp->p", diff, jac), 2.0 * rows.T @ rows
 
-    return float(np.sum(diff * diff)), derivatives
+    return float((diff * diff).sum()), derivatives
 
 
 def _flat():
@@ -246,9 +249,10 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
 
     ``exceeds``, with ``nearest``, is a test on a lower bound of the value,
     the mean of ``_residual_floor`` between the query's bracket and its
-    scan: np.mean sums it and the |residuals| in one pairwise order, so
-    the bound is at most the value.  When ``exceeds`` holds for it, the
-    scan is skipped and (that bound, None) is returned.
+    scan: both means are a sum in numpy's one pairwise order over the
+    same number of rows, then a division by it, so the bound is at most
+    the value.  When ``exceeds`` holds for it, the scan is skipped and
+    (that bound, None) is returned.
     """
     if nearest is None:
         d, owners = nearest_site(obj.points, geometry.samples)
@@ -256,12 +260,14 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
     else:
         d, _, lower = nearest.bracket(geometry.samples)
         if exceeds is not None:
-            bound = float(np.mean(_residual_floor(d, lower, target_likelihood)))
+            floor = _residual_floor(d, lower, target_likelihood)
+            bound = float(floor.sum() / floor.size)
             if exceeds(bound):
                 return bound, None
         d, owners = nearest.scan()
         columns = nearest.columns
     resid = contact_likelihood(d) - target_likelihood
+    magnitude = np.abs(resid)
 
     def derivatives(joint_jac, sample_jac=None):
         active = (d > CONTACT_RADIUS) & (resid != 0)
@@ -276,7 +282,7 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
         # contiguous (3, n): unit vectors from each point to its nearest sample
         unit = geometry.samples.T.take(owners, axis=1) - columns
         unit /= dist
-        irls = slope ** 2 / (np.maximum(np.abs(resid), CONTACT_IRLS_FLOOR)
+        irls = slope ** 2 / (np.maximum(magnitude, CONTACT_IRLS_FLOOR)
                              * obj.n_points)
         # summed per sample: the gradient pull (3 rows) and the curvature
         # block irls * unit unit^T (9 rows)
@@ -294,7 +300,7 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
         return (np.einsum("sd,sdp->p", per_sample[:, :3], sample_jac),
                 flat_jac.T @ (blocks @ sample_jac).reshape(-1, hand.N_PARAMS))
 
-    return float(np.mean(np.abs(resid))), derivatives
+    return float(magnitude.sum() / magnitude.size), derivatives
 
 
 def penetration_loss(geometry, obj: ObjectModel):
@@ -322,14 +328,18 @@ def penetration_loss(geometry, obj: ObjectModel):
 
 
 def reg_loss(pose_vec):
-    """Pose regularizer: ||angles||^2 + (scale - 1)^2."""
+    """Pose regularizer: ||angles||^2 + (scale - 1)^2; its curvature is
+    the constant Hessian _REG_CURVATURE."""
     angles = pose_vec[6:26]
     ds = pose_vec[26] - 1.0
-    value = float(angles @ angles + ds * ds)
-    grad = np.zeros(hand.N_PARAMS)
-    grad[6:26] = 2.0 * angles
-    grad[26] = 2.0 * ds
-    return value, grad
+
+    def derivatives(joint_jac=None, sample_jac=None):  # both unused
+        grad = np.zeros(hand.N_PARAMS)
+        grad[6:26] = 2.0 * angles
+        grad[26] = 2.0 * ds
+        return grad, _REG_CURVATURE
+
+    return float(angles @ angles + ds * ds), derivatives
 
 
 # reg_loss's Hessian, constant
@@ -358,35 +368,29 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
     value is that bound, a bound on the objective that exceeds ``ceiling``.
     """
     geometry, jacobian = hand.fk_with_jacobians(vec)
-    weight = dict(zip(TERMS, weights))
-    # name -> (value, derivatives(joint_jac, sample_jac)), in TERMS order
-    terms = dict.fromkeys(TERMS, _SKIPPED)
-    if keypoints is not None and weight["kp"] > 0:
-        terms["kp"] = kp_loss(geometry, keypoints)
-    if weight["penetration"] > 0:
-        terms["penetration"] = penetration_loss(geometry, obj)
-    if weight["reg"] > 0:
-        reg_value, reg_grad = reg_loss(vec)
-        terms["reg"] = reg_value, lambda *_: (reg_grad, _REG_CURVATURE)
-
-    def exceeds(bound):
-        bounded = {**terms, "contact": (bound, None)}
-        return objective(weights, [v for v, _ in bounded.values()]) > ceiling
-
-    if weight["contact"] > 0:
-        terms["contact"] = contact_loss(
-            geometry, obj, target_likelihood, nearest,
-            None if ceiling is None else exceeds)
-    values = tuple(value for value, _ in terms.values())
-    if terms["contact"][1] is None:
+    # each term is (value, derivatives(joint_jac, sample_jac)), in TERMS order
+    w_kp, w_c, w_pene, w_reg = weights
+    kp = (kp_loss(geometry, keypoints) if keypoints is not None and w_kp > 0
+          else _SKIPPED)
+    pene = penetration_loss(geometry, obj) if w_pene > 0 else _SKIPPED
+    reg = reg_loss(vec) if w_reg > 0 else _SKIPPED
+    contact = _SKIPPED
+    if w_c > 0:
+        exceeds = None if ceiling is None else (
+            lambda bound: objective(weights, (kp[0], bound, pene[0], reg[0]))
+            > ceiling)
+        contact = contact_loss(geometry, obj, target_likelihood, nearest,
+                               exceeds)
+    values = kp[0], contact[0], pene[0], reg[0]
+    if contact[1] is None:
         return values, None
 
     def derivatives():
         jac = jacobian()
-        sample_jac = (hand.sample_jacobians(jac) if weight["contact"] > 0
-                      or weight["penetration"] > 0 else None)
-        pairs = [partial(jac, sample_jac) for _, partial in terms.values()]
-        return tuple(zip(*pairs))
+        sample_jac = (hand.sample_jacobians(jac) if w_c > 0 or w_pene > 0
+                      else None)
+        return tuple(zip(*(partial(jac, sample_jac)
+                           for _, partial in (kp, contact, pene, reg))))
 
     return values, derivatives
 
@@ -411,19 +415,19 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
     from ``vec0`` inside ``hand.parameter_bounds(lock_scale)``: the stage
     driver behind stages II and III, on ``config``'s budget for ``stage``.
 
-    Each trial solves (H + lam I) dx = -g over the free parameters (lo <
-    hi), g and H being the weighted gradient and Gauss-Newton curvature at
-    the accepted point, and clips the step to the bounds.  The first finite
-    trial that does not raise the objective is accepted, so the recorded
-    sequence is non-increasing.  Unscaled damping (not Moré's column
-    scaling) favours moving the global transform over articulation, which
-    leaves less to push into the object.  Stops on 'tol' (objective 0, or a
-    drop below ``convergence_tol``), 'backtrack' (damping past
-    _LM_DAMPING_MAX) or 'cap' (the budget of accepted steps).  Records the
-    start and every accepted step, and the Stop, to ``trace`` under
-    ``stage``, logs the Stop, the trials rejected on the bound and the
-    contact passes' rescanned and queried rows at debug level, and returns
-    the last accepted pose vector.
+    Each trial solves (H + lam max(diag(H)) I) dx = -g over the free
+    parameters (lo < hi), g and H being the weighted gradient and
+    Gauss-Newton curvature at the accepted point, and clips the step to the
+    bounds.  The first finite trial that does not raise the objective is
+    accepted, so the recorded sequence is non-increasing.  Unscaled
+    damping (not Moré's column scaling) favours moving the global transform
+    over articulation, which leaves less to push into the object.  Stops on
+    'tol' (objective 0, or a drop below ``convergence_tol``), 'backtrack'
+    (damping past _LM_DAMPING_MAX) or 'cap' (the budget of accepted steps).
+    Records the start and every accepted step, and the Stop, to ``trace``
+    under ``stage``, logs the Stop, the trials rejected on the bound and
+    the contact passes' rescanned and queried rows at debug level, and
+    returns the last accepted pose vector.
 
     The contact term's nearest-sample queries go through one
     CertifiedNearestSite per call, which reuses the accepted point's answer
@@ -470,11 +474,13 @@ def _lm_stage(stage, vec0, lock_scale, keypoints, obj, target_likelihood,
             x_new = x.copy()
             x_new[free] += np.linalg.solve(normal + damping * diag_max * eye,
                                            rhs)
-            np.clip(x_new, lo, hi, out=x_new)
+            # np.clip's arithmetic: the bounds hold no zero and no nan
+            np.maximum(x_new, lo, out=x_new)
+            np.minimum(x_new, hi, out=x_new)
             f_new, terms, derivatives = evaluate(x_new, f)
             evals += 1
             bounded += derivatives is None
-            if np.isfinite(f_new) and f_new <= f:
+            if math.isfinite(f_new) and f_new <= f:
                 break
             damping *= _LM_DAMPING_FACTOR
         else:
@@ -563,6 +569,7 @@ class PipelineResult:
     trace: OptimizationTrace
     report_before: GraspReport
     report_after: GraspReport
+    seconds: dict  # step name -> wall time, for the steps that ran
 
 
 def run_pipeline(obj: ObjectModel, contacts: ContactState,
@@ -575,27 +582,42 @@ def run_pipeline(obj: ObjectModel, contacts: ContactState,
 
     With ``use_keypoints`` off, stages I and II are skipped and stage III
     runs from the neutral grasp pose without keypoints, so its keypoint
-    term reads 0 (ablation baseline).
+    term reads 0 (ablation baseline).  ``seconds`` holds the wall time of
+    each step that ran: keypoints, stage1, stage2, stage3, report_before
+    and report_after, in that order.
     """
     trace = OptimizationTrace()
+    seconds = {}
+
+    @contextlib.contextmanager
+    def timed(step):
+        start = time.perf_counter()
+        yield
+        seconds[step] = time.perf_counter() - start
+
     if use_keypoints:
-        kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
-                             cluster_radius=cluster_radius, n_kp=n_kp,
-                             target_offset=target_offset)
-        ref_geometry = hand.forward_kinematics(hand.neutral_grasp_pose())
-        ref_centers = ref_geometry.part_centers[np.asarray(kps.parts) - 1]
-        reg = register_global(ref_centers, kps.targets)
-        pose1 = registration_to_pose(reg)
-        pose2 = fit_keypoints(pose1, kps, config, trace=trace)
-        pose3, trace = optimize_grasp(pose2, obj, contacts, kps, config,
-                                      trace=trace)
+        with timed("keypoints"):
+            kps = find_keypoints(obj, contacts, mu=mu, gravity=gravity,
+                                 cluster_radius=cluster_radius, n_kp=n_kp,
+                                 target_offset=target_offset)
+        with timed("stage1"):
+            ref_geometry = hand.forward_kinematics(hand.neutral_grasp_pose())
+            ref_centers = ref_geometry.part_centers[np.asarray(kps.parts) - 1]
+            reg = register_global(ref_centers, kps.targets)
+            pose1 = registration_to_pose(reg)
+        with timed("stage2"):
+            pose2 = fit_keypoints(pose1, kps, config, trace=trace)
     else:
         kps, reg = None, None
         pose1 = pose2 = hand.neutral_grasp_pose()
-        pose3, trace = optimize_grasp(pose1, obj, contacts, None, config,
+    with timed("stage3"):
+        pose3, trace = optimize_grasp(pose2, obj, contacts, kps, config,
                                       trace=trace)
+    with timed("report_before"):
+        before = evaluate_grasp(pose1, obj, mu=mu, gravity=gravity)
+    with timed("report_after"):
+        after = evaluate_grasp(pose3, obj, mu=mu, gravity=gravity)
     return PipelineResult(
         keypoints=kps, registration=reg, pose_stage1=pose1, pose_stage2=pose2,
-        pose_stage3=pose3, trace=trace,
-        report_before=evaluate_grasp(pose1, obj, mu=mu, gravity=gravity),
-        report_after=evaluate_grasp(pose3, obj, mu=mu, gravity=gravity))
+        pose_stage3=pose3, trace=trace, report_before=before,
+        report_after=after, seconds=seconds)

@@ -15,6 +15,7 @@ distance before that scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -210,7 +211,7 @@ def contact_likelihood(d):
 def _scan(points, sites):
     """nearest_site's kernel: squared distances and each row's argmin."""
     d_sq = cdist(points, sites, "sqeuclidean")
-    return d_sq, np.argmin(d_sq, axis=1)
+    return d_sq, d_sq.argmin(axis=1)
 
 
 def nearest_site(points, sites):
@@ -279,27 +280,26 @@ class CertifiedNearestSite:
     def bracket(self, sites):
         """Start a query at ``sites``: returns (dist, rows, lower), each
         point's distance to its accepted owner, the rows that distance does
-        not certify (an index array, or a slice of every row before the
-        first accepted query), and the (n,) lowered bounds on the distance
-        to every other site.  ``scan()`` overwrites ``dist`` and ``lower``
-        at ``rows``."""
+        not certify (an index array, every row before the first accepted
+        query), and the (n,) lowered bounds on the distance to every other
+        site.  ``scan()`` overwrites ``dist`` and ``lower`` at ``rows``."""
         sites = np.array(sites, dtype=float)
         n = self.points.shape[0]
         if self._accepted is None:
             dist, lower = np.full(n, np.inf), np.zeros(n)
             owner = np.empty(n, dtype=np.intp)
-            rows = slice(None)
+            rows = np.arange(n)
         else:
             ref_sites, owner, ref_lower = self._accepted
             step = sites - ref_sites
-            shift = np.sqrt(np.max(np.einsum("ij,ij->i", step, step)))
+            shift = math.sqrt(np.einsum("ij,ij->i", step, step).max())
             sq = self.columns - sites.T.take(owner, axis=1)
             sq *= sq
             dist = sq[0] + sq[1]
             dist += sq[2]
             np.sqrt(dist, out=dist)
             lower = ref_lower - (1.0 + _CERTIFY_MARGIN) * shift
-            rows = np.flatnonzero(~(dist < lower))
+            rows = (~(dist < lower)).nonzero()[0]
         self.queried += n
         self._pending = (sites, dist, owner, lower, rows)
         return dist, rows, lower
@@ -308,14 +308,16 @@ class CertifiedNearestSite:
         """Finish the bracketed query: (distance, index) as nearest_site."""
         sites, dist, owner, lower, rows = self._pending
         self._pending = None
-        d_sq, idx = _scan(self.points[rows], sites)
-        scanned = np.arange(idx.size)
-        dist[rows] = np.sqrt(d_sq[scanned, idx])
+        d_sq, idx = _scan(self.points.take(rows, axis=0), sites)
+        # each scanned row's smallest entry, then its second smallest, read
+        # at flat positions; argmin is far faster than min along a row
+        flat = d_sq.reshape(-1)
+        starts = np.arange(0, flat.size, d_sq.shape[1])
+        dist[rows] = np.sqrt(flat.take(starts + idx))
         owner = owner.copy()
         owner[rows] = idx
-        d_sq[scanned, idx] = np.inf
-        # the second smallest; argmin is far faster than min along a row
-        lower[rows] = np.sqrt(d_sq[scanned, np.argmin(d_sq, axis=1)])
+        flat[starts + idx] = np.inf
+        lower[rows] = np.sqrt(flat.take(starts + d_sq.argmin(axis=1)))
         self.rescanned += idx.size
         self._last = (sites, owner, lower)
         return dist, owner
@@ -332,7 +334,8 @@ def nearest_surface(obj: ObjectModel, queries):
     """Nearest surface sample p_k of each (m, 3) query q, through the cached
     kd-tree: returns (distance, k, signed distance (q - p_k) . n_k)."""
     d, idx = obj.kdtree.query(queries)
-    sd = np.einsum("ij,ij->i", queries - obj.points[idx], obj.normals[idx])
+    sd = np.einsum("ij,ij->i", queries - obj.points.take(idx, axis=0),
+                   obj.normals.take(idx, axis=0))
     return d, idx, sd
 
 

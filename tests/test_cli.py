@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasp_eq import cli
 from grasp_eq import io as io_mod
+from grasp_eq import keypoints
 from grasp_eq.batch import build_batch, batch_report, penetration_curve
 from grasp_eq.cli import build_parser, main
 from grasp_eq.errors import GraspEqError
@@ -383,6 +385,30 @@ class TestCliBasics:
         assert evaluation["stops"]["3"] == {"reason": "tol", "iterations": 0,
                                             "evaluations": 1, "last_drop": None}
 
+    def test_optimize_writes_each_steps_seconds(self, scene_files, tmp_path,
+                                                capsys, monkeypatch):
+        """evaluation.json's seconds: a positive wall time for each step
+        of the pipeline, summing to no more than the pipeline's own."""
+        scene, contacts = scene_files
+        totals = []
+
+        def timed_pipeline(*args, **kwargs):
+            start = time.perf_counter()
+            result = run_pipeline(*args, **kwargs)
+            totals.append(time.perf_counter() - start)
+            return result
+
+        monkeypatch.setattr(cli, "run_pipeline", timed_pipeline)
+        out_dir = tmp_path / "opt"
+        assert main(["optimize", "--scene", str(scene), "--contacts",
+                     str(contacts), "--out-dir", str(out_dir)]) == 0
+        seconds = json.loads((out_dir / "evaluation.json").read_text(),
+                             parse_constant=pytest.fail)["seconds"]
+        assert list(seconds) == ["keypoints", "stage1", "stage2", "stage3",
+                                 "report_before", "report_after"]
+        assert all(value > 0.0 for value in seconds.values())
+        assert sum(seconds.values()) <= totals[0]
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--scene", "{scene}", "--contacts", "{contacts}",
          "--seed", "1"],
@@ -693,6 +719,38 @@ class TestConfigReader:
         assert "keypoint offset must be a number from 0" in err
         assert "out of range" not in err
         assert list(out.iterdir()) == []
+
+    @pytest.fixture(scope="class")
+    def small_scene(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("small")
+        files = root / "scene.json", root / "contacts.json"
+        assert main(["synth", "--shape", "sphere", "--dims", "0.05",
+                     "--samples", "256", "--scene-out", str(files[0]),
+                     "--contacts-out", str(files[1])]) == 0
+        return files
+
+    @pytest.mark.parametrize("verb", ["keypoints", "optimize"])
+    def test_offset_that_overflows_the_stages_names_offset(
+            self, small_scene, tmp_path, capsys, verb):
+        """3e153 passed the old bound on the offset, and stage III then
+        overflowed in optimize while keypoints exited 0."""
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([verb, "--offset", "3e153",
+                     *_verb_argv(verb, small_scene, out)]) == 2
+        err = capsys.readouterr().err
+        assert "keypoint offset must be a number from 0 to 3.35e+149" in err
+        assert "out of range" not in err
+        assert list(out.iterdir()) == []
+
+    def test_offset_at_the_bound_runs(self, small_scene, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["optimize", "--offset", repr(keypoints._TARGET_MAX),
+                     *_verb_argv("optimize", small_scene, out)]) == 0
+        evaluation = json.loads((out / "opt" / "evaluation.json").read_text(),
+                                parse_constant=pytest.fail)
+        assert evaluation["registration_residual"] > 1e298
 
 
 def _running(pid):

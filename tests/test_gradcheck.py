@@ -56,9 +56,7 @@ def _scaled_pose_term(index):
 
 class TestRunGradcheck:
     """A 1% error in any one gradient fails the verb's default run, so the
-    kink test does not skip every point.  Five points would not do: at
-    seed 0 none of the first five poses sinks a hand sample into the
-    object, so the penetration term and its gradient are 0 at each."""
+    kink test does not skip every point."""
 
     def test_passes_on_the_analytic_gradients(self):
         report = run_gradcheck()
@@ -81,3 +79,18 @@ class TestRunGradcheck:
         report = run_gradcheck()
         assert not report["passed"]
         assert report["loss_gradient"]["max_rel_err"] > gradcheck.REL_TOL
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("term", TERMS)
+    def test_five_points_check_every_pose_term(self, term, seed,
+                                               monkeypatch):
+        """Each checked pose has every term non-zero: at seeds 0 and 1
+        none of the first five poses drawn sinks a hand sample into the
+        object, and a count of five used to pass with the penetration
+        gradient 1% off."""
+        monkeypatch.setattr(gradcheck, "pose_terms",
+                            _scaled_pose_term(TERMS.index(term)))
+        report = run_gradcheck(count=5, seed=seed)
+        assert report["pose_gradients"]["checked"] == 5
+        assert not report["passed"]
+        assert report["pose_gradients"]["max_rel_err"] > gradcheck.REL_TOL

@@ -832,15 +832,17 @@ class TestMakeTargets:
             make_targets(kps, r=r)
 
     def test_rejects_targets_past_the_coordinate_bound(self):
-        """A target may reach as far as a scene point, and no further."""
-        kps = KeypointSet(parts=(2,), centers=np.array([[0.0, 0.0, 3e153]]),
+        """A target may reach _TARGET_MAX, 1e4 times short of a scene
+        point's bound, and no further."""
+        assert keypoints._TARGET_MAX == pytest.approx(3.35e149, rel=1e-3)
+        kps = KeypointSet(parts=(2,), centers=np.array([[0.0, 0.0, 3e149]]),
                           forces=np.array([1.0]),
                           normals=np.array([[0.0, 0.0, 1.0]]),
                           targets=np.zeros((1, 3)), energy=0.0)
-        targets = make_targets(kps, r=3e152).targets
-        assert targets[0, 2] == pytest.approx(3.3e153)
-        with pytest.raises(ValueError, match="offset 1e.153 puts a target"):
-            make_targets(kps, r=1e153)
+        targets = make_targets(kps, r=3e148).targets
+        assert targets[0, 2] == pytest.approx(3.3e149)
+        with pytest.raises(ValueError, match="offset 1e.149 puts a target"):
+            make_targets(kps, r=1e149)
 
     def test_sphere_targets_radial(self, small_sphere):
         state = state_from_patches(small_sphere, [(4, np.array([0, 1, 2]), 1.0)])
