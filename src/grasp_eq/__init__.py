@@ -17,8 +17,7 @@ from .optimizer import (GraspReport, OptimizationConfig, OptimizationTrace,
                         PipelineResult, evaluate_grasp, fit_keypoints,
                         optimize_grasp, register_global, run_pipeline)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
-                    ObjectModel, compute_inertia, contact_map_from_hand,
-                    signed_distance)
+                    ObjectModel, compute_inertia, contact_map_from_hand)
 from .synth import SyntheticScene, generate_contacts, generate_scene
 
 __version__ = "0.1.0"

@@ -350,10 +350,10 @@ def forward_kinematics(pose: HandPose) -> HandGeometry:
     return fk_with_jacobians(np.clip(pose.as_vector(), *parameter_bounds()))[0]
 
 
-def center_jacobians(joint_jac, parts=None):
+def center_jacobians(joint_jac, parts):
     """Part-center jacobians from joint jacobians (parts are 1-based ids)."""
-    weights = _CENTER_WEIGHTS if parts is None else _CENTER_WEIGHTS[np.asarray(parts) - 1]
-    return np.einsum("ck,kdp->cdp", weights, joint_jac)
+    return np.einsum("ck,kdp->cdp", _CENTER_WEIGHTS[np.asarray(parts) - 1],
+                     joint_jac)
 
 
 def sample_jacobians(joint_jac):

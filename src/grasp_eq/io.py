@@ -16,7 +16,7 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .errors import is_finite, is_number
-from .hand import N_ANGLES, HandPose
+from .hand import HandPose
 from .keypoints import KeypointSet
 from .optimizer import TraceRecord
 from .scene import GRAVITY, ContactState, ObjectModel
@@ -159,17 +159,6 @@ def save_pose(path, pose: HandPose):
     })
 
 
-def load_pose(path) -> HandPose:
-    data = load_json(path)
-    _require(data, ("rot", "trans", "angles"), f"pose file {path}")
-    return HandPose(rotation=json_array(data["rot"], "pose rot", shape=(3,)),
-                    translation=json_array(data["trans"], "pose trans",
-                                           shape=(3,)),
-                    angles=json_array(data["angles"], "pose angles",
-                                      shape=(N_ANGLES,)),
-                    scale=json_number(data.get("scale", 1.0), "pose scale"))
-
-
 def keypoints_payload(kps: KeypointSet):
     return {
         "parts": list(kps.parts),
@@ -183,24 +172,6 @@ def keypoints_payload(kps: KeypointSet):
 
 def save_keypoints(path, kps: KeypointSet):
     dump_json(path, keypoints_payload(kps))
-
-
-def load_keypoints(path) -> KeypointSet:
-    data = load_json(path)
-    keys = ("parts", "centers", "forces", "normals", "targets", "energy")
-    _require(data, keys, f"keypoint file {path}")
-    parts = data["parts"]
-    if not isinstance(parts, list):
-        raise ValueError(f"keypoint parts must be a list, got {parts!r}")
-    k = len(parts)
-    parts = json_array(parts, "keypoint parts", dtype=int, shape=(k,))
-    return KeypointSet(
-        parts=tuple(int(p) for p in parts),
-        centers=json_array(data["centers"], "keypoint centers", shape=(k, 3)),
-        forces=json_array(data["forces"], "keypoint forces", shape=(k,)),
-        normals=json_array(data["normals"], "keypoint normals", shape=(k, 3)),
-        targets=json_array(data["targets"], "keypoint targets", shape=(k, 3)),
-        energy=json_number(data["energy"], "keypoint energy"))
 
 
 def format_cell(value):

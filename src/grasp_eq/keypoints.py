@@ -339,8 +339,12 @@ def make_targets(keypoints: KeypointSet,
                  r: float = DEFAULT_KEYPOINT_OFFSET) -> KeypointSet:
     """Offset targets along the cluster normals: q_i = p_i + r n_i, each
     coordinate within _TARGET_MAX in size, so that stages II and III stay
-    finite."""
+    finite.  Centers already past that bound are the scene's fault, not
+    the offset's, and are refused as such."""
     check_keypoint_settings(target_offset=r)
+    if not np.all(np.abs(keypoints.centers) <= _TARGET_MAX):
+        raise ValueError(f"a keypoint contact center lies past {_TARGET_MAX:.3g}"
+                         " in size: the scene is too large for any offset")
     targets = keypoints.centers + r * keypoints.normals
     if not np.all(np.abs(targets) <= _TARGET_MAX):
         raise ValueError(f"keypoint offset {r!r} puts a target coordinate "

@@ -42,7 +42,7 @@ from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, KeypointSet, find_keypoints)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
                     CertifiedNearestSite, ObjectModel, contact_likelihood,
-                    nearest_site, nearest_surface)
+                    nearest_surface)
 
 _log = logging.getLogger("grasp_eq")
 
@@ -188,7 +188,10 @@ def registration_to_pose(reg: RegistrationResult) -> hand.HandPose:
 # ---------------------------------------------------------------------------
 # loss terms: each returns its value and derivatives(joint_jac, sample_jac),
 # which builds from the value pass's intermediates the term's gradient w.r.t.
-# the 27-dim pose vector and its Gauss-Newton curvature, a (27, 27) matrix
+# the 27-dim pose vector and its Gauss-Newton curvature, a (27, 27) matrix.
+# pose_terms builds both arguments once per point and passes them to every
+# term; sample_jac, hand.sample_jacobians(joint_jac), is None when neither
+# the contact nor the penetration term is evaluated
 
 # IRLS floors: at the current value a_k, an L1 or hinge row a is modelled by
 # its majorizer a^2 / (2 max(|a_k|, floor)), so a row at its kink keeps a
@@ -204,7 +207,7 @@ def kp_loss(geometry, keypoints: KeypointSet):
     diff = geometry.part_centers.take(np.subtract(keypoints.parts, 1), axis=0)
     diff -= keypoints.targets
 
-    def derivatives(joint_jac, sample_jac=None):  # sample_jac: unused
+    def derivatives(joint_jac, sample_jac):  # sample_jac: unused
         jac = hand.center_jacobians(joint_jac, keypoints.parts)
         rows = jac.reshape(-1, hand.N_PARAMS)
         return 2.0 * np.einsum("kd,kdp->p", diff, jac), 2.0 * rows.T @ rows
@@ -236,40 +239,33 @@ def _residual_floor(dist, lower, target_likelihood):
 
 
 def contact_loss(geometry, obj: ObjectModel, target_likelihood,
-                 nearest: CertifiedNearestSite | None = None, exceeds=None):
+                 nearest: CertifiedNearestSite, exceeds=None):
     """Mean absolute difference between induced and target contact maps.
 
     ``nearest``, a CertifiedNearestSite over ``obj.points``, answers the
-    nearest-sample query in place of a full nearest_site pass, with the
-    same result.  ``derivatives`` takes ``sample_jac``,
-    ``hand.sample_jacobians(joint_jac)``, when the caller already holds
-    it.  Each object point's row weighs
-    1 / max(|residual|, CONTACT_IRLS_FLOOR) in the curvature; the rows are
-    summed per nearest hand sample before the sample jacobians apply.
+    nearest-sample query; a fresh one scans every point.  Each object
+    point's row weighs 1 / max(|residual|, CONTACT_IRLS_FLOOR) in the
+    curvature; the rows are summed per nearest hand sample before the
+    sample jacobians apply.
 
-    ``exceeds``, with ``nearest``, is a test on a lower bound of the value,
-    the mean of ``_residual_floor`` between the query's bracket and its
-    scan: both means are a sum in numpy's one pairwise order over the
-    same number of rows, then a division by it, so the bound is at most
-    the value.  When ``exceeds`` holds for it, the scan is skipped and
-    (that bound, None) is returned.
+    ``exceeds`` is a test on a lower bound of the value, the mean of
+    ``_residual_floor`` between the query's bracket and its scan: both
+    means are a sum in numpy's one pairwise order over the same number of
+    rows, then a division by it, so the bound is at most the value.  When
+    ``exceeds`` holds for it, the scan is skipped and (that bound, None) is
+    returned.
     """
-    if nearest is None:
-        d, owners = nearest_site(obj.points, geometry.samples)
-        columns = obj.points.T
-    else:
-        d, _, lower = nearest.bracket(geometry.samples)
-        if exceeds is not None:
-            floor = _residual_floor(d, lower, target_likelihood)
-            bound = float(floor.sum() / floor.size)
-            if exceeds(bound):
-                return bound, None
-        d, owners = nearest.scan()
-        columns = nearest.columns
+    d, _, lower = nearest.bracket(geometry.samples)
+    if exceeds is not None:
+        floor = _residual_floor(d, lower, target_likelihood)
+        bound = float(floor.sum() / floor.size)
+        if exceeds(bound):
+            return bound, None
+    d, owners = nearest.scan()
     resid = contact_likelihood(d) - target_likelihood
     magnitude = np.abs(resid)
 
-    def derivatives(joint_jac, sample_jac=None):
+    def derivatives(joint_jac, sample_jac):
         active = (d > CONTACT_RADIUS) & (resid != 0)
         if not active.any():
             return _flat()
@@ -280,7 +276,7 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
         slope = -CONTACT_RADIUS / dist ** 2  # d likelihood / d distance
         coef = np.sign(resid) * slope / obj.n_points
         # contiguous (3, n): unit vectors from each point to its nearest sample
-        unit = geometry.samples.T.take(owners, axis=1) - columns
+        unit = geometry.samples.T.take(owners, axis=1) - nearest.columns
         unit /= dist
         irls = slope ** 2 / (np.maximum(magnitude, CONTACT_IRLS_FLOOR)
                              * obj.n_points)
@@ -294,8 +290,6 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
         for j, col in enumerate(cols):
             per_sample[:, j] = np.bincount(owners, col, hand.N_SAMPLES)
         blocks = per_sample[:, 3:].reshape(-1, 3, 3)
-        if sample_jac is None:
-            sample_jac = hand.sample_jacobians(joint_jac)
         flat_jac = sample_jac.reshape(-1, hand.N_PARAMS)
         return (np.einsum("sd,sdp->p", per_sample[:, :3], sample_jac),
                 flat_jac.T @ (blocks @ sample_jac).reshape(-1, hand.N_PARAMS))
@@ -304,20 +298,16 @@ def contact_loss(geometry, obj: ObjectModel, target_likelihood,
 
 
 def penetration_loss(geometry, obj: ObjectModel):
-    """Hinge on hand samples inside the object: the sum of max(0, -sd).
-
-    ``derivatives`` takes ``sample_jac`` as ``contact_loss``'s does.  Each
-    sunk sample's row weighs 1 / max(depth, PENETRATION_IRLS_FLOOR) in the
-    curvature."""
+    """Hinge on hand samples inside the object: the sum of max(0, -sd),
+    sd from ``nearest_surface``.  Each sunk sample's row weighs
+    1 / max(depth, PENETRATION_IRLS_FLOOR) in the curvature."""
     _, idx, sd = nearest_surface(obj, geometry.samples)
     active = sd < 0
     depth = -sd[active]
 
-    def derivatives(joint_jac, sample_jac=None):
+    def derivatives(joint_jac, sample_jac):  # joint_jac: unused
         if depth.size == 0:
             return _flat()
-        if sample_jac is None:
-            sample_jac = hand.sample_jacobians(joint_jac)
         # d(sd)/d(pose) of each sunk sample
         rows = np.einsum("sd,sdp->sp", obj.normals[idx[active]],
                          sample_jac[active])
@@ -333,7 +323,7 @@ def reg_loss(pose_vec):
     angles = pose_vec[6:26]
     ds = pose_vec[26] - 1.0
 
-    def derivatives(joint_jac=None, sample_jac=None):  # both unused
+    def derivatives(joint_jac, sample_jac):  # both unused
         grad = np.zeros(hand.N_PARAMS)
         grad[6:26] = 2.0 * angles
         grad[26] = 2.0 * ds
@@ -360,12 +350,13 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
     returns the terms' (27,) gradients and (27, 27) Gauss-Newton curvatures
     in that order.  A zero-weight term, or the keypoint term without
     keypoints, is not evaluated and reads 0 with zero derivatives.
-    ``nearest`` is passed on to ``contact_loss``.
+    ``nearest``, a CertifiedNearestSite over ``obj.points``, is passed on
+    to ``contact_loss``; without one, a fresh one scans every point.
 
-    With ``nearest`` and a ``ceiling``, the contact term comes last: when a
-    lower bound on it already puts objective(weights, values) above
-    ``ceiling``, its scan is skipped, derivatives is None and the contact
-    value is that bound, a bound on the objective that exceeds ``ceiling``.
+    With a ``ceiling``, the contact term comes last: when a lower bound on
+    it already puts objective(weights, values) above ``ceiling``, its scan
+    is skipped, derivatives is None and the contact value is that bound, a
+    bound on the objective that exceeds ``ceiling``.
     """
     geometry, jacobian = hand.fk_with_jacobians(vec)
     # each term is (value, derivatives(joint_jac, sample_jac)), in TERMS order
@@ -379,6 +370,8 @@ def pose_terms(vec, keypoints, obj, target_likelihood, weights,
         exceeds = None if ceiling is None else (
             lambda bound: objective(weights, (kp[0], bound, pene[0], reg[0]))
             > ceiling)
+        if nearest is None:
+            nearest = CertifiedNearestSite(obj.points)
         contact = contact_loss(geometry, obj, target_likelihood, nearest,
                                exceeds)
     values = kp[0], contact[0], pene[0], reg[0]

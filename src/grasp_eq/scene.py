@@ -4,13 +4,14 @@ An object is a sampled surface (points + outward unit normals) with a center
 of mass, a mass, and a ball-approximated moment of inertia.  Contact maps are
 three per-point channels on the object surface: contact likelihood in [0, 1],
 hand part label in 0..16 (0 = no contact), and normal force in Newtons.
-The proximity conventions (contact likelihood, signed distance, nearest hand
-sample, nearest surface sample) are each written once, here.  The nearest
-hand sample has one kernel, ``nearest_site``'s cdist + argmin;
-``CertifiedNearestSite`` answers a descent's repeated queries with it,
-scanning only the points whose nearest sample a distance bound carried from
-the last accepted query cannot certify, and brackets each point's nearest
-distance before that scan.
+The proximity conventions are each written once, here:
+``contact_likelihood``, ``nearest_surface`` (the nearest surface sample and
+the signed distance (q - p_k) . n_k to it, negative inside) and
+``nearest_site`` (the nearest hand sample), whose cdist + argmin kernel
+``CertifiedNearestSite`` shares.  That class answers every contact-term
+query, a descent's repeated ones too: it scans only the points whose
+nearest sample a distance bound carried from the last accepted query cannot
+certify, and brackets each point's nearest distance before that scan.
 """
 
 from __future__ import annotations
@@ -114,10 +115,9 @@ class ObjectModel:
     inertia: float = 0.0
 
     def __init__(self, points, normals, com=None, mass=1.0):
-        points = _as_float_array(points, (3,), "points")
-        points = np.atleast_2d(points)
-        if points.shape[0] < 1:
+        if np.size(points) == 0:
             raise EmptyObject("object needs at least one surface point")
+        points = np.atleast_2d(_as_float_array(points, (3,), "points"))
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
         if normals.shape != points.shape:
             raise ValueError("points and normals must have matching shapes")
@@ -332,22 +332,12 @@ class CertifiedNearestSite:
 
 def nearest_surface(obj: ObjectModel, queries):
     """Nearest surface sample p_k of each (m, 3) query q, through the cached
-    kd-tree: returns (distance, k, signed distance (q - p_k) . n_k)."""
+    kd-tree: returns (distance, k, signed distance (q - p_k) . n_k), the
+    one signed distance, negative inside and as fine as the sampling."""
     d, idx = obj.kdtree.query(queries)
     sd = np.einsum("ij,ij->i", queries - obj.points.take(idx, axis=0),
                    obj.normals.take(idx, axis=0))
     return d, idx, sd
-
-
-def signed_distance(obj: ObjectModel, query):
-    """Signed distance to the sampled surface: (q - p_k) . n_k, negative inside.
-
-    p_k is the nearest surface sample; accuracy is limited by the sampling
-    density.  Accepts a single query point or an (m, 3) batch.
-    """
-    query = np.asarray(query, dtype=float)
-    _, _, sd = nearest_surface(obj, np.atleast_2d(query))
-    return float(sd[0]) if query.ndim == 1 else sd
 
 
 def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts):

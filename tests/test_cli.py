@@ -20,7 +20,6 @@ from grasp_eq import io as io_mod
 from grasp_eq import keypoints
 from grasp_eq.batch import build_batch, batch_report, penetration_curve
 from grasp_eq.cli import build_parser, main
-from grasp_eq.errors import GraspEqError
 from grasp_eq.force_codec import build_binning, decode
 from grasp_eq.optimizer import OptimizationConfig, run_pipeline
 
@@ -752,6 +751,36 @@ class TestConfigReader:
                                 parse_constant=pytest.fail)
         assert evaluation["registration_residual"] > 1e298
 
+    def test_scene_past_the_target_bound_names_the_centers(
+            self, small_scene, tmp_path, capsys):
+        """On a sphere of radius 1e151 the contact centers themselves lie
+        past the target bound, so an offset of 0 does not help."""
+        scene, contacts = small_scene
+        data = json.loads(scene.read_text())
+        for key in ("points", "com"):
+            data[key] = (np.array(data[key]) * 2e152).tolist()
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["keypoints", "--scene", str(big), "--contacts",
+                     str(contacts), "--offset", "0", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "keypoint contact center lies past 3.35e+149" in err
+        assert "keypoint offset" not in err
+        assert not out.exists()
+
+    def test_scene_without_points_is_an_empty_object(self, small_scene,
+                                                     tmp_path, capsys):
+        scene, contacts = small_scene
+        data = json.loads(scene.read_text())
+        data["points"] = data["normals"] = []
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(data))
+        assert main(["analyze", "--scene", str(empty), "--contacts",
+                     str(contacts), "-o", str(tmp_path / "a.json")]) == 2
+        assert ("input error: object needs at least one surface point"
+                in capsys.readouterr().err)
+
 
 def _running(pid):
     """Whether process ``pid`` exists and has not exited (a zombie whose
@@ -1052,12 +1081,12 @@ batch.batch_report(batch.build_batch(400, ["sphere"], seed=0),
         assert "threads" in capsys.readouterr().err
 
 
-# The input-error contract: one leaf of a valid scene, contact, config,
-# pose or keypoint file replaced by a value of the wrong kind, an extreme
-# or non-finite number (json writes and reads NaN and the infinities) or
-# nothing; every verb that reads the file then exits 0, 2 or 3 with no
-# traceback and no RuntimeWarning (the suite makes those errors), and
-# writes only strict JSON.
+# The input-error contract: one leaf of a valid scene, contact or config
+# file replaced by a value of the wrong kind, an extreme or non-finite
+# number (json writes and reads NaN and the infinities) or nothing; every
+# verb that reads the file then exits 0, 2 or 3 with no traceback and no
+# RuntimeWarning (the suite makes those errors), and writes only strict
+# JSON.
 MISSING = object()
 REPLACEMENTS = [True, "1.0", 1e300, -1e300, 1.5, float("nan"), float("inf"),
                 float("-inf"), [], {}, MISSING]
@@ -1118,21 +1147,11 @@ def _replaced(data, path, value):
     return json.dumps(data)
 
 
-def _loader_exit(load):
-    """The CLI's exit code for a file read by a loader no verb calls."""
-    try:
-        load()
-    except (GraspEqError, ValueError, KeyError, OSError,
-            json.JSONDecodeError):
-        return 2
-    return 0
-
-
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
     files = {name: root / f"{name}.json"
-             for name in ("scene", "contacts", "config", "pose", "keypoints")}
+             for name in ("scene", "contacts", "config")}
     files["config"].write_text(json.dumps({
         "mu": 1.0, "gravity": [0.0, 0.0, -9.81], "cluster_radius": 0.01,
         "n_kp": 3, "offset": 0.005,
@@ -1145,13 +1164,6 @@ def valid_inputs(tmp_path_factory):
                  "--samples", "64", "--seed", "7", "--style", "tripod",
                  "--scene-out", str(files["scene"]),
                  "--contacts-out", str(files["contacts"])]) == 0
-    out = root / "opt"
-    assert main(["optimize", "--config", str(files["config"]),
-                 "--scene", str(files["scene"]),
-                 "--contacts", str(files["contacts"]),
-                 "--out-dir", str(out)]) == 0
-    os.replace(out / "pose.json", files["pose"])
-    os.replace(out / "keypoints.json", files["keypoints"])
     return root
 
 
@@ -1161,8 +1173,6 @@ class TestInputContract:
         "contacts": ("analyze", "keypoints", "optimize"),
         "config": ("synth", "analyze", "keypoints", "optimize",
                    "encode-force", "decode-force", "batch"),
-        "pose": ("load_pose",),
-        "keypoints": ("load_keypoints",),
     }
 
     @settings(derandomize=True, database=None, deadline=None,
@@ -1205,14 +1215,8 @@ class TestInputContract:
         err = io.StringIO()
         with (contextlib.redirect_stdout(io.StringIO()),
               contextlib.redirect_stderr(err)):
-            if verb == "load_pose":
-                code = _loader_exit(lambda: io_mod.load_pose(files["pose"]))
-            elif verb == "load_keypoints":
-                code = _loader_exit(
-                    lambda: io_mod.load_keypoints(files["keypoints"]))
-            else:
-                code = main([verb, "--config", str(files["config"]),
-                             *argv[verb]])
+            code = main([verb, "--config", str(files["config"]),
+                         *argv[verb]])
         assert code in (0, 2, 3)
         if added and name == "config":  # every config key is declared
             assert code == 2

@@ -180,7 +180,7 @@ class TestJacobians:
         jac = jacobian()
         assert_allclose(hand._CENTER_WEIGHTS @ geometry.joints,
                         geometry.part_centers, atol=1e-12)
-        centers = hand.center_jacobians(jac)
+        centers = hand.center_jacobians(jac, range(1, 17))
         assert centers.shape == (16, 3, 27)
         samples = hand.sample_jacobians(jac)
         assert samples.shape == (hand.N_SAMPLES, 3, 27)

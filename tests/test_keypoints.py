@@ -844,6 +844,25 @@ class TestMakeTargets:
         with pytest.raises(ValueError, match="offset 1e.149 puts a target"):
             make_targets(kps, r=1e149)
 
+    def test_centers_past_the_bound_blame_the_scene(self):
+        """A center past _TARGET_MAX is refused as the scene's fault,
+        before any offset is applied; a center inside it, moved past it by
+        the offset, is the offset's fault."""
+        kps = KeypointSet(parts=(2, 5), centers=np.array(
+            [[0.0, 0.0, 0.0], [0.0, 0.0, -1e151]]), forces=np.ones(2),
+            normals=np.array([[0.0, 0.0, 1.0]] * 2),
+            targets=np.zeros((2, 3)), energy=0.0)
+        for r in (0.0, 0.005):
+            with pytest.raises(ValueError, match="a keypoint contact center "
+                                                 "lies past 3.35e.149 in size: "
+                                                 "the scene is too large"):
+                make_targets(kps, r=r)
+        inside = replace(kps, centers=np.array(
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 3.3e149]]))
+        with pytest.raises(ValueError, match="keypoint offset 1e.148 puts a "
+                                             "target coordinate past"):
+            make_targets(inside, r=1e148)
+
     def test_sphere_targets_radial(self, small_sphere):
         state = state_from_patches(small_sphere, [(4, np.array([0, 1, 2]), 1.0)])
         clusters = cluster_contacts(small_sphere, state, radius=1.0)

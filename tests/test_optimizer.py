@@ -17,9 +17,9 @@ from grasp_eq.optimizer import (TERMS, OptimizationConfig, OptimizationTrace,
                                 penetration_loss, pose_terms, reg_loss,
                                 register_global,
                                 registration_to_pose, run_pipeline)
-from grasp_eq.scene import (CONTACT_RADIUS, ContactState, ObjectModel,
-                            contact_likelihood, contact_map_from_hand,
-                            nearest_surface, signed_distance)
+from grasp_eq.scene import (CONTACT_RADIUS, CertifiedNearestSite,
+                            ContactState, ObjectModel, contact_likelihood,
+                            contact_map_from_hand, nearest_surface)
 from grasp_eq.synth import SyntheticScene, generate_contacts, generate_scene
 
 from conftest import sphere_object
@@ -186,7 +186,7 @@ class TestGradients:
         vec = hand.neutral_grasp_pose().as_vector()
         vec[26] = 1.1
         value, derivatives = reg_loss(vec)
-        grad = derivatives()[0]
+        grad = derivatives(None, None)[0]
         assert value == pytest.approx(float(vec[6:26] @ vec[6:26]) + 0.01)
         h = 1e-7
         for k in (6, 15, 26):
@@ -199,7 +199,8 @@ class TestGradients:
         obj, contacts = sphere_scene
         pose = hand.HandPose(angles=hand.neutral_grasp_pose().angles)  # at origin
         geometry = hand.forward_kinematics(pose)
-        value, _ = contact_loss(geometry, obj, contacts.likelihood)
+        value, _ = contact_loss(geometry, obj, contacts.likelihood,
+                                CertifiedNearestSite(obj.points))
         state = contact_map_from_hand(obj, geometry.samples,
                                       hand.SAMPLE_PARTS)
         assert 0.0 < state.likelihood.min() < state.likelihood.max() == 1.0
@@ -222,9 +223,10 @@ class TestGradients:
         pull = np.zeros((hand.N_SAMPLES, 3))
         np.add.at(pull, nearest[idx], coef[:, None] * unit)
         ref_grad = np.einsum("sd,sdp->p", pull, hand.sample_jacobians(jac))
-        value, contact_derivatives = contact_loss(geometry, obj,
-                                                  contacts.likelihood)
-        grad, _ = contact_derivatives(jac)
+        value, contact_derivatives = contact_loss(
+            geometry, obj, contacts.likelihood,
+            CertifiedNearestSite(obj.points))
+        grad, _ = contact_derivatives(jac, hand.sample_jacobians(jac))
         assert np.any(d <= 2 * CONTACT_RADIUS) and np.any(ref_grad != 0.0)
         assert value == float(np.mean(np.abs(resid)))
         assert grad.tobytes() == ref_grad.tobytes()
@@ -235,7 +237,8 @@ class TestGradients:
                              angles=hand.neutral_grasp_pose().angles)
         geometry, jacobian = hand.fk_with_jacobians(pose.as_vector())
         value, pene_derivatives = penetration_loss(geometry, obj)
-        grad, _ = pene_derivatives(jacobian())
+        jac = jacobian()
+        grad, _ = pene_derivatives(jac, hand.sample_jacobians(jac))
         assert value == 0.0
         assert_allclose(grad, 0.0)
 
@@ -255,9 +258,11 @@ class TestPoseTerms:
         terms = zip(values, derivatives()[0])
         geometry, jacobian = hand.fk_with_jacobians(vec)
         jac = jacobian()
-        standalone = [(value, term(jac)[0]) for value, term in (
+        sample_jac = hand.sample_jacobians(jac)
+        standalone = [(value, term(jac, sample_jac)[0]) for value, term in (
             kp_loss(geometry, kps),
-            contact_loss(geometry, obj, contacts.likelihood),
+            contact_loss(geometry, obj, contacts.likelihood,
+                         CertifiedNearestSite(obj.points)),
             penetration_loss(geometry, obj), reg_loss(vec))]
         for (value, grad), (ref_value, ref_grad) in zip(terms, standalone):
             assert value == ref_value and value > 0.0
@@ -295,8 +300,9 @@ class TestPoseTerms:
         assert TERMS == tuple(names) == ("kp", "contact", "penetration", "reg")
         geometry, _ = hand.fk_with_jacobians(vec)
         standalone = {"kp": kp_loss(geometry, kps)[0],
-                      "contact": contact_loss(geometry, obj,
-                                              contacts.likelihood)[0],
+                      "contact": contact_loss(
+                          geometry, obj, contacts.likelihood,
+                          CertifiedNearestSite(obj.points))[0],
                       "penetration": penetration_loss(geometry, obj)[0],
                       "reg": reg_loss(vec)[0]}
         for k, name in enumerate(names):
@@ -343,10 +349,10 @@ class TestCurvatures:
 
         def gradient(v):
             geometry, jacobian = hand.fk_with_jacobians(v)
-            return kp_loss(geometry, kps)[1](jacobian())[0]
+            return kp_loss(geometry, kps)[1](jacobian(), None)[0]
 
         geometry, jacobian = hand.fk_with_jacobians(vec)
-        _, curvature = kp_loss(geometry, kps)[1](jacobian())
+        _, curvature = kp_loss(geometry, kps)[1](jacobian(), None)
         assert_allclose(curvature, self.hessian_fd(gradient, vec),
                         rtol=0.0, atol=1e-6 * np.abs(curvature).max())
 
@@ -355,7 +361,8 @@ class TestCurvatures:
         vec, kps = TestPoseTerms.touching(obj)
         curvature = pose_terms(vec, kps, obj, contacts.likelihood,
                                (1.0, 1.0, 1.0, 1.0))[1]()[1][3]
-        hessian = self.hessian_fd(lambda v: reg_loss(v)[1]()[0], vec)
+        hessian = self.hessian_fd(lambda v: reg_loss(v)[1](None, None)[0],
+                                  vec)
         assert_allclose(curvature, hessian, rtol=0.0, atol=1e-8)
         assert np.array_equal(np.diag(curvature),
                               np.r_[np.zeros(6), np.full(21, 2.0)])
@@ -388,10 +395,11 @@ class TestCurvatures:
         weight = 1.0 / np.maximum(-sd[sunk], optimizer.PENETRATION_IRLS_FLOOR)
         pene_ref = rows.T @ (weight[:, None] * rows)
         assert idx.size > 0 and sunk.any()
-        _, contact = contact_loss(geometry, obj, contacts.likelihood)
+        _, contact = contact_loss(geometry, obj, contacts.likelihood,
+                                  CertifiedNearestSite(obj.points))
         _, pene = penetration_loss(geometry, obj)
-        for (_, curvature), ref in ((contact(jac), contact_ref),
-                                    (pene(jac), pene_ref)):
+        for (_, curvature), ref in ((contact(jac, sample_jac), contact_ref),
+                                    (pene(jac, sample_jac), pene_ref)):
             assert (np.linalg.norm(curvature - ref)
                     <= 1e-12 * np.linalg.norm(ref))
 
@@ -520,7 +528,7 @@ class TestEvaluateGrasp:
         obj, _ = sphere_scene
         pose = hand.HandPose(angles=hand.neutral_grasp_pose().angles)  # at origin
         report = evaluate_grasp(pose, obj)
-        sd = signed_distance(obj, hand.forward_kinematics(pose).samples)
+        sd = nearest_surface(obj, hand.forward_kinematics(pose).samples)[2]
         assert report.max_penetration > 0.0
         assert report.max_penetration == max(0.0, float(-sd.min()))
 
@@ -753,7 +761,8 @@ class TestContactPassReference:
             # calls it, then the bracket and scan of a first query
             nearest = scene.CertifiedNearestSite(obj.points)
             nearest.accept()
-            passes = [contact_loss(geometry, obj, target),
+            passes = [contact_loss(geometry, obj, target,
+                                   CertifiedNearestSite(obj.points)),
                       contact_loss(geometry, obj, target, nearest,
                                    lambda bound: False)]
             nearest.accept()
@@ -761,7 +770,8 @@ class TestContactPassReference:
             passes.append(contact_loss(geometry, obj, target, nearest,
                                        lambda bound: False))
             for value, derivatives in passes:
-                grad, curvature = derivatives(jac)
+                grad, curvature = derivatives(jac,
+                                              hand.sample_jacobians(jac))
                 assert value == ref_value
                 assert grad.tobytes() == ref[0].tobytes()
                 assert curvature.tobytes() == ref[1].tobytes()

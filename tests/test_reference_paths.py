@@ -547,11 +547,9 @@ def plain_penetration_loss(geometry, obj):
     active = sd < 0
     depth = -sd[active]
 
-    def derivatives(joint_jac, sample_jac=None):
+    def derivatives(joint_jac, sample_jac):
         if depth.size == 0:
             return plain_flat()
-        if sample_jac is None:
-            sample_jac = hand.sample_jacobians(joint_jac)
         rows = np.einsum("sd,sdp->sp", obj.normals[idx[active]],
                          sample_jac[active])
         irls = 1.0 / np.maximum(depth, optimizer.PENETRATION_IRLS_FLOOR)
@@ -619,7 +617,9 @@ class PlainNearestSite:
 
 
 def plain_contact_loss(geometry, obj, target, nearest=None, exceeds=None):
-    """The bound and the value through np.mean."""
+    """The bound and the value through np.mean; without ``nearest``, the
+    query is one nearest_site scan, whose answer a fresh
+    CertifiedNearestSite must equal."""
     if nearest is None:
         d, owners = plain_nearest_site(obj.points, geometry.samples)
         columns = obj.points.T
@@ -634,7 +634,7 @@ def plain_contact_loss(geometry, obj, target, nearest=None, exceeds=None):
         columns = nearest.columns
     resid = CONTACT_RADIUS / np.maximum(d, CONTACT_RADIUS) - target
 
-    def derivatives(joint_jac, sample_jac=None):
+    def derivatives(joint_jac, sample_jac):
         active = (d > CONTACT_RADIUS) & (resid != 0)
         if not active.any():
             return plain_flat()
@@ -654,8 +654,6 @@ def plain_contact_loss(geometry, obj, target, nearest=None, exceeds=None):
         for j, col in enumerate(cols):
             per_sample[:, j] = np.bincount(owners, col, hand.N_SAMPLES)
         blocks = per_sample[:, 3:].reshape(-1, 3, 3)
-        if sample_jac is None:
-            sample_jac = hand.sample_jacobians(joint_jac)
         flat_jac = sample_jac.reshape(-1, hand.N_PARAMS)
         return (np.einsum("sd,sdp->p", per_sample[:, :3], sample_jac),
                 flat_jac.T @ (blocks @ sample_jac).reshape(-1,
@@ -668,7 +666,7 @@ def plain_kp_loss(geometry, keypoints):
     parts = np.asarray(keypoints.parts, dtype=int)
     diff = geometry.part_centers[parts - 1] - keypoints.targets
 
-    def derivatives(joint_jac, sample_jac=None):
+    def derivatives(joint_jac, sample_jac):
         jac = hand.center_jacobians(joint_jac, keypoints.parts)
         rows = jac.reshape(-1, hand.N_PARAMS)
         return 2.0 * np.einsum("kd,kdp->p", diff, jac), 2.0 * rows.T @ rows
@@ -917,13 +915,14 @@ class TestStageThreePaths:
             (value, derivatives), (ref_value, ref_derivatives) = (
                 loss(*args), plain(*args))
             assert bits(value) == bits(ref_value)
-            for sj in (None, sample_jac):
-                assert_same_derivatives(derivatives(jac, sj),
-                                        ref_derivatives(jac, sj))
-        # the full pass, then a certified one at a trial pose against the
-        # first pass's answer (accepted or not), its bound recorded
+            assert_same_derivatives(derivatives(jac, sample_jac),
+                                    ref_derivatives(jac, sample_jac))
+        # a fresh query, which scans every row, against one nearest_site
+        # scan; then a certified query at a trial pose against the first
+        # query's answer (accepted or not), its bound recorded
         (value, derivatives), (ref_value, ref_derivatives) = (
-            contact_loss(geometry, obj, target),
+            contact_loss(geometry, obj, target,
+                         scene.CertifiedNearestSite(obj.points)),
             plain_contact_loss(geometry, obj, target))
         assert bits(value) == bits(ref_value)
         assert_same_derivatives(derivatives(jac, sample_jac),
@@ -940,6 +939,7 @@ class TestStageThreePaths:
         trial, trial_jacobian = hand.fk_with_jacobians(
             moved_vec(rng, vec, move))
         trial_jac = trial_jacobian()
+        trial_sample_jac = hand.sample_jacobians(trial_jac)
         ceiling = rng.choice([np.inf, -np.inf, value])
         bounds = []
 
@@ -956,8 +956,9 @@ class TestStageThreePaths:
         if derivatives is None:
             met["bounded"] += 1
         else:
-            assert_same_derivatives(derivatives(trial_jac),
-                                    ref_derivatives(trial_jac))
+            assert_same_derivatives(
+                derivatives(trial_jac, trial_sample_jac),
+                ref_derivatives(trial_jac, trial_sample_jac))
             met["every row rescanned"] += (accept and nearest.rescanned
                                            == 2 * obj.n_points)
         assert ((nearest.queried, nearest.rescanned)

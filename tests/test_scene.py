@@ -12,8 +12,7 @@ from grasp_eq.optimizer import _residual_floor
 from grasp_eq.scene import (CONTACT_RADIUS, CertifiedNearestSite,
                             ContactState, ObjectModel, compute_inertia,
                             contact_likelihood, contact_map_from_hand,
-                            nearest_site, nearest_surface, signed_distance,
-                            tangent_bases)
+                            nearest_site, nearest_surface, tangent_bases)
 
 from conftest import sphere_object
 
@@ -153,21 +152,25 @@ class TestObjectModel:
 
 
 class TestSignedDistance:
+    """nearest_surface's third output, the one signed distance."""
+
     def test_zero_on_sample(self, small_sphere):
-        assert signed_distance(small_sphere, small_sphere.points[17]) == 0.0
+        assert nearest_surface(small_sphere,
+                               small_sphere.points[17:18])[2][0] == 0.0
 
     def test_center_of_sphere(self, small_sphere):
-        assert signed_distance(small_sphere, np.zeros(3)) == pytest.approx(-0.05, abs=1e-12)
+        assert nearest_surface(small_sphere, np.zeros((1, 3)))[2][0] == (
+            pytest.approx(-0.05, abs=1e-12))
 
     def test_offset_along_normal(self, small_sphere):
         q = small_sphere.points[5] + 0.02 * small_sphere.normals[5]
-        assert signed_distance(small_sphere, q) == pytest.approx(0.02, abs=1e-12)
+        assert nearest_surface(small_sphere, q[None])[2][0] == (
+            pytest.approx(0.02, abs=1e-12))
 
     def test_bounded_by_euclidean(self, small_sphere):
         rng = np.random.default_rng(11)
         queries = rng.uniform(-0.1, 0.1, size=(64, 3))
-        d, _, _ = nearest_surface(small_sphere, queries)
-        sd = signed_distance(small_sphere, queries)
+        d, _, sd = nearest_surface(small_sphere, queries)
         assert np.all(np.abs(sd) <= d + 1e-12)
 
 

@@ -134,16 +134,22 @@ class TestRoundTrips:
         assert np.array_equal(again.part_label, state.part_label)
 
     def test_pose(self, tmp_path):
+        """pose.json, an output no verb reads, holds the pose's values
+        exactly."""
         rng = np.random.default_rng(0)
         pose = HandPose(rotation=rng.normal(size=3) * 0.3,
                         translation=rng.normal(size=3) * 0.05,
                         angles=rng.uniform(-0.2, 1.0, 20), scale=1.07)
         path = tmp_path / "pose.json"
         io_mod.save_pose(path, pose)
-        again = io_mod.load_pose(path)
-        assert np.array_equal(again.as_vector(), pose.as_vector())
+        data = io_mod.load_json(path)
+        again = np.r_[data["rot"], data["trans"], data["angles"],
+                      data["scale"]]
+        assert np.array_equal(again, pose.as_vector())
 
     def test_keypoints(self, tmp_path):
+        """keypoints.json, an output no verb reads, holds the keypoint
+        set's values exactly."""
         rng = np.random.default_rng(1)
         normals = rng.normal(size=(3, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -152,10 +158,10 @@ class TestRoundTrips:
                           targets=rng.normal(size=(3, 3)), energy=0.123456789)
         path = tmp_path / "kp.json"
         io_mod.save_keypoints(path, kps)
-        again = io_mod.load_keypoints(path)
-        assert again.parts == kps.parts
-        assert np.array_equal(again.centers, kps.centers)
-        assert again.energy == kps.energy
+        data = io_mod.load_json(path)
+        assert tuple(data["parts"]) == kps.parts
+        assert np.array_equal(data["centers"], kps.centers)
+        assert data["energy"] == kps.energy
 
     def test_missing_key_raises(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -198,91 +204,13 @@ class TestRoundTrips:
                                *map(float, values)) == record
 
 
-def _good_pose_payload():
-    return {"rot": [0.1, 0.0, 0.0], "trans": [0.0, 0.0, 0.1],
-            "angles": [0.0] * 20, "scale": 1.1}
-
-
-def _good_keypoint_payload():
-    return {"parts": [1, 2, 3], "centers": [[0.0, 0.0, 0.05]] * 3,
-            "forces": [1.0, 2.0, 3.0], "normals": [[0.0, 0.0, 1.0]] * 3,
-            "targets": [[0.0, 0.0, 0.055]] * 3, "energy": 5.0}
-
-
 class TestStrictLoads:
-    """Pose and keypoint files read every field as the JSON numbers it
-    holds: booleans, strings, non-finite numbers, fractional part ids and
-    misshapen arrays are refused, not converted."""
+    """Contact files read every field as the JSON numbers it holds."""
 
     def _write(self, tmp_path, payload):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(payload))
         return path
-
-    def test_good_files_load(self, tmp_path):
-        pose = io_mod.load_pose(self._write(tmp_path, _good_pose_payload()))
-        assert pose.scale == 1.1
-        assert np.array_equal(pose.rotation, [0.1, 0.0, 0.0])
-        kps = io_mod.load_keypoints(self._write(tmp_path,
-                                                _good_keypoint_payload()))
-        assert kps.parts == (1, 2, 3)
-        assert kps.energy == 5.0
-        assert kps.targets.shape == (3, 3)
-
-    @pytest.mark.parametrize("field, value", [
-        ("rot", [True, 0, 0]), ("rot", [0, 0]), ("rot", "0"),
-        ("trans", [0, None, 0]), ("trans", [0, "0", 0]),
-        ("angles", [False] * 20), ("angles", [0.0] * 19),
-        ("scale", "1.1"), ("scale", True), ("scale", None)])
-    def test_pose_rejects(self, tmp_path, field, value):
-        payload = _good_pose_payload()
-        payload[field] = value
-        with pytest.raises(ValueError, match=f"pose {field}"):
-            io_mod.load_pose(self._write(tmp_path, payload))
-
-    @pytest.mark.parametrize("field, value", [
-        ("parts", [True, 2, 3]), ("parts", [1.5, 2, 3]), ("parts", ["1", 2, 3]),
-        ("parts", 3), ("parts", [[1, 2, 3]]),
-        ("centers", [[0, 0, True]] * 3), ("centers", [[0, 0, 0]] * 2),
-        ("forces", ["1", 2, 3]), ("forces", [1, 2]),
-        ("normals", [[0, 0, None]] * 3), ("normals", [[0, 1]] * 3),
-        ("targets", [[0, 0, "0"]] * 3), ("targets", [0, 0, 0]),
-        ("energy", "5"), ("energy", True), ("energy", [5.0])])
-    def test_keypoints_reject(self, tmp_path, field, value):
-        payload = _good_keypoint_payload()
-        payload[field] = value
-        with pytest.raises(ValueError, match=f"keypoint {field}"):
-            io_mod.load_keypoints(self._write(tmp_path, payload))
-
-    # json writes and reads NaN and the infinities; a whole number past the
-    # float range has no float either
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf"), 10 ** 400])
-    @pytest.mark.parametrize("field", ["centers", "forces", "energy"])
-    def test_keypoints_reject_non_finite(self, tmp_path, field, value):
-        payload = _good_keypoint_payload()
-        if field == "energy":
-            payload[field] = value
-        elif field == "forces":
-            payload[field][1] = value
-        else:
-            payload[field][1][2] = value
-        with pytest.raises(ValueError, match=f"keypoint {field} must (be a|"
-                                             "hold only) finite number"):
-            io_mod.load_keypoints(self._write(tmp_path, payload))
-
-    @pytest.mark.parametrize("load, payload, key", [
-        (io_mod.load_pose, _good_pose_payload(), "angles"),
-        (io_mod.load_keypoints, _good_keypoint_payload(), "energy")])
-    def test_missing_field_is_named(self, tmp_path, load, payload, key):
-        del payload[key]
-        with pytest.raises(ValueError, match=f"missing '{key}'"):
-            load(self._write(tmp_path, payload))
-
-    def test_pose_scale_defaults_to_one(self, tmp_path):
-        payload = _good_pose_payload()
-        del payload["scale"]
-        assert io_mod.load_pose(self._write(tmp_path, payload)).scale == 1.0
 
     def test_contact_part_labels_must_be_whole(self, tmp_path):
         payload = {"likelihood": [1.0, 0.0], "part_label": [1.5, 0],
