@@ -1,7 +1,6 @@
 """Force-aware grasp stability analysis and keypoint-guided pose synthesis."""
 
-from .equilibrium import (EquilibriumSystem, ForceExistenceResult,
-                          StabilityResult, assemble,
+from .equilibrium import (EquilibriumSystem, QPResult, assemble,
                           assemble_from_contact_state, loss_gradient,
                           solve_force_existence, stability_energy,
                           stability_loss, stability_loss_masked)

@@ -26,7 +26,8 @@ from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, check_keypoint_settings)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
-from .synth import SyntheticScene, generate_contacts, generate_scene
+from .synth import (DEFAULT_SAMPLE_COUNT, SyntheticScene, generate_contacts,
+                    generate_scene)
 
 # default grasp style and dimensions per shape for batch scenes
 _BATCH_SHAPES = {
@@ -62,7 +63,7 @@ class SceneRow:
 
 
 def build_batch(count: int, shapes, seed: int,
-                sample_count: int = 2048) -> list[BatchScene]:
+                sample_count: int = DEFAULT_SAMPLE_COUNT) -> list[BatchScene]:
     """Round-robin scene list over the requested shapes with derived seeds."""
     if count < 1:
         raise ValueError("batch needs at least one scene")

@@ -28,6 +28,8 @@ from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, find_keypoints)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
+from .synth import (DEFAULT_SAMPLE_COUNT, SHAPES, STYLES, SyntheticScene,
+                    generate_contacts, generate_scene)
 
 USAGE_EXIT = 1
 INPUT_EXIT = 2
@@ -105,8 +107,6 @@ def _emit(payload, path=None):
 
 
 def _cmd_synth(args):
-    from .synth import SyntheticScene, generate_contacts, generate_scene
-
     physics = _settings(args)["physics"]
     dims = tuple(float(d) for d in args.dims.split(","))
     spec = SyntheticScene(shape=args.shape, dimensions=dims,
@@ -263,12 +263,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", parents=[config, seed, physics],
                        help="generate a synthetic scene and contact state")
-    p.add_argument("--shape", required=True,
-                   choices=("sphere", "box", "cylinder", "plate"))
+    p.add_argument("--shape", required=True, choices=SHAPES)
     p.add_argument("--dims", required=True, help="comma-separated dimensions")
-    p.add_argument("--samples", type=int, default=2048)
-    p.add_argument("--style", default="tripod",
-                   choices=("tripod", "pinch", "wrap", "random"))
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
+    p.add_argument("--style", default="tripod", choices=STYLES)
     p.add_argument("--scene-out", required=True)
     p.add_argument("--contacts-out")
     p.set_defaults(func=_cmd_synth)
@@ -312,8 +310,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("batch", parents=[config, seed, physics],
                        help="run the pipeline over a batch of synthetic scenes")
     p.add_argument("--count", type=int, default=8)
-    p.add_argument("--shapes", default="sphere,box,cylinder,plate")
-    p.add_argument("--samples", type=int, default=2048)
+    p.add_argument("--shapes", default=",".join(SHAPES))
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int,
                    help="most processes that run scenes, this one "

@@ -17,10 +17,12 @@ convex box-constrained quadratic program.  A differentiable relaxation
 bounds each acceleration row independently and penalizes rows whose
 attainable interval excludes zero.
 
-Both QPs, this one and the force-existence fit, return their result with
-the active-set loop's ``errors.Stop``, log one debug line formatted from
-it, and raise SolverError, its message formatted from it, unless its
-reason is 'gap'.
+Both QPs, this one and the force-existence fit, return one record,
+``QPResult``: the energy, the forces (fixed for this one, solved for the
+fit), gamma, delta, the acceleration and the active-set loop's
+``errors.Stop``.  Each logs one debug line formatted from that stop and
+raises SolverError, its message formatted from it, unless its reason is
+'gap'.
 """
 
 from __future__ import annotations
@@ -98,19 +100,8 @@ class EquilibriumSystem:
 
 
 @dataclass(frozen=True, eq=False)
-class StabilityResult:
-    """Minimizer of the stability QP: energy == ||accel||^2 at (gamma, delta)."""
-
-    energy: float
-    gamma: np.ndarray
-    delta: np.ndarray
-    accel: np.ndarray
-    stop: Stop
-
-
-@dataclass(frozen=True, eq=False)
-class ForceExistenceResult:
-    """Minimizer of ||accel||^2 over both bounded forces and friction."""
+class QPResult:
+    """Minimizer of either QP: energy == ||accel||^2 at forces, gamma, delta."""
 
     energy: float
     forces: np.ndarray
@@ -176,7 +167,7 @@ def assemble_from_contact_state(obj: ObjectModel, state, mu: float = DEFAULT_MU,
     Returns (system, indices of the contact points).  Zero-force points
     contribute nothing to the acceleration, so dropping them is exact.
     """
-    idx = np.flatnonzero(state.force > 0)
+    idx = np.flatnonzero(state.contact_mask)
     sys = assemble(obj, obj.points[idx], obj.normals[idx], state.force[idx],
                    mu=mu, gravity=gravity)
     return sys, idx
@@ -374,16 +365,17 @@ def _check_friction(sys, total_force):
 
 
 def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
-                     max_iter: int = QP_MAX_ITER) -> StabilityResult:
-    """Minimize ||accel||^2 over gamma, delta in [-1, 1]^n.
+                     max_iter: int = QP_MAX_ITER) -> QPResult:
+    """Minimize ||accel||^2 over gamma, delta in [-1, 1]^n at ``sys.forces``.
 
-    The objective is a convex quadratic over a box, solved exactly by an
-    active-set method, so the returned energy is the global minimum within
-    solver tolerance: the duality gap, which bounds energy - minimum, is
-    below ``tol`` times max(1, 1e-4 E0), E0 being the energy at zero
-    friction (relative to E0 once E0 passes 1e4).  Raises SolverError
-    (carrying the best iterate) unless the stop's reason is 'gap', the gap
-    falling below that within ``max_iter`` active-set iterations.
+    The result's ``forces`` are those fixed forces.  The objective is a
+    convex quadratic over a box, solved exactly by an active-set method, so
+    the returned energy is the global minimum within solver tolerance: the
+    duality gap, which bounds energy - minimum, is below ``tol`` times
+    max(1, 1e-4 E0), E0 being the energy at zero friction (relative to E0
+    once E0 passes 1e4).  Raises SolverError (carrying the best iterate)
+    unless the stop's reason is 'gap', the gap falling below that within
+    ``max_iter`` active-set iterations.
     """
     n = sys.n_contacts
     _check_friction(sys, float(sys.forces.sum()))
@@ -396,7 +388,8 @@ def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,
     accel = mat @ x + const
     # x is the solver's own array; gamma and delta are read-only views of it
     x.flags.writeable = accel.flags.writeable = False
-    result = StabilityResult(float(accel @ accel), x[:n], x[n:], accel, stop)
+    result = QPResult(float(accel @ accel), sys.forces, x[:n], x[n:], accel,
+                      stop)
     _stability_log.debug("stability: %d contacts, %s", n, stop)
     if stop.reason != "gap":
         raise SolverError(f"stability QP not certified below tol {tol:.1e}: "
@@ -478,7 +471,7 @@ def loss_gradient(sys: EquilibriumSystem, force_map, likelihood) -> np.ndarray:
 def solve_force_existence(obj: ObjectModel, points, normals,
                           mu: float = DEFAULT_MU, gravity=GRAVITY,
                           f_max: float = 20.0, tol: float = QP_TOL,
-                          max_iter: int = QP_MAX_ITER) -> ForceExistenceResult:
+                          max_iter: int = QP_MAX_ITER) -> QPResult:
     """Minimize ||accel||^2 over forces and friction jointly.
 
     Per contact, the admissible (F, gamma F, delta F) with 0 <= F <= f_max
@@ -511,7 +504,7 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     safe = np.where(u > 0, u, 1.0)
     gamma, delta = np.clip((lam @ _EDGE_SIGNS) / safe[:, None], -1.0, 1.0).T
     accel = mat @ lam.ravel() + gravity6
-    result = ForceExistenceResult(
+    result = QPResult(
         energy=float(accel @ accel), forces=_freeze(u), gamma=_freeze(gamma),
         delta=_freeze(delta), accel=_freeze(accel), stop=stop)
     _log.debug("force existence: %d contacts, %s", n, stop)

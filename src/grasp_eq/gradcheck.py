@@ -103,7 +103,8 @@ def check_pose_gradients(rng, obj, contacts):
     relative error over all terms and directions).
     """
     pose = _random_pose(rng, float(np.linalg.norm(obj.points, axis=1).max()))
-    kps_like = SimpleNamespace(parts=(4, 7, 10), targets=obj.points[:3] * 1.2)
+    tips = tuple(hand.segment_part_id(f, 2) for f in range(3))
+    kps_like = SimpleNamespace(parts=tips, targets=obj.points[:3] * 1.2)
 
     def terms(vec):
         return pose_terms(vec, kps_like, obj, contacts.likelihood,

@@ -104,15 +104,15 @@ def compute_inertia(points, com, mass):
 class ObjectModel:
     """Rigid body as a sampled surface.
 
-    ``inertia`` is always recomputed from the points; any caller-supplied
-    value is ignored.  Instances are immutable and safe to share.
+    ``inertia`` is computed from the points, com and mass, never passed in.
+    Instances are immutable and safe to share.
     """
 
     points: np.ndarray
     normals: np.ndarray
     com: np.ndarray
-    mass: float = 1.0
-    inertia: float = 0.0
+    mass: float
+    inertia: float
 
     def __init__(self, points, normals, com=None, mass=1.0):
         if np.size(points) == 0:

@@ -170,9 +170,7 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
         raise StyleInfeasible(
             f"patch radius {patch_radius} exceeds object bounding radius {bounding:.4f}")
     directions = _style_directions(obj, style, rng, n_patches)
-    centered = obj.points - obj.com
     labels = np.zeros(obj.n_points, dtype=int)
-    taken = np.zeros(obj.n_points, dtype=bool)
     # pinch patches sit slightly off-center toward an edge so fingers can
     # reach around; the offset stays small enough that face friction can
     # still cancel the gravity moment at the force cap
@@ -183,12 +181,13 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
         shift = np.zeros(3)
         shift[wide] = min(0.02, 0.3 * extents[wide])
         anchor = obj.com + shift
-    seeds = []
+    rel = obj.points - anchor
+    centroids = []
+    normals = []
     for direction, part in directions:
         # seed where the direction ray exits the surface: advance along the
         # direction while penalizing sideways drift, so flat faces do not
         # snap to corners and opposing patches stay aligned with the anchor
-        rel = obj.points - anchor
         along = rel @ direction
         perp = np.linalg.norm(rel - along[:, None] * direction, axis=1)
         support = int(np.argmax(along - perp))
@@ -196,26 +195,19 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
         seed_normal = obj.normals[support]
         near = np.linalg.norm(obj.points - seed_point, axis=1) <= patch_radius
         coherent = obj.normals @ seed_normal >= 0.5
-        members = near & coherent & ~taken
+        members = near & coherent & (labels == 0)
         if not np.any(members):
             continue
         labels[members] = part
-        taken |= members
-        seeds.append((support, part))
-    if not seeds:
+        centroids.append(obj.points[members].mean(axis=0))
+        avg = obj.normals[members].mean(axis=0)
+        normals.append(avg / np.linalg.norm(avg))
+    if not centroids:
         raise StyleInfeasible(f"style {style!r} produced no contact patches")
     mask = labels > 0
-    centroids = []
-    normals = []
-    for support, part in seeds:
-        m = labels == part
-        centroids.append(obj.points[m].mean(axis=0))
-        avg = obj.normals[m].mean(axis=0)
-        normals.append(avg / np.linalg.norm(avg))
     solved = solve_force_existence(obj, np.array(centroids), np.array(normals),
                                    mu=mu, gravity=gravity)
-    label_points = [(c, f) for c, f in zip(centroids, solved.forces)]
-    force, _ = spread_force(label_points, obj, mask)
+    force, _ = spread_force(list(zip(centroids, solved.forces)), obj, mask)
     # the likelihood channel carries the same reciprocal-distance halo a real
     # hand would produce, with the patch points standing in for the touching
     # hand surface; patch members saturate at 1

@@ -12,8 +12,8 @@ from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
 from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
-                                  _free_mean, _solve_box, _solve_pyramid,
-                                  assemble,
+                                  QPResult, _free_mean, _solve_box,
+                                  _solve_pyramid, assemble,
                                   assemble_from_contact_state, loss_gradient,
                                   solve_force_existence, stability_energy,
                                   stability_loss, stability_loss_masked)
@@ -165,6 +165,10 @@ class TestStabilityEnergy:
             pts, dirs, forces = random_contacts(rng, small_sphere, int(rng.integers(1, 4)))
             sys = assemble(small_sphere, pts, dirs, forces)
             res = stability_energy(sys)
+            # the one QP record, reporting the system's own fixed forces
+            assert isinstance(res, QPResult)
+            assert np.array_equal(res.forces, sys.forces)
+            assert not res.forces.flags.writeable
             accel = sys.acceleration(res.gamma, res.delta)
             assert_allclose(accel, res.accel, atol=1e-9)
             assert res.energy == pytest.approx(float(accel @ accel), abs=1e-9)
@@ -427,6 +431,7 @@ class TestForceExistence:
 
     def test_bottom_support(self, small_sphere):
         res = solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N)
+        assert isinstance(res, QPResult)
         assert res.energy == pytest.approx(0.0, abs=1e-8)
         assert res.forces[0] == pytest.approx(9.81, abs=1e-4)
 

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from grasp_eq import keypoints
-from grasp_eq.equilibrium import (QP_TOL, StabilityResult, assemble,
+from grasp_eq.equilibrium import (QP_TOL, QPResult, assemble,
                                   energy_lower_bounds, stability_energy)
 from grasp_eq.errors import SolverError, Stop
 from grasp_eq.keypoints import (KeypointSet, PartCluster, cluster_contacts,
@@ -776,10 +776,10 @@ class TestBandSearch:
         table = {}
 
         def set_energy(sub):
-            return StabilityResult(energy=table[float(sub.forces[0])],
-                                   gamma=np.zeros(1), delta=np.zeros(1),
-                                   accel=np.zeros(6),
-                                   stop=Stop("gap", 0, 0, 0.0))
+            return QPResult(energy=table[float(sub.forces[0])],
+                            forces=sub.forces, gamma=np.zeros(1),
+                            delta=np.zeros(1), accel=np.zeros(6),
+                            stop=Stop("gap", 0, 0, 0.0))
 
         monkeypatch.setattr(keypoints, "stability_energy", set_energy)
         for _ in range(400):

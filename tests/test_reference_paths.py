@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from grasp_eq import hand, keypoints, optimizer, scene
-from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, StabilityResult,
+from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, QPResult,
                                   _check_friction, _solve_box, assemble,
                                   energy_lower_bounds, solve_force_existence,
                                   stability_energy)
@@ -116,9 +116,9 @@ def reference_stability_energy(sys, tol=QP_TOL, max_iter=QP_MAX_ITER):
     tol = tol * max(1.0, 1e-4 * float(const @ const))
     x, stop = reference_box(mat, const, tol, max_iter)
     accel = mat @ x + const
-    return StabilityResult(energy=float(accel @ accel), gamma=_freeze(x[:n]),
-                           delta=_freeze(x[n:]), accel=_freeze(accel),
-                           stop=stop)
+    return QPResult(energy=float(accel @ accel), forces=sys.forces,
+                    gamma=_freeze(x[:n]), delta=_freeze(x[n:]),
+                    accel=_freeze(accel), stop=stop)
 
 
 def reference_candidate_bounds(sys, candidates):
@@ -362,7 +362,7 @@ class TestCandidatePath:
                 assert want.stop.reason == "gap"
             assert bits(got.energy) == bits(want.energy)
             assert bits(got.stop.final) == bits(want.stop.final)
-            for name in ("gamma", "delta", "accel"):
+            for name in ("forces", "gamma", "delta", "accel"):
                 array = getattr(got, name)
                 assert bits(array) == bits(getattr(want, name))
                 assert not array.flags.writeable

@@ -1,0 +1,75 @@
+"""Static checks over the package source that need no linter installed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grasp_eq"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# nodes with a scope of their own; what they bind is not the function's
+SCOPES = FUNCTIONS + (ast.Lambda, ast.ClassDef, ast.ListComp, ast.SetComp,
+                      ast.DictComp, ast.GeneratorExp)
+
+
+def unread_locals(func):
+    """{name: line} of the names ``func`` binds by assignment and that
+    nothing in it, nested functions included, ever reads.
+
+    Arguments, names declared global or nonlocal, and names starting with
+    an underscore are not counted.
+    """
+    stored, read, shared = {}, set(), set()
+
+    def visit(node, own):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                if not isinstance(child.ctx, ast.Store):
+                    read.add(child.id)
+                elif own:
+                    stored.setdefault(child.id, child.lineno)
+            elif isinstance(child, ast.AugAssign):
+                # x += y reads x before it binds it
+                read.update(n.id for n in ast.walk(child.target)
+                            if isinstance(n, ast.Name))
+            elif isinstance(child, (ast.Global, ast.Nonlocal)) and own:
+                shared.update(child.names)
+            visit(child, own and not isinstance(child, SCOPES))
+
+    visit(func, True)
+    return {name: line for name, line in stored.items()
+            if name not in read and name not in shared
+            and not name.startswith("_")}
+
+
+def unread_in_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{line} {func.name} binds {name!r}, never read"
+            for func in ast.walk(tree) if isinstance(func, FUNCTIONS)
+            for name, line in unread_locals(func).items()]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_binds_a_local_it_never_reads(path):
+    assert unread_in_module(path) == []
+
+
+def test_the_check_sees_what_it_must():
+    tree = ast.parse("""
+def f(a):
+    unused = a + 1
+    used, _ignored = a, 2
+    total = 0
+    total += used
+    count = 0
+    def inner():
+        nonlocal count
+        count = 1
+    rows = [i for i in range(3)]
+    return inner, count
+""")
+    func = tree.body[0]
+    inner = next(n for n in func.body if isinstance(n, ast.FunctionDef))
+    assert unread_locals(func) == {"unused": 3, "rows": 11}
+    assert unread_locals(inner) == {}
