@@ -4,10 +4,7 @@ from .equilibrium import (EquilibriumSystem, QPResult, assemble,
                           assemble_from_contact_state, loss_gradient,
                           solve_force_existence, stability_energy,
                           stability_loss, stability_loss_masked)
-from .errors import (EmptyHand, EmptyObject, GraspEqError, InvalidBinCount,
-                     InvalidForce, InvalidNormal, InvalidShape,
-                     InvalidSpread, InvalidTemperature, ShapeError,
-                     SolverError, StyleInfeasible)
+from .errors import SolverError
 from .force_codec import ForceBinning, build_binning, decode, encode, spread_force
 from .hand import HandGeometry, HandPose, forward_kinematics
 from .keypoints import (KeypointSet, PartCluster, cluster_contacts,

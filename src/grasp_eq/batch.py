@@ -26,8 +26,8 @@ from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, check_keypoint_settings)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
-from .synth import (DEFAULT_SAMPLE_COUNT, SyntheticScene, generate_contacts,
-                    generate_scene)
+from .synth import (DEFAULT_SAMPLE_COUNT, SyntheticScene, check_seed,
+                    generate_contacts, generate_scene)
 
 # default grasp style and dimensions per shape for batch scenes
 _BATCH_SHAPES = {
@@ -68,9 +68,12 @@ def build_batch(count: int, shapes, seed: int,
     if count < 1:
         raise ValueError("batch needs at least one scene")
     shapes = list(shapes)
+    if not shapes:
+        raise ValueError("batch needs at least one shape")
     for shape in shapes:
         if shape not in _BATCH_SHAPES:
             raise ValueError(f"no batch defaults for shape {shape!r}")
+    check_seed(seed)
     scenes = []
     for i in range(count):
         shape = shapes[i % len(shapes)]

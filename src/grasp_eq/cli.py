@@ -22,7 +22,7 @@ from . import io as io_mod
 from .equilibrium import (DEFAULT_MU, assemble_from_contact_state,
                           stability_energy, stability_loss,
                           stability_loss_masked)
-from .errors import GraspEqError, SolverError
+from .errors import SolverError
 from .force_codec import DEFAULT_TEMPERATURE, build_binning, decode, encode
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, find_keypoints)
@@ -332,8 +332,7 @@ def main(argv=None) -> int:
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return SOLVER_EXIT
-    except (GraspEqError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return INPUT_EXIT
     except FloatingPointError as err:

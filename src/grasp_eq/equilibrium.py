@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SolverError, Stop, is_finite, is_number
+from .errors import SolverError, Stop, is_finite, is_number
 from .hand import _cross
 from .scene import (_FLOAT_MAX, GRAVITY, ObjectModel, _freeze,
                     _pivot_tangents, check_forces, check_unit_normals)
@@ -125,7 +125,7 @@ def assemble(obj: ObjectModel, points, normals, forces,
     # a copy: the system freezes its forces, the caller's stay writeable
     forces = np.atleast_1d(np.array(forces, dtype=float))
     if forces.shape != (n,):
-        raise ShapeError(f"expected {n} forces, got shape {forces.shape}")
+        raise ValueError(f"expected {n} forces, got shape {forces.shape}")
     check_forces(forces)
     if not (is_number(mu) and is_finite(mu) and mu >= 0):
         raise ValueError(f"friction coefficient mu must be a finite number "
@@ -438,7 +438,7 @@ def _check_masked_args(sys, force_map, likelihood):
     likelihood = np.asarray(likelihood, dtype=float)
     n = sys.n_contacts
     if force_map.shape != (n,) or likelihood.shape != (n,):
-        raise ShapeError(f"expected two length-{n} arrays, got {force_map.shape} and {likelihood.shape}")
+        raise ValueError(f"expected two length-{n} arrays, got {force_map.shape} and {likelihood.shape}")
     if np.any(force_map < 0) or np.any(likelihood < 0) or np.any(likelihood > 1):
         raise ValueError("force map must be >= 0 and likelihood within [0, 1]")
     return force_map, likelihood

@@ -1,4 +1,9 @@
-"""Exception hierarchy, the solvers' Stop record and shared number tests."""
+"""The solvers' Stop record, their one error class and shared number tests.
+
+The library refuses in one of two ways.  Invalid input raises ValueError,
+its message naming what is wrong; a stability or force-existence QP that
+cannot certify its answer raises SolverError, which carries that answer.
+"""
 
 import math
 import numbers
@@ -21,51 +26,6 @@ def is_finite(value):
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-class GraspEqError(Exception):
-    """Base class for all library errors."""
-
-
-class InvalidNormal(GraspEqError):
-    """A surface normal is not a finite unit vector."""
-
-
-class EmptyObject(GraspEqError):
-    """An object point cloud is empty."""
-
-
-class EmptyHand(GraspEqError):
-    """A hand surface sample set is empty."""
-
-
-class InvalidBinCount(GraspEqError):
-    """Force binning needs from 3 to force_codec.MAX_BINS bins."""
-
-
-class InvalidSpread(GraspEqError):
-    """Force binning log-center and log-spread must be finite, the spread
-    positive, and the top bin's center a finite float."""
-
-
-class InvalidForce(GraspEqError):
-    """Force values must be finite and non-negative."""
-
-
-class InvalidTemperature(GraspEqError):
-    """Soft-argmax temperature must be positive."""
-
-
-class ShapeError(GraspEqError):
-    """Array arguments have mismatched shapes."""
-
-
-class InvalidShape(GraspEqError):
-    """Synthetic shape parameters are invalid."""
-
-
-class StyleInfeasible(GraspEqError):
-    """Contact style cannot be realized on this object."""
 
 
 class Stop(NamedTuple):
@@ -100,7 +60,7 @@ class Stop(NamedTuple):
                 final_name: self.final if math.isfinite(self.final) else None}
 
 
-class SolverError(GraspEqError):
+class SolverError(Exception):
     """Iterative solver failed to converge.
 
     Carries the best iterate found so far, with its Stop, in ``result``.

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidBinCount, InvalidForce, InvalidSpread,
-                     InvalidTemperature, ShapeError, is_finite)
+from .errors import is_finite
 from .scene import nearest_site
 
 DEFAULT_TEMPERATURE = 0.02
@@ -56,22 +55,22 @@ def build_binning(s: int = 10, mu_log: float = 0.0,
     defaults are the package's only copies of these three settings."""
     # +inf fails the first test and NaN and -inf the second before int(s)
     if s > MAX_BINS:
-        raise InvalidBinCount(f"need at most {MAX_BINS} bins, got {s!r}")
+        raise ValueError(f"need at most {MAX_BINS} bins, got {s!r}")
     if not s >= 3 or int(s) != s:
-        raise InvalidBinCount(f"need an integer count of at least 3 bins, got {s!r}")
+        raise ValueError(f"need an integer count of at least 3 bins, got {s!r}")
     s = int(s)
     if not is_finite(mu_log):
-        raise InvalidSpread(f"mu_log must be finite, got {mu_log}")
+        raise ValueError(f"mu_log must be finite, got {mu_log}")
     if not (is_finite(sigma_log) and sigma_log > 0):
-        raise InvalidSpread(f"sigma_log must be finite and positive, got {sigma_log}")
+        raise ValueError(f"sigma_log must be finite and positive, got {sigma_log}")
     mu_log = float(mu_log)
     sigma_log = float(sigma_log)
     half = 3.0 * sigma_log / (s - 2)
     # the top bin's log-center, as computed below, in Python floats, which
     # overflow to inf without a numpy error
     if not mu_log + 3.0 * sigma_log + half <= _LOG_MAX:
-        raise InvalidSpread(f"mu_log {mu_log} and sigma_log {sigma_log} put "
-                            "the top bin's center past the float range")
+        raise ValueError(f"mu_log {mu_log} and sigma_log {sigma_log} put "
+                         "the top bin's center past the float range")
     # log-edges of the finite interior boundaries, uniformly spaced
     i = np.arange(1, s)
     log_edges = mu_log + (6.0 * (i - 1) / (s - 2) - 3.0) * sigma_log
@@ -89,7 +88,7 @@ def build_binning(s: int = 10, mu_log: float = 0.0,
 def bin_index(force: float, binning: ForceBinning) -> int:
     """0-based index of the bin containing ``force`` (edges[i] <= F < edges[i+1])."""
     if not np.isfinite(force) or force < 0:
-        raise InvalidForce(f"force must be finite and non-negative, got {force}")
+        raise ValueError(f"force must be finite and non-negative, got {force}")
     idx = int(np.searchsorted(binning.edges, force, side="right")) - 1
     return min(idx, binning.s - 1)
 
@@ -109,12 +108,12 @@ def decode(v, binning: ForceBinning, temperature: float = DEFAULT_TEMPERATURE) -
     that bin's center exactly.
     """
     if not temperature > 0:
-        raise InvalidTemperature(f"temperature must be positive, got {temperature}")
+        raise ValueError(f"temperature must be positive, got {temperature}")
     v = np.asarray(v, dtype=float)
     if v.shape != (binning.s,):
-        raise ShapeError(f"expected {binning.s} scores, got shape {v.shape}")
+        raise ValueError(f"expected {binning.s} scores, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise InvalidForce("scores must be finite")
+        raise ValueError("scores must be finite")
     z = v / temperature
     w = np.exp(z - z.max())
     w[w < _WEIGHT_FLOOR] = 0.0
@@ -134,7 +133,7 @@ def spread_force(label_points, obj, contact_mask):
     """
     contact_mask = np.asarray(contact_mask, dtype=bool)
     if contact_mask.shape != (obj.n_points,):
-        raise ShapeError("contact_mask must be one flag per object point")
+        raise ValueError("contact_mask must be one flag per object point")
     forces = np.zeros(obj.n_points)
     label_points = list(label_points)
     if not label_points:
@@ -142,7 +141,7 @@ def spread_force(label_points, obj, contact_mask):
     centers = np.asarray([p for p, _ in label_points], dtype=float)
     amounts = np.asarray([f for _, f in label_points], dtype=float)
     if np.any(amounts < 0) or not np.all(np.isfinite(amounts)):
-        raise InvalidForce("label forces must be finite and non-negative")
+        raise ValueError("label forces must be finite and non-negative")
     valid = np.flatnonzero(contact_mask)
     warnings = len(label_points)
     if valid.size == 0:

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import EmptyHand, EmptyObject, InvalidNormal
 from .hand import N_PARTS, _cross
 
 GRAVITY = (0.0, 0.0, -9.81)
@@ -63,17 +62,17 @@ def _freeze(arr):
 
 
 def check_unit_normals(normals):
-    """Raise InvalidNormal unless every row is a finite unit vector."""
+    """Raise ValueError unless every row is a finite unit vector."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     # no unit vector has a component larger than 1 in size, and a much
     # larger one would overflow the length below; NaN fails this test too
     if not np.all(np.abs(normals) <= 1.0 + _UNIT_TOL):
-        raise InvalidNormal("normals must be finite, with no component "
-                            f"larger than 1 + {_UNIT_TOL} in size")
+        raise ValueError("normals must be finite, with no component "
+                         f"larger than 1 + {_UNIT_TOL} in size")
     norms = np.linalg.norm(normals, axis=-1)
     bad = np.abs(norms - 1.0) > _UNIT_TOL
     if np.any(bad):
-        raise InvalidNormal(f"{int(bad.sum())} normals deviate from unit length by more than {_UNIT_TOL}")
+        raise ValueError(f"{int(bad.sum())} normals deviate from unit length by more than {_UNIT_TOL}")
     return normals
 
 
@@ -92,7 +91,7 @@ def compute_inertia(points, com, mass):
     """Ball-approximated moment of inertia: 0.4 * mass * max ||p - com||^2."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
-        raise EmptyObject("cannot compute inertia of an empty point set")
+        raise ValueError("cannot compute inertia of an empty point set")
     if mass <= 0:
         raise ValueError("mass must be positive")
     com = np.asarray(com, dtype=float)
@@ -116,7 +115,7 @@ class ObjectModel:
 
     def __init__(self, points, normals, com=None, mass=1.0):
         if np.size(points) == 0:
-            raise EmptyObject("object needs at least one surface point")
+            raise ValueError("object needs at least one surface point")
         points = np.atleast_2d(_as_float_array(points, (3,), "points"))
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
         if normals.shape != points.shape:
@@ -351,7 +350,7 @@ def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts):
     hand_points = np.atleast_2d(np.asarray(hand_points, dtype=float))
     hand_parts = np.atleast_1d(np.asarray(hand_parts, dtype=int))
     if hand_points.shape[0] == 0:
-        raise EmptyHand("hand surface sample set is empty")
+        raise ValueError("hand surface sample set is empty")
     if hand_points.shape[0] != hand_parts.shape[0]:
         raise ValueError("hand points and part labels must be parallel")
     d, idx = nearest_site(obj.points, hand_points)

@@ -8,12 +8,13 @@ force-existence problem so the produced states are physically consistent.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import DEFAULT_MU, solve_force_existence
-from .errors import InvalidShape, StyleInfeasible
+from .errors import is_number
 from .force_codec import spread_force
 from .hand import N_PARTS, PALM_PART, segment_part_id
 from .scene import GRAVITY, ContactState, ObjectModel, contact_map_from_hand
@@ -40,16 +41,23 @@ class SyntheticScene:
     seed: int = 0
 
 
+def check_seed(seed):
+    """Raise ValueError naming the seed unless it is a non-negative
+    integer, the only seed numpy's generators take here."""
+    if not (is_number(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _check_dims(spec: SyntheticScene, count):
     dims = tuple(float(d) for d in spec.dimensions)
     if spec.shape not in SHAPES:
-        raise InvalidShape(f"unknown shape {spec.shape!r}, expected one of {SHAPES}")
+        raise ValueError(f"unknown shape {spec.shape!r}, expected one of {SHAPES}")
     if len(dims) != count:
-        raise InvalidShape(f"{spec.shape} expects {count} dimensions, got {len(dims)}")
+        raise ValueError(f"{spec.shape} expects {count} dimensions, got {len(dims)}")
     if any(d <= 0 for d in dims):
-        raise InvalidShape(f"{spec.shape} dimensions must be positive, got {dims}")
+        raise ValueError(f"{spec.shape} dimensions must be positive, got {dims}")
     if spec.sample_count < 16:
-        raise InvalidShape("sample_count must be at least 16")
+        raise ValueError("sample_count must be at least 16")
     return dims
 
 
@@ -105,6 +113,7 @@ def _sample_cylinder(rng, radius, height, count):
 
 def generate_scene(spec: SyntheticScene) -> ObjectModel:
     """Seeded quasi-uniform surface sampling with analytic normals, mass 1 kg."""
+    check_seed(spec.seed)
     rng = np.random.default_rng(spec.seed)
     if spec.shape == "sphere":
         (radius,) = _check_dims(spec, 1)
@@ -149,7 +158,7 @@ def _style_directions(obj, style, rng, n_patches):
             v = rng.normal(size=3)
             dirs.append((v / np.linalg.norm(v), int(part)))
         return dirs
-    raise InvalidShape(f"unknown contact style {style!r}, expected one of {STYLES}")
+    raise ValueError(f"unknown contact style {style!r}, expected one of {STYLES}")
 
 
 def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
@@ -167,7 +176,7 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
     rng = np.random.default_rng(seed)
     bounding = float(np.linalg.norm(obj.points - obj.com, axis=1).max())
     if patch_radius > bounding:
-        raise StyleInfeasible(
+        raise ValueError(
             f"patch radius {patch_radius} exceeds object bounding radius {bounding:.4f}")
     directions = _style_directions(obj, style, rng, n_patches)
     labels = np.zeros(obj.n_points, dtype=int)
@@ -203,7 +212,7 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
         avg = obj.normals[members].mean(axis=0)
         normals.append(avg / np.linalg.norm(avg))
     if not centroids:
-        raise StyleInfeasible(f"style {style!r} produced no contact patches")
+        raise ValueError(f"style {style!r} produced no contact patches")
     mask = labels > 0
     solved = solve_force_existence(obj, np.array(centroids), np.array(normals),
                                    mu=mu, gravity=gravity)

@@ -610,6 +610,28 @@ class TestCliBasics:
         assert report["passed"] is True
         assert report["loss_gradient"]["max_rel_err"] <= 1e-3
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_gradcheck_refuses_a_count_below_one(self, count, capsys):
+        assert main(["gradcheck", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: count must be at least 1, got {count}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["synth", "gradcheck", "batch"])
+    def test_negative_seed_is_refused_by_name(self, verb, tmp_path, capsys):
+        argv = {"synth": ["--shape", "sphere", "--dims", "0.05",
+                          "--samples", "256",
+                          "--scene-out", str(tmp_path / "s.json")],
+                "gradcheck": ["--count", "1"],
+                "batch": ["--count", "2", "--shapes", "sphere",
+                          "--samples", "256", "--threads", "1",
+                          "--out-dir", str(tmp_path / "batch")]}[verb]
+        assert main([verb, "--seed", "-4", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "input error: seed must be a non-negative integer, got -4\n")
+        # refused before any scene is built or any file written
+        assert list(tmp_path.iterdir()) == []
+
 
 def _verb_argv(verb, scene_files, out):
     """Arguments that run ``verb``, a verb that reads a config file, with
@@ -807,6 +829,13 @@ def serial_rows():
 
 
 class TestBatch:
+    @pytest.mark.parametrize("shapes, seed, message", [
+        ([], 0, "batch needs at least one shape"),
+        (["sphere"], -4, "seed must be a non-negative integer, got -4")])
+    def test_build_batch_refuses_by_name(self, shapes, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_batch(2, shapes, seed)
+
     def test_batch_outputs_and_determinism(self, tmp_path, capsys):
         config = OptimizationConfig(max_iters_stage2=25, max_iters_stage3=25)
         scenes = build_batch(4, ["sphere", "box"], seed=5, sample_count=512)
@@ -828,9 +857,9 @@ class TestBatch:
                              spec=SyntheticScene("sphere", (0.008,), 256, seed=1),
                              style="tripod")]
         rows = batch_report(scenes, config, out_dir=tmp_path)
-        assert rows[0].status.startswith("error: StyleInfeasible")
+        assert rows[0].status.startswith("error: ValueError: patch radius")
         summary = (tmp_path / "summary.csv").read_text()
-        assert "StyleInfeasible" in summary
+        assert "ValueError: patch radius" in summary
 
     def test_penetration_curve_bins(self):
         from grasp_eq.batch import SceneRow
@@ -989,8 +1018,9 @@ batch.batch_report(batch.build_batch(400, ["sphere"], seed=0),
         assert main(["batch", "--count", "1", "--shapes", "sphere",
                      "--samples", "15", "--out-dir", str(out)]) == 2
         summary = (out / "summary.csv").read_text()
-        assert "InvalidShape" in summary
-        assert "scene 0: error: InvalidShape" in capsys.readouterr().err
+        assert "ValueError: sample_count must be at least 16" in summary
+        assert ("scene 0: error: ValueError: sample_count must be at least 16"
+                in capsys.readouterr().err)
 
     def test_cli_batch_solver_failures_exit_3(self, tmp_path, monkeypatch,
                                               capsys):

@@ -73,3 +73,60 @@ def f(a):
     inner = next(n for n in func.body if isinstance(n, ast.FunctionDef))
     assert unread_locals(func) == {"unused": 3, "rows": 11}
     assert unread_locals(inner) == {}
+
+
+# The package refuses in one of two ways: invalid input raises ValueError
+# and an uncertified QP raises SolverError.  Besides a bare re-raise, the
+# one other raise is batch._fan_out's RuntimeError for a fork that died,
+# a failure of the environment rather than of the input.
+REFUSALS = {"ValueError", "SolverError"}
+
+
+def stray_raises(tree):
+    """Lines of the ``raise`` statements in ``tree`` that raise anything
+    but a REFUSALS class, outside a bare re-raise and ``_fan_out``'s
+    RuntimeError."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                name = exc.id if isinstance(exc, ast.Name) else None
+                if not (name in REFUSALS or (name == "RuntimeError"
+                                             and func == "_fan_out")):
+                    found.append(child.lineno)
+            visit(child, child.name if isinstance(child, FUNCTIONS) else func)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_raise_is_a_refusal_or_a_dead_fork(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}" for line in stray_raises(tree)] == []
+
+
+def test_the_raise_check_sees_what_it_must():
+    tree = ast.parse("""
+def f(x):
+    if x:
+        raise ValueError("bad x")
+    try:
+        pass
+    except OSError:
+        raise
+    raise KeyError(x)
+def _fan_out():
+    raise RuntimeError("dead fork")
+def g():
+    raise RuntimeError("not a fork")
+    raise SolverError
+class InputError(Exception):
+    pass
+raise InputError("a bespoke class")
+""")
+    assert stray_raises(tree) == [9, 13, 17]

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from grasp_eq import io as io_mod
 from grasp_eq.equilibrium import assemble_from_contact_state, stability_energy
-from grasp_eq.errors import InvalidShape, StyleInfeasible
 from grasp_eq.hand import HandPose
 from grasp_eq.keypoints import KeypointSet
 from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
@@ -49,14 +48,16 @@ class TestGenerateScene:
         assert np.array_equal(a.points, b.points)
 
     def test_validation(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(ValueError, match="sphere dimensions must be positive"):
             generate_scene(SyntheticScene("sphere", (-0.05,), 256))
-        with pytest.raises(InvalidShape):
+        with pytest.raises(ValueError, match="sample_count must be at least 16"):
             generate_scene(SyntheticScene("sphere", (0.05,), 8))
-        with pytest.raises(InvalidShape):
+        with pytest.raises(ValueError, match="unknown shape 'torus'"):
             generate_scene(SyntheticScene("torus", (0.05,), 256))
-        with pytest.raises(InvalidShape):
+        with pytest.raises(ValueError, match="box expects 3 dimensions, got 2"):
             generate_scene(SyntheticScene("box", (0.1, 0.1), 256))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            generate_scene(SyntheticScene("sphere", (0.05,), 256, seed=-1))
 
 
 class TestGenerateContacts:
@@ -100,7 +101,7 @@ class TestGenerateContacts:
 
     def test_style_infeasible_for_tiny_object(self):
         obj = generate_scene(SyntheticScene("sphere", (0.008,), 256, seed=1))
-        with pytest.raises(StyleInfeasible):
+        with pytest.raises(ValueError, match="exceeds object bounding radius"):
             generate_contacts(obj, "tripod", seed=1)
 
     def test_halo_likelihood(self):
