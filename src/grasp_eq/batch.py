@@ -26,8 +26,8 @@ from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, check_keypoint_settings)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
-from .synth import (DEFAULT_SAMPLE_COUNT, SyntheticScene, check_seed,
-                    generate_contacts, generate_scene)
+from .synth import (DEFAULT_SAMPLE_COUNT, SyntheticScene, check_sample_count,
+                    check_seed, generate_contacts, generate_scene)
 
 # default grasp style and dimensions per shape for batch scenes
 _BATCH_SHAPES = {
@@ -74,6 +74,7 @@ def build_batch(count: int, shapes, seed: int,
         if shape not in _BATCH_SHAPES:
             raise ValueError(f"no batch defaults for shape {shape!r}")
     check_seed(seed)
+    check_sample_count(sample_count)
     scenes = []
     for i in range(count):
         shape = shapes[i % len(shapes)]

@@ -63,6 +63,11 @@ def _declared(data, keys, where):
     return data
 
 
+def _numbers(text):
+    """The numbers of a comma-separated flag value."""
+    return [float(part) for part in text.split(",")]
+
+
 def _settings(args, scene_file=None):
     """Each setting from its flag, else the config file, else the mapping
     ``scene_file`` (a scene file's gravity), else its default.  Raises
@@ -82,10 +87,10 @@ def _settings(args, scene_file=None):
     flags = {key: value for key, value in vars(args).items()
              if value is not None}
     if "gravity" in flags:
-        parts = args.gravity.split(",")
-        if len(parts) != 3:
+        gravity = io_mod.parsed(_numbers, args.gravity, "--gravity")
+        if len(gravity) != 3:
             raise ValueError("--gravity expects 3 comma-separated values")
-        flags["gravity"] = np.array([float(p) for p in parts])
+        flags["gravity"] = np.array(gravity)
     if "bins" in flags:
         binning["s"] = flags["bins"]
     temperature = binning.pop("temperature", DEFAULT_TEMPERATURE)
@@ -108,7 +113,7 @@ def _emit(payload, path=None):
 
 def _cmd_synth(args):
     physics = _settings(args)["physics"]
-    dims = tuple(float(d) for d in args.dims.split(","))
+    dims = tuple(io_mod.parsed(_numbers, args.dims, "--dims"))
     spec = SyntheticScene(shape=args.shape, dimensions=dims,
                           sample_count=args.samples, seed=args.seed)
     obj = generate_scene(spec)
@@ -202,7 +207,8 @@ def _cmd_encode_force(args):
 def _cmd_decode_force(args):
     settings = _settings(args)
     binning, temperature = settings["binning"], settings["temperature"]
-    data = io_mod.load_json(args.input) if args.input else json.loads(args.scores)
+    data = (io_mod.load_json(args.input) if args.input
+            else io_mod.parsed(json.loads, args.scores, "--scores"))
     arr = io_mod.json_array(data, "score")
     if arr.ndim == 2:
         payload = [decode(row, binning, temperature) for row in arr]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import is_finite
-from .scene import nearest_site
+from .scene import CertifiedNearestSite
 
 DEFAULT_TEMPERATURE = 0.02
 
@@ -125,9 +125,9 @@ def spread_force(label_points, obj, contact_mask):
 
     ``label_points`` is a sequence of (position, normal_force) pairs.  The
     affinity set of label j is the set of masked object points whose nearest
-    label point is j; each member receives N_j / |A_j|.  Labels with an empty
-    affinity set contribute nothing and are tallied in the returned warning
-    count.
+    label point is j, ties going to the lower j; each member receives
+    N_j / |A_j|.  Labels with an empty affinity set contribute nothing and
+    are tallied in the returned warning count.
 
     Returns (per-point force array, warning count).
     """
@@ -142,15 +142,8 @@ def spread_force(label_points, obj, contact_mask):
     amounts = np.asarray([f for _, f in label_points], dtype=float)
     if np.any(amounts < 0) or not np.all(np.isfinite(amounts)):
         raise ValueError("label forces must be finite and non-negative")
-    valid = np.flatnonzero(contact_mask)
-    warnings = len(label_points)
-    if valid.size == 0:
-        return forces, warnings
-    _, owner = nearest_site(obj.points[valid], centers)
+    _, owner = CertifiedNearestSite(obj.points[contact_mask])(centers)
     counts = np.bincount(owner, minlength=len(label_points))
-    warnings = int(np.sum(counts == 0))
-    share = np.zeros(len(label_points))
-    nonempty = counts > 0
-    share[nonempty] = amounts[nonempty] / counts[nonempty]
-    forces[valid] = share[owner]
-    return forces, warnings
+    # the maximum only keeps 0 / 0 out: no point reads a label it does not own
+    forces[contact_mask] = (amounts / np.maximum(counts, 1))[owner]
+    return forces, int(np.sum(counts == 0))

@@ -60,9 +60,18 @@ def dump_json(path, payload):
     atomic_write_text(path, json.dumps(to_jsonable(payload), indent=2) + "\n")
 
 
+def parsed(parse, text, source):
+    """``parse(text)``, with ``source``, the file or flag ``text`` came
+    from, named in front of any ValueError's message."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
+
+
 def load_json(path):
-    with open(path) as handle:
-        return json.load(handle)
+    with open(path, "rb") as handle:
+        return parsed(json.loads, handle.read(), path)
 
 
 def json_number(value, field):

@@ -7,11 +7,9 @@ hand part label in 0..16 (0 = no contact), and normal force in Newtons.
 The proximity conventions are each written once, here:
 ``contact_likelihood``, ``nearest_surface`` (the nearest surface sample and
 the signed distance (q - p_k) . n_k to it, negative inside) and
-``nearest_site`` (the nearest hand sample), whose cdist + argmin kernel
-``CertifiedNearestSite`` shares.  That class answers every contact-term
-query, a descent's repeated ones too: it scans only the points whose
-nearest sample a distance bound carried from the last accepted query cannot
-certify, and brackets each point's nearest distance before that scan.
+``CertifiedNearestSite`` (each object point's nearest hand sample), which
+across a descent scans only the points a carried distance bound cannot
+certify.
 """
 
 from __future__ import annotations
@@ -207,29 +205,6 @@ def contact_likelihood(d):
     return CONTACT_RADIUS / np.maximum(d, CONTACT_RADIUS)
 
 
-def _scan(points, sites):
-    """nearest_site's kernel: squared distances and each row's argmin."""
-    d_sq = cdist(points, sites, "sqeuclidean")
-    return d_sq, d_sq.argmin(axis=1)
-
-
-def nearest_site(points, sites):
-    """Distance from each point to its nearest site, and that site's index.
-
-    A dense cdist + argmin (ties go to the lowest site index): against the
-    80 hand samples or a few dozen patch points it is faster than building
-    a kd-tree over the sites on every call.  The argmin runs over squared
-    distances and only the winners take a square root, so the distances
-    equal cdist's euclidean ones bit for bit; two sites whose squared
-    distances differ only below the rounding of the square root are not a
-    tie, and the strictly nearer one wins.  Over a descent's trial site
-    sets, ``CertifiedNearestSite`` gives the same answers and sends only
-    the rows it cannot certify through this scan.
-    """
-    d_sq, idx = _scan(points, sites)
-    return np.sqrt(d_sq[np.arange(idx.size), idx]), idx
-
-
 # Relative slack of CertifiedNearestSite's test and of the bounds it
 # carries: far above the rounding of the distances compared (a few ulps),
 # far below any gap between two sites that decides a nearest site.
@@ -237,8 +212,16 @@ _CERTIFY_MARGIN = 1e-9
 
 
 class CertifiedNearestSite:
-    """nearest_site(points, sites) at a descent's trial site sets, reusing
-    the answer at the last accepted set.
+    """Distance from each point to its nearest site, and that site's index,
+    at a descent's trial site sets, reusing the answer at the last accepted
+    set.
+
+    A full scan, a fresh object's first query, is a dense cdist + argmin
+    over squared distances, faster against the 80 hand samples than a
+    kd-tree built per call.  Ties go to the lowest site index, and only the
+    winners take a square root, so the distances equal cdist's euclidean
+    ones bit for bit; squared distances that differ only below the square
+    root's rounding are no tie, and the strictly nearer site wins.
 
     Each point keeps its nearest site (its owner) and a lower bound on its
     distance to every other site; a scan sets the bound to the second
@@ -247,10 +230,10 @@ class CertifiedNearestSite:
     displacement since the accepted set (the triangle inequality, as in
     Hamerly's k-means bounds).  A point whose owner distance stays below the
     lowered bound, less _CERTIFY_MARGIN for rounding, keeps its owner: the
-    owner is strictly nearest, so nearest_site's argmin and its tie rule
-    could pick no other.  Only the other rows go through nearest_site's
-    scan.  The owner distance is sqrt((dx*dx + dy*dy) + dz*dz), the sum
-    cdist forms, so every answer equals nearest_site's bit for bit; it is
+    owner is strictly nearest, so a full scan's argmin and its tie rule
+    could pick no other.  Only the other rows are scanned.  The owner
+    distance is sqrt((dx*dx + dy*dy) + dz*dz), the sum cdist forms, so
+    every answer equals a full scan's bit for bit; it is
     formed on ``columns``, a (3, n) copy of the points, one contiguous
     pass per coordinate.
 
@@ -272,7 +255,7 @@ class CertifiedNearestSite:
         self._accepted = self._last = self._pending = None
 
     def __call__(self, sites):
-        """(distance, index) of each point's nearest site, as nearest_site."""
+        """(distance, index) of each point's nearest site, as a full scan."""
         self.bracket(sites)
         return self.scan()
 
@@ -304,10 +287,11 @@ class CertifiedNearestSite:
         return dist, rows, lower
 
     def scan(self):
-        """Finish the bracketed query: (distance, index) as nearest_site."""
+        """Finish the bracketed query: (distance, index) as a full scan."""
         sites, dist, owner, lower, rows = self._pending
         self._pending = None
-        d_sq, idx = _scan(self.points.take(rows, axis=0), sites)
+        d_sq = cdist(self.points.take(rows, axis=0), sites, "sqeuclidean")
+        idx = d_sq.argmin(axis=1)
         # each scanned row's smallest entry, then its second smallest, read
         # at flat positions; argmin is far faster than min along a row
         flat = d_sq.reshape(-1)
@@ -344,8 +328,8 @@ def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts):
 
     likelihood[i] = min(c0 / d_i, 1) with d_i the distance from object point
     i to its nearest hand sample.  The part label is the nearest sample's
-    part when the likelihood clears the contact threshold, 0 otherwise.  The
-    force channel is left at zero.
+    part (the lowest-indexed of a tie) when the likelihood clears the
+    contact threshold, 0 otherwise.  The force channel is left at zero.
     """
     hand_points = np.atleast_2d(np.asarray(hand_points, dtype=float))
     hand_parts = np.atleast_1d(np.asarray(hand_parts, dtype=int))
@@ -353,7 +337,7 @@ def contact_map_from_hand(obj: ObjectModel, hand_points, hand_parts):
         raise ValueError("hand surface sample set is empty")
     if hand_points.shape[0] != hand_parts.shape[0]:
         raise ValueError("hand points and part labels must be parallel")
-    d, idx = nearest_site(obj.points, hand_points)
+    d, idx = CertifiedNearestSite(obj.points)(hand_points)
     likelihood = contact_likelihood(d)
     labels = np.where(likelihood >= CONTACT_THRESHOLD, hand_parts[idx], 0)
     return ContactState(likelihood=likelihood, part_label=labels,

@@ -48,16 +48,21 @@ def check_seed(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def check_sample_count(count):
+    """Raise ValueError naming the count unless it is at least 16."""
+    if count < 16:
+        raise ValueError(f"sample_count must be at least 16, got {count!r}")
+
+
 def _check_dims(spec: SyntheticScene, count):
     dims = tuple(float(d) for d in spec.dimensions)
     if spec.shape not in SHAPES:
         raise ValueError(f"unknown shape {spec.shape!r}, expected one of {SHAPES}")
     if len(dims) != count:
         raise ValueError(f"{spec.shape} expects {count} dimensions, got {len(dims)}")
-    if any(d <= 0 for d in dims):
-        raise ValueError(f"{spec.shape} dimensions must be positive, got {dims}")
-    if spec.sample_count < 16:
-        raise ValueError("sample_count must be at least 16")
+    if not all(0 < d < np.inf for d in dims):  # NaN fails too
+        raise ValueError(f"{spec.shape} dimensions must be positive and finite, got {dims}")
+    check_sample_count(spec.sample_count)
     return dims
 
 

@@ -50,9 +50,32 @@ class TestCliBasics:
     def test_corrupt_input_exit_code(self, tmp_path, scene_files, capsys):
         scene, _ = scene_files
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["analyze", "--scene", str(scene),
-                     "--contacts", str(bad)]) == 2
+        # text that is not JSON, then bytes that are not text
+        for content in (b"{not json", b"\xfa\xfb"):
+            bad.write_bytes(content)
+            assert main(["analyze", "--scene", str(scene),
+                         "--contacts", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {bad}: ")
+            assert str(scene) not in err
+
+    @pytest.mark.parametrize("verb, flag, value, named", [
+        ("synth", "--dims", "0.05,abc", "--dims"),
+        ("synth", "--dims", "nan", "sphere dimensions"),
+        ("synth", "--dims", "inf", "sphere dimensions"),
+        ("synth", "--gravity", "0,0,x", "--gravity"),
+        ("decode-force", "--scores", "[1,2", "--scores")])
+    def test_unreadable_flag_value_is_refused_by_name(self, tmp_path, capsys,
+                                                      verb, flag, value,
+                                                      named):
+        argv = {"synth": ["--shape", "sphere", "--dims", "0.05",
+                          "--scene-out", str(tmp_path / "s.json")],
+                "decode-force": ["-o", str(tmp_path / "out.json")]}[verb]
+        assert main([verb, *argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and named in err
+        assert "points" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_analyze_output(self, scene_files, tmp_path, capsys):
         scene, contacts = scene_files
@@ -829,12 +852,15 @@ def serial_rows():
 
 
 class TestBatch:
+    # every call also passes a sample count below 16, which is checked
+    # last: each case is refused by the first bad input's own name
     @pytest.mark.parametrize("shapes, seed, message", [
         ([], 0, "batch needs at least one shape"),
-        (["sphere"], -4, "seed must be a non-negative integer, got -4")])
+        (["sphere"], -4, "seed must be a non-negative integer, got -4"),
+        (["sphere"], 0, "sample_count must be at least 16, got 8")])
     def test_build_batch_refuses_by_name(self, shapes, seed, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            build_batch(2, shapes, seed)
+            build_batch(2, shapes, seed, sample_count=8)
 
     def test_batch_outputs_and_determinism(self, tmp_path, capsys):
         config = OptimizationConfig(max_iters_stage2=25, max_iters_stage3=25)
@@ -1013,14 +1039,30 @@ batch.batch_report(batch.build_batch(400, ["sphere"], seed=0),
         assert [pooled[0], pooled[2]] == [serial[0], serial[2]]
         assert [pooled[0].status, pooled[2].status] == ["ok", "ok"]
 
-    def test_cli_batch_exit_code_names_failed_scenes(self, tmp_path, capsys):
+    def test_cli_batch_exit_code_names_failed_scenes(self, tmp_path,
+                                                     monkeypatch, capsys):
+        from grasp_eq import batch as batch_mod
+
+        def refused(*args, **kwargs):
+            raise ValueError("style infeasible here")
+        monkeypatch.setattr(batch_mod, "generate_contacts", refused)
         out = tmp_path / "batch"
         assert main(["batch", "--count", "1", "--shapes", "sphere",
-                     "--samples", "15", "--out-dir", str(out)]) == 2
+                     "--samples", "512", "--threads", "1",
+                     "--out-dir", str(out)]) == 2
         summary = (out / "summary.csv").read_text()
-        assert "ValueError: sample_count must be at least 16" in summary
-        assert ("scene 0: error: ValueError: sample_count must be at least 16"
+        assert "ValueError: style infeasible here" in summary
+        assert ("scene 0: error: ValueError: style infeasible here"
                 in capsys.readouterr().err)
+
+    def test_cli_batch_refuses_a_sample_count_below_16_before_any_scene(
+            self, tmp_path, capsys):
+        out = tmp_path / "batch"
+        assert main(["batch", "--count", "2", "--shapes", "sphere",
+                     "--samples", "8", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: sample_count must be at least 16, got 8\n")
+        assert not out.exists()
 
     def test_cli_batch_solver_failures_exit_3(self, tmp_path, monkeypatch,
                                               capsys):

@@ -155,6 +155,18 @@ class TestSpreadForce:
         assert forces[0] == pytest.approx(1.0)
         assert_allclose(forces[1:], 1.0 / 3.0)
 
+    def test_labels_at_one_position_go_to_the_first(self):
+        obj = sphere_object(count=64)
+        mask = np.zeros(64, dtype=bool)
+        mask[::3] = True
+        labels = [(obj.points[5], 2.0), (obj.points[5].copy(), 7.0)]
+        forces, warnings = spread_force(labels, obj, mask)
+        # the tie goes to the lower label index; the second label's
+        # affinity set is empty, which counts as a warning
+        assert warnings == 1
+        assert_allclose(forces[mask], 2.0 / mask.sum())
+        assert forces[~mask].sum() == 0.0
+
     def test_no_valid_points(self):
         obj = sphere_object(count=32)
         forces, warnings = spread_force([(obj.points[0], 1.0)], obj,

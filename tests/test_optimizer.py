@@ -731,12 +731,12 @@ class TestContactPassReference:
         elif kind == "on a sample":
             points[:k] = near
         elif kind == "all active":  # no point within the radius
-            points = points[scene.nearest_site(points, samples)[0]
+            points = points[CertifiedNearestSite(points)(samples)[0]
                             > CONTACT_RADIUS]
         normals = rng.normal(size=points.shape)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         obj = ObjectModel(points=points, normals=normals)
-        d, owners = scene.nearest_site(obj.points, samples)
+        d, owners = CertifiedNearestSite(obj.points)(samples)
         target = rng.uniform(size=obj.n_points)
         if kind == "zero residual":
             target[:k] = _reference_likelihood(d[:k])

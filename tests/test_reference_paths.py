@@ -618,7 +618,7 @@ class PlainNearestSite:
 
 def plain_contact_loss(geometry, obj, target, nearest=None, exceeds=None):
     """The bound and the value through np.mean; without ``nearest``, the
-    query is one nearest_site scan, whose answer a fresh
+    query is one plain_nearest_site scan, whose answer a fresh
     CertifiedNearestSite must equal."""
     if nearest is None:
         d, owners = plain_nearest_site(obj.points, geometry.samples)
@@ -917,9 +917,10 @@ class TestStageThreePaths:
             assert bits(value) == bits(ref_value)
             assert_same_derivatives(derivatives(jac, sample_jac),
                                     ref_derivatives(jac, sample_jac))
-        # a fresh query, which scans every row, against one nearest_site
-        # scan; then a certified query at a trial pose against the first
-        # query's answer (accepted or not), its bound recorded
+        # a fresh query, which scans every row, against one
+        # plain_nearest_site scan; then a certified query at a trial pose
+        # against the first query's answer (accepted or not), its bound
+        # recorded
         (value, derivatives), (ref_value, ref_derivatives) = (
             contact_loss(geometry, obj, target,
                          scene.CertifiedNearestSite(obj.points)),

@@ -11,7 +11,7 @@ from grasp_eq.optimizer import _residual_floor
 from grasp_eq.scene import (CONTACT_RADIUS, CertifiedNearestSite,
                             ContactState, ObjectModel, compute_inertia,
                             contact_likelihood, contact_map_from_hand,
-                            nearest_site, nearest_surface, tangent_bases)
+                            nearest_surface, tangent_bases)
 
 from conftest import sphere_object
 
@@ -206,6 +206,13 @@ def _euclidean_nearest(points, sites):
     return d_mat[np.arange(idx.size), idx], idx, d_mat
 
 
+def _full_scan(points, sites):
+    """Reference: squared cdist, argmin, then the winners' square roots."""
+    d_sq = cdist(points, sites, "sqeuclidean")
+    idx = np.argmin(d_sq, axis=1)
+    return np.sqrt(d_sq[np.arange(idx.size), idx]), idx
+
+
 def _cloud(coord, max_size):
     return st.lists(st.tuples(coord, coord, coord), min_size=1,
                     max_size=max_size).map(lambda rows: np.array(rows, float))
@@ -221,7 +228,7 @@ class TestNearestSite:
            dups=st.lists(st.integers(0, 7), max_size=6))
     def test_matches_euclidean_argmin_on_grid(self, points, sites, dups):
         sites = np.vstack([sites, sites[np.asarray(dups, int) % len(sites)]])
-        d, idx = nearest_site(points, sites)
+        d, idx = CertifiedNearestSite(points)(sites)
         ref_d, ref_idx, _ = _euclidean_nearest(points, sites)
         assert d.tobytes() == ref_d.tobytes()
         assert np.array_equal(idx, ref_idx)
@@ -233,7 +240,7 @@ class TestNearestSite:
     @given(points=_cloud(st.floats(-1.0, 1.0), 12),
            sites=_cloud(st.floats(-1.0, 1.0), 8))
     def test_distances_bit_identical_off_grid(self, points, sites):
-        d, idx = nearest_site(points, sites)
+        d, idx = CertifiedNearestSite(points)(sites)
         ref_d, _, d_mat = _euclidean_nearest(points, sites)
         assert d.tobytes() == ref_d.tobytes()
         assert d_mat[np.arange(idx.size), idx].tobytes() == ref_d.tobytes()
@@ -264,8 +271,8 @@ class TestCertifiedNearestSite:
                st.sampled_from(["zero", "small", "large", "one", "duplicate",
                                 "on_point"]), st.booleans()),
                min_size=1, max_size=8))
-    def test_equals_nearest_site_bit_for_bit(self, seed, n_points, n_sites,
-                                             moves):
+    def test_equals_a_full_scan_bit_for_bit(self, seed, n_points, n_sites,
+                                            moves):
         rng = np.random.default_rng(seed)
         points = rng.uniform(-0.1, 0.1, size=(n_points, 3))
         sites = rng.uniform(-0.1, 0.1, size=(n_sites, 3))
@@ -274,7 +281,7 @@ class TestCertifiedNearestSite:
         for kind, accept in [("zero", True), *moves]:
             trial = _moved(rng, accepted, points, kind)
             d, idx = query(trial)
-            ref_d, ref_idx = nearest_site(points, trial)
+            ref_d, ref_idx = _full_scan(points, trial)
             assert d.tobytes() == ref_d.tobytes()
             assert np.array_equal(idx, ref_idx)
             if accept:
@@ -325,7 +332,7 @@ class TestCertifiedNearestSite:
             rescans.append(query.rescanned - before)
         assert rescans[0] == rescans[1] < 300
 
-    def test_scans_through_nearest_sites_kernel(self, monkeypatch):
+    def test_scans_only_the_uncertified_rows(self, monkeypatch):
         rows = []
 
         def counted(a, b, metric):
@@ -421,6 +428,16 @@ class TestContactMap:
             if prev is not None:
                 assert np.all(lik <= prev + 1e-12)
             prev = lik
+
+    def test_duplicated_hand_point_labels_with_the_lower_index(self,
+                                                               small_sphere):
+        hand_pt = small_sphere.points[3] + 0.5 * CONTACT_RADIUS * small_sphere.normals[3]
+        far = [0.0, 0.0, 1.0]
+        for parts, label in (([6, 9], 6), ([9, 6], 9)):
+            state = contact_map_from_hand(small_sphere, [far, hand_pt, hand_pt],
+                                          [2, *parts])
+            assert state.likelihood[3] == 1.0
+            assert state.part_label[3] == label
 
     def test_empty_hand(self, small_sphere):
         with pytest.raises(ValueError, match="hand surface sample set is empty"):

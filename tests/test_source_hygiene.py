@@ -75,6 +75,47 @@ def f(a):
     assert unread_locals(inner) == {}
 
 
+def unused_imports(tree):
+    """{name: line} of the names ``tree``'s imports bind and that nothing
+    in it reads; ``from __future__`` imports are not counted."""
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+    return {name: line for name, line in bound.items() if name not in read}
+
+
+# __init__.py imports only to re-export
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                        - {PACKAGE / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line} imports {name!r}, never read"
+            for name, line in unused_imports(tree).items()] == []
+
+
+def test_the_import_check_sees_what_it_must():
+    tree = ast.parse("""
+from __future__ import annotations
+import os, sys
+import numpy as np
+import os.path
+from .scene import nearest, far as distant, kept
+def f(x: kept):
+    from .hand import inner
+    return np.sqrt(os.sep), inner
+""")
+    assert unused_imports(tree) == {"sys": 3, "nearest": 6, "distant": 6}
+
+
 # The package refuses in one of two ways: invalid input raises ValueError
 # and an uncertified QP raises SolverError.  Besides a bare re-raise, the
 # one other raise is batch._fan_out's RuntimeError for a fork that died,

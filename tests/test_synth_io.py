@@ -50,6 +50,10 @@ class TestGenerateScene:
     def test_validation(self):
         with pytest.raises(ValueError, match="sphere dimensions must be positive"):
             generate_scene(SyntheticScene("sphere", (-0.05,), 256))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sphere dimensions must be "
+                                                 "positive and finite"):
+                generate_scene(SyntheticScene("sphere", (bad,), 256))
         with pytest.raises(ValueError, match="sample_count must be at least 16"):
             generate_scene(SyntheticScene("sphere", (0.05,), 8))
         with pytest.raises(ValueError, match="unknown shape 'torus'"):
