@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import SolverError, Stop, is_finite, is_number
 from .hand import _cross
@@ -173,6 +174,31 @@ def assemble_from_contact_state(obj: ObjectModel, state, mu: float = DEFAULT_MU,
     return sys, idx
 
 
+def _lstsq(a, b):
+    """``np.linalg.lstsq(a, b, rcond=None)[0]`` bit for bit, for a 2-D
+    ``a`` and 1-D ``b``, without numpy's Python wrapper.
+
+    It calls dgelsd as numpy does: the right-hand side zero-padded to
+    max(m, n) rows, rcond = eps * max(m, n), and the workspace dgelsd's
+    own query asks for (dgelsd picks its algorithm by its workspace, so a
+    fixed one changes the bits).  A failure dgelsd reports, an SVD that
+    does not converge or a nan in ``a``, raises ValueError (numpy raises
+    its subclass LinAlgError).  An infinity in ``a`` sends dgelsd, as it
+    sends numpy, into an endless loop; both QPs' matrices are finite,
+    _check_friction bounding their friction columns.
+    """
+    m, n = a.shape
+    rows = max(m, n)
+    rhs = np.zeros(rows)
+    rhs[:m] = b
+    rcond = _EPS * rows
+    work, iwork, _ = lapack.dgelsd_lwork(m, n, 1, rcond)
+    x, _, _, info = lapack.dgelsd(a, rhs, int(work), iwork, rcond)
+    if info:
+        raise ValueError("SVD did not converge in Linear Least Squares")
+    return x[:n]
+
+
 def _solve_box(mat, const, tol, max_iter):
     """Minimize ||mat @ x + const||^2 over the box [-1, 1]^k.
 
@@ -208,15 +234,16 @@ def _solve_box(mat, const, tol, max_iter):
     for outer in range(1, max_iter + 1):
         while free.size:
             steps += 1
-            step, *_ = np.linalg.lstsq(mat.take(free, axis=1), -r, rcond=None)
+            step = _lstsq(mat.take(free, axis=1), -r)
             xf = x.take(free)
             # distance to the bound the step heads for, over the step; a
             # coordinate that does not move is never blocked
             ratio = np.divide(np.copysign(1.0, step) - xf, step,
                               out=np.full(free.size, np.inf),
                               where=step != 0.0)
-            # min(1.0, nan) is 1.0: a step holding a nan (from an
-            # overflowing lstsq) is taken whole
+            # min(1.0, nan) is 1.0: a step holding a nan (on columns near
+            # the underflow limit the solution overflows inside dgelsd,
+            # and inf - inf is nan) is taken whole
             alpha = min(1.0, float(ratio.min()))
             if alpha == 1.0:
                 x[free] = xf + step
@@ -302,7 +329,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
             face = (np.where(capped[:, None], cols - _free_mean(cols, free), cols)
                     if any_capped else cols)
             step = np.zeros((n, 4))
-            step[free], *_ = np.linalg.lstsq(face[:, free], -r, rcond=None)
+            step[free] = _lstsq(face[:, free], -r)
             if any_capped:
                 step -= np.where(capped[:, None] & free,
                                  _free_mean(step, free), 0.0)

@@ -17,12 +17,18 @@ from .equilibrium import DEFAULT_MU, solve_force_existence
 from .errors import is_number
 from .force_codec import spread_force
 from .hand import N_PARTS, PALM_PART, segment_part_id
-from .scene import GRAVITY, ContactState, ObjectModel, contact_map_from_hand
+from .scene import (_COORD_MAX, GRAVITY, ContactState, ObjectModel,
+                    contact_map_from_hand)
 
 SHAPES = ("sphere", "box", "cylinder", "plate")
 STYLES = ("tripod", "pinch", "wrap", "random")
 
 DEFAULT_SAMPLE_COUNT = 2048
+# A scene's sample count is the row count of its largest arrays: one full
+# contact scan is a (count, 80) float64 matrix of squared distances to the
+# hand samples, 640 MB at this cap, so a count past it is refused before
+# anything is sampled rather than failing in the allocation
+MAX_SAMPLE_COUNT = 1_000_000
 DEFAULT_PATCH_RADIUS = 0.012
 
 # hand part ids of the distal segments, thumb to pinky; generated patches
@@ -49,9 +55,13 @@ def check_seed(seed):
 
 
 def check_sample_count(count):
-    """Raise ValueError naming the count unless it is at least 16."""
+    """Raise ValueError naming the count unless it is at least 16 and at
+    most MAX_SAMPLE_COUNT."""
     if count < 16:
         raise ValueError(f"sample_count must be at least 16, got {count!r}")
+    if count > MAX_SAMPLE_COUNT:
+        raise ValueError(f"sample_count must be at most {MAX_SAMPLE_COUNT}, "
+                         f"got {count!r}")
 
 
 def _check_dims(spec: SyntheticScene, count):
@@ -60,8 +70,10 @@ def _check_dims(spec: SyntheticScene, count):
         raise ValueError(f"unknown shape {spec.shape!r}, expected one of {SHAPES}")
     if len(dims) != count:
         raise ValueError(f"{spec.shape} expects {count} dimensions, got {len(dims)}")
-    if not all(0 < d < np.inf for d in dims):  # NaN fails too
-        raise ValueError(f"{spec.shape} dimensions must be positive and finite, got {dims}")
+    # a point's coordinates are at most a dimension in size; NaN fails too
+    if not all(0 < d <= _COORD_MAX for d in dims):
+        raise ValueError(f"{spec.shape} dimensions must be positive and "
+                         f"finite, at most {_COORD_MAX:.3g}, got {dims}")
     check_sample_count(spec.sample_count)
     return dims
 

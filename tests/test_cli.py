@@ -731,6 +731,41 @@ class TestConfigReader:
         assert "gravity" in capsys.readouterr().err
         assert not scene.exists() and not contacts.exists()
 
+    @pytest.mark.parametrize("shape, dims", [
+        ("sphere", "1e200"), ("box", "0.1,0.1,3.4e153"),
+        ("cylinder", "1e300,0.1")])
+    def test_synth_names_dimensions_too_large_for_a_point(
+            self, tmp_path, capsys, shape, dims):
+        """The dimension is named, not the points sampled from it."""
+        scene = tmp_path / "s.json"
+        assert main(["synth", "--shape", shape, "--dims", dims,
+                     "--samples", "256", "--scene-out", str(scene)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {shape} dimensions must be "
+                              f"positive and finite, at most 3.35e+153, got (")
+        assert "points" not in err
+        assert not scene.exists()
+
+    @pytest.mark.parametrize("verb", ["synth", "batch"])
+    def test_sample_count_past_the_cap_is_refused_before_sampling(
+            self, tmp_path, capsys, monkeypatch, verb):
+        from grasp_eq import synth
+
+        def sampled(*args):
+            raise AssertionError("sampled a surface")
+        for name in ("_sample_sphere", "_sample_box", "_sample_cylinder"):
+            monkeypatch.setattr(synth, name, sampled)
+        out = tmp_path / "out"
+        argv = {"synth": ["--shape", "sphere", "--dims", "0.05",
+                          "--scene-out", str(out)],
+                "batch": ["--count", "1", "--threads", "1",
+                          "--out-dir", str(out)]}[verb]
+        assert main([verb, "--samples", "100000000000", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "input error: sample_count must be at most 1000000, "
+            "got 100000000000\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["synth", "analyze", "keypoints",
                                       "optimize", "batch"])
     def test_friction_too_large_names_mu(self, scene_files, tmp_path, capsys,

@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
+from grasp_eq import equilibrium
 from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
-                                  QPResult, _free_mean, _solve_box,
+                                  QPResult, _free_mean, _lstsq, _solve_box,
                                   _solve_pyramid, assemble,
                                   assemble_from_contact_state, loss_gradient,
                                   solve_force_existence, stability_energy,
@@ -650,6 +651,67 @@ class TestPyramidSolver:
             assert stop.evaluations >= min(len(points), 1)
             assert stop.iterations >= min(len(points), 1)
             assert stop.final < QP_TOL
+
+
+@st.composite
+def lstsq_systems(draw):
+    """(a, b): a 6 x m matrix, m from 1 to 5000, whose columns are scaled
+    by 10^-300 to 10^300, with repeated and zero columns drawn in, and a
+    normal b scaled by 1e-5 to 1e5."""
+    m = draw(st.integers(1, 24) | st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = draw(st.integers(-300, 300))
+    high = draw(st.integers(low, 300))
+    a = rng.normal(size=(6, m)) * 10.0 ** rng.uniform(low, high, size=(1, m))
+    repeated = draw(st.integers(0, m - 1))
+    a[:, rng.integers(0, m, repeated)] = a[:, rng.integers(0, m, repeated)]
+    a[:, rng.integers(0, m, draw(st.integers(0, m - 1)))] = 0.0
+    b = rng.normal(size=6) * 10.0 ** draw(st.integers(-5, 5))
+    return a, b
+
+
+SVD_FAILED = "^SVD did not converge in Linear Least Squares$"
+
+
+class TestLstsq:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(system=lstsq_systems())
+    def test_matches_numpy_lstsq_bit_for_bit(self, system):
+        a, b = system
+        try:
+            want = np.linalg.lstsq(a, b, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            with pytest.raises(ValueError):
+                _lstsq(a, b)
+        else:
+            got = _lstsq(a, b)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_nan_matrix_raises_numpys_message(self):
+        # dgelsd reports an illegal value (info -4); an infinity is not
+        # tried, since it sends dgelsd and numpy's lstsq into an endless loop
+        a = np.random.default_rng(0).normal(size=(6, 5))
+        a[2, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match=SVD_FAILED):
+            np.linalg.lstsq(a, np.ones(6), rcond=None)
+        with pytest.raises(ValueError, match=SVD_FAILED):
+            _lstsq(a, np.ones(6))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_gives_numpys_nan_solution(self, value):
+        a = np.random.default_rng(0).normal(size=(6, 5))
+        b = np.ones(6)
+        b[1] = value
+        got, want = _lstsq(a, b), np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.isnan(got).all()
+        assert got.tobytes() == want.tobytes()
+
+    def test_unconverged_svd_raises_numpys_message(self, monkeypatch):
+        def unconverged(a, b, *args):
+            return b, np.zeros(min(a.shape)), 0, 1
+        monkeypatch.setattr(equilibrium.lapack, "dgelsd", unconverged)
+        with pytest.raises(ValueError, match=SVD_FAILED):
+            _lstsq(np.eye(6), np.ones(6))
 
 
 def _reference_box(mat, const, tol, max_iter):

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from grasp_eq import hand, keypoints, optimizer, scene
+from grasp_eq import equilibrium, hand, keypoints, optimizer, scene
 from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, QPResult,
                                   _check_friction, _solve_box, assemble,
                                   energy_lower_bounds, solve_force_existence,
@@ -291,20 +291,25 @@ class TestBoxLoop:
         """Columns near the underflow limit make the least-squares step
         overflow (ratio 0, alpha 0) or turn nan (min(1.0, nan) is 1.0, a
         whole step, and a nan objective); both loops take the same path to
-        the same bits."""
+        the same bits.  Both loops' steps are counted: the reference's
+        through np.linalg.lstsq, _solve_box's through equilibrium._lstsq."""
         met = {"inf": 0, "nan": 0}
-        lstsq = np.linalg.lstsq
 
-        def counted(a, b, rcond=None):
-            out = lstsq(a, b, rcond=rcond)
-            step = out[0]
-            if np.isnan(step).any():
-                met["nan"] += 1
-            elif np.isinf(step).any():
-                met["inf"] += 1
-            return out
+        def counted(solve, step_of):
+            def wrapper(*args, **kwargs):
+                out = solve(*args, **kwargs)
+                step = step_of(out)
+                if np.isnan(step).any():
+                    met["nan"] += 1
+                elif np.isinf(step).any():
+                    met["inf"] += 1
+                return out
+            return wrapper
 
-        with (mock.patch.object(np.linalg, "lstsq", counted),
+        with (mock.patch.object(np.linalg, "lstsq",
+                                counted(np.linalg.lstsq, lambda out: out[0])),
+              mock.patch.object(equilibrium, "_lstsq",
+                                counted(equilibrium._lstsq, lambda out: out)),
               np.errstate(all="ignore")):
             for mat, const, max_iter in tiny_column_systems():
                 got_x, got = _solve_box(mat, const, QP_TOL, max_iter)

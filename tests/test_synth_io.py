@@ -12,8 +12,10 @@ from grasp_eq.hand import HandPose
 from grasp_eq.keypoints import KeypointSet
 from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
                                 TraceRecord, run_pipeline)
-from grasp_eq.scene import GRAVITY
-from grasp_eq.synth import (SyntheticScene, generate_contacts, generate_scene)
+from grasp_eq.scene import _COORD_MAX, GRAVITY
+from grasp_eq.synth import (MAX_SAMPLE_COUNT, SyntheticScene,
+                            check_sample_count, generate_contacts,
+                            generate_scene)
 
 
 class TestGenerateScene:
@@ -56,6 +58,17 @@ class TestGenerateScene:
                 generate_scene(SyntheticScene("sphere", (bad,), 256))
         with pytest.raises(ValueError, match="sample_count must be at least 16"):
             generate_scene(SyntheticScene("sphere", (0.05,), 8))
+        check_sample_count(MAX_SAMPLE_COUNT)
+        with pytest.raises(ValueError, match="sample_count must be at most "
+                                             "1000000, got 1000001"):
+            generate_scene(SyntheticScene("sphere", (0.05,), 1_000_001))
+        with pytest.raises(ValueError, match=r"box dimensions must be "
+                                             r"positive and finite, at most "
+                                             r"3.35e\+153, got \(0.1, 1e\+154, 0.1\)"):
+            generate_scene(SyntheticScene("box", (0.1, 1e154, 0.1), 256))
+        # a dimension at the bound gives points the scene still accepts
+        for shape, dims in (("sphere", 1), ("box", 3), ("cylinder", 2)):
+            generate_scene(SyntheticScene(shape, (_COORD_MAX,) * dims, 256))
         with pytest.raises(ValueError, match="unknown shape 'torus'"):
             generate_scene(SyntheticScene("torus", (0.05,), 256))
         with pytest.raises(ValueError, match="box expects 3 dimensions, got 2"):
