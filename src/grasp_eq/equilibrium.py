@@ -41,6 +41,7 @@ from .scene import (_FLOAT_MAX, GRAVITY, ObjectModel, _freeze,
 
 DEFAULT_MU = 1.0
 QP_TOL = 1e-8
+F_MAX = 20.0  # N, each contact's normal force cap
 QP_MAX_ITER = 10_000
 _EPS = np.finfo(float).eps
 # Bound on mu times the largest friction column entry times the total
@@ -280,8 +281,8 @@ def _solve_box(mat, const, tol, max_iter):
     return best_x, Stop("cap", max_iter, steps, best_gap)
 
 
-# edge k of the linearized friction pyramid is the force direction
-# (1, s_b, s_t) in (normal, b, t) with s = _EDGE_SIGNS[k]
+# the friction pyramid, stated only here: edge j of k = len(_EDGE_SIGNS) is
+# the force direction (1, s_b, s_t) in (normal, b, t) with s = _EDGE_SIGNS[j]
 _EDGE_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
@@ -294,7 +295,7 @@ def _free_mean(values, free):
 def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
     """Minimize ||mat @ lam + const||^2 over lam >= 0, sum(lam[i]) <= cap.
 
-    ``lam`` is an (n, 4) feasible start, one row of edge weights per
+    ``lam`` is an (n, k) feasible start, one row of k edge weights per
     contact.  Non-negative least squares by the primal active-set method of
     Lawson & Hanson (1974), extended with one sum cap per contact.  The
     inner loop takes the minimum-norm least-squares step on the free edges,
@@ -313,10 +314,10 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
     (large 1/m and 1/I columns) that floor passes QP_TOL, and no float lam
     certifies QP_TOL itself.
     """
-    n = lam.shape[0]
-    cols = mat.reshape(6, n, 4)
+    n, k = lam.shape
+    cols = mat.reshape(6, n, k)
     abs_mat, abs_const = np.abs(mat), np.abs(const)
-    free = np.ones((n, 4), dtype=bool)
+    free = np.ones((n, k), dtype=bool)
     capped = np.zeros(n, dtype=bool)
     best_lam, best_f, best_gap = lam, np.inf, np.inf
     steps = 0
@@ -328,7 +329,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
             any_capped = capped.any()
             face = (np.where(capped[:, None], cols - _free_mean(cols, free), cols)
                     if any_capped else cols)
-            step = np.zeros((n, 4))
+            step = np.zeros((n, k))
             step[free] = _lstsq(face[:, free], -r)
             if any_capped:
                 step -= np.where(capped[:, None] & free,
@@ -350,7 +351,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
         f = float(r @ r)
         if not math.isfinite(f):
             return best_lam, Stop("nonfinite", outer, steps, best_gap)
-        g = 2.0 * (mat.T @ r).reshape(n, 4)
+        g = 2.0 * (mat.T @ r).reshape(n, k)
         # linear minimization puts each contact's whole cap on its steepest
         # edge when that edge descends; f >= 0 everywhere, so f itself
         # bounds the suboptimality as well
@@ -358,7 +359,7 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
         if f < best_f:
             best_lam, best_f, best_gap = lam.copy(), f, gap
         noise = 2.0 * _EPS * (abs_mat.T @ (abs_mat @ lam.ravel() + abs_const))
-        floor = float((noise.reshape(n, 4).max(axis=1)
+        floor = float((noise.reshape(n, k).max(axis=1)
                        * (cap + lam.sum(axis=1))).sum())
         # with no contacts lam is the minimizer, whatever tol is
         if gap < tol * max(1.0, floor / QP_TOL) or not n:
@@ -371,10 +372,10 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
                                     np.where(capped, level[:, 0], -np.inf)])
         worst = int(np.argmax(violation))
         if violation[worst] > 0.0:
-            if worst < 4 * n:
+            if worst < free.size:
                 free.flat[worst] = True
             else:
-                capped[worst - 4 * n] = False
+                capped[worst - free.size] = False
     return best_lam, Stop("cap", max_iter, steps, best_gap)
 
 
@@ -497,14 +498,14 @@ def loss_gradient(sys: EquilibriumSystem, force_map, likelihood) -> np.ndarray:
 
 def solve_force_existence(obj: ObjectModel, points, normals,
                           mu: float = DEFAULT_MU, gravity=GRAVITY,
-                          f_max: float = 20.0, tol: float = QP_TOL,
+                          tol: float = QP_TOL,
                           max_iter: int = QP_MAX_ITER) -> QPResult:
     """Minimize ||accel||^2 over forces and friction jointly.
 
-    Per contact, the admissible (F, gamma F, delta F) with 0 <= F <= f_max
-    and |gamma|, |delta| <= 1 form the cone over the four friction-pyramid
-    edges (1, +-1, +-1), so the problem is a non-negative least-squares fit
-    of edge weights with each contact's weights summing to at most f_max.
+    Per contact, the admissible (F, gamma F, delta F) with 0 <= F <= F_MAX
+    and |gamma|, |delta| <= 1 form the cone over the friction-pyramid edges
+    of _EDGE_SIGNS, so the problem is a non-negative least-squares fit of
+    edge weights with each contact's weights summing to at most F_MAX.
     It is solved exactly by an active-set method started from the interior
     point that shares the object's weight evenly over the contacts.  Like
     stability_energy, ``tol`` bounds the duality gap and SolverError
@@ -512,21 +513,20 @@ def solve_force_existence(obj: ObjectModel, points, normals,
     'gap'.  Used to test whether admissible
     forces exist that hold the object still.
     """
-    if not np.isfinite(f_max) or f_max < 0:
-        raise ValueError("f_max must be finite and non-negative")
     points = np.atleast_2d(np.asarray(points, dtype=float)).reshape(-1, 3)
     n = points.shape[0]
+    k = len(_EDGE_SIGNS)
     sys = assemble(obj, points, normals, np.zeros(n), mu=mu, gravity=gravity)
-    _check_friction(sys, n * float(f_max))
+    _check_friction(sys, n * F_MAX)
     gravity6 = sys.gravity6
     mat = (sys.n_mat[:, :, None]
            + mu * sys.b_mat[:, :, None] * _EDGE_SIGNS[:, 0]
-           + mu * sys.t_mat[:, :, None] * _EDGE_SIGNS[:, 1]).reshape(6, 4 * n)
+           + mu * sys.t_mat[:, :, None] * _EDGE_SIGNS[:, 1]).reshape(6, k * n)
     # the minimizer is not unique; from lam = 0 the solver lands on sparse
     # vertices, from this interior point it keeps force on most contacts
-    share = min(obj.mass * float(np.linalg.norm(gravity6)) / max(n, 1), f_max)
-    lam, stop = _solve_pyramid(mat, gravity6, np.full((n, 4), share / 4.0),
-                               f_max, tol, max_iter)
+    share = min(obj.mass * float(np.linalg.norm(gravity6)) / max(n, 1), F_MAX)
+    lam, stop = _solve_pyramid(mat, gravity6, np.full((n, k), share / k),
+                               F_MAX, tol, max_iter)
     u = lam.sum(axis=1)
     safe = np.where(u > 0, u, 1.0)
     gamma, delta = np.clip((lam @ _EDGE_SIGNS) / safe[:, None], -1.0, 1.0).T

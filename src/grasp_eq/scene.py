@@ -37,6 +37,7 @@ _FLOAT_MAX = np.finfo(float).max
 # coordinates no larger than this keep the squared distance between two
 # points, such as a surface point and the com, a finite sum
 _COORD_MAX = float(np.sqrt(_FLOAT_MAX)) / 4
+_MASS_MIN = 1.0 / _COORD_MAX  # keeps 1/mass, a column scale, in that bound
 
 
 def _as_float_array(value, shape_tail, name):
@@ -90,8 +91,9 @@ def compute_inertia(points, com, mass):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         raise ValueError("cannot compute inertia of an empty point set")
-    if mass <= 0:
-        raise ValueError("mass must be positive")
+    if not mass >= _MASS_MIN:  # NaN fails this test too
+        raise ValueError(f"mass must be at least {_MASS_MIN:.3g}, the "
+                         f"reciprocal of the coordinate bound, got {mass!r}")
     com = np.asarray(com, dtype=float)
     max_sq = float(np.max(np.sum((points - com) ** 2, axis=1)))
     return 0.4 * float(mass) * max_sq
@@ -122,8 +124,6 @@ class ObjectModel:
         if com is None:
             com = points.mean(axis=0)
         com = _as_float_array(com, (3,), "com")
-        if not mass > 0:
-            raise ValueError("mass must be positive")
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "normals", _freeze(normals))
         object.__setattr__(self, "com", _freeze(com))

@@ -29,7 +29,7 @@ DEFAULT_SAMPLE_COUNT = 2048
 # hand samples, 640 MB at this cap, so a count past it is refused before
 # anything is sampled rather than failing in the allocation
 MAX_SAMPLE_COUNT = 1_000_000
-DEFAULT_PATCH_RADIUS = 0.012
+PATCH_RADIUS = 0.012  # m, a generated patch's reach from its seed point
 
 # hand part ids of the distal segments, thumb to pinky; generated patches
 # sit on these and the palm
@@ -180,21 +180,20 @@ def _style_directions(obj, style, rng, n_patches):
 
 def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
                       mu: float = DEFAULT_MU, gravity=GRAVITY,
-                      patch_radius: float = DEFAULT_PATCH_RADIUS,
                       n_patches: int = None) -> ContactState:
     """Patch-based contact state with physically consistent forces.
 
-    Each patch grows around the support point of a style direction,
-    restricted to points whose normals stay within 60 degrees of the seed
-    normal (keeps patches on one face of thin objects).  Patch forces solve
-    the force-existence problem at the patch centers and are spread
-    uniformly over each patch's affinity set.
+    Each patch grows to PATCH_RADIUS around the support point of a style
+    direction, restricted to points whose normals stay within 60 degrees
+    of the seed normal (keeps patches on one face of thin objects).  Patch
+    forces solve the force-existence problem at the patch centers and are
+    spread uniformly over each patch's affinity set.
     """
     rng = np.random.default_rng(seed)
     bounding = float(np.linalg.norm(obj.points - obj.com, axis=1).max())
-    if patch_radius > bounding:
+    if PATCH_RADIUS > bounding:
         raise ValueError(
-            f"patch radius {patch_radius} exceeds object bounding radius {bounding:.4f}")
+            f"patch radius {PATCH_RADIUS} exceeds object bounding radius {bounding:.4f}")
     directions = _style_directions(obj, style, rng, n_patches)
     labels = np.zeros(obj.n_points, dtype=int)
     # pinch patches sit slightly off-center toward an edge so fingers can
@@ -219,7 +218,7 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
         support = int(np.argmax(along - perp))
         seed_point = obj.points[support]
         seed_normal = obj.normals[support]
-        near = np.linalg.norm(obj.points - seed_point, axis=1) <= patch_radius
+        near = np.linalg.norm(obj.points - seed_point, axis=1) <= PATCH_RADIUS
         coherent = obj.normals @ seed_normal >= 0.5
         members = near & coherent & (labels == 0)
         if not np.any(members):

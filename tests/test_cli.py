@@ -275,6 +275,22 @@ class TestCliBasics:
         assert f"scene {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    # below scene._MASS_MIN, 1e-300 was blamed on mu and 1e-310 on an
+    # overflow that named no field
+    @pytest.mark.parametrize("mass", [1e-300, 1e-310])
+    def test_analyze_rejects_a_tiny_mass(self, scene_files, tmp_path, capsys,
+                                         mass):
+        scene, contacts = scene_files
+        data = json.loads(scene.read_text())
+        data["mass"] = mass
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--scene", str(bad),
+                     "--contacts", str(contacts), "-o", str(out)]) == 2
+        assert "mass must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
     # each entry of the scene and contact arrays; a JSON true in place of
     # the value 1 would load as 1 under np.array(..., dtype=float)
     @pytest.mark.parametrize("name,field", [

@@ -12,7 +12,7 @@ from scipy.optimize import nnls
 from scipy.spatial.transform import Rotation
 
 from grasp_eq import equilibrium
-from grasp_eq.equilibrium import (QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
+from grasp_eq.equilibrium import (F_MAX, QP_MAX_ITER, QP_TOL, _EDGE_SIGNS,
                                   QPResult, _free_mean, _lstsq, _solve_box,
                                   _solve_pyramid, assemble,
                                   assemble_from_contact_state, loss_gradient,
@@ -436,8 +436,9 @@ class TestForceExistence:
         assert res.energy == pytest.approx(0.0, abs=1e-8)
         assert res.forces[0] == pytest.approx(9.81, abs=1e-4)
 
-    def test_force_cap_binds(self, small_sphere):
-        res = solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N, f_max=5.0)
+    def test_force_cap_binds(self, small_sphere, monkeypatch):
+        monkeypatch.setattr(equilibrium, "F_MAX", 5.0)
+        res = solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N)
         assert res.forces[0] == pytest.approx(5.0, abs=1e-6)
         assert res.energy == pytest.approx((9.81 - 5.0) ** 2, abs=1e-6)
 
@@ -446,19 +447,15 @@ class TestForceExistence:
         pts, dirs, _ = random_contacts(rng, small_sphere, 5)
         res = solve_force_existence(small_sphere, pts, dirs)
         assert np.all(res.forces >= -1e-12)
-        assert np.all(res.forces <= 20.0 + 1e-9)
+        assert np.all(res.forces <= F_MAX + 1e-9)
         assert np.all(np.abs(res.gamma) <= 1.0 + 1e-12)
         assert np.all(np.abs(res.delta) <= 1.0 + 1e-12)
 
-    @pytest.mark.parametrize("f_max", [-1.0, np.inf, np.nan])
-    def test_rejects_invalid_force_cap(self, small_sphere, f_max):
-        with pytest.raises(ValueError, match="f_max"):
-            solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N, f_max=f_max)
-
-    def test_solver_error_carries_best(self, small_sphere):
+    def test_solver_error_carries_best(self, small_sphere, monkeypatch):
+        monkeypatch.setattr(equilibrium, "F_MAX", 5.0)
         with pytest.raises(SolverError) as info:
-            solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N, f_max=5.0,
-                                  tol=0.0, max_iter=1)
+            solve_force_existence(small_sphere, BOTTOM_P, BOTTOM_N, tol=0.0,
+                                  max_iter=1)
         forces = info.value.result.forces
         assert np.all((forces >= 0.0) & (forces <= 5.0))
 
@@ -635,6 +632,36 @@ class TestPyramidSolver:
                     assert lam.tobytes() == start.tobytes()
                     assert stop.final == np.inf
         assert nonfinite >= 30
+
+    def test_reads_the_edge_count_from_its_start(self, small_sphere):
+        """An inscribed regular 8-gon in place of the square of
+        _EDGE_SIGNS: its cone lies inside the square's, so its least
+        energy is at least the square's less the square's certified gap."""
+        theta = 2.0 * np.pi * np.arange(8) / 8
+        octagon = np.column_stack([np.cos(theta), np.sin(theta)])
+        rng = np.random.default_rng(36)
+        unheld = 0
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            pts, dirs, _ = random_contacts(rng, small_sphere, n)
+            sys = assemble(small_sphere, pts, dirs, np.zeros(n))
+            solved = []
+            for signs in (_EDGE_SIGNS, octagon):
+                k = len(signs)
+                mat = (sys.n_mat[:, :, None]
+                       + sys.b_mat[:, :, None] * signs[:, 0]
+                       + sys.t_mat[:, :, None] * signs[:, 1]
+                       ).reshape(6, k * n)
+                start = np.full((n, k), 9.81 / n / k)
+                lam, stop = _solve_pyramid(mat, sys.gravity6, start, F_MAX,
+                                           QP_TOL, QP_MAX_ITER)
+                assert lam.shape == (n, k) and stop.reason == "gap"
+                r = mat @ lam.ravel() + sys.gravity6
+                solved.append((float(r @ r), stop.final))
+            (square, square_gap), (eight, _) = solved
+            assert eight >= square - square_gap
+            unheld += square > 1e-6
+        assert unheld >= 10
 
     def test_logs_one_line_per_force_existence_solve(self, small_sphere,
                                                      caplog):

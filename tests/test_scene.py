@@ -145,6 +145,17 @@ class TestObjectModel:
                                              "no coordinate larger than"):
             ObjectModel(**args)
 
+    @pytest.mark.parametrize("mass", [0.0, -1.0, np.nan, 1e-300, 1e-310])
+    def test_rejects_a_mass_below_the_bound(self, mass):
+        with pytest.raises(ValueError, match="mass must be at least"):
+            ObjectModel(points=[[0.0, 0.0, 1.0]], normals=[[0.0, 0.0, 1.0]],
+                        mass=mass)
+
+    def test_accepts_the_least_mass(self):
+        obj = ObjectModel(points=[[0.0, 0.0, 1.0]], normals=[[0.0, 0.0, 1.0]],
+                          com=np.zeros(3), mass=scene._MASS_MIN)
+        assert obj.mass == scene._MASS_MIN
+
     def test_immutable(self, small_sphere):
         with pytest.raises(ValueError):
             small_sphere.points[0, 0] = 7.0

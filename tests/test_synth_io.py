@@ -143,7 +143,7 @@ class TestRoundTrips:
 
     def test_contacts(self, tmp_path):
         obj = generate_scene(SyntheticScene("sphere", (0.05,), 512, seed=2))
-        state = generate_contacts(obj, "tripod", seed=2, patch_radius=0.02)
+        state = generate_contacts(obj, "tripod", seed=2)
         path = tmp_path / "contacts.json"
         io_mod.save_contacts(path, state)
         again = io_mod.load_contacts(path)
