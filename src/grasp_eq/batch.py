@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import DEFAULT_MU
+from .errors import whole_number
 from .io import write_csv
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, check_keypoint_settings)
 from .optimizer import OptimizationConfig, run_pipeline
 from .scene import GRAVITY
-from .synth import (DEFAULT_SAMPLE_COUNT, SyntheticScene, check_sample_count,
-                    check_seed, generate_contacts, generate_scene)
+from .synth import (DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT, MIN_SAMPLE_COUNT,
+                    SyntheticScene, generate_contacts, generate_scene)
 
 # default grasp style and dimensions per shape for batch scenes
 _BATCH_SHAPES = {
@@ -65,16 +66,16 @@ class SceneRow:
 def build_batch(count: int, shapes, seed: int,
                 sample_count: int = DEFAULT_SAMPLE_COUNT) -> list[BatchScene]:
     """Round-robin scene list over the requested shapes with derived seeds."""
-    if count < 1:
-        raise ValueError("batch needs at least one scene")
+    count = whole_number(count, "count", 1)
     shapes = list(shapes)
     if not shapes:
         raise ValueError("batch needs at least one shape")
     for shape in shapes:
         if shape not in _BATCH_SHAPES:
             raise ValueError(f"no batch defaults for shape {shape!r}")
-    check_seed(seed)
-    check_sample_count(sample_count)
+    seed = whole_number(seed, "seed", 0)
+    sample_count = whole_number(sample_count, "sample_count",
+                                MIN_SAMPLE_COUNT, MAX_SAMPLE_COUNT)
     scenes = []
     for i in range(count):
         shape = shapes[i % len(shapes)]
@@ -217,10 +218,9 @@ def batch_report(scenes, config: OptimizationConfig, mu: float = DEFAULT_MU,
     scenes = list(scenes)
     if not scenes:
         raise ValueError("batch needs at least one scene")
-    check_keypoint_settings(cluster_radius, n_kp, target_offset)
-    threads = len(os.sched_getaffinity(0)) if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    n_kp = check_keypoint_settings(cluster_radius, n_kp, target_offset)
+    threads = (len(os.sched_getaffinity(0)) if threads is None
+               else whole_number(threads, "threads", 1))
     threads = min(threads, len(scenes))
     scene_fn = functools.partial(run_scene, config=config, mu=mu,
                                  gravity=gravity, use_keypoints=use_keypoints,

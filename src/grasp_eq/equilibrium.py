@@ -380,16 +380,18 @@ def _solve_pyramid(mat, const, lam, cap, tol, max_iter):
 
 
 def _check_friction(sys, total_force):
-    """Raise ValueError naming mu unless mu times the largest friction
-    column entry times ``total_force`` is within _FRICTION_MAX (computed in
-    Python floats, which overflow to inf without a numpy error)."""
+    """Raise ValueError naming mu and the object's mass unless mu times
+    the largest friction column entry times ``total_force`` is within
+    _FRICTION_MAX (computed in Python floats, which overflow to inf without
+    a numpy error).  The columns carry 1/m, so a tiny mass fails too."""
     column = max(float(np.abs(sys.b_mat).max(initial=0.0)),
                  float(np.abs(sys.t_mat).max(initial=0.0)))
     if not sys.mu * column * total_force <= _FRICTION_MAX:
         raise ValueError(f"friction coefficient mu {sys.mu!r} is too large "
                          f"for this object and a total force of "
                          f"{total_force:.3g}: the friction accelerations "
-                         f"would pass {_FRICTION_MAX:.3g}")
+                         f"would pass {_FRICTION_MAX:.3g}, and the object's "
+                         f"mass m scales them by 1/m")
 
 
 def stability_energy(sys: EquilibriumSystem, tol: float = QP_TOL,

@@ -28,6 +28,21 @@ def is_finite(value):
         return False
 
 
+def whole_number(value, name, low, high=math.inf):
+    """``value`` as an int, if it is a number other than a bool with no
+    fractional part (so 3.0 is 3) and lies in [low, high]; else raise
+    ValueError naming ``name``.  The package's one integer test: every
+    count, seed, budget and label goes through it."""
+    if not (is_number(value) and (isinstance(value, numbers.Integral)
+                                  or is_finite(value) and value % 1 == 0)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    if value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value!r}")
+    return int(value)
+
+
 class Stop(NamedTuple):
     """Why a solver stopped, and the work it did: a tuple, so that the
     record each QP returns costs little to build.

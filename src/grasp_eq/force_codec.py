@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_finite
+from .errors import is_finite, whole_number
 from .scene import CertifiedNearestSite
 
 DEFAULT_TEMPERATURE = 0.02
@@ -53,12 +53,7 @@ def build_binning(s: int = 10, mu_log: float = 0.0,
     """Construct the binning; 3 <= s <= MAX_BINS, mu_log and sigma_log
     finite, sigma_log > 0, and the top bin's center a finite float.  The
     defaults are the package's only copies of these three settings."""
-    # +inf fails the first test and NaN and -inf the second before int(s)
-    if s > MAX_BINS:
-        raise ValueError(f"need at most {MAX_BINS} bins, got {s!r}")
-    if not s >= 3 or int(s) != s:
-        raise ValueError(f"need an integer count of at least 3 bins, got {s!r}")
-    s = int(s)
+    s = whole_number(s, "bin count s", 3, MAX_BINS)
     if not is_finite(mu_log):
         raise ValueError(f"mu_log must be finite, got {mu_log}")
     if not (is_finite(sigma_log) and sigma_log > 0):

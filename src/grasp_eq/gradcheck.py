@@ -18,10 +18,10 @@ import numpy as np
 
 from . import hand
 from .equilibrium import assemble, loss_gradient, stability_loss_masked
+from .errors import whole_number
 from .optimizer import TERMS, pose_terms
 from .scene import GRAVITY, ObjectModel
-from .synth import (SyntheticScene, check_seed, generate_contacts,
-                    generate_scene)
+from .synth import SyntheticScene, generate_contacts, generate_scene
 
 REL_TOL = 1e-3  # run_gradcheck's bound on analytic vs. FD relative error
 FORCE_SCALE = 4.0  # random contact forces and force maps lie in [0, FORCE_SCALE]
@@ -131,9 +131,8 @@ def _summary(check, count):
 
 def run_gradcheck(count=20, seed=0):
     """CLI entry: run both gradient families and summarize."""
-    if not count >= 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
-    check_seed(seed)
+    count = whole_number(count, "count", 1)
+    seed = whole_number(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     spec = SyntheticScene(shape="sphere", dimensions=(0.05,), sample_count=512,
                           seed=seed)

@@ -15,7 +15,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .errors import is_finite, is_number
+from .errors import is_finite, is_number, whole_number
 from .hand import HandPose
 from .keypoints import KeypointSet
 from .optimizer import TraceRecord
@@ -86,21 +86,19 @@ def json_array(value, field, dtype=float, shape=None):
     """``value`` as an array, if every entry of its nested lists is a
     finite number (a whole number that ``dtype`` holds, for an integer
     ``dtype``) and, when ``shape`` is given, the array has that shape."""
-    whole = np.issubdtype(dtype, np.integer)
-    bounds = np.iinfo(dtype) if whole else None
-    for entry in np.asarray(value, dtype=object).ravel():
+    nested = np.asarray(value, dtype=object)
+    entries = nested.ravel().tolist()
+    for entry in entries:
         if not is_number(entry):
             raise ValueError(f"{field} must hold only numbers, got {entry!r}")
         if not is_finite(entry):
             raise ValueError(f"{field} must hold only finite numbers, "
                              f"got {entry!r}")
-        if whole and entry % 1 != 0:
-            raise ValueError(f"{field} must hold only whole numbers, "
-                             f"got {entry!r}")
-        if whole and not bounds.min <= entry <= bounds.max:
-            raise ValueError(f"{field} must hold only whole numbers in "
-                             f"[{bounds.min}, {bounds.max}], got {entry!r}")
-    array = np.array(value, dtype=dtype)
+    if np.issubdtype(dtype, np.integer):
+        bounds = np.iinfo(dtype)
+        entries = [whole_number(entry, f"{field} entry", int(bounds.min),
+                                int(bounds.max)) for entry in entries]
+    array = np.array(entries, dtype=dtype).reshape(nested.shape)
     if shape is not None and array.shape != shape:
         raise ValueError(f"{field} must have shape {shape}, "
                          f"got {array.shape}")

@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .equilibrium import (DEFAULT_MU, QP_TOL, assemble, energy_lower_bounds,
                           stability_energy)
-from .errors import SolverError, is_finite, is_number
+from .errors import SolverError, is_finite, is_number, whole_number
 from .scene import _COORD_MAX, GRAVITY, ContactState, ObjectModel
 
 DEFAULT_CLUSTER_RADIUS = 0.01
@@ -86,13 +86,11 @@ def check_keypoint_settings(cluster_radius=DEFAULT_CLUSTER_RADIUS,
             and cluster_radius > 0):
         raise ValueError(f"cluster_radius must be a finite number > 0, "
                          f"got {cluster_radius!r}")
-    # NaN and the infinities fail these tests too
-    if not (is_number(n_kp) and n_kp % 1 == 0 and n_kp >= 1):
-        raise ValueError(f"n_kp must be an integer of at least 1, got {n_kp!r}")
+    n_kp = whole_number(n_kp, "n_kp", 1)
     if not (is_number(target_offset) and 0 <= target_offset <= _TARGET_MAX):
         raise ValueError(f"keypoint offset must be a number from 0 to "
                          f"{_TARGET_MAX:.3g}, got {target_offset!r}")
-    return int(n_kp)
+    return n_kp
 
 
 def _components(count, pairs):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-import numbers
 import operator
 import time
 from dataclasses import dataclass, field, fields
@@ -37,7 +36,7 @@ from scipy.spatial.transform import Rotation
 
 from . import hand
 from .equilibrium import DEFAULT_MU, solve_force_existence
-from .errors import Stop, is_number
+from .errors import Stop, is_finite, is_number, whole_number
 from .keypoints import (DEFAULT_CLUSTER_RADIUS, DEFAULT_KEYPOINT_OFFSET,
                         DEFAULT_N_KEYPOINTS, KeypointSet, find_keypoints)
 from .scene import (CONTACT_RADIUS, CONTACT_THRESHOLD, GRAVITY, ContactState,
@@ -65,15 +64,14 @@ class OptimizationConfig:
     convergence_tol: float = 1e-9
 
     def __post_init__(self):
-        # weights and the tolerance: finite numbers >= 0; budgets: ints >= 1
+        # weights and the tolerance: finite numbers >= 0; budgets: whole
+        # numbers >= 1, kept as ints (a frozen field is set through object)
         for f in fields(self):
             value = getattr(self, f.name)
-            budget = f.name.startswith("max_iters")
-            kind, what = ((numbers.Integral, "an integer") if budget
-                          else (numbers.Real, "a finite number"))
-            if not (is_number(value, kind) and math.isfinite(value)
-                    and value >= budget):
-                raise ValueError(f"{f.name} must be {what} >= {int(budget)}, "
+            if f.name.startswith("max_iters"):
+                object.__setattr__(self, f.name, whole_number(value, f.name, 1))
+            elif not (is_number(value) and is_finite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be a finite number >= 0, "
                                  f"got {value!r}")
 
 

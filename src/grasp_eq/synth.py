@@ -8,13 +8,12 @@ force-existence problem so the produced states are physically consistent.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import DEFAULT_MU, solve_force_existence
-from .errors import is_number
+from .errors import whole_number
 from .force_codec import spread_force
 from .hand import N_PARTS, PALM_PART, segment_part_id
 from .scene import (_COORD_MAX, GRAVITY, ContactState, ObjectModel,
@@ -28,7 +27,7 @@ DEFAULT_SAMPLE_COUNT = 2048
 # contact scan is a (count, 80) float64 matrix of squared distances to the
 # hand samples, 640 MB at this cap, so a count past it is refused before
 # anything is sampled rather than failing in the allocation
-MAX_SAMPLE_COUNT = 1_000_000
+MIN_SAMPLE_COUNT, MAX_SAMPLE_COUNT = 16, 1_000_000
 PATCH_RADIUS = 0.012  # m, a generated patch's reach from its seed point
 
 # hand part ids of the distal segments, thumb to pinky; generated patches
@@ -47,24 +46,8 @@ class SyntheticScene:
     seed: int = 0
 
 
-def check_seed(seed):
-    """Raise ValueError naming the seed unless it is a non-negative
-    integer, the only seed numpy's generators take here."""
-    if not (is_number(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def check_sample_count(count):
-    """Raise ValueError naming the count unless it is at least 16 and at
-    most MAX_SAMPLE_COUNT."""
-    if count < 16:
-        raise ValueError(f"sample_count must be at least 16, got {count!r}")
-    if count > MAX_SAMPLE_COUNT:
-        raise ValueError(f"sample_count must be at most {MAX_SAMPLE_COUNT}, "
-                         f"got {count!r}")
-
-
 def _check_dims(spec: SyntheticScene, count):
+    """The spec's dimensions, ``count`` of them, and its sample count."""
     dims = tuple(float(d) for d in spec.dimensions)
     if spec.shape not in SHAPES:
         raise ValueError(f"unknown shape {spec.shape!r}, expected one of {SHAPES}")
@@ -74,8 +57,8 @@ def _check_dims(spec: SyntheticScene, count):
     if not all(0 < d <= _COORD_MAX for d in dims):
         raise ValueError(f"{spec.shape} dimensions must be positive and "
                          f"finite, at most {_COORD_MAX:.3g}, got {dims}")
-    check_sample_count(spec.sample_count)
-    return dims
+    return dims, whole_number(spec.sample_count, "sample_count",
+                              MIN_SAMPLE_COUNT, MAX_SAMPLE_COUNT)
 
 
 def _sample_sphere(rng, radius, count):
@@ -130,17 +113,16 @@ def _sample_cylinder(rng, radius, height, count):
 
 def generate_scene(spec: SyntheticScene) -> ObjectModel:
     """Seeded quasi-uniform surface sampling with analytic normals, mass 1 kg."""
-    check_seed(spec.seed)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(whole_number(spec.seed, "seed", 0))
     if spec.shape == "sphere":
-        (radius,) = _check_dims(spec, 1)
-        points, normals = _sample_sphere(rng, radius, spec.sample_count)
+        (radius,), count = _check_dims(spec, 1)
+        points, normals = _sample_sphere(rng, radius, count)
     elif spec.shape in ("box", "plate"):
-        dims = _check_dims(spec, 3)
-        points, normals = _sample_box(rng, dims, spec.sample_count)
+        dims, count = _check_dims(spec, 3)
+        points, normals = _sample_box(rng, dims, count)
     else:
-        radius, height = _check_dims(spec, 2)
-        points, normals = _sample_cylinder(rng, radius, height, spec.sample_count)
+        (radius, height), count = _check_dims(spec, 2)
+        points, normals = _sample_cylinder(rng, radius, height, count)
     return ObjectModel(points=points, normals=normals, com=np.zeros(3), mass=1.0)
 
 
@@ -167,7 +149,8 @@ def _style_directions(obj, style, rng, n_patches):
             dirs.append((_direction(az, -25.0), part))
         return dirs
     if style == "random":
-        count = int(n_patches) if n_patches else int(rng.integers(3, 7))
+        count = (int(rng.integers(3, 7)) if n_patches is None else
+                 whole_number(n_patches, "n_patches", 1, N_PARTS - PALM_PART))
         parts = rng.choice(np.arange(PALM_PART + 1, N_PARTS + 1), size=count,
                            replace=False)
         dirs = []
@@ -187,9 +170,11 @@ def generate_contacts(obj: ObjectModel, style: str, seed: int = 0,
     direction, restricted to points whose normals stay within 60 degrees
     of the seed normal (keeps patches on one face of thin objects).  Patch
     forces solve the force-existence problem at the patch centers and are
-    spread uniformly over each patch's affinity set.
+    spread uniformly over each patch's affinity set.  The random style
+    places ``n_patches`` patches on distinct non-palm parts, 1 to 15 of
+    them, or a count drawn from 3 to 6 when it is None.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole_number(seed, "seed", 0))
     bounding = float(np.linalg.norm(obj.points - obj.com, axis=1).max())
     if PATCH_RADIUS > bounding:
         raise ValueError(

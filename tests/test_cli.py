@@ -524,7 +524,7 @@ class TestCliBasics:
             args = ["--config", str(cfg)]
         assert main(["encode-force", "--value", "1", *args]) == 2
         err = capsys.readouterr().err
-        assert "input error: need at most 10000 bins" in err
+        assert "input error: bin count s must be at most 10000" in err
         assert repr(count) in err
 
     @pytest.mark.parametrize("size", [1e300, -1e300])
@@ -667,7 +667,7 @@ class TestCliBasics:
                           "--out-dir", str(tmp_path / "batch")]}[verb]
         assert main([verb, "--seed", "-4", *argv]) == 2
         assert capsys.readouterr().err == (
-            "input error: seed must be a non-negative integer, got -4\n")
+            "input error: seed must be at least 0, got -4\n")
         # refused before any scene is built or any file written
         assert list(tmp_path.iterdir()) == []
 
@@ -798,6 +798,27 @@ class TestConfigReader:
         if verb != "batch":  # a batch writes its reports on failures too
             assert list(out.iterdir()) == []
 
+    # no mass bound alone can refuse this mass, since the friction columns
+    # scale with 1/m times a total force that grows with the contact count
+    @pytest.mark.parametrize("verb", ["analyze", "keypoints"])
+    def test_friction_refusal_names_a_tiny_mass(self, tmp_path, capsys,
+                                                verb):
+        scene, contacts = tmp_path / "scene.json", tmp_path / "contacts.json"
+        assert main(["synth", "--shape", "sphere", "--dims", "0.05",
+                     "--samples", "256", "--style", "tripod",
+                     "--scene-out", str(scene),
+                     "--contacts-out", str(contacts)]) == 0
+        data = json.loads(scene.read_text())
+        data["mass"] = 3e-154
+        scene.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main([verb, "--scene", str(scene), "--contacts", str(contacts),
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "friction coefficient mu 1.0 is too large" in err
+        assert "mass" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     @pytest.mark.parametrize("verb", ["keypoints", "optimize"])
     def test_offset_too_large_names_offset(self, scene_files, tmp_path,
@@ -907,7 +928,7 @@ class TestBatch:
     # last: each case is refused by the first bad input's own name
     @pytest.mark.parametrize("shapes, seed, message", [
         ([], 0, "batch needs at least one shape"),
-        (["sphere"], -4, "seed must be a non-negative integer, got -4"),
+        (["sphere"], -4, "seed must be at least 0, got -4"),
         (["sphere"], 0, "sample_count must be at least 16, got 8")])
     def test_build_batch_refuses_by_name(self, shapes, seed, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

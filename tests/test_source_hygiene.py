@@ -171,3 +171,54 @@ class InputError(Exception):
 raise InputError("a bespoke class")
 """)
     assert stray_raises(tree) == [9, 13, 17]
+
+
+# errors.whole_number is the package's one integer test: it alone may ask
+# whether a value is a numbers.Integral or has a fractional part.
+def integer_tests(tree):
+    """Lines of ``tree`` that test for an integer by hand: an import,
+    name or attribute ``Integral``, a ``% 1``, or a comparison of
+    ``int(x)`` with ``x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "Integral"
+                or isinstance(node, ast.Name) and node.id == "Integral"
+                or isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "Integral" for alias in node.names)):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+              and isinstance(node.right, ast.Constant)
+              and node.right.value == 1):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            casts = [ast.dump(side.args[0]) for side in sides
+                     if isinstance(side, ast.Call)
+                     and isinstance(side.func, ast.Name)
+                     and side.func.id == "int" and len(side.args) == 1]
+            if any(ast.dump(side) in casts for side in sides):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                        - {PACKAGE / "errors.py"}),
+                         ids=lambda p: p.name)
+def test_only_errors_tests_for_an_integer(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}" for line in integer_tests(tree)] == []
+
+
+def test_the_integer_check_sees_what_it_must():
+    tree = ast.parse("""
+import numbers
+from numbers import Integral
+a = isinstance(x, numbers.Integral)
+b = x % 1 == 0
+c = int(x) != x
+d = x == int(x)
+e = x % 1.0
+f = int(s.n) != s.n and issubclass(t, Integral)
+g = x % 2, int(y) != x, isinstance(x, numbers.Real), int(x) >= 1
+""")
+    assert integer_tests(tree) == [3, 4, 5, 6, 7, 8, 9]

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grasp_eq import io as io_mod
+from grasp_eq.batch import build_batch
 from grasp_eq.equilibrium import assemble_from_contact_state, stability_energy
 from grasp_eq.hand import HandPose
 from grasp_eq.keypoints import KeypointSet
@@ -14,7 +15,7 @@ from grasp_eq.optimizer import (OptimizationConfig, OptimizationTrace,
                                 TraceRecord, run_pipeline)
 from grasp_eq.scene import _COORD_MAX, GRAVITY
 from grasp_eq.synth import (MAX_SAMPLE_COUNT, SyntheticScene,
-                            check_sample_count, generate_contacts,
+                            generate_contacts,
                             generate_scene)
 
 
@@ -58,7 +59,8 @@ class TestGenerateScene:
                 generate_scene(SyntheticScene("sphere", (bad,), 256))
         with pytest.raises(ValueError, match="sample_count must be at least 16"):
             generate_scene(SyntheticScene("sphere", (0.05,), 8))
-        check_sample_count(MAX_SAMPLE_COUNT)
+        # the cap is accepted (build_batch checks it without sampling)
+        assert build_batch(1, ["sphere"], 0, MAX_SAMPLE_COUNT)
         with pytest.raises(ValueError, match="sample_count must be at most "
                                              "1000000, got 1000001"):
             generate_scene(SyntheticScene("sphere", (0.05,), 1_000_001))
@@ -73,7 +75,7 @@ class TestGenerateScene:
             generate_scene(SyntheticScene("torus", (0.05,), 256))
         with pytest.raises(ValueError, match="box expects 3 dimensions, got 2"):
             generate_scene(SyntheticScene("box", (0.1, 0.1), 256))
-        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             generate_scene(SyntheticScene("sphere", (0.05,), 256, seed=-1))
 
 
@@ -233,8 +235,8 @@ class TestStrictLoads:
     def test_contact_part_labels_must_be_whole(self, tmp_path):
         payload = {"likelihood": [1.0, 0.0], "part_label": [1.5, 0],
                    "force": [1.0, 0.0]}
-        with pytest.raises(ValueError, match="part_label must hold only "
-                                             "whole numbers"):
+        with pytest.raises(ValueError, match="part_label entry must be a "
+                                             "whole number, got 1.5"):
             io_mod.load_contacts(self._write(tmp_path, payload))
         payload["part_label"] = [2.0, 0]
         state = io_mod.load_contacts(self._write(tmp_path, payload))
